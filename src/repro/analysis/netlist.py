@@ -1,7 +1,7 @@
 """Level 2: netlist dataflow lint (``STL-NL-*``).
 
-Absorbs and extends the original ``repro.rtl.lint`` name-level checks
-with dataflow analyses over the structural RTL IR:
+Extends the structural name-level checks with dataflow analyses over
+the structural RTL IR:
 
 * **bit-width inference** over the expression strings of assigns, sync
   statements, and instance connections, warning on mismatches
@@ -22,9 +22,7 @@ with dataflow analyses over the structural RTL IR:
   macros are not reset);
 * **part-select range checks** (``STL-NL-017``) during width inference.
 
-The original structural checks keep their semantics under new codes
-(``STL-NL-001`` .. ``STL-NL-011``); :mod:`repro.rtl.lint` now delegates
-here and converts error-severity diagnostics back to its legacy strings.
+The structural checks are ``STL-NL-001`` .. ``STL-NL-011``.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ _LHS_SELECT = re.compile(
 
 
 # ---------------------------------------------------------------------------
-# Statement parsing (shared with repro.rtl.lint)
+# Statement parsing
 # ---------------------------------------------------------------------------
 
 

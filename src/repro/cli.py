@@ -19,10 +19,11 @@ Wraps the Figure 1 flow for quick use without writing Python:
   with the DSE design space and picks the Pareto-best design point per
   layer under ``--objective`` (cycles / energy / edp), within an
   optional per-layer candidate ``--budget`` (a deterministic stratified
-  sample across the transform axis); ``--halving`` switches to the
-  multi-fidelity successive-halving autotuner over the widened design
-  space (membuf / DMA / regfile axes, ``--eta`` halving rate,
-  ``--constraint`` declarative frontier filters); ``--server`` routes
+  sample across the transform axis) and ``--constraint`` declarative
+  frontier filters; ``--halving`` prunes with multi-fidelity successive
+  halving over the widened design space (membuf / DMA / regfile axes,
+  ``--eta`` halving rate) -- ``--autotune`` is the same autotuner at
+  ``eta=1`` over the non-widened space; ``--server`` routes
   the whole request through a running ``repro serve`` daemon instead of
   evaluating in-process;
 * ``serve`` -- run the resident evaluation daemon: newline-delimited
@@ -447,7 +448,8 @@ def cmd_serve(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .exec.cache import CompileCache, persistent_compile_cache
-    from .exec.suite import SuiteError, build_suite, evaluate_suite
+    from .exec.halving import sweep_suite
+    from .exec.suite import SuiteError, SuiteResult, build_suite
 
     if args.server:
         return _sweep_via_server(args)
@@ -464,32 +466,42 @@ def cmd_sweep(args) -> int:
     else:
         cache = persistent_compile_cache(args.cache_dir)
 
-    if args.halving:
-        from .exec.halving import halving_autotune_suite
+    try:
+        result = sweep_suite(
+            suite,
+            autotune=args.autotune,
+            halving=args.halving,
+            eta=args.eta,
+            objective=args.objective,
+            budget=args.budget,
+            constraints=args.constraint,
+            jobs=args.jobs,
+            cache=cache,
+        )
+    except (SuiteError, ValueError) as err:
+        print(f"sweep: {err}", file=sys.stderr)
+        return 2
 
-        try:
-            result = halving_autotune_suite(
-                suite,
-                objective=args.objective,
-                eta=args.eta,
-                budget=args.budget,
-                jobs=args.jobs,
-                cache=cache,
-                constraints=args.constraint,
-            )
-        except (SuiteError, ValueError) as err:
-            print(f"sweep: {err}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(result.to_dict(), indent=2))
-            return 0
-        print(result.table())
-        aggregates = result.aggregates()
+    if args.json:
+        print(json.dumps(result.to_dict(), indent=2))
+        return 0
+    print(result.table())
+    aggregates = result.aggregates()
+    if isinstance(result, SuiteResult):
+        print(
+            f"\n{suite.name}: {aggregates['cases']} cases,"
+            f" {aggregates['total_cycles']} cycles,"
+            f" mean utilization {aggregates['mean_utilization']:.1%},"
+            f" {aggregates['area_um2']:.0f} um^2,"
+            f" {aggregates['total_energy_pj']:.0f} pJ,"
+            f" {aggregates['elapsed_s']:.3f} s"
+        )
+    else:
         rung_trail = " -> ".join(
             f"{stats.fidelity}:{stats.candidates}" for stats in result.rungs
         )
         print(
-            f"\n{suite.name} [halving/{args.objective} eta={args.eta}]:"
+            f"\n{suite.name} [autotune/{args.objective} eta={result.eta}]:"
             f" {aggregates['cases']} cases,"
             f" {aggregates['total_cycles']} cycles"
             f" (fixed design: {aggregates['fixed_total_cycles']}),"
@@ -498,58 +510,9 @@ def cmd_sweep(args) -> int:
             f" rungs {rung_trail},"
             f" {aggregates['evaluations_saved']:.1f}x fewer full-fidelity"
             f" evaluations,"
-            f" {aggregates['elapsed_s']:.3f} s"
-        )
-        print(_cache_line(result.report, cache))
-        return 0
-
-    if args.autotune:
-        from .exec.autotune import autotune_suite
-
-        try:
-            result = autotune_suite(
-                suite,
-                objective=args.objective,
-                budget=args.budget,
-                jobs=args.jobs,
-                cache=cache,
-            )
-        except (SuiteError, ValueError) as err:
-            print(f"sweep: {err}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(result.to_dict(), indent=2))
-            return 0
-        print(result.table())
-        aggregates = result.aggregates()
-        print(
-            f"\n{suite.name} [autotune/{args.objective}]:"
-            f" {aggregates['cases']} cases,"
-            f" {aggregates['total_cycles']} cycles"
-            f" (fixed design: {aggregates['fixed_total_cycles']}),"
-            f" {aggregates['retuned_layers']} layers re-tuned,"
-            f" {aggregates['candidates_per_layer']} candidates/layer,"
             f" {aggregates['total_energy_pj']:.0f} pJ,"
             f" {aggregates['elapsed_s']:.3f} s"
         )
-        print(_cache_line(result.report, cache))
-        return 0
-
-    result = evaluate_suite(suite, jobs=args.jobs, cache=cache)
-
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2))
-        return 0
-    print(result.table())
-    aggregates = result.aggregates()
-    print(
-        f"\n{suite.name}: {aggregates['cases']} cases,"
-        f" {aggregates['total_cycles']} cycles,"
-        f" mean utilization {aggregates['mean_utilization']:.1%},"
-        f" {aggregates['area_um2']:.0f} um^2,"
-        f" {aggregates['total_energy_pj']:.0f} pJ,"
-        f" {aggregates['elapsed_s']:.3f} s"
-    )
     print(_cache_line(result.report, cache))
     return 0
 
@@ -903,7 +866,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--autotune",
         action="store_true",
         help="cross each layer with the DSE design space and pick the"
-        " Pareto-best design point per layer",
+        " Pareto-best design point per layer (exhaustive: successive"
+        " halving at eta=1 over the non-widened space)",
     )
     sweep.add_argument(
         "--halving",
@@ -917,15 +881,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--eta",
         type=_positive_int,
         default=2,
-        help="halving rate: keep the top 1/eta per rung and grow rung"
-        " caps by eta (default 2; 1 disables pruning and matches the"
-        " exhaustive autotuner)",
+        help="--halving rate: keep the top 1/eta per rung and grow rung"
+        " caps by eta (default 2; 1 disables pruning)",
     )
     sweep.add_argument(
         "--constraint",
         default=None,
         metavar="CLAUSES",
-        help="comma-separated frontier filters for --halving, e.g."
+        help="comma-separated frontier filters for --autotune/--halving, e.g."
         " 'area<=2e6,power<=0.5' (metrics: cycles, area, energy,"
         " power); the winner is the best feasible frontier point",
     )
@@ -942,8 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap the candidate designs per layer via a deterministic"
         " stratified sample across the transform axis (the fixed"
-        " baseline design is always kept); with --halving this is a"
-        " deprecated alias for rung-0 sizing",
+        " baseline design is always kept); with --halving this sizes"
+        " rung 0",
     )
     sweep.add_argument(
         "--jobs",

@@ -28,16 +28,18 @@ Persistence and batching layers on top (this PR's subsystem):
   (``python -m repro sweep resnet50``, or any user table via
   ``repro sweep path/to/table.json``), routing every layer through
   :func:`evaluate_sweep` as one candidate list;
-* :mod:`repro.exec.autotune` -- per-layer Pareto autotuning
-  (``repro sweep <suite> --autotune``): every layer crossed with the
-  DSE design space, ranked by Pareto frontier under a configurable
-  objective (cycles / energy / EDP), winners pinned deterministically.
+* :mod:`repro.exec.halving` -- per-layer Pareto autotuning by
+  multi-fidelity successive halving (``repro sweep <suite> --halving``):
+  every layer crossed with the DSE design space, cheap reduced-cap
+  rungs pruning candidates, winners picked off the Pareto frontier
+  under a configurable objective (cycles / energy / EDP) and optional
+  constraints, deterministically.  ``--autotune`` is its ``eta=1``
+  (exhaustive) case over the non-widened space.
 
 :mod:`repro.exec.bench` records the wall-clock trajectory of a fixed
 reference sweep into ``BENCH_dse.json`` (``python -m repro bench``).
 """
 
-from .autotune import OBJECTIVES, AutotuneResult, autotune_suite, select_winner
 from .cache import (
     CacheStats,
     CompileCache,
@@ -46,6 +48,7 @@ from .cache import (
 )
 from .engine import EngineReport, ResidentPool, evaluate_sweep, resolve_jobs
 from .fingerprint import FINGERPRINT_VERSION, FingerprintError, fingerprint
+from .halving import OBJECTIVES, select_winner
 from .shm import SharedTensorPool, ShmUnavailable, shared_memory_available
 from .store import DiskStore, DiskStoreStats, default_cache_dir
 from .suite import (
@@ -62,7 +65,6 @@ from .suite import (
 )
 
 __all__ = [
-    "AutotuneResult",
     "CacheStats",
     "CompileCache",
     "DiskStore",
@@ -78,7 +80,6 @@ __all__ = [
     "SuiteCase",
     "SuiteError",
     "SuiteResult",
-    "autotune_suite",
     "build_suite",
     "build_table_suite",
     "default_cache_dir",

@@ -388,18 +388,18 @@ def run_autotune_bench(
     selection bug.  Determinism is checked by autotuning twice against
     the same warm cache and requiring identical winner rows.
     """
-    from .autotune import autotune_suite
+    from .halving import sweep_suite
     from .suite import build_suite, evaluate_suite
 
     cache = CompileCache()
     fixed = evaluate_suite(build_suite(suite, cap=cap, seed=seed), jobs=1, cache=cache)
-    first = autotune_suite(
-        build_suite(suite, cap=cap, seed=seed), objective="cycles",
-        jobs=1, cache=cache,
+    first = sweep_suite(
+        build_suite(suite, cap=cap, seed=seed), autotune=True,
+        objective="cycles", jobs=1, cache=cache,
     )
-    again = autotune_suite(
-        build_suite(suite, cap=cap, seed=seed), objective="cycles",
-        jobs=1, cache=cache,
+    again = sweep_suite(
+        build_suite(suite, cap=cap, seed=seed), autotune=True,
+        objective="cycles", jobs=1, cache=cache,
     )
 
     identical = first.rows == again.rows

@@ -369,20 +369,8 @@ def _apply_delta(cache: CompileCache, delta) -> None:
 
 
 #: Result arrays at or above this many total bytes ride home through a
-#: shared-memory segment instead of pickling through the pool pipe
-#: (override with ``STELLAR_SHM_RESULT_MIN_BYTES``).
-DEFAULT_RESULT_SHM_MIN_BYTES = 64 * 1024
-
-
-def _result_shm_threshold() -> int:
-    try:
-        return int(
-            os.environ.get(
-                "STELLAR_SHM_RESULT_MIN_BYTES", DEFAULT_RESULT_SHM_MIN_BYTES
-            )
-        )
-    except ValueError:
-        return DEFAULT_RESULT_SHM_MIN_BYTES
+#: shared-memory segment instead of pickling through the pool pipe.
+RESULT_SHM_MIN_BYTES = 64 * 1024
 
 
 def _pack_result_arrays(outcome: Dict[str, object]) -> Dict[str, object]:
@@ -397,7 +385,7 @@ def _pack_result_arrays(outcome: Dict[str, object]) -> Dict[str, object]:
     if outputs is None:
         return outcome
     total = sum(array.nbytes for array in outputs.values())
-    if total >= _result_shm_threshold() and shared_memory_available():
+    if total >= RESULT_SHM_MIN_BYTES and shared_memory_available():
         pool = SharedTensorPool()
         try:
             handles = pool.publish(outputs)

@@ -1,12 +1,13 @@
-"""Multi-fidelity successive-halving autotuning of workload suites.
+"""Per-layer autotuning of workload suites by multi-fidelity successive halving.
 
-:func:`~repro.exec.autotune.autotune_suite` (PR 5) evaluates every
-candidate combo of every layer at full simulation fidelity; its
-``--budget`` knob merely truncated the combo list.  That scales badly
-once :class:`~repro.dse.space.DesignSpace` owns the microarchitecture
-axes (membuf geometry, DMA depth, regfile variant) on top of transform x
-sparsity x balancing.  :func:`halving_autotune_suite` replaces
-truncation with the successive-halving schedule:
+Stellar's core claim is that one functional spec plus an automated
+explorer finds per-workload design points rather than fixing a single
+array.  :func:`halving_autotune_suite` is the repository's one
+autotuner: it crosses every layer of a suite with the
+:class:`~repro.dse.space.DesignSpace` candidate combos (transform x
+sparsity wiring x load balancing, widened by default with the membuf /
+DMA / regfile microarchitecture axes) and prunes them with the
+successive-halving schedule:
 
 * **Rung 0** evaluates *all* combos of every layer at a cheap fidelity:
   each case's bounds are clipped to a small ``cap`` and its operand
@@ -19,23 +20,30 @@ truncation with the successive-halving schedule:
   rung objective (cycles, then area, then name -- deterministic).  Three
   classes of combo survive unconditionally: the suite's **fixed
   baseline** (so the final winner provably never loses to the fixed
-  sweep -- the PR 5 guarantee), the **previous layer's rung leader**
-  (neighboring layers share shapes, so its winner warm-starts this
-  layer's ranking), and combos that were **illegal at reduced fidelity**
-  (clipping can break a balancing scheme that is legal at full bounds;
-  they are carried forward rather than falsely pruned).
-* The **final rung** is byte-identical to today's exact evaluation:
-  full bounds, full tensors, energy + digest on, no fidelity tag -- so
-  it shares cache entries with the plain autotuner and the fixed sweep,
-  and cold/warm runs stay byte-identical.
+  sweep), the **previous layer's rung leader** (neighboring layers
+  share shapes, so its winner warm-starts this layer's ranking), and
+  combos that were **illegal at reduced fidelity** (clipping can break
+  a balancing scheme that is legal at full bounds; they are carried
+  forward rather than falsely pruned).
+* The **final rung** is the exact evaluation: full bounds, full
+  tensors, energy + digest on, no fidelity tag -- so it shares cache
+  entries with the fixed sweep, and cold/warm runs stay byte-identical.
+
+``eta=1`` degenerates to that single exact rung: an exhaustive search.
+``repro sweep --autotune`` is exactly that case over the non-widened
+suite space (:func:`sweep_suite` holds the mode mapping).
 
 Every rung routes through one
 :func:`~repro.exec.engine.evaluate_sweep` call, so the ResidentPool,
 shared-memory transport, DiskStore, and compile-cache sharing all apply
-per rung.  The final winner is picked off the full Pareto frontier,
-optionally filtered by declarative suite-level constraints
-(``area<=N,power<=N`` -- TeAAL-style), and the result surfaces the full
-per-layer frontier plus per-rung evaluation counts.
+per rung.  Per layer, the final rung's points are ranked by the Pareto
+frontier over (cycles, area, energy); the frontier is optionally
+filtered by declarative suite-level constraints (``area<=N,power<=N``
+-- TeAAL-style) and the winner is the point minimizing the objective
+(``cycles``, ``energy`` or ``edp``) with deterministic (objective,
+cycles, area, name) tie-breaks, so parallel, serial, cold and warm runs
+pick identical designs.  The result surfaces the full per-layer
+frontier plus per-rung evaluation counts.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ from typing import (
 import numpy as np
 
 from ..core.expr import Bounds
-from ..dse.explorer import DesignPoint
+from ..dse.explorer import DesignPoint, ExplorationResult
 from ..dse.space import (
     DesignCombo,
     DesignSpace,
@@ -65,20 +73,21 @@ from ..dse.space import (
     suite_design_space,
 )
 from ..obs.trace import get_tracer
-from .autotune import (
-    OBJECTIVES,
-    AutotuneResult,
-    LayerDecision,
-    _layer_points,
-    select_winner,
-)
 from .cache import CompileCache
-from .engine import evaluate_sweep
-from .suite import Suite, SuiteError
+from .engine import EngineReport, evaluate_sweep
+from .suite import Suite, SuiteError, SuiteResult, evaluate_suite, text_table
 
 #: The smallest rung cap.  Tiles below this stop being representative of
 #: the full-bounds ranking (a 1x1x1 matmul has no dataflow).
 MIN_RUNG_CAP = 2
+
+#: Supported autotuning objectives, each mapping a point to the scalar
+#: being minimized.
+OBJECTIVES: Dict[str, Callable[[DesignPoint], float]] = {
+    "cycles": lambda p: float(p.cycles),
+    "energy": lambda p: float(p.energy_pj),
+    "edp": lambda p: float(p.edp),
+}
 
 #: Metrics a ``--constraint`` clause may bound, each mapping a fully
 #: evaluated :class:`~repro.dse.explorer.DesignPoint` to the scalar the
@@ -148,8 +157,8 @@ def fidelity_ladder(full_cap: int, eta: int) -> List[Optional[int]]:
 
     Caps grow by ``eta`` from :data:`MIN_RUNG_CAP` while strictly below
     ``full_cap``; ``eta=1`` (no pruning) degenerates to the single exact
-    rung, making halving identical to the exhaustive autotuner -- the
-    differential test's anchor.
+    rung, an exhaustive search -- the ``--autotune`` mode, which the
+    fuzzer's brute-force reference checks.
     """
     if eta < 1:
         raise ValueError(f"eta must be at least 1, got {eta}")
@@ -227,18 +236,98 @@ class RungStats:
         }
 
 
-class HalvingLayerDecision(LayerDecision):
-    """A layer's winner plus its full serialized Pareto frontier."""
+def select_winner(
+    points: Sequence[DesignPoint], objective: str
+) -> Tuple[DesignPoint, List[DesignPoint]]:
+    """``(winner, frontier)`` for one layer's evaluated points.
 
-    def __init__(self, *args, frontier_points=None, feasible=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.frontier_points = list(frontier_points or [])
-        self.feasible = feasible if feasible is not None else len(
-            self.frontier_points
+    The frontier is the Pareto-nondominated subset over every measured
+    metric (cycles, area, and energy when present); the winner is the
+    frontier point minimizing ``objective`` with deterministic
+    tie-breaks, so identical point sets always yield identical winners
+    regardless of evaluation order.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(
+            f"unknown objective {objective!r}; pick from {sorted(OBJECTIVES)}"
         )
+    if not points:
+        raise ValueError("cannot select a winner from zero points")
+    frontier = ExplorationResult(list(points)).pareto_frontier()
+    return _best(frontier, objective), frontier
+
+
+def _best(points: Sequence[DesignPoint], objective: str) -> DesignPoint:
+    measure = OBJECTIVES[objective]
+    return min(
+        points, key=lambda p: (measure(p), p.cycles, p.area_um2, p.name)
+    )
+
+
+class LayerDecision:
+    """One layer's autotuning outcome: the winning design, the fixed
+    baseline's outcome, and the layer's serialized Pareto frontier."""
+
+    def __init__(
+        self,
+        case,
+        combo: DesignCombo,
+        outcome: Mapping[str, object],
+        fixed_outcome: Mapping[str, object],
+        frontier_points: Sequence[Dict[str, object]],
+        evaluated: int,
+        illegal: int,
+    ):
+        self.case = case
+        self.combo = combo
+        self.outcome = dict(outcome)
+        self.fixed_outcome = dict(fixed_outcome)
+        self.frontier_points = list(frontier_points)
+        self.evaluated = evaluated
+        self.illegal = illegal
+
+    @property
+    def cycles(self) -> int:
+        return int(self.outcome["cycles"])
+
+    @property
+    def energy_pj(self) -> float:
+        return float(self.outcome["energy_pj"])
+
+    @property
+    def edp(self) -> float:
+        return self.cycles * self.energy_pj
+
+    @property
+    def fixed_cycles(self) -> int:
+        return int(self.fixed_outcome["cycles"])
+
+    @property
+    def feasible(self) -> int:
+        """Frontier points satisfying every constraint."""
+        return sum(1 for point in self.frontier_points if point["feasible"])
 
     def row(self) -> Dict[str, object]:
-        row = super().row()
+        row: Dict[str, object] = {
+            "name": self.case.name,
+            "transform": self.combo.transform_name,
+            "sparsity": self.combo.sparsity_name,
+            "balancing": self.combo.balancing_name,
+            "cycles": self.cycles,
+            "fixed_cycles": self.fixed_cycles,
+            "utilization": float(self.outcome["utilization"]),
+            "area_um2": float(self.outcome["area_um2"]),
+            "energy_pj": round(self.energy_pj, 3),
+            "edp": round(self.edp, 3),
+            "output_digest": self.outcome["output_digest"],
+            "frontier": len(self.frontier_points),
+            "evaluated": self.evaluated,
+            "illegal": self.illegal,
+        }
+        row.update(self.case.info)
+        row["bounds_str"] = "x".join(
+            str(self.case.bounds.size(name)) for name in ("i", "j", "k")
+        )
         membuf, dma, regfile = self.combo.uarch_names
         row["membuf"] = membuf
         row["dma"] = dma
@@ -247,25 +336,70 @@ class HalvingLayerDecision(LayerDecision):
         return row
 
 
-class HalvingResult(AutotuneResult):
-    """An :class:`~repro.exec.autotune.AutotuneResult` plus the halving
-    schedule: rung tallies, the fidelity ladder, constraint clauses, and
-    each layer's full Pareto frontier."""
+class HalvingResult:
+    """Per-layer winner table plus suite aggregates, the engine report,
+    and the halving schedule: rung tallies, the fidelity ladder,
+    constraint clauses, and each layer's full Pareto frontier."""
 
     def __init__(
         self,
-        *args,
+        suite: Suite,
+        objective: str,
+        decisions: List[LayerDecision],
+        space: DesignSpace,
+        combos: List[DesignCombo],
+        budget: Optional[int],
+        report: EngineReport,
+        elapsed_s: float,
+        cache: Optional[CompileCache],
         eta: int,
         ladder: Sequence[Optional[int]],
         rungs: Sequence[RungStats],
         constraints: Sequence[Constraint],
-        **kwargs,
     ):
-        super().__init__(*args, **kwargs)
+        self.suite = suite
+        self.objective = objective
+        self.decisions = decisions
+        self.space = space
+        self.combos = combos
+        self.budget = budget
+        self.report = report
+        self.elapsed_s = elapsed_s
+        self.cache = cache
         self.eta = eta
         self.ladder = list(ladder)
         self.rungs = list(rungs)
         self.constraints = list(constraints)
+
+    # -- aggregates ------------------------------------------------------
+
+    @property
+    def rows(self) -> List[Dict[str, object]]:
+        return [decision.row() for decision in self.decisions]
+
+    @property
+    def total_cycles(self) -> int:
+        return sum(d.cycles for d in self.decisions)
+
+    @property
+    def fixed_total_cycles(self) -> int:
+        return sum(d.fixed_cycles for d in self.decisions)
+
+    @property
+    def total_energy_pj(self) -> float:
+        return sum(d.energy_pj for d in self.decisions)
+
+    @property
+    def total_edp(self) -> float:
+        return sum(d.edp for d in self.decisions)
+
+    @property
+    def mean_utilization(self) -> float:
+        if not self.decisions:
+            return 0.0
+        return sum(
+            float(d.outcome["utilization"]) for d in self.decisions
+        ) / len(self.decisions)
 
     @property
     def retuned_layers(self) -> int:
@@ -298,17 +432,39 @@ class HalvingResult(AutotuneResult):
         )
 
     def aggregates(self) -> Dict[str, object]:
-        figures = super().aggregates()
-        figures["eta"] = self.eta
-        figures["rungs"] = len(self.rungs)
-        figures["full_fidelity_evaluations"] = self.full_fidelity_evaluations
-        figures["exhaustive_evaluations"] = self.exhaustive_evaluations
-        figures["evaluations_saved"] = round(self.evaluations_saved, 4)
-        return figures
+        return {
+            "cases": len(self.decisions),
+            "objective": self.objective,
+            "candidates_per_layer": len(self.combos),
+            "total_cycles": self.total_cycles,
+            "fixed_total_cycles": self.fixed_total_cycles,
+            "retuned_layers": self.retuned_layers,
+            "mean_utilization": round(self.mean_utilization, 4),
+            "total_energy_pj": round(self.total_energy_pj, 3),
+            "total_edp": round(self.total_edp, 3),
+            "elapsed_s": round(self.elapsed_s, 4),
+            "eta": self.eta,
+            "rungs": len(self.rungs),
+            "full_fidelity_evaluations": self.full_fidelity_evaluations,
+            "exhaustive_evaluations": self.exhaustive_evaluations,
+            "evaluations_saved": round(self.evaluations_saved, 4),
+        }
+
+    # -- presentation ----------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        payload = super().to_dict()
-        payload["mode"] = "halving"
+        payload = {
+            "suite": self.suite.name,
+            "mode": "halving",
+            "objective": self.objective,
+            "budget": self.budget,
+            "space": self.space.axes(),
+            "rows": self.rows,
+            "aggregates": self.aggregates(),
+            "engine": self.report.as_dict(),
+        }
+        if self.cache is not None and self.cache.store is not None:
+            payload["store"] = self.cache.store.stats.as_dict()
         payload["eta"] = self.eta
         payload["ladder"] = [
             cap if cap is not None else "full" for cap in self.ladder
@@ -322,6 +478,53 @@ class HalvingResult(AutotuneResult):
             for decision in self.decisions
         }
         return payload
+
+    def table(self) -> str:
+        headers = (
+            "case", "design", "cycles", "fixed", "util", "energy/pJ", "digest"
+        )
+        body = [
+            (
+                str(row["name"]),
+                f"{row['transform']} / {row['sparsity']} / {row['balancing']}",
+                str(row["cycles"]),
+                str(row["fixed_cycles"]),
+                f"{float(row['utilization']):.3f}",
+                f"{float(row['energy_pj']):.1f}",
+                str(row["output_digest"])[:12],
+            )
+            for row in self.rows
+        ]
+        return text_table(headers, body)
+
+
+def _layer_points(
+    combos: Sequence[DesignCombo], outcomes: Sequence[Mapping[str, object]]
+) -> List[Tuple[DesignCombo, DesignPoint, Mapping[str, object]]]:
+    points = []
+    for combo, outcome in zip(combos, outcomes):
+        if outcome["status"] != "ok":
+            continue
+        points.append(
+            (
+                combo,
+                DesignPoint(
+                    name=combo.label,
+                    transform_name=combo.transform_name,
+                    sparsity_name=combo.sparsity_name,
+                    balancing_name=combo.balancing_name,
+                    cycles=int(outcome["cycles"]),
+                    utilization=float(outcome["utilization"]),
+                    area_um2=float(outcome["area_um2"]),
+                    pe_count=int(outcome["pe_count"]),
+                    conn_count=int(outcome["conn_count"]),
+                    pruned_variables=outcome["pruned_variables"],
+                    energy_pj=float(outcome["energy_pj"]),
+                ),
+                outcome,
+            )
+        )
+    return points
 
 
 def _frontier_payload(
@@ -364,12 +567,14 @@ def halving_autotune_suite(
     constraints: Union[str, Sequence[Constraint], None] = None,
     on_rung: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> HalvingResult:
-    """Successive-halving per-layer autotuning of ``suite``.
+    """Pick the Pareto-best design point per layer of ``suite`` by
+    successive halving.
 
     ``space`` defaults to the *widened* suite space
     (:func:`~repro.dse.space.suite_design_space` with ``wide=True``);
-    ``budget`` is the deprecated rung-0 sizing alias (a stratified
-    sample across the transform axis, baseline always kept); ``eta`` is
+    ``budget`` caps the candidate combos per layer, i.e. rung-0 sizing
+    (a stratified sample across the transform axis, baseline always
+    kept); ``eta`` is
     both the per-rung keep fraction (top ``1/eta``) and the cap growth
     factor; ``constraints`` filters the final frontier
     (:func:`parse_constraints` grammar) -- note a binding constraint can
@@ -557,7 +762,7 @@ def halving_autotune_suite(
 
     elapsed = time.perf_counter() - started
 
-    decisions: List[HalvingLayerDecision] = []
+    decisions: List[LayerDecision] = []
     for case_index, case in enumerate(suite.cases):
         layer = final_outcomes[case_index]
         evaluated = _layer_points(
@@ -587,11 +792,7 @@ def halving_autotune_suite(
                     f"suite {suite.name!r}: no frontier point of layer"
                     f" {case.name!r} satisfies --constraint {clause}"
                 )
-            measure = OBJECTIVES[objective]
-            winner_point = min(
-                feasible,
-                key=lambda p: (measure(p), p.cycles, p.area_um2, p.name),
-            )
+            winner_point = _best(feasible, objective)
         winner_combo, winner_outcome = by_label[winner_point.name]
         fixed_outcome = next(
             outcome
@@ -599,18 +800,16 @@ def halving_autotune_suite(
             if combo.key == baseline_combo.key
         )
         decisions.append(
-            HalvingLayerDecision(
+            LayerDecision(
                 case,
                 winner_combo,
                 winner_outcome,
                 fixed_outcome,
-                frontier_size=len(frontier),
-                evaluated=len(evaluated),
-                illegal=len(layer) - len(evaluated),
                 frontier_points=_frontier_payload(
                     frontier, by_label, constraints
                 ),
-                feasible=len(feasible),
+                evaluated=len(evaluated),
+                illegal=len(layer) - len(evaluated),
             )
         )
 
@@ -629,3 +828,53 @@ def halving_autotune_suite(
         rungs=rung_stats,
         constraints=constraints,
     )
+
+
+def sweep_suite(
+    suite: Suite,
+    autotune: bool = False,
+    halving: bool = False,
+    eta: int = 2,
+    objective: str = "cycles",
+    budget: Optional[int] = None,
+    constraints: Union[str, Sequence[Constraint], None] = None,
+    jobs: Optional[int] = None,
+    cache: Optional[CompileCache] = None,
+    pool=None,
+    on_row: Optional[Callable[[int, Dict[str, object]], None]] = None,
+    on_rung: Optional[Callable[[Dict[str, object]], None]] = None,
+) -> Union[SuiteResult, HalvingResult]:
+    """The one ``repro sweep`` dispatch, shared by the CLI and the
+    serve daemon: maps the sweep mode to the autotuner's (eta, space).
+
+    * neither flag -- the fixed-design :func:`evaluate_suite` sweep;
+    * ``halving`` -- successive halving at ``eta`` over the widened
+      space;
+    * ``autotune`` alone -- ``eta=1`` (one exact rung, i.e. exhaustive)
+      over the non-widened :func:`suite_design_space`.
+
+    ``on_row(index, row)`` sees every result row: streamed as layers
+    finish for the fixed sweep, once the winners are picked for the
+    autotuner.  ``constraints`` filters the autotuned frontier.
+    """
+    if not (autotune or halving):
+        return evaluate_suite(
+            suite, jobs=jobs, cache=cache, on_row=on_row, pool=pool
+        )
+    space = None if halving else suite_design_space(suite)
+    result = halving_autotune_suite(
+        suite,
+        objective=objective,
+        eta=eta if halving else 1,
+        budget=budget,
+        jobs=jobs,
+        cache=cache,
+        space=space,
+        pool=pool,
+        constraints=constraints,
+        on_rung=on_rung,
+    )
+    if on_row is not None:
+        for index, row in enumerate(result.rows):
+            on_row(index, row)
+    return result

@@ -26,7 +26,7 @@ import csv
 import json
 import os
 import time
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -606,6 +606,11 @@ def format_rows(rows: List[Dict[str, object]]) -> str:
                 str(row.get("output_digest", ""))[:12],
             )
         )
+    return text_table(headers, body)
+
+
+def text_table(headers: Sequence[str], body: Sequence[Sequence[str]]) -> str:
+    """Left-justified text columns under a dashed rule."""
     widths = [
         max(len(headers[col]), *(len(line[col]) for line in body)) if body
         else len(headers[col])

@@ -20,8 +20,9 @@ oracle                            paths compared
                                  just-written persistent disk store
 ``rtl.opt0_vs_opt2``             unoptimized vs fully optimized netlist,
                                  proven via :func:`check_equivalence`
-``exec.halving_eta1_vs_exhaustive``  single-exact-rung successive halving
-                                 vs the exhaustive autotuner, same space
+``exec.halving_eta1_vs_exhaustive``  ``--autotune`` (single-exact-rung
+                                 successive halving) vs the brute-force
+                                 reference :func:`brute_force_autotune`
 ===============================  ==========================================
 
 Oracles return ``None`` on agreement or a human-readable mismatch
@@ -46,10 +47,9 @@ from ..analysis.equiv import check_equivalence
 from ..core.compiler import compile_design
 from ..core.expr import SpecError
 from ..dse.space import suite_design_space
-from ..exec.autotune import autotune_suite
 from ..exec.cache import CompileCache
 from ..exec.engine import ResidentPool, evaluate_point, evaluate_sweep
-from ..exec.halving import halving_autotune_suite
+from ..exec.halving import sweep_suite
 from ..exec.store import DiskStore
 from ..exec.suite import build_table_suite
 from ..rtl.lowering import lower_design
@@ -335,6 +335,60 @@ def _oracle_rtl_opt0_vs_opt2(case: FuzzCase, _ctx: OracleContext):
     return None
 
 
+def brute_force_autotune(suite, space):
+    """Exhaustive per-layer autotuning, written independently of
+    :mod:`repro.exec.halving` as the reference for the
+    ``exec.halving_eta1_vs_exhaustive`` oracle.
+
+    One full-fidelity sweep over every (layer x combo); per layer, the
+    points no other point Pareto-dominates on (cycles, area, energy);
+    the winner minimizes (cycles, area, label).  Returns ``(winners,
+    fixed_total_cycles)``, one ``(layer, transform, sparsity, balancing,
+    cycles, output_digest)`` tuple per layer.
+    """
+    combos = space.combos()
+    baseline = (suite.transform_name, suite.sparsity_name, suite.balancing_name)
+    candidates = [
+        combo.candidate(
+            name=f"{case.name} @ {combo.label}", bounds=case.bounds,
+            tensors_key=case.name, want_energy=True, want_digest=True,
+            skip_illegal=True,
+        )
+        for case in suite.cases
+        for combo in combos
+    ]
+    outcomes, _report = evaluate_sweep(
+        suite.spec, None, None, candidates, element_bits=suite.element_bits,
+        skip_illegal=True, jobs=1, cache=CompileCache(),
+        tensor_table=suite.tensor_table(),
+    )
+    winners, fixed_total = [], 0
+    for index, case in enumerate(suite.cases):
+        chunk = outcomes[index * len(combos):(index + 1) * len(combos)]
+        layer = [(c, o) for c, o in zip(combos, chunk) if o["status"] == "ok"]
+        metrics = [(o["cycles"], o["area_um2"], o["energy_pj"]) for _c, o in layer]
+        frontier = [
+            pair
+            for pair, mine in zip(layer, metrics)
+            if not any(
+                theirs != mine and all(t <= m for t, m in zip(theirs, mine))
+                for theirs in metrics
+            )
+        ]
+        combo, out = min(
+            frontier, key=lambda p: (p[1]["cycles"], p[1]["area_um2"], p[0].label)
+        )
+        winners.append(
+            (case.name, *combo.names, out["cycles"], out["output_digest"])
+        )
+        fixed_total += next(
+            o["cycles"]
+            for c, o in layer
+            if c.names == baseline and c.is_default_uarch
+        )
+    return winners, fixed_total
+
+
 def _oracle_halving_vs_exhaustive(case: FuzzCase, _ctx: OracleContext):
     layer = {
         "name": f"fuzz-{case.index}",
@@ -346,39 +400,27 @@ def _oracle_halving_vs_exhaustive(case: FuzzCase, _ctx: OracleContext):
     }
     seed = case.tensor_seed % 100000
     suite = build_table_suite([layer], cap=4, seed=seed, source="fuzz")
-    # CRITICAL: the two autotuners default to *different* spaces (halving
-    # widens); the differential is only meaningful over one shared space.
-    space = suite_design_space(suite)
-    exhaustive = autotune_suite(
+    halved = sweep_suite(
         build_table_suite([layer], cap=4, seed=seed, source="fuzz"),
-        space=space, cache=CompileCache(), jobs=1,
+        autotune=True, cache=CompileCache(), jobs=1,
     )
-    halved = halving_autotune_suite(
-        build_table_suite([layer], cap=4, seed=seed, source="fuzz"),
-        eta=1, space=space, cache=CompileCache(), jobs=1,
+    winners, fixed_total = brute_force_autotune(
+        suite, suite_design_space(suite)
     )
-
-    def winners(result):
-        return [
-            (r["name"], r["transform"], r["sparsity"], r["balancing"],
-             r["cycles"], r["output_digest"])
-            for r in result.rows
-        ]
-
-    if winners(halved) != winners(exhaustive):
+    halved_winners = [
+        (r["name"], r["transform"], r["sparsity"], r["balancing"],
+         r["cycles"], r["output_digest"])
+        for r in halved.rows
+    ]
+    if halved_winners != winners:
         return (
-            f"winner rows differ: halving(eta=1) {winners(halved)}"
-            f" vs exhaustive {winners(exhaustive)}"
+            f"winner rows differ: halving(eta=1) {halved_winners}"
+            f" vs brute-force reference {winners}"
         )
-    if halved.total_cycles != exhaustive.total_cycles:
-        return (
-            f"total cycles differ: halving(eta=1) {halved.total_cycles}"
-            f" vs exhaustive {exhaustive.total_cycles}"
-        )
-    if halved.fixed_total_cycles != exhaustive.fixed_total_cycles:
+    if halved.fixed_total_cycles != fixed_total:
         return (
             f"fixed total cycles differ: {halved.fixed_total_cycles}"
-            f" vs {exhaustive.fixed_total_cycles}"
+            f" vs {fixed_total}"
         )
     return None
 

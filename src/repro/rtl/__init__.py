@@ -1,7 +1,6 @@
 """Structural RTL backend: netlist IR, Verilog emitter, passes, lowering.
 
-The legacy string-lint facade (:mod:`repro.rtl.lint`) is deprecated and
-no longer re-exported here; use :func:`repro.analysis.check_netlist`.
+Netlist lint lives in :func:`repro.analysis.check_netlist`.
 """
 
 from .lowering import lower_design

@@ -180,11 +180,11 @@ class ServeClient:
             payload["objective"] = objective
             if budget is not None:
                 payload["budget"] = budget
+            if constraint is not None:
+                payload["constraint"] = constraint
         if halving:
             payload["halving"] = True
             payload["eta"] = eta
-            if constraint is not None:
-                payload["constraint"] = constraint
         elif autotune:
             payload["autotune"] = True
         return self._collect(payload, on_row=on_row, on_trace=on_trace)

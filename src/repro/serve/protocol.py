@@ -29,8 +29,7 @@ from ..exec.fingerprint import fingerprint
 #: that an old client would misread.  Version 2 added the successive-
 #: halving sweep fields (``halving``/``eta``/``constraint``) and the
 #: non-terminal ``trace`` message streaming rung progress; only clients
-#: that opt into halving ever receive traces, so version-1 clients are
-#: unaffected.
+#: that opt into autotuning receive rung traces.
 PROTOCOL_VERSION = 2
 
 #: Request types the server accepts.

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import inspect
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -41,7 +40,8 @@ from typing import Callable, Dict, List, Optional
 
 from ..exec.cache import CompileCache, persistent_compile_cache
 from ..exec.engine import ResidentPool, resolve_jobs
-from ..exec.suite import SuiteError, build_suite, build_table_suite, evaluate_suite
+from ..exec.halving import sweep_suite
+from ..exec.suite import SuiteError, build_suite, build_table_suite
 from ..obs.metrics import MetricsRegistry
 from .protocol import (
     PROTOCOL_VERSION,
@@ -87,14 +87,11 @@ class EvalServer:
     """The resident design-evaluation service.
 
     ``evaluator`` is an injection point for tests: a callable
-    ``(request, emit_row) -> payload`` or
     ``(request, emit_row, emit_trace) -> payload`` run on the evaluator
     thread, where ``emit_row(index, row)`` streams one row,
     ``emit_trace(event)`` streams one ``trace`` message, and the
-    returned payload becomes the terminal ``result`` body.  Two-argument
-    evaluators (the pre-v2 shape) are still accepted and simply never
-    emit traces.  Production leaves it ``None`` and gets the suite/DSE
-    evaluators below.
+    returned payload becomes the terminal ``result`` body.  Production
+    leaves it ``None`` and gets the suite/DSE evaluators below.
     """
 
     def __init__(
@@ -353,21 +350,9 @@ class EvalServer:
 
     def _run_evaluator(self, request, emit_row, emit_trace) -> Dict[str, object]:
         """Evaluator-thread body: translate every failure into a
-        structured terminal so the stream always ends cleanly.
-
-        Injected test evaluators may take the historical two-argument
-        form ``(request, emit_row)``; the trace channel is only passed
-        to evaluators that declare a third parameter.
-        """
+        structured terminal so the stream always ends cleanly."""
         try:
-            try:
-                arity = len(inspect.signature(self._evaluator).parameters)
-            except (TypeError, ValueError):
-                arity = 3
-            if arity >= 3:
-                payload = self._evaluator(request, emit_row, emit_trace)
-            else:
-                payload = self._evaluator(request, emit_row)
+            payload = self._evaluator(request, emit_row, emit_trace)
             message = {"type": "result"}
             message.update(jsonable(payload))
             return message
@@ -455,48 +440,19 @@ class EvalServer:
     def _evaluate_sweep_inner(
         self, request, emit_row, emit_trace
     ) -> Dict[str, object]:
-        suite = self._build_suite(request)
-        if request.get("halving"):
-            from ..exec.halving import halving_autotune_suite
-
-            result = halving_autotune_suite(
-                suite,
-                objective=request["objective"],
-                eta=request["eta"],
-                budget=request["budget"],
-                jobs=self.jobs,
-                cache=self.cache,
-                pool=self.pool,
-                constraints=request["constraint"],
-                on_rung=emit_trace,
-            )
-            payload = result.to_dict()
-            rows = payload.pop("rows")
-            for index, row in enumerate(rows):
-                emit_row(index, row)
-            return payload
-        if request["autotune"]:
-            from ..exec.autotune import autotune_suite
-
-            result = autotune_suite(
-                suite,
-                objective=request["objective"],
-                budget=request["budget"],
-                jobs=self.jobs,
-                cache=self.cache,
-                pool=self.pool,
-            )
-            payload = result.to_dict()
-            rows = payload.pop("rows")
-            for index, row in enumerate(rows):
-                emit_row(index, row)
-            return payload
-        result = evaluate_suite(
-            suite,
+        result = sweep_suite(
+            self._build_suite(request),
+            autotune=request["autotune"],
+            halving=request["halving"],
+            eta=request["eta"],
+            objective=request["objective"],
+            budget=request["budget"],
+            constraints=request["constraint"],
             jobs=self.jobs,
             cache=self.cache,
-            on_row=emit_row,
             pool=self.pool,
+            on_row=emit_row,
+            on_rung=emit_trace,
         )
         payload = result.to_dict()
         payload.pop("rows")

@@ -10,8 +10,6 @@ from repro.analysis.netlist import (
 )
 from repro.core import Accelerator, Bounds
 from repro.core.dataflow import output_stationary
-import pytest
-
 from repro.rtl.lowering import lower_design
 from repro.rtl.netlist import (
     Assign,
@@ -151,29 +149,22 @@ def test_reset_coverage_warns_only_with_reset_arm():
     assert check_module(module, _netlist(module)) == []
 
 
-# --- Legacy facade (deprecated) ------------------------------------------
+# --- Legacy string format (Netlist.lint) ---------------------------------
 
 
-def test_legacy_lint_returns_old_strings_and_warns():
-    from repro.rtl.lint import lint_module
-
+def test_legacy_lint_returns_old_strings():
     module = _module()
     module.nets.append(Net("w", 8))
     module.assigns.append(Assign("w", "ghost"))
-    with pytest.warns(DeprecationWarning):
-        problems = lint_module(module, _netlist(module))
+    problems = _netlist(module).lint()
     assert problems == ["m: undeclared identifier 'ghost' in assign w"]
 
 
 def test_legacy_lint_hides_warnings():
-    from repro.rtl.lint import lint_module, lint_netlist
-
     module = _module()
     module.nets.append(Net("unused", 4))
-    with pytest.warns(DeprecationWarning):
-        assert lint_module(module, _netlist(module)) == []
-    with pytest.warns(DeprecationWarning):
-        assert lint_netlist(_netlist(module)) == []
+    assert check_netlist(_netlist(module))  # the dead-net warning
+    assert _netlist(module).lint() == []
 
 
 def test_generated_design_is_clean_and_gate_passes(spec):
@@ -186,11 +177,8 @@ def test_generated_design_is_clean_and_gate_passes(spec):
 
 
 def test_missing_top_keeps_exact_legacy_string():
-    from repro.rtl.lint import lint_netlist
-
     netlist = Netlist("nothing")
     findings = check_netlist(netlist)
     assert [d.code for d in findings] == ["STL-NL-011"]
     assert findings[0].legacy_text() == "top module 'nothing' is missing"
-    with pytest.warns(DeprecationWarning):
-        assert lint_netlist(netlist) == ["top module 'nothing' is missing"]
+    assert netlist.lint() == ["top module 'nothing' is missing"]

@@ -1,4 +1,6 @@
-"""Tests for repro.exec.autotune: per-layer Pareto autotuning.
+"""Tests for ``repro sweep --autotune``: exhaustive per-layer Pareto
+autotuning, i.e. successive halving at ``eta=1`` over the non-widened
+suite space (:func:`repro.exec.halving.sweep_suite`).
 
 The golden-pin classes freeze the exact winner (transform, sparsity,
 balancing, cycles, output digest) autotuning picks for every layer of
@@ -16,13 +18,14 @@ from repro.dse.space import (
     standard_transforms,
     suite_design_space,
 )
-from repro.exec.autotune import (
-    OBJECTIVES,
-    AutotuneResult,
-    autotune_suite,
-    select_winner,
-)
 from repro.exec.cache import CompileCache
+from repro.exec.halving import (
+    OBJECTIVES,
+    HalvingResult,
+    halving_autotune_suite,
+    select_winner,
+    sweep_suite,
+)
 from repro.exec.suite import SuiteError, build_suite, evaluate_suite
 
 # (layer, transform, sparsity, balancing, cycles, output_digest) per
@@ -81,8 +84,9 @@ ALEXNET_CAP4_PINS = [
 
 
 def _autotune(suite_name, **kwargs):
-    return autotune_suite(
+    return sweep_suite(
         build_suite(suite_name, cap=4, seed=7),
+        autotune=True,
         cache=CompileCache(),
         jobs=1,
         **kwargs,
@@ -167,12 +171,12 @@ class TestInvariants:
     def test_result_serializes(self):
         result = _autotune("alexnet", budget=2)
         payload = result.to_dict()
-        assert payload["mode"] == "autotune"
+        assert payload["mode"] == "halving"
         assert payload["objective"] == "cycles"
         assert payload["budget"] == 2
         assert len(payload["rows"]) == 5
         assert payload["aggregates"]["total_cycles"] == result.total_cycles
-        assert isinstance(result, AutotuneResult)
+        assert isinstance(result, HalvingResult)
         assert result.table()
 
     def test_space_must_contain_baseline(self):
@@ -181,8 +185,9 @@ class TestInvariants:
         transforms = standard_transforms()
         transforms.pop("output-stationary")
         with pytest.raises(SuiteError, match="fixed baseline design"):
-            autotune_suite(
+            halving_autotune_suite(
                 build_suite("alexnet", cap=4, seed=7),
+                eta=1,
                 space=DesignSpace(transforms),
                 cache=CompileCache(),
                 jobs=1,

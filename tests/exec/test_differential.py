@@ -12,9 +12,9 @@ The pairings, each exercising a redundancy the engine relies on:
   across random shapes, dtypes, and transforms, and identical sim
   results through the ``kernel=`` knob;
 * serial (``jobs=1``) against process-pool (``jobs=2``) suite
-  evaluation and autotuning -- identical row ordering and digests, so
+  evaluation and ``--autotune`` -- identical row ordering and digests, so
   parallelism is pure speedup, never a result change;
-* cold against warm (disk-backed) autotune runs -- the persistent cache
+* cold against warm (disk-backed) ``--autotune`` runs -- the persistent cache
   may only change *where* answers come from, never which winners are
   picked.
 """
@@ -34,8 +34,8 @@ from repro.core.dataflow import (
 from repro.core.expr import Index, Select, SpecError, Tensor
 from repro.core.functionality import batched_matmul_spec, conv1d_spec
 from repro.core.sparsity import Skip, SparsityStructure, csr_b_matrix
-from repro.exec.autotune import autotune_suite
 from repro.exec.cache import CompileCache
+from repro.exec.halving import sweep_suite
 from repro.exec.store import DiskStore
 from repro.exec.suite import build_suite, evaluate_suite
 from repro.sim.kernel import compile_kernel
@@ -294,14 +294,16 @@ class TestSerialVsParallel:
         assert [r["name"] for r in serial.rows] == [c.name for c in suite.cases]
 
     def test_autotune_rows_identical_across_jobs(self):
-        serial = autotune_suite(
+        serial = sweep_suite(
             build_suite("alexnet", cap=4, seed=3),
+            autotune=True,
             budget=6,
             jobs=1,
             cache=CompileCache(),
         )
-        parallel = autotune_suite(
+        parallel = sweep_suite(
             build_suite("alexnet", cap=4, seed=3),
+            autotune=True,
             budget=6,
             jobs=2,
             cache=CompileCache(),
@@ -317,8 +319,9 @@ class TestColdVsWarmAutotune:
         root = str(tmp_path / "store")
 
         cold_cache = CompileCache(store=DiskStore(root))
-        cold = autotune_suite(
+        cold = sweep_suite(
             build_suite("alexnet", cap=4, seed=3),
+            autotune=True,
             budget=8,
             jobs=1,
             cache=cold_cache,
@@ -326,8 +329,9 @@ class TestColdVsWarmAutotune:
         assert cold_cache.store.stats.writes > 0
 
         warm_cache = CompileCache(store=DiskStore(root))
-        warm = autotune_suite(
+        warm = sweep_suite(
             build_suite("alexnet", cap=4, seed=3),
+            autotune=True,
             budget=8,
             jobs=1,
             cache=warm_cache,

@@ -1,12 +1,13 @@
 """Tests for repro.exec.halving: multi-fidelity successive halving.
 
 The differential anchor is ``eta=1``: the ladder degenerates to one
-exact rung, so halving must reproduce the exhaustive autotuner row for
-row.  The pruning runs (``eta>=2``) are then held to the structural
-guarantees -- never worse than the fixed sweep, never worse than the
+exact rung, so halving must reproduce the brute-force reference
+(:func:`repro.fuzz.oracles.brute_force_autotune`) row for row.  The
+pruning runs (``eta>=2``) are then held to the structural guarantees --
+never worse than the fixed sweep, never worse than the
 exhaustive run over the same space, byte-identical across cold and warm
 disk stores -- rather than to pinned winners, because the winners are
-the exhaustive autotuner's by construction.
+the exhaustive search's by construction.
 """
 
 import json
@@ -23,7 +24,6 @@ from repro.dse.uarch import (
     standard_uarch_axes,
     uarch_overlay,
 )
-from repro.exec.autotune import autotune_suite
 from repro.exec.cache import CompileCache, persistent_compile_cache
 from repro.exec.halving import (
     MIN_RUNG_CAP,
@@ -34,6 +34,7 @@ from repro.exec.halving import (
     parse_constraints,
 )
 from repro.exec.suite import SuiteError, build_suite, evaluate_suite
+from repro.fuzz.oracles import brute_force_autotune
 
 
 def _suite(name="alexnet", cap=4, seed=7):
@@ -105,15 +106,13 @@ class TestConstraintGrammar:
 class TestDifferential:
     def test_eta1_matches_exhaustive_autotune(self):
         """One exact rung over the classic three-axis space must pick
-        exactly the exhaustive autotuner's winners."""
+        exactly the brute-force reference's winners."""
         narrow = suite_design_space(_suite())
-        exhaustive = autotune_suite(
-            _suite(), space=narrow, cache=CompileCache(), jobs=1
-        )
+        winners, fixed_total = brute_force_autotune(_suite(), narrow)
         halved = _halve(space=narrow, eta=1)
-        assert _winner_rows(halved) == _winner_rows(exhaustive)
-        assert halved.total_cycles == exhaustive.total_cycles
-        assert halved.fixed_total_cycles == exhaustive.fixed_total_cycles
+        assert _winner_rows(halved) == winners
+        assert halved.total_cycles == sum(w[4] for w in winners)
+        assert halved.fixed_total_cycles == fixed_total
 
     def test_pruned_run_matches_eta1_over_wide_space(self):
         """Successive halving with pruning lands on the same winners as

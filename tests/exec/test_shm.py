@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exec import engine
 from repro.exec.shm import (
     SharedTensorPool,
     release_attached,
@@ -176,7 +177,7 @@ class TestResultTransport:
     def test_outputs_ride_shm_byte_identically(self, monkeypatch):
         serial = self.run_sweep(jobs=1)
         # Force even tiny outputs through the shm path.
-        monkeypatch.setenv("STELLAR_SHM_RESULT_MIN_BYTES", "1")
+        monkeypatch.setattr(engine, "RESULT_SHM_MIN_BYTES", 1)
         parallel = self.run_sweep(jobs=2)
         assert len(serial) == len(parallel) == 3
         for s, p in zip(serial, parallel):
@@ -188,7 +189,7 @@ class TestResultTransport:
             assert s["output_digest"] == p["output_digest"]
 
     def test_inline_path_below_threshold(self, monkeypatch):
-        monkeypatch.setenv("STELLAR_SHM_RESULT_MIN_BYTES", str(1 << 30))
+        monkeypatch.setattr(engine, "RESULT_SHM_MIN_BYTES", 1 << 30)
         parallel = self.run_sweep(jobs=2)
         serial = self.run_sweep(jobs=1)
         for s, p in zip(serial, parallel):
@@ -200,7 +201,7 @@ class TestResultTransport:
     def test_no_leaked_segments(self, monkeypatch):
         import glob
 
-        monkeypatch.setenv("STELLAR_SHM_RESULT_MIN_BYTES", "1")
+        monkeypatch.setattr(engine, "RESULT_SHM_MIN_BYTES", 1)
         before = set(glob.glob("/dev/shm/stellar_*"))
         self.run_sweep(jobs=2)
         after = set(glob.glob("/dev/shm/stellar_*"))

@@ -156,6 +156,16 @@ class TestCli:
         assert "rungs cap2:" in out
         assert "fewer full-fidelity" in out
 
+    def test_sweep_autotune_infeasible_constraint_exits_2(self, capsys):
+        status = cli_main(
+            [
+                "sweep", "alexnet", "--autotune", "--constraint", "area<=1",
+                "--jobs", "1", "--no-disk-cache",
+            ]
+        )
+        assert status == 2
+        assert "satisfies --constraint area<=1" in capsys.readouterr().err
+
     def test_sweep_halving_bad_constraint_exits_2(self, capsys):
         status = cli_main(
             [

@@ -1,7 +1,5 @@
 """Tests for Verilog emission and structural lint (repro.rtl)."""
 
-import pytest
-
 from repro.analysis.diagnostics import Severity
 from repro.analysis.netlist import check_module, check_netlist
 from repro.rtl.netlist import Instance, Module, Netlist
@@ -189,31 +187,3 @@ class TestLint:
         nl.add(b)
         problems = lint_netlist(nl)
         assert any("cycle" in p for p in problems)
-
-
-class TestDeprecatedLintFacade:
-    """repro.rtl.lint warns but keeps its legacy string contract."""
-
-    def test_lint_module_warns_and_matches_analyzer(self):
-        from repro.rtl import lint
-
-        m = _counter_module()
-        nl = Netlist(m.name)
-        nl.add(m)
-        with pytest.warns(DeprecationWarning, match="check_module"):
-            assert lint.lint_module(m, nl) == lint_module(m, nl)
-
-    def test_lint_netlist_warns_and_matches_analyzer(self):
-        from repro.rtl import lint
-
-        nl = Netlist("nothing")
-        with pytest.warns(DeprecationWarning, match="check_netlist"):
-            assert lint.lint_netlist(nl) == [
-                "top module 'nothing' is missing"
-            ]
-
-    def test_facade_no_longer_reexported(self):
-        import repro.rtl as rtl
-
-        assert "lint_module" not in rtl.__all__
-        assert "lint_netlist" not in rtl.__all__

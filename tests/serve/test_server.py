@@ -146,7 +146,7 @@ class TestNegativePaths:
     def test_evaluator_crash_is_internal_error_and_server_survives(
         self, harness
     ):
-        def exploding(request, emit_row):
+        def exploding(request, emit_row, emit_trace):
             raise RuntimeError("boom")
 
         h = harness(evaluator=exploding)
@@ -157,7 +157,7 @@ class TestNegativePaths:
         assert h.client.ping()["type"] == "pong"
 
     def test_suite_error_from_evaluator_keeps_its_code(self, harness):
-        def failing(request, emit_row):
+        def failing(request, emit_row, emit_trace):
             raise SuiteError("row 3: no good")
 
         h = harness(evaluator=failing)
@@ -168,7 +168,7 @@ class TestNegativePaths:
 
 class TestStreaming:
     def test_rows_stream_in_order_before_the_terminal(self, harness):
-        def evaluator(request, emit_row):
+        def evaluator(request, emit_row, emit_trace):
             for index in range(5):
                 emit_row(index, {"name": f"l{index}", "cycles": index})
             return {"aggregates": {"cases": 5}}
@@ -237,16 +237,6 @@ class TestTraces:
         assert [row["name"] for row in result["rows"]] == ["l0"]
         assert "trace" not in result
 
-    def test_legacy_two_argument_evaluator_still_works(self, harness):
-        def evaluator(request, emit_row):
-            emit_row(0, {"name": "l0", "cycles": 1})
-            return {"aggregates": {"cases": 1}}
-
-        h = harness(evaluator=evaluator)
-        result = h.client.sweep(suite="alexnet")
-        assert [row["name"] for row in result["rows"]] == ["l0"]
-        assert h.client.metrics()["server"]["traces_streamed"] == 0
-
     def test_dedup_replay_preserves_the_trace_row_interleaving(
         self, harness
     ):
@@ -311,6 +301,15 @@ class TestTraces:
         assert events.count("rung_start") == len(expected.rungs)
         assert events.count("rung_finish") == len(expected.rungs)
 
+    def test_autotune_sweep_applies_the_constraint(self, harness):
+        h = harness()
+        with pytest.raises(ServeError) as excinfo:
+            h.client.sweep(
+                table=TABLE, cap=4, autotune=True, constraint="area<=1"
+            )
+        assert excinfo.value.code == "suite-error"
+        assert "--constraint area<=1" in str(excinfo.value)
+
 
 class TestDedup:
     def test_concurrent_identical_requests_share_one_evaluation(
@@ -319,7 +318,7 @@ class TestDedup:
         release = threading.Event()
         calls = []
 
-        def evaluator(request, emit_row):
+        def evaluator(request, emit_row, emit_trace):
             calls.append(request["suite"])
             assert release.wait(30)
             for index in range(3):
@@ -359,7 +358,7 @@ class TestDedup:
         release = threading.Event()
         calls = []
 
-        def evaluator(request, emit_row):
+        def evaluator(request, emit_row, emit_trace):
             calls.append(request["suite"])
             assert release.wait(30)
             return {"suite": request["suite"]}
@@ -397,7 +396,7 @@ class TestGracefulShutdown:
     def test_in_flight_request_drains_before_exit(self, harness):
         release = threading.Event()
 
-        def evaluator(request, emit_row):
+        def evaluator(request, emit_row, emit_trace):
             assert release.wait(30)
             emit_row(0, {"name": "l0", "cycles": 1})
             return {"aggregates": {"cases": 1}}
@@ -424,7 +423,7 @@ class TestGracefulShutdown:
     def test_requests_after_shutdown_are_refused_as_draining(self, harness):
         release = threading.Event()
 
-        def evaluator(request, emit_row):
+        def evaluator(request, emit_row, emit_trace):
             assert release.wait(30)
             return {"ok": True}
 
@@ -476,7 +475,7 @@ class TestParseAddress:
 
 class TestTcpTransport:
     def test_sweep_over_tcp(self):
-        def evaluator(request, emit_row):
+        def evaluator(request, emit_row, emit_trace):
             emit_row(0, {"name": "l0", "cycles": 1})
             return {"aggregates": {"cases": 1}}
 
