@@ -447,7 +447,6 @@ def cmd_serve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .exec.cache import CompileCache, persistent_compile_cache
     from .exec.halving import sweep_suite
     from .exec.suite import SuiteError, SuiteResult, build_suite
 
@@ -461,10 +460,7 @@ def cmd_sweep(args) -> int:
     except SuiteError as err:
         print(f"sweep: {err}", file=sys.stderr)
         return 2
-    if args.no_disk_cache:
-        cache = CompileCache()
-    else:
-        cache = persistent_compile_cache(args.cache_dir)
+    cache = _compile_cache(args, args.cache_dir)
 
     try:
         result = sweep_suite(
@@ -633,10 +629,37 @@ def _default_example_paths() -> list:
     return [candidate] if os.path.isdir(candidate) else []
 
 
-def cmd_check(args) -> int:
+def _missing_path(command: str, paths, noun: str = "file or directory") -> bool:
+    """Report the first of ``paths`` that does not exist; True if any."""
     import os
 
-    from .analysis import Severity, run_check
+    for path in paths:
+        if not os.path.exists(path):
+            print(f"{command}: no such {noun}: {path}", file=sys.stderr)
+            return True
+    return False
+
+
+def _compile_cache(args, cache_dir: Optional[str] = None):
+    """The in-memory cache under ``--no-disk-cache``, else the persistent one."""
+    from .exec.cache import CompileCache, persistent_compile_cache
+
+    if args.no_disk_cache:
+        return CompileCache()
+    return persistent_compile_cache(cache_dir)
+
+
+def _report_exit(args, report, text: Callable[[], str], worst) -> int:
+    """Print ``report`` (its ``to_dict()`` under ``--json``, else
+    ``text()``) and return 1 when ``worst`` reaches ``--fail-on``."""
+    from .analysis.diagnostics import Severity
+
+    print(json.dumps(report.to_dict(), indent=2) if args.json else text())
+    return 1 if worst is not None and worst >= Severity.parse(args.fail_on) else 0
+
+
+def cmd_check(args) -> int:
+    from .analysis import run_check
 
     paths = list(args.paths) or _default_example_paths()
     if not paths:
@@ -645,11 +668,8 @@ def cmd_check(args) -> int:
             file=sys.stderr,
         )
         return 2
-    for path in paths:
-        if not os.path.exists(path):
-            print(f"check: no such file or directory: {path}", file=sys.stderr)
-            return 2
-    threshold = Severity.parse(args.fail_on)
+    if _missing_path("check", paths):
+        return 2
 
     profiler = None
     previous_profiler = None
@@ -658,12 +678,7 @@ def cmd_check(args) -> int:
 
         profiler = Profiler(enabled=True)
         previous_profiler = set_profiler(profiler)
-    from .exec.cache import CompileCache, persistent_compile_cache
-
-    if args.no_disk_cache:
-        cache = CompileCache()
-    else:
-        cache = persistent_compile_cache()
+    cache = _compile_cache(args)
     try:
         report = run_check(paths, suppress=args.suppress, cache=cache)
     finally:
@@ -672,10 +687,7 @@ def cmd_check(args) -> int:
 
             set_profiler(previous_profiler)
 
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.text())
+    status = _report_exit(args, report, report.text, report.max_severity())
     if profiler is not None:
         print("\nper-level timing:")
         print(profiler.table())
@@ -685,14 +697,10 @@ def cmd_check(args) -> int:
             disk = cache.store.stats
             line += f", disk {disk.hits}/{disk.lookups} hits"
         print(line)
-    worst = report.max_severity()
-    return 1 if worst is not None and worst >= threshold else 0
+    return status
 
 
 def cmd_verify(args) -> int:
-    import os
-
-    from .analysis import Severity
     from .analysis.verify import run_verify
 
     paths = list(args.paths) or _default_example_paths()
@@ -702,18 +710,9 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    for path in paths:
-        if not os.path.exists(path):
-            print(f"verify: no such file or directory: {path}", file=sys.stderr)
-            return 2
-    threshold = Severity.parse(args.fail_on)
+    if _missing_path("verify", paths):
+        return 2
 
-    from .exec.cache import CompileCache, persistent_compile_cache
-
-    if args.no_disk_cache:
-        cache = CompileCache()
-    else:
-        cache = persistent_compile_cache()
     report = run_verify(
         paths,
         suites=args.suite,
@@ -723,28 +722,17 @@ def cmd_verify(args) -> int:
         cap=args.cap,
         max_layers=args.max_layers,
         suppress=args.suppress,
-        cache=cache,
+        cache=_compile_cache(args),
     )
-
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.text())
-    worst = report.max_severity()
-    return 1 if worst is not None and worst >= threshold else 0
+    return _report_exit(args, report, report.text, report.max_severity())
 
 
 def cmd_fuzz(args) -> int:
-    import os
-
-    from .analysis.diagnostics import Severity, max_severity
+    from .analysis.diagnostics import max_severity
     from .fuzz import load_case, replay_case, run_campaign
 
-    threshold = Severity.parse(args.fail_on)
-
     if args.replay is not None:
-        if not os.path.exists(args.replay):
-            print(f"fuzz: no such artifact: {args.replay}", file=sys.stderr)
+        if _missing_path("fuzz", [args.replay], noun="artifact"):
             return 2
         try:
             case = load_case(args.replay)
@@ -752,16 +740,17 @@ def cmd_fuzz(args) -> int:
             print(f"fuzz: {err}", file=sys.stderr)
             return 2
         verdict = replay_case(case)
-        if args.json:
-            print(json.dumps(verdict.to_dict(), indent=2))
-        else:
+
+        def text() -> str:
             detail = f": {verdict.detail}" if verdict.detail else ""
-            print(
+            return (
                 f"fuzz: replay {case.oracle} case {case.case_id[:12]}"
                 f" -> {verdict.status}{detail}"
             )
-        worst = max_severity(verdict.diagnostics)
-        return 1 if worst is not None and worst >= threshold else 0
+
+        return _report_exit(
+            args, verdict, text, max_severity(verdict.diagnostics)
+        )
 
     try:
         report = run_campaign(
@@ -774,12 +763,9 @@ def cmd_fuzz(args) -> int:
     except ValueError as err:
         print(f"fuzz: {err}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render_text())
-    worst = max_severity(report.diagnostics)
-    return 1 if worst is not None and worst >= threshold else 0
+    return _report_exit(
+        args, report, report.render_text, max_severity(report.diagnostics)
+    )
 
 
 def _positive_int(text: str) -> int:

@@ -12,18 +12,17 @@ Three cooperating pieces (see DESIGN.md's "Performance engineering"):
   simulator sub-products), so sweeps stop re-paying compilation for
   configurations that share axes;
 * :mod:`repro.exec.engine` -- deterministic point evaluation for
-  :func:`repro.dse.explore`, inline or fanned out over a process pool,
+  :func:`repro.dse.explore`, inline or fanned out over a
+  :class:`ResidentPool` (one worker model: each worker keeps only its
+  long-lived compile cache, each task carries its own operands inline),
   with per-worker profiler/tracer/metric state merged back into the
   parent's observability registry.
 
-Persistence and batching layers on top (this PR's subsystem):
+Persistence and batching layers on top:
 
 * :mod:`repro.exec.store` -- :class:`DiskStore`, the atomic, versioned,
   content-addressed disk tier behind :class:`CompileCache`, so compile
   and simulation products survive the process;
-* :mod:`repro.exec.shm` -- :class:`SharedTensorPool`, shared-memory
-  operand transport for the process pool (tensors published once per
-  sweep instead of re-pickled per task);
 * :mod:`repro.exec.suite` -- whole-workload-table evaluation
   (``python -m repro sweep resnet50``, or any user table via
   ``repro sweep path/to/table.json``), routing every layer through
@@ -49,7 +48,6 @@ from .cache import (
 from .engine import EngineReport, ResidentPool, evaluate_sweep, resolve_jobs
 from .fingerprint import FINGERPRINT_VERSION, FingerprintError, fingerprint
 from .halving import OBJECTIVES, select_winner
-from .shm import SharedTensorPool, ShmUnavailable, shared_memory_available
 from .store import DiskStore, DiskStoreStats, default_cache_dir
 from .suite import (
     Suite,
@@ -74,8 +72,6 @@ __all__ = [
     "FingerprintError",
     "OBJECTIVES",
     "ResidentPool",
-    "SharedTensorPool",
-    "ShmUnavailable",
     "Suite",
     "SuiteCase",
     "SuiteError",
@@ -92,6 +88,5 @@ __all__ = [
     "persistent_compile_cache",
     "resolve_jobs",
     "select_winner",
-    "shared_memory_available",
     "suite_names",
 ]

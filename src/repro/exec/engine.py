@@ -19,32 +19,32 @@ pool.  Three properties the explorer relies on:
   per-point records back, so ``--profile`` and trace exports describe
   the whole fleet.
 
-Workers never share the parent's :class:`~repro.exec.cache.CompileCache`
-object; each builds its own and ships hit/miss deltas home, which the
-parent folds into the sweep cache's stats and metrics registry.  When
-the parent cache has a persistent :class:`~repro.exec.store.DiskStore`
-tier, each worker opens its own handle on the same root (atomic entry
-writes make that safe) and its disk traffic merges home the same way.
+Every process-pool sweep runs on one worker model, :class:`ResidentPool`:
+a ``jobs > 1`` sweep without a caller-supplied pool gets a one-shot
+pool that is closed when the sweep returns, while the serve daemon and
+the fuzz harness keep one alive across sweeps.  A worker's only state
+is its long-lived :class:`~repro.exec.cache.CompileCache` (with its own
+handle on the parent's persistent :class:`~repro.exec.store.DiskStore`
+root when there is one -- atomic entry writes make sharing the root
+safe).  Workers never share the parent's cache object; each ships
+hit/miss deltas home, which the parent folds into the sweep cache's
+stats and metrics registry.
 
 Suites ride on the same sweep: a candidate may carry its own
 ``bounds``, a ``tensors_key`` naming an operand set in the sweep-wide
 ``tensor_table``, and ``want_energy`` / ``want_digest`` flags asking
 for an energy estimate and a canonical output fingerprint in the
-outcome.  Workload tensors (and the tensor table) ship to workers
-through :class:`~repro.exec.shm.SharedTensorPool` segments published
-once per sweep; if shared memory is unavailable the payload falls back
-to inline arrays with identical results.
+outcome.  Each task carries the sweep settings, its candidate and only
+that candidate's operand set, inline -- a suite layer's operands are a
+few hundred bytes, so pickling them per task is cheap and leaves
+nothing open in the worker.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..area.energy import energy_from_counters
 from ..area.model import estimate_design_area
@@ -55,7 +55,6 @@ from ..obs.trace import Tracer, get_tracer, set_tracer
 from ..sim.spatial_array import SpatialArraySim
 from .cache import CacheStats, CompileCache
 from .fingerprint import fingerprint
-from .shm import SharedTensorPool, ShmUnavailable, adopt, shared_memory_available
 from .store import (
     DiskStore,
     merge_store_stats,
@@ -119,6 +118,24 @@ class EngineReport:
 # ---------------------------------------------------------------------------
 
 
+def _operands(
+    candidate: Mapping[str, object],
+    tensors,
+    tensor_table: Optional[Mapping[str, Mapping[str, object]]],
+):
+    """The operand set ``candidate`` runs on: its ``tensors_key`` entry
+    of ``tensor_table`` when it names one, else the sweep's ``tensors``."""
+    tensors_key = candidate.get("tensors_key")
+    if tensors_key is None:
+        return tensors
+    if tensor_table is None or tensors_key not in tensor_table:
+        raise KeyError(
+            f"candidate {candidate['name']!r} names tensors_key"
+            f" {tensors_key!r} but the sweep has no such tensor-table entry"
+        )
+    return tensor_table[tensors_key]
+
+
 def _evaluate_point(
     spec,
     bounds,
@@ -127,17 +144,16 @@ def _evaluate_point(
     candidate: Mapping[str, object],
     cache: Optional[CompileCache],
     skip_illegal: bool,
-    tensor_table: Optional[Mapping[str, Mapping[str, object]]] = None,
 ) -> Dict[str, object]:
-    """Compile + simulate + area for one candidate.
+    """Compile + simulate + area for one candidate on its own operand
+    set ``tensors`` (already resolved by :func:`_operands`).
 
     Runs against whatever profiler/tracer are currently installed, so the
     same code serves the inline path (parent observability) and the
     worker path (local observability, merged later).
 
-    Suite candidates may override the sweep-wide ``bounds`` and name
-    their operand set via ``tensors_key`` (resolved against
-    ``tensor_table``), and may opt into extra figures with
+    Suite candidates may override the sweep-wide ``bounds`` and may opt
+    into extra figures with
     ``want_energy`` (energy model over the sim counters) and
     ``want_digest`` (canonical fingerprint of the simulated outputs,
     for byte-identity checks across runs and transports).
@@ -162,14 +178,6 @@ def _evaluate_point(
     name = candidate["name"]
     skip_illegal = bool(candidate.get("skip_illegal", skip_illegal))
     bounds = candidate.get("bounds", bounds)
-    tensors_key = candidate.get("tensors_key")
-    if tensors_key is not None:
-        if tensor_table is None or tensors_key not in tensor_table:
-            raise KeyError(
-                f"candidate {name!r} names tensors_key {tensors_key!r}"
-                " but the sweep has no such tensor-table entry"
-            )
-        tensors = tensor_table[tensors_key]
     accelerator = Accelerator(
         spec=spec,
         bounds=bounds,
@@ -240,10 +248,6 @@ def _evaluate_point(
         outcome["energy_pj"] = float(energy.total_pj)
     if candidate.get("want_digest"):
         outcome["output_digest"] = fingerprint(result.outputs)
-    if candidate.get("want_outputs"):
-        outcome["outputs"] = {
-            name: np.asarray(array) for name, array in result.outputs.items()
-        }
     return outcome
 
 
@@ -268,49 +272,14 @@ def evaluate_point(
     pruned sweep entry.
     """
     return _evaluate_point(
-        spec, bounds, tensors, element_bits, candidate, cache,
-        skip_illegal, tensor_table=tensor_table,
+        spec, bounds, _operands(candidate, tensors, tensor_table),
+        element_bits, candidate, cache, skip_illegal,
     )
 
 
 # ---------------------------------------------------------------------------
-# Worker-process plumbing
+# Worker processes
 # ---------------------------------------------------------------------------
-
-#: Per-process sweep state, populated by the pool initializer.
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _decode_operands(packed):
-    """Materialize an operand payload shipped as ``(transport, value)``.
-
-    ``("inline", arrays)`` passes through; ``("shm", handles)`` maps
-    read-only views of the parent's shared segments.
-    """
-    if packed is None:
-        return None
-    transport, value = packed
-    if transport == "inline":
-        return value
-    if transport == "shm":
-        return SharedTensorPool.attach(value)
-    if transport == "shm-table":
-        return SharedTensorPool.attach_table(value)
-    raise ValueError(f"unknown operand transport {transport!r}")
-
-
-def _init_worker(payload: Dict[str, object]) -> None:
-    state = dict(payload)
-    state["tensors"] = _decode_operands(payload["tensors"])
-    state["tensor_table"] = _decode_operands(payload["tensor_table"])
-    if payload["use_cache"]:
-        store_config = payload.get("store")
-        store = DiskStore(**store_config) if store_config else None
-        state["cache"] = CompileCache(store=store)
-    else:
-        state["cache"] = None
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(state)
 
 
 def _stats_snapshot(cache: Optional[CompileCache]):
@@ -368,116 +337,6 @@ def _apply_delta(cache: CompileCache, delta) -> None:
                 cache.registry.counter(f"exec.store.{name}").inc(amount)
 
 
-#: Result arrays at or above this many total bytes ride home through a
-#: shared-memory segment instead of pickling through the pool pipe.
-RESULT_SHM_MIN_BYTES = 64 * 1024
-
-
-def _pack_result_arrays(outcome: Dict[str, object]) -> Dict[str, object]:
-    """Worker side: wrap ``outcome["outputs"]`` for the trip home.
-
-    Bulky arrays (>= the threshold) are published into shared-memory
-    segments the worker immediately detaches from; the parent adopts
-    (copies and unlinks) them, so results are byte-identical to the
-    inline path while the pool pipe only ever carries tiny handles.
-    """
-    outputs = outcome.get("outputs")
-    if outputs is None:
-        return outcome
-    total = sum(array.nbytes for array in outputs.values())
-    if total >= RESULT_SHM_MIN_BYTES and shared_memory_available():
-        pool = SharedTensorPool()
-        try:
-            handles = pool.publish(outputs)
-        except ShmUnavailable:  # pragma: no cover - sandboxed /dev/shm
-            pool.close()
-        else:
-            pool.detach()
-            outcome["outputs"] = ("shm-result", handles)
-            return outcome
-    outcome["outputs"] = ("inline", outputs)
-    return outcome
-
-
-def _unpack_result_arrays(outcome: Dict[str, object]) -> None:
-    """Parent side: materialize a packed ``outputs`` payload in place."""
-    packed = outcome.get("outputs")
-    if packed is None or not isinstance(packed, tuple):
-        return
-    transport, value = packed
-    if transport == "inline":
-        outcome["outputs"] = value
-    elif transport == "shm-result":
-        outcome["outputs"] = adopt(value)
-    else:  # pragma: no cover - protocol bug
-        raise ValueError(f"unknown result transport {transport!r}")
-
-
-def _run_point(
-    state: Mapping[str, object], index: int, candidate: Mapping[str, object]
-) -> Dict[str, object]:
-    """Evaluate one candidate against a decoded sweep state (worker side)."""
-    cache = state["cache"]
-    profiler = Profiler(enabled=True) if state["profile"] else None
-    tracer = Tracer(enabled=True) if state["trace"] else None
-    previous_profiler = set_profiler(profiler) if profiler is not None else None
-    previous_tracer = set_tracer(tracer) if tracer is not None else None
-    before = _stats_snapshot(cache)
-    try:
-        outcome = _evaluate_point(
-            state["spec"],
-            state["bounds"],
-            state["tensors"],
-            state["element_bits"],
-            candidate,
-            cache,
-            state["skip_illegal"],
-            tensor_table=state["tensor_table"],
-        )
-    finally:
-        if profiler is not None:
-            set_profiler(previous_profiler)
-        if tracer is not None:
-            set_tracer(previous_tracer)
-    _pack_result_arrays(outcome)
-    outcome["index"] = index
-    outcome["profile"] = profiler
-    outcome["trace"] = tracer
-    outcome["cache_delta"] = _stats_delta(before, _stats_snapshot(cache))
-    return outcome
-
-
-def _run_task(task) -> Dict[str, object]:
-    index, candidate = task
-    return _run_point(_WORKER_STATE, index, candidate)
-
-
-def _ensure_resource_tracker() -> None:
-    """Spawn the shared-memory resource tracker *before* forking workers.
-
-    Forked children then share the parent's tracker process, so the
-    worker-side ``register`` of a result segment and the parent-side
-    ``unlink`` after adoption land in the same cache and coalesce.
-    """
-    try:  # pragma: no cover - trivial plumbing
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception:  # noqa: BLE001 - platforms without a tracker
-        pass
-
-
-def _make_pool(workers: int, payload: Dict[str, object]) -> ProcessPoolExecutor:
-    context = _fork_context()
-    _ensure_resource_tracker()
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=context,
-        initializer=_init_worker,
-        initargs=(payload,),
-    )
-
-
 def _fork_context():
     import multiprocessing
 
@@ -487,92 +346,88 @@ def _fork_context():
         return multiprocessing.get_context()
 
 
-# ---------------------------------------------------------------------------
-# Resident pools (the serve daemon's workers)
-# ---------------------------------------------------------------------------
-
-#: Per-process state for resident workers: one long-lived CompileCache
-#: plus a bounded memo of decoded sweep payloads keyed by sweep id.
-_RESIDENT_STATE: Dict[str, object] = {}
-
-_SWEEP_IDS = itertools.count()
+#: A worker's only state: the long-lived CompileCache its initializer
+#: builds, shared by every task the worker runs.
+_WORKER_CACHE: Optional[CompileCache] = None
 
 
-def _init_resident_worker(store_config, sweep_memo: int) -> None:
+def _init_resident_worker(store_config) -> None:
+    global _WORKER_CACHE
     store = DiskStore(**store_config) if store_config else None
-    _RESIDENT_STATE.clear()
-    _RESIDENT_STATE.update(
-        {
-            "cache": CompileCache(store=store),
-            "sweeps": OrderedDict(),
-            "sweep_memo": sweep_memo,
-        }
-    )
-
-
-def _resident_sweep_state(sweep_id: str, payload: Dict[str, object]):
-    sweeps: "OrderedDict[str, Dict[str, object]]" = _RESIDENT_STATE["sweeps"]
-    state = sweeps.get(sweep_id)
-    if state is None:
-        state = dict(payload)
-        state["tensors"] = _decode_operands(payload["tensors"])
-        state["tensor_table"] = _decode_operands(payload["tensor_table"])
-        state["cache"] = (
-            _RESIDENT_STATE["cache"] if payload["use_cache"] else None
-        )
-        sweeps[sweep_id] = state
-        while len(sweeps) > _RESIDENT_STATE["sweep_memo"]:
-            sweeps.popitem(last=False)
-    else:
-        sweeps.move_to_end(sweep_id)
-    return state
+    _WORKER_CACHE = CompileCache(store=store)
 
 
 def _run_resident_task(task) -> Dict[str, object]:
-    sweep_id, payload, index, candidate = task
-    state = _resident_sweep_state(sweep_id, payload)
-    return _run_point(state, index, candidate)
+    """Evaluate one candidate in a worker.
+
+    ``task`` is ``(settings, index, candidate, tensors)``: the sweep's
+    settings (see :func:`evaluate_sweep`), the candidate's position and
+    dict, and the candidate's own operand set.
+    """
+    settings, index, candidate, tensors = task
+    cache = _WORKER_CACHE if settings["use_cache"] else None
+    profiler = Profiler(enabled=True) if settings["profile"] else None
+    tracer = Tracer(enabled=True) if settings["trace"] else None
+    previous_profiler = set_profiler(profiler) if profiler is not None else None
+    previous_tracer = set_tracer(tracer) if tracer is not None else None
+    before = _stats_snapshot(cache)
+    try:
+        outcome = _evaluate_point(
+            settings["spec"],
+            settings["bounds"],
+            tensors,
+            settings["element_bits"],
+            candidate,
+            cache,
+            settings["skip_illegal"],
+        )
+    finally:
+        if profiler is not None:
+            set_profiler(previous_profiler)
+        if tracer is not None:
+            set_tracer(previous_tracer)
+    outcome["index"] = index
+    outcome["profile"] = profiler
+    outcome["trace"] = tracer
+    outcome["cache_delta"] = _stats_delta(before, _stats_snapshot(cache))
+    return outcome
 
 
 class ResidentPool:
-    """A worker pool that outlives a single :func:`evaluate_sweep` call.
+    """The worker pool every parallel :func:`evaluate_sweep` runs on.
 
-    Plain sweeps build a fresh ``ProcessPoolExecutor`` per call, paying
-    fork plus cold in-memory caches every time -- fine for a CLI batch,
-    wasteful for a long-running daemon answering many requests.  A
-    ``ResidentPool`` keeps the workers alive across sweeps: each worker
-    owns one persistent :class:`~repro.exec.cache.CompileCache` (with
-    its own handle on the shared disk store when ``store_config`` is
-    given), tasks carry a sweep id plus the packed sweep payload, and
-    the worker decodes and memoizes the payload once per sweep (bounded
-    by ``sweep_memo``).  When shared memory is available the per-task
-    payload is only descriptors, so the resend is cheap.
+    Each worker owns one long-lived
+    :class:`~repro.exec.cache.CompileCache` (with its own handle on the
+    shared disk store when ``store_config`` is given) and nothing else:
+    every task carries its sweep settings, candidate and operand set
+    inline, so no per-sweep state outlives a task.  A sweep without a
+    ``pool`` builds a one-shot ``ResidentPool`` and closes it when the
+    sweep returns; long-running callers (the serve daemon, the fuzz
+    harness) keep one alive across sweeps so fork cost is paid once and
+    the workers' in-memory caches stay warm.
 
     The pool is lazy: workers fork on first use, and :meth:`close`
     (also the context-manager exit) retires them.  If the executor
     cannot be created at all, :func:`evaluate_sweep` falls back to
-    serial inline evaluation exactly like the per-sweep pool path.
+    serial inline evaluation.
     """
 
     def __init__(
         self,
         jobs: Optional[int] = None,
         store_config: Optional[Dict[str, object]] = None,
-        sweep_memo: int = 8,
     ):
         self.workers = resolve_jobs(jobs)
         self.store_config = dict(store_config) if store_config else None
-        self.sweep_memo = sweep_memo
         self._executor: Optional[ProcessPoolExecutor] = None
 
     def executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            _ensure_resource_tracker()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=_fork_context(),
                 initializer=_init_resident_worker,
-                initargs=(self.store_config, self.sweep_memo),
+                initargs=(self.store_config,),
             )
         return self._executor
 
@@ -601,17 +456,16 @@ class ResidentPool:
 # ---------------------------------------------------------------------------
 
 
-def _pack_operands(pool: Optional[SharedTensorPool], tensors, table: bool):
-    """Ship an operand payload through shared memory when a pool is
-    live, inline otherwise.  Raises :class:`ShmUnavailable` (caught by
-    the caller, which retries inline) if segment creation fails."""
-    if tensors is None:
-        return None
-    if pool is None:
-        return ("inline", tensors)
-    if table:
-        return ("shm-table", pool.publish_table(tensors))
-    return ("shm", pool.publish(tensors))
+def _report(
+    jobs: int, outcomes: List[Dict[str, object]], cache: Optional[CompileCache]
+) -> EngineReport:
+    skipped = sum(1 for out in outcomes if out["status"] == "illegal")
+    return EngineReport(
+        jobs=jobs,
+        evaluated=len(outcomes) - skipped,
+        skipped=skipped,
+        cache_stats=cache.stats if cache is not None else None,
+    )
 
 
 def evaluate_sweep(
@@ -633,104 +487,67 @@ def evaluate_sweep(
     ``transform``, ``sparsity_name`` / ``sparsity`` and
     ``balancing_name`` / ``balancing``; suite candidates may add
     ``bounds``, ``tensors_key`` (an entry of ``tensor_table``), the
-    ``want_energy`` / ``want_digest`` / ``want_outputs`` flags, and a
-    per-candidate ``skip_illegal`` override.  Outcomes are plain dicts
-    with ``status`` either ``"ok"`` (plus the measured figures) or
-    ``"illegal"`` (plus the compile error text).
+    ``want_energy`` / ``want_digest`` flags, and a per-candidate
+    ``skip_illegal`` override.  Outcomes are plain dicts with ``status``
+    either ``"ok"`` (plus the measured figures) or ``"illegal"`` (plus
+    the compile error text).
 
     ``on_outcome(index, outcome)`` -- when given -- is invoked once per
     candidate *in candidate order* as each outcome is finalized (worker
-    observability merged, result payloads materialized), so callers can
-    stream results before the sweep completes; parallel sweeps release
-    outcome ``i`` once candidates ``0..i`` have all finished, which
-    keeps the stream order deterministic no matter how the pool
-    interleaves.
+    observability merged), so callers can stream results before the
+    sweep completes; parallel sweeps release outcome ``i`` once
+    candidates ``0..i`` have all finished, which keeps the stream order
+    deterministic no matter how the pool interleaves.
 
     ``jobs`` follows :func:`resolve_jobs`; with one worker the sweep
-    runs inline in this process.  ``pool`` routes the fan-out through a
-    long-lived :class:`ResidentPool` instead of a per-sweep executor
+    runs inline in this process, otherwise on a one-shot
+    :class:`ResidentPool` closed before returning.  ``pool`` routes the
+    fan-out through a caller's long-lived :class:`ResidentPool` instead
     (the serve daemon's configuration); ``jobs`` is ignored in that
-    case.  If a pool cannot be created (no process-spawning rights in a
-    sandbox) or shared-memory segments cannot be allocated, the sweep
-    silently degrades -- to serial, or to inline operand shipping --
-    with identical results by construction.
+    case.  Each task carries the sweep settings, its index, its
+    candidate and only its own operand set.  If a pool cannot be
+    created (no process-spawning rights in a sandbox) the sweep silently
+    degrades to serial, with identical results by construction.
     """
     if pool is not None:
         workers = min(pool.workers, max(1, len(candidates)))
     else:
-        workers = resolve_jobs(jobs)
-        workers = min(workers, max(1, len(candidates)))
+        workers = min(resolve_jobs(jobs), max(1, len(candidates)))
 
     if workers <= 1:
         outcomes = []
         for index, candidate in enumerate(candidates):
             outcome = _evaluate_point(
-                spec, bounds, tensors, element_bits, candidate, cache,
-                skip_illegal, tensor_table=tensor_table,
+                spec, bounds, _operands(candidate, tensors, tensor_table),
+                element_bits, candidate, cache, skip_illegal,
             )
             outcomes.append(outcome)
             if on_outcome is not None:
                 on_outcome(index, outcome)
-        skipped = sum(1 for out in outcomes if out["status"] == "illegal")
-        return outcomes, EngineReport(
-            jobs=1,
-            evaluated=len(outcomes) - skipped,
-            skipped=skipped,
-            cache_stats=cache.stats if cache is not None else None,
-        )
+        return outcomes, _report(1, outcomes, cache)
 
-    # Publish operands into shared memory once; every worker maps the
-    # same segments instead of re-pickling arrays per task.
-    shm_pool: Optional[SharedTensorPool] = None
-    packed_tensors = packed_table = None
-    if shared_memory_available():
-        try:
-            shm_pool = SharedTensorPool()
-            packed_tensors = _pack_operands(shm_pool, tensors, table=False)
-            packed_table = _pack_operands(shm_pool, tensor_table, table=True)
-        except ShmUnavailable:  # pragma: no cover - sandboxed /dev/shm
-            if shm_pool is not None:
-                shm_pool.close()
-            shm_pool = None
-    if shm_pool is None:
-        packed_tensors = _pack_operands(None, tensors, table=False)
-        packed_table = _pack_operands(None, tensor_table, table=True)
-
-    store = cache.store if cache is not None else None
-    payload = {
+    settings = {
         "spec": spec,
         "bounds": bounds,
-        "tensors": packed_tensors,
-        "tensor_table": packed_table,
         "element_bits": element_bits,
         "skip_illegal": skip_illegal,
         "use_cache": cache is not None,
-        "store": store.spawn_config() if store is not None else None,
         "profile": get_profiler().enabled,
         "trace": get_tracer().enabled,
     }
-
+    tasks = [
+        (settings, index, candidate, _operands(candidate, tensors, tensor_table))
+        for index, candidate in enumerate(candidates)
+    ]
+    owned = pool is None
+    if owned:
+        store = cache.store if cache is not None else None
+        pool = ResidentPool(
+            workers, store.spawn_config() if store is not None else None
+        )
     try:
-        if pool is not None:
-            executor = pool.executor()
-            sweep_id = f"{os.getpid()}-{next(_SWEEP_IDS)}"
-
-            def submit(index, candidate):
-                return executor.submit(
-                    _run_resident_task, (sweep_id, payload, index, candidate)
-                )
-
-            owns_executor = False
-        else:
-            executor = _make_pool(workers, payload)
-
-            def submit(index, candidate):
-                return executor.submit(_run_task, (index, candidate))
-
-            owns_executor = True
+        executor = pool.executor()
     except (OSError, PermissionError):  # pragma: no cover - sandboxed envs
-        if shm_pool is not None:
-            shm_pool.close()
         return evaluate_sweep(
             spec, bounds, tensors, candidates,
             element_bits=element_bits, skip_illegal=skip_illegal,
@@ -742,10 +559,7 @@ def evaluate_sweep(
     profiler = get_profiler()
     tracer = get_tracer()
     try:
-        futures = [
-            submit(index, candidate)
-            for index, candidate in enumerate(candidates)
-        ]
+        futures = [executor.submit(_run_resident_task, task) for task in tasks]
         # Collect in submission order: outcomes are finalized, merged
         # back, and streamed in sweep order no matter how the pool
         # interleaves, and the first failing candidate (by sweep order,
@@ -762,20 +576,10 @@ def evaluate_sweep(
                 tracer.merge(worker_trace)
             if cache is not None:
                 _apply_delta(cache, cache_delta)
-            _unpack_result_arrays(outcome)
             outcomes[index] = outcome
             if on_outcome is not None:
                 on_outcome(index, outcome)
     finally:
-        if owns_executor:
-            executor.shutdown(wait=True)
-        if shm_pool is not None:
-            shm_pool.close()
-
-    skipped = sum(1 for out in outcomes if out["status"] == "illegal")
-    return outcomes, EngineReport(
-        jobs=workers,
-        evaluated=len(outcomes) - skipped,
-        skipped=skipped,
-        cache_stats=cache.stats if cache is not None else None,
-    )
+        if owned:
+            pool.close()
+    return outcomes, _report(workers, outcomes, cache)

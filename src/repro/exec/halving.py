@@ -35,8 +35,7 @@ suite space (:func:`sweep_suite` holds the mode mapping).
 
 Every rung routes through one
 :func:`~repro.exec.engine.evaluate_sweep` call, so the ResidentPool,
-shared-memory transport, DiskStore, and compile-cache sharing all apply
-per rung.  Per layer, the final rung's points are ranked by the Pareto
+DiskStore, and compile-cache sharing all apply per rung.  Per layer, the final rung's points are ranked by the Pareto
 frontier over (cycles, area, energy); the frontier is optionally
 filtered by declarative suite-level constraints (``area<=N,power<=N``
 -- TeAAL-style) and the winner is the point minimizing the objective

@@ -7,9 +7,9 @@ routes a whole suite through :func:`repro.exec.engine.evaluate_sweep`
 as one candidate list -- each layer becomes a candidate carrying its
 own bounds and a ``tensors_key`` into the sweep's shared tensor table
 -- so layers share the compile cache (most ResNet shapes collapse onto
-a handful of tile configurations), fan out over the process pool with
-shared-memory operands, and warm-start from the persistent disk store
-on repeat invocations.
+a handful of tile configurations), fan out over the process pool (each
+task carrying its own layer's operands), and warm-start from the
+persistent disk store on repeat invocations.
 
 Layer shapes are evaluated at a *tile* scale: each matmul dimension is
 clipped to ``cap`` (cycle-accurate simulation of a full 12544x64x576

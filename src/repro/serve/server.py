@@ -223,7 +223,20 @@ class EvalServer:
         self._connections.add(task)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as err:
+                    # A line past the stream's buffer limit: the reader
+                    # is left mid-line, so answer and drop the connection.
+                    self._requests.inc()
+                    self._errors.inc()
+                    await self._send(
+                        writer,
+                        error_message(
+                            "bad-request", f"request line too long: {err}"
+                        ),
+                    )
+                    break
                 if not line:
                     break
                 line = line.strip()

@@ -1,6 +1,7 @@
 """Tests for workload-suite construction and batched evaluation."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -205,9 +206,11 @@ class TestStreaming:
 
 class TestResidentPool:
     def test_pool_matches_per_sweep_executor_byte_identically(self):
+        # A per-sweep pool is a one-shot ResidentPool, so the independent
+        # reference is the serial inline sweep.
         from repro.exec.engine import ResidentPool
 
-        baseline = evaluate_suite(build_suite("alexnet", cap=4), jobs=2)
+        baseline = evaluate_suite(build_suite("alexnet", cap=4), jobs=1)
         with ResidentPool(jobs=2) as pool:
             first = evaluate_suite(build_suite("alexnet", cap=4), pool=pool)
             # Reuse across sweeps: same workers, fresh request.
@@ -232,6 +235,33 @@ class TestResidentPool:
         assert [r["output_digest"] for r in sparse.rows] == [
             r["output_digest"] for r in serial.rows
         ]
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/<pid>/fd"
+    )
+    def test_worker_descriptors_stay_flat_across_sweeps(self):
+        # Resident workers must not accumulate per-request resources: a
+        # long-lived daemon would otherwise hit its descriptor limit.
+        from repro.exec.engine import ResidentPool
+
+        def worker_fds(pool):
+            return {
+                pid: len(os.listdir(f"/proc/{pid}/fd"))
+                for pid in pool._executor._processes
+            }
+
+        names = ["alexnet", "resnet50", "suitesparse"]
+        with ResidentPool(jobs=2) as pool:
+            evaluate_suite(build_suite(names[0], cap=4), pool=pool)
+            first = worker_fds(pool)
+            for sweep in range(1, 30):
+                evaluate_suite(
+                    build_suite(names[sweep % len(names)], cap=4), pool=pool
+                )
+            last = worker_fds(pool)
+        assert set(last) == set(first)
+        for pid, count in last.items():
+            assert count <= first[pid] + 4, (pid, first[pid], count)
 
     def test_close_is_idempotent_and_pool_restarts(self):
         from repro.exec.engine import ResidentPool

@@ -136,6 +136,43 @@ class TestNegativePaths:
             stream.close()
             sock.close()
 
+    def test_oversized_line_is_a_bad_request_and_server_survives(
+        self, harness
+    ):
+        h = harness()
+        sock, stream = self.raw_connection(h)
+
+        def send_oversized():
+            # The server stops reading past its line limit and hangs up,
+            # so the tail of the write may hit a closed socket.
+            try:
+                sock.sendall(b"x" * (1 << 20) + b"\n")
+            except OSError:
+                pass
+
+        sender = threading.Thread(target=send_oversized, daemon=True)
+        sender.start()
+        try:
+            reply = json.loads(stream.readline())
+            assert reply["type"] == "error"
+            assert reply["code"] == "bad-request"
+            assert "too long" in reply["message"]
+            try:  # closed; unread request bytes may turn EOF into a reset
+                tail = stream.readline()
+            except ConnectionResetError:
+                tail = b""
+            assert tail == b""
+        finally:
+            sender.join(timeout=30)
+            stream.close()
+            sock.close()
+        assert h.client.metrics()["server"]["errors"] == 1
+        result = h.client.sweep(table=TABLE, cap=8, seed=7)
+        fresh = evaluate_suite(
+            build_table_suite(TABLE, cap=8, seed=7), cache=CompileCache()
+        )
+        assert json.dumps(result["rows"]) == json.dumps(jsonable(fresh.rows))
+
     def test_bad_table_is_a_suite_error_terminal(self, harness):
         h = harness()
         with pytest.raises(ServeError) as excinfo:
