@@ -214,9 +214,8 @@ def _check_causality(
 ) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
     for name, d in spec.difference_vectors().items():
-        disp = transform.displacement(d)
-        space = disp[: transform.space_dims]
-        dt = disp[transform.space_dims]
+        space = transform.displacement(d)[: transform.space_dims]
+        dt = transform.time_delta(d)
         if dt < 0:
             diagnostics.append(
                 Diagnostic(

@@ -119,6 +119,20 @@ class SpaceTimeTransform:
         """
         return self.apply(difference_vector)
 
+    def time_delta(self, difference_vector: Sequence[int]) -> int:
+        """The leading nonzero time component of ``T . d``, or 0.
+
+        Timesteps order lexicographically over the time rows, so a
+        dependence runs forward exactly when this is positive, backward
+        when it is negative, and is a same-cycle (broadcast) hop when it
+        is 0.  A second time row can run a dependence backwards even
+        when the first row holds it still.
+        """
+        for delta in self.displacement(difference_vector)[self.space_dims:]:
+            if delta:
+                return delta
+        return 0
+
     def pipeline_depth(self, difference_vector: Sequence[int]) -> int:
         """Number of pipeline registers along a variable's path (Figure 3)."""
         return sum(abs(v) for v in self.displacement(difference_vector)[self.space_dims:])
@@ -240,14 +254,14 @@ def validate_schedule(spec: FunctionalSpec, transform: SpaceTimeTransform) -> No
     """Check the transform is a legal schedule for the spec.
 
     Every data dependence must strictly advance in time: for each difference
-    vector ``d``, the time component of ``T . d`` must be positive, or zero
-    only if the data does not move in space (a stationary value).  A zero
-    time delta with nonzero space delta is a broadcast, which is legal
-    hardware but flagged by callers that disallow combinational chains.
+    vector ``d``, the time part of ``T . d`` must be lexicographically
+    positive (:meth:`SpaceTimeTransform.time_delta`), or zero only if the
+    data does not move in space (a stationary value).  A zero time delta
+    with nonzero space delta is a broadcast, which is legal hardware but
+    flagged by callers that disallow combinational chains.
     """
     for name, d in spec.difference_vectors().items():
-        disp = transform.displacement(d)
-        dt = disp[transform.space_dims]
+        dt = transform.time_delta(d)
         if dt < 0:
             raise SpecError(
                 f"transform violates causality for {name!r}: time delta {dt} < 0"

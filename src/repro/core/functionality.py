@@ -84,6 +84,21 @@ class Assignment:
                 out[sub.index.name] = sub.which
         return out
 
+    def pinned_bounds(self) -> List[Tuple[str, str]]:
+        """The ``(index name, 'lb'/'ub')`` pins of the points it fires at.
+
+        Outputs fire where their right-hand side's bound markers match;
+        every other rule where its left-hand side's do.
+        """
+        if self.kind is AssignmentKind.OUTPUT:
+            return [
+                (sub.index.name, sub.which)
+                for access in self.rhs.references()
+                for sub in access.subscripts
+                if isinstance(sub, BoundMarker)
+            ]
+        return list(self.boundary_conditions().items())
+
     def __repr__(self) -> str:
         return f"{self.lhs!r} := {self.rhs!r}  [{self.kind.value}]"
 
@@ -350,17 +365,7 @@ class FunctionalSpec:
         self, assignment: Assignment, env: Mapping[str, int], bounds: Bounds
     ) -> bool:
         """Does this assignment's boundary pattern match the current point?"""
-        if assignment.kind is AssignmentKind.OUTPUT:
-            # Outputs fire where the RHS boundary markers match.
-            for access in assignment.rhs.references():
-                for sub in access.subscripts:
-                    if isinstance(sub, BoundMarker):
-                        lo, hi = bounds[sub.index.name]
-                        want = lo if sub.which == "lb" else hi
-                        if env[sub.index.name] != want:
-                            return False
-            return True
-        for name, which in assignment.boundary_conditions().items():
+        for name, which in assignment.pinned_bounds():
             lo, hi = bounds[name]
             want = lo if which == "lb" else hi
             if env[name] != want:

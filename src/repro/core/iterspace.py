@@ -400,22 +400,27 @@ def apply_transform(
         times.append(t)
 
     # Uniform connections: every variable's connections share one offset by
-    # construction (difference vectors are constant), so deduplicate.
-    seen: Dict[Tuple[str, Tuple[int, ...], int, int], PhysicalConn] = {}
+    # construction (difference vectors are constant), so deduplicate before
+    # mapping -- an invertible T keeps distinct offsets distinct.
+    seen: Dict[Tuple[str, Tuple[int, ...], int], PhysicalConn] = {}
     for conn in iterspace.p2p_conns:
-        disp = transform.apply(conn.offset())
-        space_offset = disp[: transform.space_dims]
-        time_offset = disp[transform.space_dims]
-        if time_offset < 0:
+        offset = conn.offset()
+        key = (conn.variable, offset, conn.bundle)
+        if key in seen:
+            continue
+        dt = transform.time_delta(offset)
+        if dt < 0:
             raise SpecError(
                 f"transform violates causality for {conn.variable!r}"
-                f" (time delta {time_offset})"
+                f" (time delta {dt})"
             )
-        key = (conn.variable, space_offset, time_offset, conn.bundle)
-        if key not in seen:
-            seen[key] = PhysicalConn(
-                conn.variable, space_offset, time_offset, conn.bundle
-            )
+        disp = transform.apply(offset)
+        seen[key] = PhysicalConn(
+            conn.variable,
+            disp[: transform.space_dims],
+            disp[transform.space_dims],
+            conn.bundle,
+        )
 
     io_ports: Dict[str, int] = {}
     per_pe_io: Dict[Tuple[str, Tuple[int, ...]], int] = {}

@@ -10,8 +10,10 @@ workloads:
 ===============================  ==========================================
 oracle                            paths compared
 ===============================  ==========================================
-``sim.scalar_vs_vectorized``     scalar vs batched skip-condition
-                                 evaluation in :class:`SpatialArraySim`
+``sim.scalar_vs_vectorized``     per-point vs vectorized
+                                 :class:`SpatialArraySim` runs (dense
+                                 closed form, batched skip conditions):
+                                 outputs, every counter, schedule length
 ``sim.interpreter_vs_kernel``    scalar spec interpreter vs the
                                  trace-compiled batched kernel
 ``exec.serial_vs_parallel``      ``jobs=1`` inline sweep vs process-pool
@@ -219,13 +221,14 @@ def _oracle_scalar_vs_vectorized(case: FuzzCase, _ctx: OracleContext):
     diff = _diff_outputs(fast.outputs, slow.outputs)
     if diff:
         return f"vectorized vs scalar outputs: {diff}"
-    if fast.cycles != slow.cycles:
-        return f"cycles differ: vectorized {fast.cycles} vs scalar {slow.cycles}"
-    if fast.utilization != slow.utilization:
-        return (
-            f"utilization differs: vectorized {fast.utilization}"
-            f" vs scalar {slow.utilization}"
-        )
+    fast_counters = fast.counters.as_dict()
+    slow_counters = slow.counters.as_dict()
+    for name in sorted(set(fast_counters) | set(slow_counters)):
+        if fast_counters.get(name) != slow_counters.get(name):
+            return (
+                f"counter {name} differs: vectorized"
+                f" {fast_counters.get(name)} vs scalar {slow_counters.get(name)}"
+            )
     if fast.schedule_length != slow.schedule_length:
         return (
             f"schedule length differs: vectorized {fast.schedule_length}"

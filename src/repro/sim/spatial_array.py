@@ -7,14 +7,22 @@ space-time coordinates through ``T^-1``; if the point is live it performs
 its assignments, pulling operands from PE-to-PE connections or register
 files, and counting busy/idle cycles and IO traffic.
 
-Dense designs execute the full iteration domain.  Sparse designs -- those
-compiled with pessimistic ``Skip`` s -- first *compress* each skipped
-iterator against the actual tensor contents (only nonzero coordinates
-occupy iteration slots) and schedule the compressed points; workload
-imbalance then appears exactly as in the paper's Figure 6: short fibers
-leave their PEs idle while long fibers run on.  When the design has a
-load-balancing scheme, the balancer simulator redistributes that work and
-shortens the schedule.
+Dense designs execute the full iteration domain in closed form: the
+schedule is one ``points @ T.T`` product, busy/idle cycles, regfile
+traffic and MACs follow from it and the spec's boundary rules, the
+dependences the per-point loop would honour implicitly are checked
+explicitly (same :class:`SpecError`), and the outputs come from the
+reference kernel (:mod:`repro.sim.kernel`).  The per-point loop stays as
+the ``vectorize=False`` reference, and answers for the spec shapes the
+closed form cannot see, such as data-dependent subscripts or a ``Select``.
+
+Sparse designs -- those compiled with pessimistic ``Skip`` s -- first
+*compress* each skipped iterator against the actual tensor contents (only
+nonzero coordinates occupy iteration slots) and schedule the compressed
+points; workload imbalance then appears exactly as in the paper's
+Figure 6: short fibers leave their PEs idle while long fibers run on.
+When the design has a load-balancing scheme, the balancer simulator
+redistributes that work and shortens the schedule.
 """
 
 from __future__ import annotations
@@ -32,11 +40,13 @@ from ..core.expr import (
     EvalContext,
     IndexExpr,
     IndexValue,
+    Local,
+    Select,
     SpecError,
     Tensor,
     WILDCARD,
 )
-from ..core.functionality import AssignmentKind
+from ..core.functionality import AssignmentKind, _dict_to_array
 from ..core.iterspace import IODirection
 from ..obs.trace import get_tracer
 from .balancer import spatial_balanced_makespan
@@ -90,19 +100,23 @@ class SpatialArraySim:
         ``(spec, bounds, tensors)``.  Sparse *results* are never memoized
         whole because cycle counts depend on the balancing axis.
     vectorize:
-        When ``False``, skip-condition evaluation always takes the exact
+        When ``False``, dense runs take the exact per-point loop instead
+        of the closed form, and skip-condition evaluation the
         point-at-a-time path instead of the batched numpy evaluator.
-        The two paths are required to agree bit-for-bit -- this knob
-        exists so the differential test suite can prove it on the same
-        workload.  Pass ``memo=None`` alongside, or the compression memo
-        (keyed on content, not on the evaluation strategy) will answer
+        The two paths are required to agree bit-for-bit in outputs,
+        every counter and the schedule length -- this knob exists so the
+        differential test suite and the ``sim.scalar_vs_vectorized``
+        fuzz oracle can prove it on the same workload.  Pass
+        ``memo=None`` alongside, or the content-keyed memos will answer
         for the other path.
     kernel:
-        When ``True`` (the default), reference outputs come from the
-        trace-compiled batched kernel (:mod:`repro.sim.kernel`) whenever
-        the spec is traceable, falling back to the scalar interpreter
-        otherwise.  ``kernel=False`` forces the scalar ground-truth
-        path; the differential suite proves the two byte-identical.
+        When ``True`` (the default), reference outputs -- which are the
+        sparse path's outputs and the closed-form dense path's -- come
+        from the trace-compiled batched kernel (:mod:`repro.sim.kernel`)
+        whenever the spec is traceable, falling back to the scalar
+        interpreter otherwise.  ``kernel=False`` forces the scalar
+        ground-truth path; the differential suite proves the two
+        byte-identical.
         As with ``vectorize``, pass ``memo=None`` when comparing paths,
         or the content-keyed reference memo will answer for both.
     fidelity:
@@ -157,18 +171,13 @@ class SpatialArraySim:
     def _run_dense(self, tensors: Mapping[str, np.ndarray]) -> SimResult:
         design = self.design
         spec = design.spec
-        bounds = design.bounds
         transform = design.transform
-        counters = PerfCounters()
 
-        # Group live iteration points by timestep.  Multi-dimensional time
-        # (e.g. a batched matmul folding the batch axis into a second time
-        # dimension) orders timesteps lexicographically; each occupied
-        # time tuple is one cycle.  The whole domain maps through ``T`` in
-        # one matrix product, and the PE-side ``T^-1`` round-trip (each
-        # PE's IO request generator) is one more product against the
-        # integer numerator matrix -- exact, no per-point Fractions.
-        points = _domain_grid(bounds, spec.index_names)
+        # The whole domain maps through ``T`` in one matrix product, and
+        # the PE-side ``T^-1`` round-trip (each PE's IO request generator)
+        # is one more product against the integer numerator matrix --
+        # exact, no per-point Fractions.
+        points = _domain_grid(design.bounds, spec.index_names)
         tmat = np.array(transform.matrix, dtype=np.int64)
         st = points @ tmat.T
         numerators, denominator = transform.integer_inverse()
@@ -181,9 +190,93 @@ class SpatialArraySim:
             raise SpecError(
                 f"space-time transform is not invertible on point {point}"
             )
+        times = st[:, transform.space_dims :]
+        if self.vectorize and _batchable(spec):
+            result = self._run_dense_batched(tensors, points, times)
+            if result is not None:
+                return result
+        return self._run_dense_loop(tensors, points, times)
+
+    def _run_dense_batched(
+        self,
+        tensors: Mapping[str, np.ndarray],
+        points: np.ndarray,
+        times: np.ndarray,
+    ) -> Optional[SimResult]:
+        """The dense run in closed form, or None when the loop must answer.
+
+        Counters follow from the spec and the schedule alone: every point
+        is one busy PE-cycle, and regfile traffic is the number of points
+        where each boundary rule applies.  Outputs come from the reference
+        kernel, which the loop is required to match once the schedule is
+        causal -- so causality, which the loop enforces implicitly by
+        failing on a read of a value not yet produced, is checked
+        explicitly first (:func:`_dense_accesses`).
+        """
+        design = self.design
+        spec = design.spec
+        pe_count = design.array.pe_count
+        n = len(points)
+
+        # Multi-dimensional time (e.g. a batched matmul folding the batch
+        # axis into a second time dimension) orders timesteps
+        # lexicographically; each occupied time tuple is one cycle.  With
+        # one time dimension every cycle of the span counts, idle or not.
+        if times.shape[1] == 1:
+            t_min = int(times.min())
+            occupancy = np.bincount(times[:, 0] - t_min)
+            steps = t_min + np.arange(len(occupancy))[:, None]
+        else:
+            steps, occupancy = np.unique(times, axis=0, return_counts=True)
+        schedule = len(occupancy)
+        # The loop visits points by (time tuple, point); grid rows are
+        # already in point order, so a stable sort by time gives the rank.
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.lexsort(times.T[::-1])] = np.arange(n)
+
+        accesses = _dense_accesses(spec, design.bounds, points, rank)
+        if accesses is None:
+            return None
+        reads, writes = accesses
+
+        counters = PerfCounters()
+        counters.pe_busy_cycles = n
+        counters.pe_idle_cycles = schedule * pe_count - n
+        counters.macs = n * max(1, spec.macs_per_point())
+        counters.regfile_reads = reads
+        counters.regfile_writes = writes
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.begin(
+                "dense_run", component="sim.array",
+                cycle=0, pes=pe_count, timesteps=schedule,
+            )
+            for step_index, (step, live) in enumerate(
+                zip(steps.tolist(), occupancy.tolist())
+            ):
+                tracer.instant(
+                    "timestep", component="sim.array",
+                    cycle=step_index, live_pes=live, time=step,
+                )
+        return self._finish_dense(
+            self._kernel_outputs(tensors), counters, schedule
+        )
+
+    def _run_dense_loop(
+        self,
+        tensors: Mapping[str, np.ndarray],
+        points: np.ndarray,
+        times: np.ndarray,
+    ) -> SimResult:
+        """The exact per-point reference: every timestep, each live PE
+        performs its assignments, pulling operands produced earlier."""
+        design = self.design
+        spec = design.spec
+        bounds = design.bounds
+        counters = PerfCounters()
+
         by_time: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-        time_keys = st[:, transform.space_dims :].tolist()
-        for key, row in zip(time_keys, points.tolist()):
+        for key, row in zip(times.tolist(), points.tolist()):
             by_time.setdefault(tuple(key), []).append(tuple(row))
 
         values: Dict[Tuple[str, Tuple[int, ...]], object] = {}
@@ -191,15 +284,11 @@ class SpatialArraySim:
             t.name: {} for t in spec.output_tensors()
         }
         interpreter = _SimInterpreter(spec, bounds, tensors, values)
-        has_compute = {
-            a.variable.name
-            for a in spec.assignments
-            if a.kind is AssignmentKind.COMPUTE
-        }
+        has_compute = _computed_locals(spec)
         pe_count = design.array.pe_count
         macs_per_point = max(1, spec.macs_per_point())
 
-        if transform.time_dims == 1:
+        if times.shape[1] == 1:
             t_min, t_max = min(by_time)[0], max(by_time)[0]
             timesteps = [(t,) for t in range(t_min, t_max + 1)]
         else:
@@ -247,18 +336,28 @@ class SpatialArraySim:
                             counters.regfile_reads += 1
                 counters.macs += macs_per_point
 
-        schedule = len(timesteps)
+        result_outputs = {
+            name: _dict_to_array(cells, tensors)
+            for name, cells in outputs.items()
+        }
+        return self._finish_dense(result_outputs, counters, len(timesteps))
+
+    def _finish_dense(
+        self, outputs: Dict[str, np.ndarray], counters: PerfCounters,
+        schedule: int,
+    ) -> SimResult:
+        """Charge fill/drain and close the trace span of a dense run."""
         counters.cycles = schedule + self.fill_drain_overhead
-        counters.pe_idle_cycles += self.fill_drain_overhead * pe_count
+        counters.pe_idle_cycles += (
+            self.fill_drain_overhead * self.design.array.pe_count
+        )
+        tracer = get_tracer()
         if tracer.enabled:
             tracer.end(
                 "dense_run", component="sim.array",
                 cycle=counters.cycles, macs=counters.macs,
             )
-        result_outputs = {
-            name: _cells_to_array(cells) for name, cells in outputs.items()
-        }
-        return SimResult(result_outputs, counters, schedule)
+        return SimResult(outputs, counters, schedule)
 
     # ------------------------------------------------------------------
     # Sparse execution: compressed scheduling
@@ -366,39 +465,42 @@ class SpatialArraySim:
         return SimResult(outputs, counters, schedule_length)
 
     def _reference_outputs(self, tensors: Mapping[str, np.ndarray]):
-        """Outputs from the reference semantics, memoized per workload.
+        """:meth:`_kernel_outputs`, memoized per workload under the
+        ``sim.reference`` stage.  The memo is keyed on content only --
+        the kernel and the scalar interpreter are required to produce
+        byte-identical arrays."""
+        if self.memo is not None:
+            design = self.design
+            return self.memo.memo(
+                "sim.reference", (design.spec, design.bounds, tensors),
+                lambda: self._kernel_outputs(tensors),
+            )
+        return self._kernel_outputs(tensors)
+
+    def _kernel_outputs(self, tensors: Mapping[str, np.ndarray]):
+        """Outputs from the reference semantics.
 
         The trace-compiled batched kernel answers when the spec is
         traceable (compiled kernels memoized under the ``sim.kernel``
         stage when a cache is threaded through); any compile- or
-        replay-time fallback lands on the scalar interpreter.  The
-        output memo is keyed on content only -- both backends are
-        required to produce byte-identical arrays.
+        replay-time fallback lands on the scalar interpreter.
         """
         spec = self.design.spec
         bounds = self.design.bounds
-
-        def build():
-            if self.kernel:
-                from . import kernel as _kernel
-                compiled = (
-                    self.memo.kernel(spec)
-                    if self.memo is not None
-                    else _kernel.cached_kernel(spec)
-                )
-                if compiled is not None:
-                    result = _kernel.replay_interpret(
-                        spec, bounds, tensors, kernel=compiled
-                    )
-                    if result is not None:
-                        return result
-            return spec.interpret(bounds, tensors, kernel=False)
-
-        if self.memo is not None:
-            return self.memo.memo(
-                "sim.reference", (spec, bounds, tensors), build
+        if self.kernel:
+            from . import kernel as _kernel
+            compiled = (
+                self.memo.kernel(spec)
+                if self.memo is not None
+                else _kernel.cached_kernel(spec)
             )
-        return build()
+            if compiled is not None:
+                result = _kernel.replay_interpret(
+                    spec, bounds, tensors, kernel=compiled
+                )
+                if result is not None:
+                    return result
+        return spec.interpret(bounds, tensors, kernel=False)
 
     def _valid_points(
         self, tensors: Mapping[str, np.ndarray]
@@ -545,6 +647,167 @@ def _domain_grid(bounds, order: Sequence[str]) -> np.ndarray:
         return np.zeros((1, 0), dtype=np.int64)
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
+def _computed_locals(spec) -> set:
+    """Locals with an interior recurrence.  In-domain the recurrence
+    defines them everywhere; their boundary rules only answer
+    out-of-domain reads."""
+    return {
+        a.variable.name
+        for a in spec.assignments
+        if a.kind is AssignmentKind.COMPUTE
+    }
+
+
+def _has_select(expr) -> bool:
+    return isinstance(expr, Select) or any(
+        _has_select(child) for child in expr.children()
+    )
+
+
+def _batchable(spec) -> bool:
+    """Does :func:`_dense_accesses` see every local read the loop makes?
+
+    Not with a data-dependent subscript, nor with a ``Select`` (the loop
+    never reads its untaken branch), a boundary rule that reads a local
+    (out-of-domain resolution reads it at a clamped point), or a local
+    whose rank is not the spec's.
+    """
+    if spec.has_data_dependent_accesses():
+        return False
+    rank = len(spec.index_names)
+    for assignment in spec.assignments:
+        if _has_select(assignment.rhs):
+            return False
+        local_reads = [
+            access for access in assignment.rhs.references()
+            if isinstance(access.target, Local)
+        ]
+        if any(access.target.rank != rank for access in local_reads):
+            return False
+        if (
+            local_reads
+            and assignment.kind is not AssignmentKind.OUTPUT
+            and assignment.boundary_conditions()
+        ):
+            return False
+    return True
+
+
+def _subscript_columns(subscripts, points, rows, axis_of, bounds) -> np.ndarray:
+    """Affine ``subscripts`` evaluated at grid ``rows``, one column each."""
+    env = {name: points[rows, axis] for name, axis in axis_of.items()}
+    columns = [
+        np.broadcast_to(np.asarray(sub.evaluate(env, bounds), dtype=np.int64),
+                        rows.shape)
+        for sub in subscripts
+    ]
+    if not columns:
+        return np.empty((len(rows), 0), dtype=np.int64)
+    return np.stack(columns, axis=1)
+
+
+def _dense_accesses(
+    spec, bounds, points: np.ndarray, rank: np.ndarray
+) -> Optional[Tuple[int, int]]:
+    """Regfile ``(reads, writes)`` of a dense run, after checking causality.
+
+    One boolean mask per assignment mirrors the loop's access pattern: a
+    rule *applies* where its bound markers match; a local's rule *stores*
+    where it is the first applying rule of that local (the boundary
+    rules of a recurrence-defined local never do); and a right-hand side
+    is evaluated where its rule stores, or, for an output, wherever it
+    applies.  Each in-domain local read must find its value produced
+    earlier in the loop's order: at a point of lower ``rank`` (time
+    tuple, then point), or at the same point by an earlier rule.  The
+    first read that does not raises the loop's own :class:`SpecError`.
+
+    Returns None when the kernel cannot stand in for the loop's outputs:
+    a read that is causal in time but runs backwards in point order (the
+    reference interpreter's order), or an output cell written twice (the
+    last write wins, and the two orders could pick different ones).
+    """
+    names = spec.index_names
+    axis_of = {name: axis for axis, name in enumerate(names)}
+    lo = np.array([bounds[name][0] for name in names], dtype=np.int64)
+    hi = np.array([bounds[name][1] for name in names], dtype=np.int64)
+    n = len(points)
+    never = len(spec.assignments)  # the producer stage of an unstored cell
+    computed = _computed_locals(spec)
+    producer: Dict[str, np.ndarray] = {}
+    evaluated = []
+    written: Dict[str, List[np.ndarray]] = {}
+    reads = writes = 0
+    for index, assignment in enumerate(spec.assignments):
+        applies = np.ones(n, dtype=bool)
+        for name, which in assignment.pinned_bounds():
+            low, high = bounds[name]
+            applies &= points[:, axis_of[name]] == (low if which == "lb" else high)
+        if assignment.kind is AssignmentKind.OUTPUT:
+            rows = np.flatnonzero(applies)
+            writes += len(rows)
+            evaluated.append((index, assignment, rows))
+            written.setdefault(assignment.lhs.target.name, []).append(
+                _subscript_columns(
+                    assignment.lhs.subscripts, points, rows, axis_of, bounds
+                )
+            )
+            continue
+        name = assignment.variable.name
+        if assignment.kind is not AssignmentKind.COMPUTE and name in computed:
+            continue
+        if assignment.kind is AssignmentKind.INPUT:
+            reads += int(applies.sum())
+        stage = producer.setdefault(name, np.full(n, never))
+        stores = applies & (stage == never)
+        stage[stores] = index
+        evaluated.append((index, assignment, np.flatnonzero(stores)))
+
+    first = None  # ((rank, rule, operand), local, cell) of the earliest bad read
+    backwards = False
+    for index, assignment, rows in evaluated:
+        for position, access in enumerate(assignment.rhs.references()):
+            if not isinstance(access.target, Local):
+                continue
+            coords = _subscript_columns(
+                access.subscripts, points, rows, axis_of, bounds
+            )
+            inside = ((coords >= lo) & (coords <= hi)).all(axis=1)
+            src = rows[inside]
+            cell = np.ravel_multi_index(tuple((coords[inside] - lo).T), hi - lo + 1)
+            made = producer.get(access.target.name)
+            stage = np.full(len(cell), never) if made is None else made[cell]
+            unready = (stage == never) | ((cell == src) & (stage >= index))
+            late = unready | (rank[cell] > rank[src])
+            if late.any():
+                hit = np.flatnonzero(late)
+                best = hit[np.argmin(rank[src[hit]])]
+                key = (int(rank[src[best]]), index, position)
+                if first is None or key < first[0]:
+                    where = tuple(int(v) for v in coords[inside][best])
+                    first = (key, access.target.name, where)
+            elif (cell > src).any():
+                backwards = True
+    if first is not None:
+        _, name, where = first
+        raise _unproduced_read(name, where)
+    if backwards:
+        return None
+    for blocks in written.values():
+        _, writes_per_cell = np.unique(
+            np.concatenate(blocks), axis=0, return_counts=True
+        )
+        if (writes_per_cell > 1).any():
+            return None
+    return reads, writes
+
+
+def _unproduced_read(name: str, coords: Tuple[int, ...]) -> SpecError:
+    return SpecError(
+        f"read of {name} at {coords} before its producing timestep"
+        " -- the space-time transform violates a dependency"
+    )
 
 
 # Elementwise counterparts of BinOp._OPS (``min``/``max`` are the Python
@@ -706,23 +969,7 @@ class _SimInterpreter:
                     f"read of {symbol.name} at out-of-domain {coords} without"
                     f" a boundary rule on {name!r}"
                 )
-        raise SpecError(
-            f"read of {symbol.name} at {coords} before its producing timestep"
-            " -- the space-time transform violates a dependency"
-        )
-
-
-def _cells_to_array(cells: Dict[Tuple[int, ...], object]) -> np.ndarray:
-    if not cells:
-        return np.zeros((0,))
-    rank = len(next(iter(cells)))
-    shape = tuple(max(c[axis] for c in cells) + 1 for axis in range(rank))
-    sample = next(iter(cells.values()))
-    dtype = np.float64 if isinstance(sample, float) else np.int64
-    out = np.zeros(shape, dtype=dtype)
-    for coords, value in cells.items():
-        out[coords] = value
-    return out
+        raise _unproduced_read(symbol.name, coords)
 
 
 def differential_run(

@@ -170,3 +170,56 @@ class TestScheduleValidation:
         t = SpaceTimeTransform([[1, 0, 0], [0, 1, 0], [1, 1, -1]])
         with pytest.raises(SpecError):
             validate_schedule(spec, t)
+
+
+def _backwards_second_row():
+    """Matmul with space ``i`` and time ``(j, -k)``: the first time row
+    holds the ``k`` recurrence still, the second runs it backwards."""
+    return SpaceTimeTransform([[1, 0, 0], [0, 1, 0], [0, 0, -1]], space_dims=1)
+
+
+class TestLexicographicCausality:
+    """Every caller orders multi-dimensional time lexicographically, not
+    by the first time row alone."""
+
+    def test_time_delta_is_leading_nonzero_component(self):
+        t = _backwards_second_row()
+        assert t.time_delta((0, 0, 1)) == -1  # c: (0, -1)
+        assert t.time_delta((0, 1, 0)) == 1  # a: (1, 0)
+        assert t.time_delta((1, 0, 0)) == 0  # b: (0, 0), a broadcast
+        assert output_stationary().time_delta((0, 0, 1)) == 1
+
+    def test_validate_schedule_rejects(self):
+        with pytest.raises(SpecError, match="'c': time delta -1 < 0"):
+            validate_schedule(matmul_spec(), _backwards_second_row())
+
+    def test_check_reports_error_not_just_broadcast(self):
+        from repro.analysis import Severity, check_spec
+
+        findings = check_spec(
+            matmul_spec(), Bounds({"i": 3, "j": 3, "k": 3}), _backwards_second_row()
+        )
+        errors = [d for d in findings if d.severity is Severity.ERROR]
+        assert [d.code for d in errors] == ["STL-SP-004"]
+        assert "'c'" in errors[0].message
+
+    def test_apply_transform_rejects(self):
+        from repro.core.iterspace import apply_transform, elaborate
+
+        itsp = elaborate(matmul_spec(), Bounds({"i": 3, "j": 3, "k": 3}))
+        with pytest.raises(SpecError, match="causality for 'c'"):
+            apply_transform(itsp, _backwards_second_row())
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_compile_rejects_dense_and_sparse(self, sparse):
+        from repro.core import compile_design
+        from repro.core.sparsity import csr_b_matrix
+
+        spec = matmul_spec()
+        sparsity = csr_b_matrix(spec) if sparse else None
+        for check in (True, False):
+            with pytest.raises(SpecError):
+                compile_design(
+                    spec, Bounds({"i": 3, "j": 3, "k": 3}),
+                    _backwards_second_row(), sparsity=sparsity, check=check,
+                )

@@ -2,10 +2,12 @@
 
 The pairings, each exercising a redundancy the engine relies on:
 
-* the vectorized skip-condition evaluator in
-  :class:`~repro.sim.spatial_array.SpatialArraySim` against its scalar
-  fallback (``vectorize=False``) -- byte-identical outputs and equal
-  performance counters on the same compiled design and workload;
+* the vectorized simulator paths of
+  :class:`~repro.sim.spatial_array.SpatialArraySim` (closed-form dense
+  runs, batched skip conditions) against their per-point references
+  (``vectorize=False``) -- byte-identical outputs, every performance
+  counter and the schedule length equal on the same compiled design
+  and workload;
 * the trace-compiled batched reference kernel
   (:mod:`repro.sim.kernel`) against the scalar spec interpreter
   (``interpret(..., kernel=False)``) -- byte-identical output arrays
@@ -31,8 +33,21 @@ from repro.core.dataflow import (
     output_stationary,
     weight_stationary,
 )
-from repro.core.expr import Index, Select, SpecError, Tensor
-from repro.core.functionality import batched_matmul_spec, conv1d_spec
+from repro.core.expr import (
+    Comparison,
+    Const,
+    Index,
+    IndexValue,
+    Local,
+    Select,
+    SpecError,
+    Tensor,
+)
+from repro.core.functionality import (
+    FunctionalSpec,
+    batched_matmul_spec,
+    conv1d_spec,
+)
 from repro.core.sparsity import Skip, SparsityStructure, csr_b_matrix
 from repro.exec.cache import CompileCache
 from repro.exec.halving import sweep_suite
@@ -64,22 +79,51 @@ def _run_both_paths(design, tensors):
     return fast, slow
 
 
+def _assert_same_run(fast, slow):
+    """Byte-identical outputs, every counter (suite rows' energy reads
+    regfile traffic, MACs and idle cycles) and the schedule length."""
+    assert sorted(fast.outputs) == sorted(slow.outputs)
+    for name, want in slow.outputs.items():
+        assert fast.outputs[name].dtype == want.dtype
+        assert fast.outputs[name].tobytes() == want.tobytes()
+    assert fast.counters.as_dict() == slow.counters.as_dict()
+    assert fast.schedule_length == slow.schedule_length
+
+
+def _batch_lifted(transform):
+    """A rank-3 ``(i, j, k)`` transform lifted over bmm's leading batch
+    index, which becomes the outer of two time dimensions."""
+    matrix = [[0] + list(row) for row in transform.matrix]
+    matrix.insert(transform.space_dims, [1, 0, 0, 0])
+    return SpaceTimeTransform(matrix, space_dims=transform.space_dims)
+
+
 class TestVectorizedVsScalarSim:
     @pytest.mark.parametrize("transform_name", sorted(TRANSFORMS))
     @pytest.mark.parametrize("seed", [0, 7, 23])
     def test_dense_random_shapes(self, transform_name, seed):
         rng = np.random.default_rng([seed, 11])
         i, j, k = (int(d) for d in rng.integers(2, 7, 3))
-        spec = matmul_spec()
+        transform = TRANSFORMS[transform_name]()
         design = compile_design(
-            spec, Bounds({"i": i, "j": j, "k": k}), TRANSFORMS[transform_name]()
+            matmul_spec(), Bounds({"i": i, "j": j, "k": k}), transform
         )
         tensors = {"A": rng.integers(-4, 5, (i, k)), "B": rng.integers(-4, 5, (k, j))}
+        _assert_same_run(*_run_both_paths(design, tensors))
+
+        n = int(rng.integers(2, 4))
+        design = compile_design(
+            batched_matmul_spec(),
+            Bounds({"n": n, "i": i, "j": j, "k": k}),
+            _batch_lifted(transform),
+        )
+        tensors = {
+            "A": rng.integers(-4, 5, (n, i, k)),
+            "B": rng.integers(-4, 5, (n, k, j)),
+        }
         fast, slow = _run_both_paths(design, tensors)
-        assert fast.outputs["C"].tobytes() == slow.outputs["C"].tobytes()
-        assert fast.cycles == slow.cycles
-        assert fast.utilization == slow.utilization
-        assert fast.outputs["C"].dtype == slow.outputs["C"].dtype
+        _assert_same_run(fast, slow)
+        assert np.array_equal(fast.outputs["C"], tensors["A"] @ tensors["B"])
 
     @pytest.mark.parametrize("transform_name", ["output-stationary", "input-stationary"])
     @pytest.mark.parametrize("density", [0.0, 0.3, 0.8])
@@ -99,9 +143,7 @@ class TestVectorizedVsScalarSim:
             "A": rng.integers(-4, 5, (i, k)),
             "B": _masked(rng, (k, j), density),
         }
-        fast, slow = _run_both_paths(design, tensors)
-        assert fast.outputs["C"].tobytes() == slow.outputs["C"].tobytes()
-        assert fast.cycles == slow.cycles
+        _assert_same_run(*_run_both_paths(design, tensors))
 
     def test_scalar_path_is_really_taken(self):
         """Guard against the knob silently routing both runs through the
@@ -114,6 +156,90 @@ class TestVectorizedVsScalarSim:
         assert sim.vectorize is False
         tensors = {"A": np.eye(3, dtype=np.int64), "B": np.eye(3, dtype=np.int64)}
         assert np.array_equal(sim.run(tensors).outputs["C"], np.eye(3))
+
+    def test_output_cell_written_twice_keeps_loop_order(self):
+        """``O[k]`` is written at every ``i``; the last write in schedule
+        order (``t = -i``: ``i = 0``) wins, not the last in point order."""
+        i, k = Index("i"), Index("k")
+        A, O, a = Tensor("A", 2), Tensor("O", 1), Local("a", 2)
+        spec = FunctionalSpec("overwrite", [i, k])
+        spec.let(a[i, k], A[i, k])
+        spec.let(O[k], a[i, k])
+        design = compile_design(
+            spec, Bounds({"i": 3, "k": 2}),
+            SpaceTimeTransform([[0, 1], [-1, 0]]), check=False,
+        )
+        tensors = {"A": np.arange(6).reshape(3, 2)}
+        fast, slow = _run_both_paths(design, tensors)
+        _assert_same_run(fast, slow)
+        assert fast.outputs["O"].tolist() == [0, 1]
+
+    def test_recurrence_backwards_in_point_order(self):
+        """A suffix sum along ``j`` scheduled with ``t = -j`` is causal,
+        though the reference interpreter's point order cannot run it."""
+        i, j = Index("i"), Index("j")
+        A, C, s = Tensor("A", 2), Tensor("C", 1), Local("s", 2)
+        spec = FunctionalSpec("suffix", [i, j])
+        spec.let(s[i, j.upper_bound], A[i, j])
+        spec.let(s[i, j], s[i, j + 1] + A[i, j])
+        spec.let(C[i], s[i, j.lower_bound])
+        design = compile_design(
+            spec, Bounds({"i": 2, "j": 3}),
+            SpaceTimeTransform([[1, 0], [0, -1]]), check=False,
+        )
+        tensors = {"A": np.arange(6).reshape(2, 3)}
+        fast, slow = _run_both_paths(design, tensors)
+        _assert_same_run(fast, slow)
+        assert fast.outputs["C"].tolist() == [5, 17]
+
+    def test_untaken_select_branch_is_never_read(self):
+        """The ``Select``'s false branch reads ``c`` one step ahead, which
+        would be acausal, but the condition never picks it."""
+        i, k = Index("i"), Index("k")
+        A, C = Tensor("A", 2), Tensor("C", 1)
+        c = Local("c", 2)
+        spec = FunctionalSpec("guarded", [i, k])
+        spec.let(c[i, k.lower_bound], 0)
+        spec.let(c[i, k], Select(
+            Comparison(">=", IndexValue(k), Const(0)),
+            c[i, k - 1] + A[i, k],
+            c[i, k + 1],
+        ))
+        spec.let(C[i], c[i, k.upper_bound])
+        design = compile_design(
+            spec, Bounds({"i": 2, "k": 3}),
+            SpaceTimeTransform([[1, 0], [0, 1]]), check=False,
+        )
+        tensors = {"A": np.arange(6).reshape(2, 3)}
+        fast, slow = _run_both_paths(design, tensors)
+        _assert_same_run(fast, slow)
+        assert fast.outputs["C"].tolist() == [3, 12]
+
+    def test_boundary_rule_reading_a_local(self):
+        """``c``'s phantom slot reads ``a``, which the recurrence's first
+        step reaches before ``a`` is produced at that point; only the
+        loop sees reads made while resolving an out-of-domain value."""
+        i, k = Index("i"), Index("k")
+        A, D = Tensor("A", 2), Tensor("D", 2)
+        a, c = Local("a", 2), Local("c", 2)
+        spec = FunctionalSpec("phantom", [i, k])
+        spec.let(c[i, k.lower_bound], A[i, k] + a[i, k])
+        spec.let(c[i, k], c[i, k - 1] + 1)
+        spec.let(a[i, k], A[i, k])
+        spec.let(D[i, k], c[i, k])
+        design = compile_design(
+            spec, Bounds({"i": 2, "k": 3}),
+            SpaceTimeTransform([[1, 0], [0, 1]]), check=False,
+        )
+        tensors = {"A": np.arange(6).reshape(2, 3)}
+        errors = []
+        for vectorize in (True, False):
+            sim = SpatialArraySim(design, memo=None, vectorize=vectorize)
+            with pytest.raises(SpecError) as excinfo:
+                sim.run(tensors)
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("read of a at (0, 0) before its producing")
 
 
 def _kernel_workload(kind, rng, floats=False):
