@@ -19,7 +19,8 @@ against its input rather than trusted.  Three methods, cheapest first:
    compared as canonicalized guarded next-state statements.
 3. **Random-stimulus differential backstop** -- every shared module is
    simulated pre/post in lockstep (:class:`repro.rtl.sim.RTLSimulator`)
-   under one seeded stimulus, traces are captured with
+   under one seeded stimulus that drives every bit of every input,
+   however wide; traces are captured with
    :func:`repro.obs.export.capture_rtl_trace` and aligned with
    :func:`repro.obs.export.first_trace_divergence`; the first divergent
    signal and cycle become ``STL-EQ-003``.  The differential runs
@@ -159,11 +160,12 @@ def check_equivalence(
                 )
             )
             continue
+        inliners = (_Inliner(mod_before, {}), _Inliner(mod_after, {}))
         _check_combinational(
-            mod_before, mod_after, result, f"{prefix}{name}",
+            mod_before, mod_after, inliners, result, f"{prefix}{name}",
             max_exhaustive_bits, seed,
         )
-        _check_sequential(mod_before, mod_after, result)
+        _check_sequential(mod_before, mod_after, inliners, result)
         _check_differential(
             before, after, name, result, f"{prefix}{name}", cycles, seed
         )
@@ -347,13 +349,13 @@ def _is_memory_ref(node, memories: Set[str]) -> bool:
 def _check_combinational(
     mod_before: Module,
     mod_after: Module,
+    inliners: Tuple[_Inliner, _Inliner],
     result: EquivResult,
     location: str,
     max_exhaustive_bits: int,
     seed: int,
 ) -> None:
-    inliner_before = _Inliner(mod_before, {})
-    inliner_after = _Inliner(mod_after, {})
+    inliner_before, inliner_after = inliners
 
     targets_before = _assign_targets(mod_before)
     targets_after = _assign_targets(mod_after)
@@ -646,10 +648,12 @@ def _sequential_program(module: Module, inliner: _Inliner) -> Set[Tuple]:
 
 
 def _check_sequential(
-    mod_before: Module, mod_after: Module, result: EquivResult
+    mod_before: Module,
+    mod_after: Module,
+    inliners: Tuple[_Inliner, _Inliner],
+    result: EquivResult,
 ) -> None:
-    inliner_before = _Inliner(mod_before, {})
-    inliner_after = _Inliner(mod_after, {})
+    inliner_before, inliner_after = inliners
     before = _sequential_program(mod_before, inliner_before)
     after = _sequential_program(mod_after, inliner_after)
     if before == after:
@@ -682,7 +686,7 @@ def _check_differential(
         if p.direction is PortDir.INPUT and p.name not in ("clk", "rst")
     ]
     schedule = [
-        {p.name: rng.getrandbits(min(p.width, 64)) for p in inputs}
+        {p.name: rng.getrandbits(p.width) for p in inputs}
         for _ in range(cycles + 1)
     ]
 

@@ -13,12 +13,30 @@ identifiers, sized literals (``16'd3``, ``1'b0``), ``+ - * < <= > >= ==
 concatenations ``{a, b}``, and guarded non-blocking assignments
 ``if (cond) lhs <= rhs;``.  Values are Python integers masked to their
 declared widths, so overflow behaves as hardware would.
+
+Three things keep the interpretation cheap:
+
+* **Parsing once per module.**  A simulator parses each module's
+  assigns, statements and instance connections once, however many
+  instances of the module its hierarchy holds.
+* **Compiling once per instance.**  Each instance turns every
+  expression, lvalue and port connection into a closure over its own
+  signal dict when it is built; a sweep calls closures and walks no
+  syntax trees.  An expression error (an undefined signal, a memory read
+  without a subscript) raises when the closure runs, as it would in a
+  tree walk.
+* **Settling lazily.**  ``poke`` writes the value and marks the logic
+  unsettled; the combinational fixpoint runs before the next
+  observation -- ``peek``, ``peek_memory``, ``signal_values`` -- and in
+  ``step`` both before the edge is sampled and after it is committed.  A
+  settle that fails leaves the logic unsettled, so every later
+  observation raises the same error.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..obs.trace import get_tracer
 from .netlist import Module, Netlist, PortDir, RTLError
@@ -180,7 +198,7 @@ def parse_statement(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Compilation
 # ---------------------------------------------------------------------------
 
 
@@ -188,11 +206,98 @@ def _mask(value: int, width: int) -> int:
     return value & ((1 << width) - 1)
 
 
-class _ModuleState:
-    """Runtime state of one module instance."""
+#: Binary operator -> factory taking the compiled operands and returning
+#: the compiled operation; operands evaluate left to right.
+_BINOPS: Dict[str, Callable] = {
+    "+": lambda a, b: lambda: a() + b(),
+    "-": lambda a, b: lambda: a() - b(),
+    "*": lambda a, b: lambda: a() * b(),
+    "&": lambda a, b: lambda: a() & b(),
+    "|": lambda a, b: lambda: a() | b(),
+    "==": lambda a, b: lambda: 1 if a() == b() else 0,
+    "!=": lambda a, b: lambda: 1 if a() != b() else 0,
+    "<": lambda a, b: lambda: 1 if a() < b() else 0,
+    "<=": lambda a, b: lambda: 1 if a() <= b() else 0,
+    ">": lambda a, b: lambda: 1 if a() > b() else 0,
+    ">=": lambda a, b: lambda: 1 if a() >= b() else 0,
+}
 
-    def __init__(self, module: Module, netlist: Netlist, path: str):
+
+def _raiser(message: str) -> Callable:
+    """A compiled node that fails when evaluated, never when compiled."""
+
+    def fail(*_):
+        raise RTLError(message)
+
+    return fail
+
+
+def _literal_bounds(node) -> Optional[Tuple[int, int]]:
+    """``(hi, lo)`` of a slice with literal bounds and a width >= 0."""
+    if node[2][0] != "literal" or node[3][0] != "literal":
+        return None
+    hi, lo = _mask(*node[2][1:]), _mask(*node[3][1:])
+    return (hi, lo) if hi >= lo - 1 else None
+
+
+class _ModuleCode:
+    """One module's assigns, sync statements and instance wiring, parsed
+    once per simulator and shared by every instance of the module."""
+
+    __slots__ = ("module", "assigns", "sync_blocks", "instances")
+
+    def __init__(self, module: Module, netlist: Netlist):
         self.module = module
+        self.assigns = [
+            (parse_expression(a.lhs), parse_expression(a.rhs))
+            for a in module.assigns
+        ]
+        self.sync_blocks = [
+            (
+                [parse_statement(s) for s in block.statements],
+                [parse_statement(s) for s in block.reset_statements],
+            )
+            for block in module.sync_blocks
+        ]
+        # (instance name, child module, [(input port, expr)],
+        #  [(output port, lvalue)]), each list in child port order.
+        self.instances = []
+        for inst in module.instances:
+            child = netlist.module(inst.module_name)
+            conns = {
+                port: parse_expression(signal)
+                for port, signal in inst.connections.items()
+            }
+            wired = [p for p in child.ports if p.name in conns]
+            self.instances.append(
+                (
+                    inst.instance_name,
+                    inst.module_name,
+                    [(p.name, conns[p.name]) for p in wired
+                     if p.direction is PortDir.INPUT],
+                    [(p.name, conns[p.name]) for p in wired
+                     if p.direction is PortDir.OUTPUT],
+                )
+            )
+
+
+class _ModuleState:
+    """Runtime state of one module instance.
+
+    Every expression of the module is compiled, once, into a closure over
+    this instance's ``values`` and ``memories``; a compiled expression
+    takes no arguments and returns the value, a compiled lvalue (a
+    *writer*) takes the value and returns whether a visible value
+    changed.  Errors in an expression raise when it is evaluated.
+    """
+
+    def __init__(
+        self,
+        code: _ModuleCode,
+        code_of: Callable[[str], _ModuleCode],
+        path: str,
+    ):
+        module = code.module
         self.path = path
         self.widths: Dict[str, int] = {}
         self.values: Dict[str, int] = {}
@@ -206,166 +311,221 @@ class _ModuleState:
                 self.memories[net.name] = {}
             else:
                 self.values[net.name] = 0
-        # Pre-parse everything once.
         self.assigns = [
-            (parse_expression(a.lhs), parse_expression(a.rhs))
-            for a in module.assigns
+            (self._writer(lhs), self._compile(rhs)) for lhs, rhs in code.assigns
         ]
         self.sync_blocks = [
             (
-                [parse_statement(s) for s in block.statements],
-                [parse_statement(s) for s in block.reset_statements],
+                [self._statement(s) for s in statements],
+                [self._statement(s) for s in reset_statements],
             )
-            for block in module.sync_blocks
+            for statements, reset_statements in code.sync_blocks
         ]
-        self.children: List[Tuple["_ModuleState", Dict[str, object]]] = []
-        for inst in module.instances:
-            child = _ModuleState(
-                netlist.module(inst.module_name),
-                netlist,
-                f"{path}.{inst.instance_name}",
+        self.children: List[Tuple["_ModuleState", list, list]] = []
+        for name, module_name, inputs, outputs in code.instances:
+            child = _ModuleState(code_of(module_name), code_of, f"{path}.{name}")
+            self.children.append(
+                (
+                    child,
+                    [
+                        (port, self._compile(expr), (1 << child.widths[port]) - 1)
+                        for port, expr in inputs
+                    ],
+                    [(port, self._writer(expr)) for port, expr in outputs],
+                )
             )
-            parsed_conns = {
-                port: parse_expression(signal)
-                for port, signal in inst.connections.items()
-            }
-            self.children.append((child, parsed_conns))
 
-    # -- expression evaluation -----------------------------------------
+    # -- expressions -----------------------------------------------------
 
-    def eval(self, node) -> int:
+    def _compile(self, node) -> Callable[[], int]:
         kind = node[0]
+        compile_ = self._compile
         if kind == "literal":
-            return _mask(node[1], node[2])
+            value = _mask(node[1], node[2])
+            return lambda: value
         if kind == "ref":
-            name = node[1]
-            if name in self.memories:
-                raise RTLError(f"memory {name!r} used without a subscript")
-            if name not in self.values:
-                raise RTLError(f"undefined signal {name!r} in {self.path}")
-            return self.values[name]
+            return self._read(node[1])
         if kind == "index":
             base = node[1]
-            index = self.eval(node[2])
+            index = compile_(node[2])
             if base[0] == "ref" and base[1] in self.memories:
-                return self.memories[base[1]].get(index, 0)
-            return (self.eval(base) >> index) & 1
-        if kind == "slice":
-            value = self.eval(node[1])
-            hi, lo = self.eval(node[2]), self.eval(node[3])
-            return (value >> lo) & ((1 << (hi - lo + 1)) - 1)
-        if kind == "concat":
-            out = 0
-            for part in node[1]:
-                width = self._width_of(part)
-                out = (out << width) | _mask(self.eval(part), width)
-            return out
-        if kind == "repl":
-            count = self.eval(node[1])
-            width = self._width_of(node[2])
-            piece = _mask(self.eval(node[2]), width)
-            out = 0
-            for _ in range(count):
-                out = (out << width) | piece
-            return out
-        if kind == "unop":
-            value = self.eval(node[2])
-            if node[1] == "!":
-                return 0 if value else 1
-            if node[1] == "~":
-                return ~value
-            return -value
-        if kind == "binop":
-            op = node[1]
-            lhs, rhs = self.eval(node[2]), self.eval(node[3])
-            return {
-                "+": lambda: lhs + rhs,
-                "-": lambda: lhs - rhs,
-                "*": lambda: lhs * rhs,
-                "&": lambda: lhs & rhs,
-                "|": lambda: lhs | rhs,
-                "==": lambda: int(lhs == rhs),
-                "!=": lambda: int(lhs != rhs),
-                "<": lambda: int(lhs < rhs),
-                "<=": lambda: int(lhs <= rhs),
-                ">": lambda: int(lhs > rhs),
-                ">=": lambda: int(lhs >= rhs),
-            }[op]()
-        raise RTLError(f"unknown AST node {node!r}")
+                memory = self.memories[base[1]]
+                return lambda: memory.get(index(), 0)
+            value = compile_(base)
 
-    def _width_of(self, node) -> int:
-        if node[0] == "literal":
-            return node[2]
-        if node[0] == "ref":
-            return self.widths.get(node[1], 32)
+            def index_bit():
+                bit = index()
+                return (value() >> bit) & 1
+
+            return index_bit
+        if kind == "slice":
+            value = compile_(node[1])
+            bounds = _literal_bounds(node)
+            if bounds is not None:
+                lo, field = bounds[1], (1 << (bounds[0] - bounds[1] + 1)) - 1
+                return lambda: (value() >> lo) & field
+            hi, lo_ = compile_(node[2]), compile_(node[3])
+
+            def slice_():
+                whole, top, bottom = value(), hi(), lo_()
+                return (whole >> bottom) & ((1 << (top - bottom + 1)) - 1)
+
+            return slice_
+        if kind == "concat":
+            parts = [(compile_(part), self._width(part)) for part in node[1]]
+
+            def concat():
+                out = 0
+                for part, width in parts:
+                    bits = width()
+                    out = (out << bits) | (part() & ((1 << bits) - 1))
+                return out
+
+            return concat
+        if kind == "repl":
+            count, piece = compile_(node[1]), compile_(node[2])
+            width = self._width(node[2])
+
+            def repl():
+                times, bits = count(), width()
+                chunk = piece() & ((1 << bits) - 1)
+                out = 0
+                for _ in range(times):
+                    out = (out << bits) | chunk
+                return out
+
+            return repl
+        if kind == "unop":
+            operand = compile_(node[2])
+            if node[1] == "!":
+                return lambda: 0 if operand() else 1
+            if node[1] == "~":
+                return lambda: ~operand()
+            return lambda: -operand()
+        if kind == "binop":
+            return _BINOPS[node[1]](compile_(node[2]), compile_(node[3]))
+        return _raiser(f"unknown AST node {node!r}")
+
+    def _read(self, name: str) -> Callable[[], int]:
+        values = self.values
+        if name in self.memories:
+            return _raiser(f"memory {name!r} used without a subscript")
+        if name in values:
+            # Declared signals never leave ``values``.
+            return lambda: values[name]
+        message = f"undefined signal {name!r} in {self.path}"
+
+        def read_undeclared():
+            # An undeclared name exists once some lvalue has written it.
+            if name not in values:
+                raise RTLError(message)
+            return values[name]
+
+        return read_undeclared
+
+    def _width(self, node) -> Callable[[], int]:
+        """The packing width of a concat or replication operand."""
         if node[0] == "slice":
-            # Widths in emitted slices are literal bounds.
-            return self.eval(node[2]) - self.eval(node[3]) + 1
-        return 32
+            bounds = _literal_bounds(node)
+            if bounds is None:
+                hi, lo = self._compile(node[2]), self._compile(node[3])
+                return lambda: hi() - lo() + 1
+            width = bounds[0] - bounds[1] + 1
+        elif node[0] == "literal":
+            width = node[2]
+        elif node[0] == "ref":
+            width = self.widths.get(node[1], 32)
+        else:
+            width = 32
+        return lambda: width
 
     # -- writes ----------------------------------------------------------
 
-    def write(self, lvalue, value: int) -> bool:
-        """Write an lvalue; returns True if a visible value changed."""
-        if lvalue[0] == "ref":
+    def _writer(self, lvalue) -> Callable[[int], bool]:
+        values = self.values
+        kind = lvalue[0]
+        if kind == "ref":
             name = lvalue[1]
-            width = self.widths.get(name, 32)
-            new = _mask(value, width)
-            if self.values.get(name) != new:
-                self.values[name] = new
-                return True
-            return False
-        if lvalue[0] == "index":
-            base = lvalue[1]
-            index = self.eval(lvalue[2])
-            if base[0] == "ref" and base[1] in self.memories:
-                memory = self.memories[base[1]]
-                new = _mask(value, self.widths[base[1]])
-                if memory.get(index) != new:
-                    memory[index] = new
+            mask = (1 << self.widths.get(name, 32)) - 1
+
+            def write_ref(value: int) -> bool:
+                new = value & mask
+                if values.get(name) != new:
+                    values[name] = new
                     return True
                 return False
+
+            return write_ref
+        if kind == "index":
+            base, index = lvalue[1], self._compile(lvalue[2])
+            if base[0] == "ref" and base[1] in self.memories:
+                memory = self.memories[base[1]]
+                mask = (1 << self.widths[base[1]]) - 1
+
+                def write_memory(value: int) -> bool:
+                    address, new = index(), value & mask
+                    if memory.get(address) != new:
+                        memory[address] = new
+                        return True
+                    return False
+
+                return write_memory
             # Single-bit write into a packed register.
             name = base[1]
-            current = self.values.get(name, 0)
-            updated = (current & ~(1 << index)) | ((value & 1) << index)
-            changed = updated != current
-            self.values[name] = _mask(updated, self.widths.get(name, 32))
-            return changed
-        if lvalue[0] == "slice":
+            mask = (1 << self.widths.get(name, 32)) - 1
+
+            def write_bit(value: int) -> bool:
+                bit = index()
+                current = values.get(name, 0)
+                updated = (current & ~(1 << bit)) | ((value & 1) << bit)
+                values[name] = updated & mask
+                return updated != current
+
+            return write_bit
+        if kind == "slice":
             name = lvalue[1][1]
-            hi, lo = self.eval(lvalue[2]), self.eval(lvalue[3])
-            width = hi - lo + 1
-            field_mask = ((1 << width) - 1) << lo
-            current = self.values.get(name, 0)
-            updated = (current & ~field_mask) | ((_mask(value, width)) << lo)
-            changed = updated != current
-            self.values[name] = _mask(updated, self.widths.get(name, 32))
-            return changed
-        raise RTLError(f"unsupported lvalue {lvalue!r}")
+            mask = (1 << self.widths.get(name, 32)) - 1
+            hi, lo = self._compile(lvalue[2]), self._compile(lvalue[3])
+
+            def write_slice(value: int) -> bool:
+                top, bottom = hi(), lo()
+                field = (1 << (top - bottom + 1)) - 1
+                current = values.get(name, 0)
+                updated = (current & ~(field << bottom)) | ((value & field) << bottom)
+                values[name] = updated & mask
+                return updated != current
+
+            return write_slice
+        return _raiser(f"unsupported lvalue {lvalue!r}")
+
+    def _statement(self, statement):
+        cond, lvalue, rhs = statement
+        return (
+            None if cond is None else self._compile(cond),
+            self._writer(lvalue),
+            self._compile(rhs),
+        )
 
     # -- combinational settle --------------------------------------------
 
     def settle(self) -> bool:
         """One combinational sweep; returns True if anything changed."""
         changed = False
-        for lhs, rhs in self.assigns:
-            changed |= self.write(lhs, self.eval(rhs))
-        for child, conns in self.children:
-            child_module = child.module
-            for port in child_module.ports:
-                expr = conns.get(port.name)
-                if expr is None:
-                    continue
-                if port.direction is PortDir.INPUT:
-                    changed |= child.write(("ref", port.name), self.eval(expr))
-            changed |= child.settle()
-            for port in child_module.ports:
-                expr = conns.get(port.name)
-                if expr is None:
-                    continue
-                if port.direction is PortDir.OUTPUT:
-                    changed |= self.write(expr, child.values[port.name])
+        for write, rhs in self.assigns:
+            if write(rhs()):
+                changed = True
+        for child, inputs, outputs in self.children:
+            ports = child.values
+            for name, rhs, mask in inputs:
+                new = rhs() & mask
+                if ports[name] != new:
+                    ports[name] = new
+                    changed = True
+            if child.settle():
+                changed = True
+            for name, write in outputs:
+                if write(ports[name]):
+                    changed = True
         return changed
 
     # -- introspection -----------------------------------------------------
@@ -373,25 +533,22 @@ class _ModuleState:
     def descendants(self) -> Iterator["_ModuleState"]:
         """This instance and every instance below it, preorder."""
         yield self
-        for child, _ in self.children:
+        for child, _, _ in self.children:
             yield from child.descendants()
 
     # -- clock edge --------------------------------------------------------
 
-    def sample_edge(self, reset: bool) -> List[Tuple["_ModuleState", object, int]]:
-        """Evaluate all sync blocks against pre-edge state; returns the
-        deferred writes (non-blocking assignment semantics)."""
-        writes: List[Tuple[_ModuleState, object, int]] = []
+    def sample_edge(self, reset: bool, writes: List[Tuple[Callable, int]]) -> None:
+        """Evaluate all sync blocks against pre-edge state, appending the
+        deferred ``(writer, value)`` pairs (non-blocking assignment
+        semantics) to ``writes``."""
         for statements, reset_statements in self.sync_blocks:
             active = reset_statements if reset and reset_statements else statements
-            if reset and not reset_statements:
-                active = statements
-            for cond, lvalue, rhs in active:
-                if cond is None or self.eval(cond):
-                    writes.append((self, lvalue, self.eval(rhs)))
-        for child, _ in self.children:
-            writes.extend(child.sample_edge(reset))
-        return writes
+            for cond, write, rhs in active:
+                if cond is None or cond():
+                    writes.append((write, rhs()))
+        for child, _, _ in self.children:
+            child.sample_edge(reset, writes)
 
 
 class RTLSimulator:
@@ -402,14 +559,28 @@ class RTLSimulator:
 
     def __init__(self, netlist: Netlist, top: Optional[str] = None):
         self.netlist = netlist
-        module = netlist.module(top or netlist.top_name)
-        self.top = _ModuleState(module, netlist, module.name)
+        codes: Dict[str, _ModuleCode] = {}
+
+        def code_of(name: str) -> _ModuleCode:
+            code = codes.get(name)
+            if code is None:
+                code = codes[name] = _ModuleCode(netlist.module(name), netlist)
+            return code
+
+        code = code_of(top or netlist.top_name)
+        self.top = _ModuleState(code, code_of, code.module.name)
         self.cycle = 0
+        self._dirty = True
         self._settle()
 
     def _settle(self) -> None:
+        """Settle the combinational logic if a write since the last settle
+        may have unsettled it; a failed settle leaves it pending."""
+        if not self._dirty:
+            return
         for _ in range(self.MAX_SETTLE_ITERATIONS):
             if not self.top.settle():
+                self._dirty = False
                 return
         raise RTLError("combinational logic failed to settle (loop?)")
 
@@ -417,7 +588,7 @@ class RTLSimulator:
         parts = path.split(".")
         state = self.top
         for part in parts[:-1]:
-            for child, _ in state.children:
+            for child, _, _ in state.children:
                 if child.path.endswith("." + part) or child.path == part:
                     state = child
                     break
@@ -426,18 +597,23 @@ class RTLSimulator:
         return state, parts[-1]
 
     def poke(self, path: str, value: int) -> None:
+        """Drive a signal; the logic settles before the next observation."""
         state, name = self._resolve(path)
-        state.write(("ref", name), value)
-        self._settle()
+        new = _mask(value, state.widths.get(name, 32))
+        if state.values.get(name) != new:
+            state.values[name] = new
+            self._dirty = True
 
     def peek(self, path: str) -> int:
         state, name = self._resolve(path)
+        self._settle()
         if name in state.memories:
             raise RTLError(f"{name!r} is a memory; use peek_memory")
         return state.values[name]
 
     def peek_memory(self, path: str, index: int) -> int:
         state, name = self._resolve(path)
+        self._settle()
         return state.memories[name].get(index, 0)
 
     def signal_values(self) -> Dict[str, Tuple[int, int]]:
@@ -446,6 +622,7 @@ class RTLSimulator:
         This is the probe surface the VCD exporter
         (:func:`repro.obs.export.dump_rtl_vcd`) samples each cycle.
         """
+        self._settle()
         out: Dict[str, Tuple[int, int]] = {}
         for state in self.top.descendants():
             for name, width in state.widths.items():
@@ -458,10 +635,13 @@ class RTLSimulator:
         """Advance the clock; synchronous reset follows the ``rst`` input."""
         tracer = get_tracer()
         for _ in range(cycles):
+            self._settle()
             reset = bool(self.top.values.get("rst", 0))
-            writes = self.top.sample_edge(reset)
-            for state, lvalue, value in writes:
-                state.write(lvalue, value)
+            writes: List[Tuple[Callable, int]] = []
+            self.top.sample_edge(reset, writes)
+            for write, value in writes:
+                if write(value):
+                    self._dirty = True
             self.cycle += 1
             self._settle()
             if tracer.enabled:

@@ -8,7 +8,7 @@ from repro.analysis.equiv import check_equivalence
 from repro.core import Accelerator, Bounds, matmul_spec
 from repro.core.dataflow import output_stationary
 from repro.rtl.lowering import lower_design
-from repro.rtl.netlist import Netlist
+from repro.rtl.netlist import Module, Netlist
 from repro.rtl.passes import run_passes
 from repro.rtl.sim import RTLSimulator
 
@@ -128,6 +128,30 @@ class TestMutationCatching:
         assert not result.ok
         codes = {d.code for d in result.diagnostics}
         assert codes & {"STL-EQ-001", "STL-EQ-003"}
+
+    def test_upper_input_lanes_are_driven(self):
+        """A rewrite that only differs above bit 63 of an input is caught:
+        the differential stimulus covers every bit of a wide port."""
+
+        def wide(statement: str) -> Netlist:
+            module = Module("wide")
+            module.input("clk")
+            module.input("rst")
+            module.input("in_data", 128)
+            module.output("out", 64)
+            module.reg("r", 64)
+            module.sync([statement], ["r <= 64'd0;"])
+            module.assign("out", "r")
+            netlist = Netlist("wide")
+            netlist.add(module)
+            return netlist
+
+        result = check_equivalence(
+            wide("r <= in_data[127:64];"), wide("r <= 64'd0;")
+        )
+        assert result.stats["sequential_deferred"] == 1
+        assert not result.ok
+        assert {d.code for d in result.diagnostics} == {"STL-EQ-003"}
 
 
 class TestByteIdenticalSimulation:
