@@ -34,8 +34,6 @@ Wraps the Figure 1 flow for quick use without writing Python:
 * ``cache`` -- inspect or maintain the persistent design cache
   (``stats`` / ``gc`` / ``clear``; ``gc --per-stage`` water-fills the
   byte budget across stages);
-* ``bench`` -- time the reference sweep serial/cached/parallel and
-  write the ``BENCH_dse.json`` speedup report;
 * ``trace`` -- run a design with tracing enabled and write a Chrome
   ``trace_event`` JSON timeline plus a VCD waveform dump of the RTL
   interpreter;
@@ -589,23 +587,6 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from .exec.bench import main as bench_main
-
-    argv = [
-        "--size", str(args.size),
-        "--seed", str(args.seed),
-        "--repeats", str(args.repeats),
-        "--jobs", str(args.jobs),
-        "-o", args.output,
-    ]
-    if args.quick:
-        argv.append("--quick")
-    for only in args.only or []:
-        argv.extend(["--only", only])
-    return bench_main(argv)
-
-
 def cmd_report(args) -> int:
     from .report import design_report
 
@@ -974,37 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
         " ~/.cache/stellar-repro)",
     )
     serve_cmd.set_defaults(func=cmd_serve)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark the DSE engine; write BENCH_dse.json"
-    )
-    bench.add_argument("--size", type=int, default=8, help="per-index bound")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="worker processes for the parallel leg (0 = one per CPU)",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="small sweep, one repeat (the CI smoke configuration)",
-    )
-    bench.add_argument(
-        "--only",
-        action="append",
-        choices=[
-            "dse", "membuf", "dma", "merger", "kernel", "suite",
-            "autotune", "halving",
-        ],
-        default=None,
-        metavar="BENCH",
-        help="run only this benchmark family (repeatable; default all)",
-    )
-    bench.add_argument("-o", "--output", default="BENCH_dse.json")
-    bench.set_defaults(func=cmd_bench)
 
     trace = sub.add_parser(
         "trace", help="run with tracing; write Chrome JSON + VCD artifacts"

@@ -1,13 +1,13 @@
 """Microarchitecture overlay axes for the widened design space.
 
-PR 5's autotuner swept (transform, sparsity, balancing); the bench
-harness meanwhile swept membuf geometry, DMA in-flight depth, and
-regfile variants *by hand* (``repro bench --only membuf/dma``).  This
-module folds those three axes into :class:`~repro.dse.space.DesignSpace`
-as analytic *overlays*: a variant never changes what gets compiled or
-simulated -- it adjusts the simulated outcome by a deterministic
+The classic autotuner sweeps (transform, sparsity, balancing); membuf
+geometry, DMA in-flight depth and regfile variants are swept by hand in
+the membuf / DMA / regfile ablations.  This module folds those three
+axes into :class:`~repro.dse.space.DesignSpace` as analytic
+*overlays*: a variant never changes what gets compiled or simulated
+-- it adjusts the simulated outcome by a deterministic
 ``(extra_cycles, area_delta_um2)`` pair computed from the same
-cycle/area models the bench harness uses (:class:`~repro.sim.membuf.
+cycle/area models those ablations use (:class:`~repro.sim.membuf.
 MemBufSim` pipeline timing, :class:`~repro.sim.dma.DMASim` pointer-chase
 stalls, :class:`~repro.sim.regfile.RegfileSim` access latencies,
 :mod:`repro.area.model` SRAM/DMA constants).

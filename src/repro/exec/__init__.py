@@ -35,8 +35,9 @@ Persistence and batching layers on top:
   constraints, deterministically.  ``--autotune`` is its ``eta=1``
   (exhaustive) case over the non-widened space.
 
-:mod:`repro.exec.bench` records the wall-clock trajectory of a fixed
-reference sweep into ``BENCH_dse.json`` (``python -m repro bench``).
+Wall-clock speed is measured outside the package, by the end-to-end
+benchmark in ``benchmarks/e2e`` (plus ``benchmarks/speed_floors.py``
+for the ratios that have no end-to-end workload yet).
 """
 
 from .cache import (

@@ -118,6 +118,22 @@ class TestGoldenPins:
         """Two in-process runs of the same autotune agree row for row."""
         assert _pin_rows(_autotune("alexnet")) == _pin_rows(_autotune("alexnet"))
 
+    def test_resnet50_cap8_totals_and_warm_rerun(self):
+        """At cap 8 the fixed sweep and the autotuned winners both total
+        389 cycles, and a second autotune against the now-warm cache
+        returns identical rows."""
+        cache = CompileCache()
+
+        def suite():
+            return build_suite("resnet50", cap=8, seed=7)
+
+        fixed = evaluate_suite(suite(), jobs=1, cache=cache)
+        first = sweep_suite(suite(), autotune=True, jobs=1, cache=cache)
+        again = sweep_suite(suite(), autotune=True, jobs=1, cache=cache)
+        assert fixed.total_cycles == first.fixed_total_cycles == 389
+        assert first.total_cycles == 389
+        assert again.rows == first.rows
+
 
 class TestInvariants:
     def test_never_worse_than_fixed_design(self):

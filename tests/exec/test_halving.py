@@ -47,6 +47,22 @@ def _halve(suite_name="alexnet", **kwargs):
     return halving_autotune_suite(_suite(suite_name), **kwargs)
 
 
+@pytest.fixture(scope="module")
+def cap8_runs():
+    """Halving (``eta=2``) and exhaustive (``eta=1``) runs at cap 8,
+    seed 7 on each acceptance suite, sharing one cache per suite."""
+    runs = {}
+    for suite_name in ("resnet50", "alexnet", "suitesparse"):
+        cache = CompileCache()
+        runs[suite_name] = tuple(
+            halving_autotune_suite(
+                _suite(suite_name, cap=8), eta=eta, jobs=1, cache=cache
+            )
+            for eta in (2, 1)
+        )
+    return runs
+
+
 def _winner_rows(result):
     return [
         (r["name"], r["transform"], r["sparsity"], r["balancing"],
@@ -127,11 +143,22 @@ class TestDifferential:
             result = _halve(suite_name)
             assert result.total_cycles <= result.fixed_total_cycles
 
-    def test_never_worse_than_exhaustive_across_suites(self):
+    def test_never_worse_than_exhaustive_across_suites(self, cap8_runs):
         for suite_name in ("alexnet", "resnet50"):
             halved = _halve(suite_name, eta=2)
             exact = _halve(suite_name, eta=1)
             assert halved.total_cycles <= exact.total_cycles
+        # At cap 8 pruning loses nothing: both runs land on the same
+        # aggregate cycles on every suite.
+        totals = {
+            name: (halved.total_cycles, exact.total_cycles)
+            for name, (halved, exact) in cap8_runs.items()
+        }
+        assert totals == {
+            "resnet50": (389, 389),
+            "alexnet": (84, 84),
+            "suitesparse": (351, 351),
+        }
 
     def test_fixed_cycles_match_fixed_sweep(self):
         fixed = evaluate_suite(_suite(), jobs=1, cache=CompileCache())
@@ -170,6 +197,24 @@ class TestSchedule:
         # Pruning must actually shed work before the exact rung.
         assert result.full_fidelity_evaluations < result.exhaustive_evaluations
         assert result.evaluations_saved > 1.0
+
+    def test_cap8_saves_four_fold_full_fidelity_evaluations(self, cap8_runs):
+        """At cap 8 and eta=2 the ladder is cap2 -> cap4 -> full, each
+        rung halving the candidates, so every suite runs a quarter of
+        the exhaustive full-fidelity evaluations."""
+        for halved, _ in cap8_runs.values():
+            assert halved.ladder == [2, 4, None]
+            assert halved.evaluations_saved == 4.0
+        saved = {
+            name: (halved.full_fidelity_evaluations,
+                   halved.exhaustive_evaluations)
+            for name, (halved, _) in cap8_runs.items()
+        }
+        assert saved == {
+            "resnet50": (144, 576),
+            "alexnet": (160, 640),
+            "suitesparse": (608, 2432),
+        }
 
     def test_on_rung_events_bracket_every_rung(self):
         events = []
