@@ -21,7 +21,7 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.expr import SpecError
-from ..obs.profile import get_profiler
+from ..obs.profile import span
 from .diagnostics import (
     Diagnostic,
     Severity,
@@ -159,16 +159,14 @@ def check_design(
     instruction stream (a sequence of ``(opcode, rs1, rs2)`` triples)
     runs only level 3.
     """
-    profiler = get_profiler()
-
     if hasattr(design, "modules") and hasattr(design, "top_name"):
-        with profiler.scope("analysis.netlist"):
+        with span("analysis.netlist"):
             found = check_netlist(design)
         return DesignReport(
             name or design.top_name, _suppress(found, suppress), levels=["netlist"]
         )
     if _is_stream(design):
-        with profiler.scope("analysis.program"):
+        with span("analysis.program"):
             found = check_program(design)
         return DesignReport(
             name or "program", _suppress(found, suppress), levels=["program"]
@@ -179,7 +177,7 @@ def check_design(
     diagnostics: List[Diagnostic] = []
     levels = ["spec"]
 
-    with profiler.scope("analysis.spec"):
+    with span("analysis.spec"):
         diagnostics.extend(
             check_spec(
                 axes.spec,
@@ -212,10 +210,10 @@ def check_design(
             )
         else:
             levels.append("netlist")
-            with profiler.scope("analysis.netlist"):
+            with span("analysis.netlist"):
                 diagnostics.extend(check_netlist(netlist))
             levels.append("program")
-            with profiler.scope("analysis.program"):
+            with span("analysis.program"):
                 stream, unit_names = demo_program(compiled)
                 diagnostics.extend(check_program(stream, unit_names))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..obs.profile import get_profiler
+from ..obs.profile import span
 from .check import SCHEMA_VERSION, _compiled_of, discover_examples
 from .diagnostics import (
     Diagnostic,
@@ -164,13 +164,12 @@ def verify_design(
     from ..rtl.lowering import lower_design
     from ..rtl.passes import run_passes
 
-    profiler = get_profiler()
     if cache is not None:
         base = cache.lower(compiled, check=False)
     else:
         base = lower_design(compiled, check=False)
     optimized, results = run_passes(base, opt_level)
-    with profiler.scope("analysis.equiv"):
+    with span("analysis.equiv"):
         result = check_equivalence(
             base, optimized, cycles=cycles, seed=seed, design_name=name
         )

@@ -64,6 +64,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -240,11 +241,9 @@ def cmd_area(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from .obs import Tracer, dump_rtl_vcd, set_tracer, write_chrome_trace
+    from .obs import dump_rtl_vcd, tracing, write_chrome_trace
 
-    tracer = Tracer(capacity=args.capacity, enabled=True)
-    previous = set_tracer(tracer)
-    try:
+    with tracing(capacity=args.capacity) as tracer:
         accelerator = _build_accelerator(args)
         design = accelerator.build()
         tensors = _random_tensors(accelerator.spec, args.size, args.seed)
@@ -255,8 +254,6 @@ def cmd_trace(args) -> int:
         )
         trace_path = f"{args.output}.json"
         event_count = write_chrome_trace(tracer, trace_path)
-    finally:
-        set_tracer(previous)
     print(
         f"simulated {result.cycles} cycles at"
         f" {result.utilization:.1%} utilization"
@@ -273,16 +270,9 @@ def cmd_trace(args) -> int:
 
 def cmd_explore(args) -> int:
     from .dse import explore
+    from .obs import profiling
 
-    profiler = None
-    previous_profiler = None
-    if args.profile:
-        from .obs.profile import Profiler, set_profiler
-
-        profiler = Profiler(enabled=True)
-        previous_profiler = set_profiler(profiler)
-
-    try:
+    with profiling() if args.profile else nullcontext() as profiler:
         spec = SPECS[args.spec]()
         bounds = Bounds({name: args.size for name in spec.index_names})
         tensors = _random_tensors(spec, args.size, args.seed)
@@ -303,11 +293,6 @@ def cmd_explore(args) -> int:
             jobs=args.jobs,
             cache=not args.no_cache,
         )
-    finally:
-        if previous_profiler is not None:
-            from .obs.profile import set_profiler
-
-            set_profiler(previous_profiler)
 
     print(result.table())
     best = result.best_by("adp")
@@ -652,21 +637,11 @@ def cmd_check(args) -> int:
     if _missing_path("check", paths):
         return 2
 
-    profiler = None
-    previous_profiler = None
-    if args.profile:
-        from .obs.profile import Profiler, set_profiler
+    from .obs import profiling
 
-        profiler = Profiler(enabled=True)
-        previous_profiler = set_profiler(profiler)
     cache = _compile_cache(args)
-    try:
+    with profiling() if args.profile else nullcontext() as profiler:
         report = run_check(paths, suppress=args.suppress, cache=cache)
-    finally:
-        if previous_profiler is not None:
-            from .obs.profile import set_profiler
-
-            set_profiler(previous_profiler)
 
     status = _report_exit(args, report, report.text, report.max_severity())
     if profiler is not None:

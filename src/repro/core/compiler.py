@@ -26,8 +26,7 @@ from .iterspace import (
     apply_transform,
     elaborate,
 )
-from ..obs.profile import get_profiler
-from ..obs.trace import get_tracer
+from ..obs.profile import span
 from .memspec import MemoryBufferSpec
 from .passes.pipelining import PipeliningReport, analyze_pipelining
 from .passes.prune import PruneReport, prune_for_balancing, prune_for_sparsity
@@ -158,17 +157,15 @@ def compile_design(
     balancing = balancing or LoadBalancingScheme()
     membufs = dict(membufs or {})
 
-    profiler = get_profiler()
-    tracer = get_tracer()
-
     # The analysis gate runs before validate_schedule so its richer
     # multi-finding diagnostics win over the legacy first-failure error.
     if check:
         from ..analysis.diagnostics import AnalysisError, errors_only
         from ..analysis.spec import check_spec_annotations, check_spec_transform
 
-        with profiler.scope("analysis.spec"), tracer.span(
-            "check_spec", component="compiler", design=spec.name
+        with span(
+            "analysis.spec", "check_spec", component="compiler",
+            design=spec.name,
         ):
             if cache is not None:
                 transform_findings = cache.memo(
@@ -185,14 +182,16 @@ def compile_design(
         if findings:
             raise AnalysisError(findings)
 
-    with profiler.scope("compile.validate_schedule"), tracer.span(
-        "validate_schedule", component="compiler", design=spec.name
+    with span(
+        "compile.validate_schedule", "validate_schedule", component="compiler",
+        design=spec.name,
     ):
         validate_schedule(spec, transform)
 
     # Stage 1: the functional IterationSpace (Figure 9a).
-    with profiler.scope("compile.elaborate"), tracer.span(
-        "elaborate", component="compiler", design=spec.name
+    with span(
+        "compile.elaborate", "elaborate", component="compiler",
+        design=spec.name,
     ):
         if cache is not None:
             functional = cache.memo(
@@ -204,8 +203,9 @@ def compile_design(
             functional = elaborate(spec, bounds)
 
     # Stage 2: prune connections for sparsity and balancing (Figure 9b).
-    with profiler.scope("compile.prune"), tracer.span(
-        "prune", component="compiler", design=spec.name
+    with span(
+        "compile.prune", "prune", component="compiler",
+        design=spec.name,
     ):
         def _prune() -> Tuple[IterationSpace, Tuple[PruneReport, PruneReport]]:
             step1, sparsity_report = prune_for_sparsity(functional, sparsity)
@@ -221,21 +221,24 @@ def compile_design(
         reports: List[PruneReport] = list(report_pair)
 
     # Stage 3: map to physical space-time (Figure 9c).
-    with profiler.scope("compile.map_spacetime"), tracer.span(
-        "map_spacetime", component="compiler", design=spec.name
+    with span(
+        "compile.map_spacetime", "map_spacetime", component="compiler",
+        design=spec.name,
     ):
         array = apply_transform(pruned, transform)
 
     # Stage 4: the register-file optimization ladder (Figure 14).
-    with profiler.scope("compile.regfile_ladder"), tracer.span(
-        "regfile_ladder", component="compiler", design=spec.name
+    with span(
+        "compile.regfile_ladder", "regfile_ladder", component="compiler",
+        design=spec.name,
     ):
         regfile_plans = _plan_regfiles(
             spec, pruned, transform, membufs, sparsity, element_bits
         )
 
-    with profiler.scope("compile.analyze"), tracer.span(
-        "analyze", component="compiler", design=spec.name
+    with span(
+        "compile.analyze", "analyze", component="compiler",
+        design=spec.name,
     ):
         balancer = _plan_balancer(spec, balancing)
         pipelining = analyze_pipelining(spec, transform)

@@ -15,8 +15,8 @@ Three cooperating pieces (see DESIGN.md's "Performance engineering"):
   :func:`repro.dse.explore`, inline or fanned out over a
   :class:`ResidentPool` (one worker model: each worker keeps only its
   long-lived compile cache, each task carries its own operands inline),
-  with per-worker profiler/tracer/metric state merged back into the
-  parent's observability registry.
+  with each task's profiler, tracer and cache/store tallies merged back
+  into the parent's.
 
 Persistence and batching layers on top:
 

@@ -35,6 +35,7 @@ from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 from ..obs.metrics import MetricsRegistry
 from .fingerprint import FingerprintError, fingerprint
+from .store import DiskStoreStats
 
 T = TypeVar("T")
 
@@ -67,6 +68,16 @@ class CacheStats:
         else:
             self.misses += 1
             self.by_stage[stage] = (hits, misses + 1)
+
+    def merge(self, other: "CacheStats") -> None:
+        """Fold another cache's tallies (a worker task's) into these."""
+        self.hits += other.hits
+        self.misses += other.misses
+        self.uncacheable += other.uncacheable
+        self.disk_hits += other.disk_hits
+        for stage, (hits, misses) in other.by_stage.items():
+            h0, m0 = self.by_stage.get(stage, (0, 0))
+            self.by_stage[stage] = (h0 + hits, m0 + misses)
 
     @property
     def lookups(self) -> int:
@@ -101,10 +112,9 @@ class CompileCache:
 
     ``max_entries`` bounds the number of memoized values (least recently
     used evicted first); the identity->fingerprint memo is bounded by
-    the same limit.  Hit/miss counts are mirrored into ``registry`` as
-    ``exec.cache.{hits,misses,uncacheable,disk_hits}`` counters so they
-    merge across worker processes with the rest of the observability
-    state.
+    the same limit.  ``stats`` (and the store's ``stats``) are the only
+    tallies of cache traffic; :attr:`registry` presents them as
+    metrics.
 
     ``store`` (a :class:`~repro.exec.store.DiskStore`) adds the
     persistent tier: a memory miss consults the disk before building,
@@ -125,16 +135,25 @@ class CompileCache:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
         self.stats = CacheStats()
-        self.registry = MetricsRegistry()
-        self._hits = self.registry.counter("exec.cache.hits")
-        self._misses = self.registry.counter("exec.cache.misses")
-        self._uncacheable = self.registry.counter("exec.cache.uncacheable")
-        self._disk_hits = self.registry.counter("exec.cache.disk_hits")
         self._entries: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
         self._fp_memo: "OrderedDict[int, Tuple[object, str]]" = OrderedDict()
         self.store = store
-        if store is not None:
-            store.attach_registry(self.registry)
+
+    @property
+    def registry(self) -> MetricsRegistry:
+        """The tallies as counters, built on each read:
+        ``exec.cache.{hits,misses,uncacheable,disk_hits}`` and, with a
+        store, one ``exec.store.<tally>`` per :class:`DiskStoreStats`
+        field."""
+        registry = MetricsRegistry()
+        for name in ("hits", "misses", "uncacheable", "disk_hits"):
+            registry.counter(f"exec.cache.{name}").inc(getattr(self.stats, name))
+        if self.store is not None:
+            for name in DiskStoreStats.__slots__:
+                registry.counter(f"exec.store.{name}").inc(
+                    getattr(self.store.stats, name)
+                )
+        return registry
 
     # -- keying ---------------------------------------------------------
 
@@ -169,27 +188,22 @@ class CompileCache:
             digest = self.key(parts)
         except FingerprintError:
             self.stats.uncacheable += 1
-            self._uncacheable.inc()
             return build()
         entry_key = (stage, digest)
         cached = self._entries.get(entry_key, _MISSING)
         if cached is not _MISSING:
             self._entries.move_to_end(entry_key)
             self.stats.record(stage, hit=True)
-            self._hits.inc()
             return cached
         if self.store is not None:
             found, value = self.store.get(stage, digest)
             if found:
                 self.stats.record(stage, hit=True)
                 self.stats.disk_hits += 1
-                self._hits.inc()
-                self._disk_hits.inc()
                 self._insert(entry_key, value)
                 return value
         value = build()
         self.stats.record(stage, hit=False)
-        self._misses.inc()
         self._insert(entry_key, value)
         if self.store is not None:
             self.store.put(stage, digest, value)

@@ -26,9 +26,11 @@ the fuzz harness keep one alive across sweeps.  A worker's only state
 is its long-lived :class:`~repro.exec.cache.CompileCache` (with its own
 handle on the parent's persistent :class:`~repro.exec.store.DiskStore`
 root when there is one -- atomic entry writes make sharing the root
-safe).  Workers never share the parent's cache object; each ships
-hit/miss deltas home, which the parent folds into the sweep cache's
-stats and metrics registry.
+safe).  Workers never share the parent's cache object: each task runs
+on fresh :class:`~repro.exec.cache.CacheStats` and
+:class:`~repro.exec.store.DiskStoreStats` tallies and ships them home
+with its profiler and tracer, and the parent folds each one into its
+own with that type's ``merge``.
 
 Suites ride on the same sweep: a candidate may carry its own
 ``bounds``, a ``tensors_key`` naming an operand set in the sweep-wide
@@ -44,23 +46,19 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..area.energy import energy_from_counters
 from ..area.model import estimate_design_area
 from ..core.accelerator import Accelerator
 from ..core.expr import SpecError
-from ..obs.profile import Profiler, get_profiler, set_profiler
-from ..obs.trace import Tracer, get_tracer, set_tracer
+from ..obs.profile import get_profiler, profiling, span
+from ..obs.trace import get_tracer, tracing
 from ..sim.spatial_array import SpatialArraySim
 from .cache import CacheStats, CompileCache
 from .fingerprint import fingerprint
-from .store import (
-    DiskStore,
-    merge_store_stats,
-    store_stats_delta,
-    store_stats_snapshot,
-)
+from .store import DiskStore, DiskStoreStats
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -173,8 +171,6 @@ def _evaluate_point(
     the cached simulation, so overlay combos share one compile +
     simulate entry).
     """
-    profiler = get_profiler()
-    tracer = get_tracer()
     name = candidate["name"]
     skip_illegal = bool(candidate.get("skip_illegal", skip_illegal))
     bounds = candidate.get("bounds", bounds)
@@ -186,8 +182,8 @@ def _evaluate_point(
         balancing=candidate["balancing"],
         element_bits=element_bits,
     )
-    with profiler.scope("dse.point"), tracer.span(
-        name, component="dse",
+    with span(
+        "dse.point", name, component="dse",
         transform=candidate["transform_name"],
         sparsity=candidate["sparsity_name"],
         balancing=candidate["balancing_name"],
@@ -196,19 +192,19 @@ def _evaluate_point(
         # simulator (bad workload data, a broken transform round-trip) is
         # a real failure and must surface, not shrink the sweep.
         try:
-            with profiler.scope("dse.compile"):
+            with span("dse.compile"):
                 design = accelerator.build(cache=cache)
         except SpecError as err:
             if skip_illegal:
-                tracer.instant("illegal_point", component="dse", point=name)
+                get_tracer().instant("illegal_point", component="dse", point=name)
                 return {"status": "illegal", "name": name, "error": str(err)}
             raise
-        with profiler.scope("dse.simulate"):
+        with span("dse.simulate"):
             result = SpatialArraySim(
                 design.compiled, memo=cache,
                 fidelity=candidate.get("fidelity"),
             ).run(tensors)
-        with profiler.scope("dse.area"):
+        with span("dse.area"):
             area = estimate_design_area(design.compiled)
     cycles = int(result.cycles)
     area_um2 = float(area.total)
@@ -282,61 +278,6 @@ def evaluate_point(
 # ---------------------------------------------------------------------------
 
 
-def _stats_snapshot(cache: Optional[CompileCache]):
-    if cache is None:
-        return None
-    stats = cache.stats
-    return (
-        stats.hits,
-        stats.misses,
-        stats.uncacheable,
-        dict(stats.by_stage),
-        stats.disk_hits,
-        store_stats_snapshot(cache.store),
-    )
-
-
-def _stats_delta(before, after):
-    if before is None or after is None:
-        return None
-    by_stage = {}
-    for stage, (hits, misses) in after[3].items():
-        h0, m0 = before[3].get(stage, (0, 0))
-        if hits != h0 or misses != m0:
-            by_stage[stage] = (hits - h0, misses - m0)
-    return (
-        after[0] - before[0],
-        after[1] - before[1],
-        after[2] - before[2],
-        by_stage,
-        after[4] - before[4],
-        store_stats_delta(before[5], after[5]),
-    )
-
-
-def _apply_delta(cache: CompileCache, delta) -> None:
-    if delta is None:
-        return
-    hits, misses, uncacheable, by_stage, disk_hits, store_delta = delta
-    stats = cache.stats
-    stats.hits += hits
-    stats.misses += misses
-    stats.uncacheable += uncacheable
-    stats.disk_hits += disk_hits
-    for stage, (h, m) in by_stage.items():
-        h0, m0 = stats.by_stage.get(stage, (0, 0))
-        stats.by_stage[stage] = (h0 + h, m0 + m)
-    cache.registry.counter("exec.cache.hits").inc(hits)
-    cache.registry.counter("exec.cache.misses").inc(misses)
-    cache.registry.counter("exec.cache.uncacheable").inc(uncacheable)
-    cache.registry.counter("exec.cache.disk_hits").inc(disk_hits)
-    if cache.store is not None and store_delta:
-        merge_store_stats(cache.store.stats, store_delta)
-        for name, amount in store_delta.items():
-            if amount:
-                cache.registry.counter(f"exec.store.{name}").inc(amount)
-
-
 def _fork_context():
     import multiprocessing
 
@@ -362,16 +303,21 @@ def _run_resident_task(task) -> Dict[str, object]:
 
     ``task`` is ``(settings, index, candidate, tensors)``: the sweep's
     settings (see :func:`evaluate_sweep`), the candidate's position and
-    dict, and the candidate's own operand set.
+    dict, and the candidate's own operand set.  The outcome carries the
+    task's own profiler, tracer and cache/store tallies for the parent
+    to merge.
     """
     settings, index, candidate, tensors = task
     cache = _WORKER_CACHE if settings["use_cache"] else None
-    profiler = Profiler(enabled=True) if settings["profile"] else None
-    tracer = Tracer(enabled=True) if settings["trace"] else None
-    previous_profiler = set_profiler(profiler) if profiler is not None else None
-    previous_tracer = set_tracer(tracer) if tracer is not None else None
-    before = _stats_snapshot(cache)
-    try:
+    if cache is not None:
+        cache.stats = CacheStats()
+        if cache.store is not None:
+            cache.store.stats = DiskStoreStats()
+    with ExitStack() as observers:
+        profiler = (
+            observers.enter_context(profiling()) if settings["profile"] else None
+        )
+        tracer = observers.enter_context(tracing()) if settings["trace"] else None
         outcome = _evaluate_point(
             settings["spec"],
             settings["bounds"],
@@ -381,15 +327,13 @@ def _run_resident_task(task) -> Dict[str, object]:
             cache,
             settings["skip_illegal"],
         )
-    finally:
-        if profiler is not None:
-            set_profiler(previous_profiler)
-        if tracer is not None:
-            set_tracer(previous_tracer)
     outcome["index"] = index
     outcome["profile"] = profiler
     outcome["trace"] = tracer
-    outcome["cache_delta"] = _stats_delta(before, _stats_snapshot(cache))
+    outcome["cache_stats"] = cache.stats if cache is not None else None
+    outcome["store_stats"] = (
+        cache.store.stats if cache is not None and cache.store is not None else None
+    )
     return outcome
 
 
@@ -567,15 +511,18 @@ def evaluate_sweep(
         for future in futures:
             outcome = future.result()
             index = outcome.pop("index")
-            worker_profile = outcome.pop("profile", None)
-            worker_trace = outcome.pop("trace", None)
-            cache_delta = outcome.pop("cache_delta", None)
+            worker_profile = outcome.pop("profile")
+            worker_trace = outcome.pop("trace")
+            cache_stats = outcome.pop("cache_stats")
+            store_stats = outcome.pop("store_stats")
             if worker_profile is not None and profiler.enabled:
                 profiler.merge(worker_profile)
             if worker_trace is not None and tracer.enabled:
                 tracer.merge(worker_trace)
             if cache is not None:
-                _apply_delta(cache, cache_delta)
+                cache.stats.merge(cache_stats)
+                if cache.store is not None and store_stats is not None:
+                    cache.store.stats.merge(store_stats)
             outcomes[index] = outcome
             if on_outcome is not None:
                 on_outcome(index, outcome)

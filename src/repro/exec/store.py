@@ -54,7 +54,7 @@ except ImportError:  # pragma: no cover - Windows
 
 import numpy as np
 
-from ..obs.profile import get_profiler
+from ..obs.profile import span
 from .fingerprint import FINGERPRINT_VERSION
 
 #: Bump when the layout of cached products changes incompatibly --
@@ -162,6 +162,11 @@ class DiskStoreStats:
         self.bytes_written = 0
         self.evicted = 0
 
+    def merge(self, other: "DiskStoreStats") -> None:
+        """Fold another handle's tallies (a worker task's) into these."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
     @property
     def lookups(self) -> int:
         return self.hits + self.misses
@@ -258,7 +263,6 @@ class DiskStore:
         self,
         root: str,
         max_bytes: Optional[int] = None,
-        registry=None,
     ):
         self.root = os.path.expanduser(root)
         if max_bytes is None:
@@ -272,7 +276,6 @@ class DiskStore:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = max_bytes
         self.stats = DiskStoreStats()
-        self._registry = registry
         self._bytes_since_gc = 0
 
     @classmethod
@@ -308,24 +311,24 @@ class DiskStore:
     def get(self, stage: str, key: str) -> Tuple[bool, object]:
         """``(hit, value)``; every failure mode is ``(False, None)``."""
         path = self.entry_path(stage, key)
-        with get_profiler().scope("store.get"):
+        with span("store.get"):
             try:
                 with open(path, "rb") as handle:
                     raw = handle.read()
             except OSError:
-                self._count("misses")
+                self.stats.misses += 1
                 return False, None
             try:
                 value, payload_len = self._validate(raw, stage)
             except Exception:  # noqa: BLE001 -- any failure in validation
                 # or deserialization is a miss; a bad entry must never
                 # take the build down.
-                self._count("corrupt")
-                self._count("misses")
+                self.stats.corrupt += 1
+                self.stats.misses += 1
                 self._remove(path)
                 return False, None
             self.stats.bytes_read += payload_len
-            self._count("hits")
+            self.stats.hits += 1
             try:
                 os.utime(path)  # bump recency for the LRU GC
             except OSError:
@@ -358,11 +361,11 @@ class DiskStore:
     def put(self, stage: str, key: str, value: object) -> bool:
         """Persist ``value``; ``False`` (never an exception) on any
         serialization or filesystem failure."""
-        with get_profiler().scope("store.put"):
+        with span("store.put"):
             try:
                 fmt, payload = _encode(value)
             except Exception:  # noqa: BLE001 -- unpicklable: skip disk
-                self._count("write_failures")
+                self.stats.write_failures += 1
                 return False
             header = json.dumps(
                 {
@@ -390,12 +393,10 @@ class DiskStore:
                     self._remove(tmp)
                     raise
             except OSError:
-                self._count("write_failures")
+                self.stats.write_failures += 1
                 return False
-        self._count("writes")
+        self.stats.writes += 1
         self.stats.bytes_written += len(blob)
-        if self._registry is not None:
-            self._registry.counter("exec.store.bytes_written").inc(len(blob))
         self._bytes_since_gc += len(blob)
         # Amortized GC: only rescan the tree after writing a fair slice
         # of the budget, so steady-state sweeps pay ~zero for it.
@@ -577,8 +578,6 @@ class DiskStore:
 
         evicted = sum(report.values())
         self.stats.evicted += evicted
-        if evicted and self._registry is not None:
-            self._registry.counter("exec.store.evicted").inc(evicted)
         return report
 
     def _evict_lru(self, root: str, budget: int) -> int:
@@ -623,42 +622,9 @@ class DiskStore:
             pass
         return removed
 
-    def _count(self, what: str) -> None:
-        setattr(self.stats, what, getattr(self.stats, what) + 1)
-        if self._registry is not None:
-            self._registry.counter(f"exec.store.{what}").inc()
-
-    def attach_registry(self, registry) -> None:
-        """Mirror future tallies into ``registry`` as ``exec.store.*``."""
-        self._registry = registry
-
     def spawn_config(self) -> Dict[str, object]:
         """Constructor arguments for an equivalent handle in a worker."""
         return {"root": self.root, "max_bytes": self.max_bytes}
 
     def __repr__(self) -> str:
         return f"DiskStore({self.root!r}, {self.stats!r})"
-
-
-def merge_store_stats(into: DiskStoreStats, delta: Optional[Dict[str, int]]) -> None:
-    """Fold a worker's stat dict (from :func:`store_stats_delta`) home."""
-    if not delta:
-        return
-    for name in DiskStoreStats.__slots__:
-        setattr(into, name, getattr(into, name) + delta.get(name, 0))
-
-
-def store_stats_snapshot(store: Optional[DiskStore]) -> Optional[Dict[str, int]]:
-    if store is None:
-        return None
-    return {
-        name: getattr(store.stats, name) for name in DiskStoreStats.__slots__
-    }
-
-
-def store_stats_delta(
-    before: Optional[Dict[str, int]], after: Optional[Dict[str, int]]
-) -> Optional[Dict[str, int]]:
-    if before is None or after is None:
-        return None
-    return {name: after[name] - before[name] for name in before}

@@ -333,9 +333,9 @@ class StellarDriver:
         if self.check:
             from ..analysis.diagnostics import AnalysisError, errors_only
             from ..analysis.program import check_program, machine_unit_names
-            from ..obs.profile import get_profiler
+            from ..obs.profile import span
 
-            with get_profiler().scope("analysis.program"):
+            with span("analysis.program"):
                 findings = errors_only(
                     check_program(stream, machine_unit_names(self.machine))
                 )

@@ -10,8 +10,15 @@ Four cooperating pieces (see DESIGN.md's system inventory):
   compiler pass pipeline, and the DSE explorer; a no-op when disabled;
 * :mod:`repro.obs.export` -- Chrome ``trace_event`` JSON timelines and
   VCD waveform dumps of the RTL interpreter;
-* :mod:`repro.obs.profile` -- wall-clock scoped timers with per-pass
-  summary tables (``python -m repro explore --profile``).
+* :mod:`repro.obs.profile` -- :func:`span`, the one instrumentation
+  primitive: a wall-clock block that books total and self time into
+  the installed :class:`Profiler` (per-pass summary tables, ``python -m
+  repro explore --profile``) and emits one wall-domain event into the
+  installed :class:`Tracer`.
+
+The compile cache's tallies are not duplicated here:
+:attr:`repro.exec.cache.CompileCache.registry` builds its
+``exec.cache.*`` / ``exec.store.*`` counters from them when read.
 """
 
 from .export import VCDWriter, chrome_trace, dump_rtl_vcd, write_chrome_trace
@@ -22,7 +29,7 @@ from .metrics import (
     MetricsRegistry,
     render_name,
 )
-from .profile import Profiler, get_profiler, profiling, set_profiler
+from .profile import Profiler, get_profiler, profiling, set_profiler, span
 from .trace import TraceEvent, Tracer, get_tracer, set_tracer, tracing
 
 __all__ = [
@@ -42,6 +49,7 @@ __all__ = [
     "render_name",
     "set_profiler",
     "set_tracer",
+    "span",
     "tracing",
     "write_chrome_trace",
 ]

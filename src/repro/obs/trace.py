@@ -10,7 +10,8 @@ Events live in one of two time domains:
 * **cycle domain** -- timestamped by a simulated cycle number (the
   simulator and RTL interpreter);
 * **wall domain** -- timestamped by ``time.perf_counter`` (compiler
-  passes, DSE sweep points).
+  passes, DSE sweep points: the complete events every
+  :func:`repro.obs.span` emits).
 
 The exporter (:mod:`repro.obs.export`) renders each domain as its own
 process in a Chrome ``trace_event`` timeline.
@@ -203,24 +204,6 @@ class Tracer:
                 float(start_cycle), float(duration), payload or None,
             )
         )
-
-    @contextmanager
-    def span(self, name: str, component: str = "", **payload: object):
-        """Wall-clock scoped span: emits one complete event on exit."""
-        if not self.enabled:
-            yield self
-            return
-        start = self._clock()
-        try:
-            yield self
-        finally:
-            end = self._clock()
-            self._emit(
-                TraceEvent(
-                    name, component, KIND_COMPLETE, DOMAIN_WALL,
-                    start * 1e6, (end - start) * 1e6, payload or None,
-                )
-            )
 
     def merge(self, other: "Tracer") -> None:
         """Append another tracer's buffered events to this one.

@@ -84,9 +84,9 @@ def lower_design(
     if check:
         from ..analysis.diagnostics import AnalysisError, errors_only
         from ..analysis.netlist import check_netlist
-        from ..obs.profile import get_profiler
+        from ..obs.profile import span
 
-        with get_profiler().scope("analysis.netlist"):
+        with span("analysis.netlist"):
             findings = errors_only(check_netlist(netlist))
         if findings:
             raise AnalysisError(findings)

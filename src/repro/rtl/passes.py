@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..obs.profile import get_profiler
+from ..obs.profile import span
 from .netlist import Module, Netlist, PortDir, RTLError, expression_identifiers
 from .sim import parse_expression, parse_statement
 
@@ -774,11 +774,10 @@ def run_passes(
             raise ValueError(f"unknown pass {name!r}")
         merged[name] = PassResult(name)
         results.append(merged[name])
-    profiler = get_profiler()
     for _ in range(_MAX_PIPELINE_ITERATIONS):
         sweep_rewrites = 0
         for name in passes:
-            with profiler.scope(f"rtl.passes.{name}"):
+            with span(f"rtl.passes.{name}"):
                 sweep = _PASSES[name](optimized)
             for module_name, count in sweep.by_module.items():
                 merged[name].add(module_name, count)

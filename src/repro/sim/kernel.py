@@ -65,7 +65,7 @@ from ..core.expr import (
     WILDCARD,
 )
 from ..core.functionality import Assignment, AssignmentKind, FunctionalSpec
-from ..obs.profile import get_profiler
+from ..obs.profile import span
 from ..obs.trace import get_tracer
 
 #: Semantic version of the tracer/replay machinery.  Folded into the
@@ -181,9 +181,8 @@ class CompiledKernel:
         for name in self.spec.index_names:
             if name not in bounds:
                 raise SpecError(f"bounds missing index {name!r}")
-        profiler = get_profiler()
         tracer = get_tracer()
-        with profiler.scope("sim.kernel.replay"):
+        with span("sim.kernel.replay"):
             replayer = _Replay(self.spec, bounds, tensors)
             for step in self.steps:
                 replayer.run_step(step)
@@ -294,9 +293,8 @@ def compile_kernel(spec: FunctionalSpec) -> Optional[CompiledKernel]:
     the scalar interpreter must be used (the fallback contract); the
     reason is emitted as a ``kernel_fallback`` trace event.
     """
-    profiler = get_profiler()
     tracer = get_tracer()
-    with profiler.scope("sim.kernel.compile"):
+    with span("sim.kernel.compile"):
         try:
             kernel = _compile(spec)
         except KernelFallback as fallback:

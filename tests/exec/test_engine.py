@@ -259,3 +259,34 @@ class TestObservabilityMerge:
             set_profiler(previous)
         labels = {r.label: r.calls for r in profiler.records()}
         assert labels["dse.point"] == len(result.points)
+
+
+class TestTallies:
+    def test_parallel_sweep_folds_worker_tallies_into_the_same_objects(
+        self, workload, tmp_path
+    ):
+        from repro.exec.store import DiskStore, DiskStoreStats
+
+        bounds, tensors = workload
+        spec, kwargs = _sweep_kwargs()
+        cache = CompileCache(store=DiskStore(str(tmp_path / "store")))
+        stats, store_stats = cache.stats, cache.store.stats
+        result = explore(spec, bounds, tensors, cache=cache, jobs=2, **kwargs)
+        assert result.report.jobs == 2
+        # Mutated in place: holders of the old references see the sweep.
+        assert cache.stats is stats and cache.store.stats is store_stats
+        assert stats.lookups > 0 and store_stats.writes > 0
+        registry = cache.registry
+        for name in ("hits", "misses", "disk_hits", "uncacheable"):
+            assert (
+                registry.counter(f"exec.cache.{name}").value
+                == getattr(stats, name)
+            ), name
+        for name in DiskStoreStats.__slots__:
+            assert (
+                registry.counter(f"exec.store.{name}").value
+                == getattr(store_stats, name)
+            ), name
+        assert sum(hits + misses for hits, misses in stats.by_stage.values()) == (
+            stats.lookups
+        )

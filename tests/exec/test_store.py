@@ -6,13 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.exec.store import (
-    MAGIC,
-    DiskStore,
-    default_cache_dir,
-    store_stats_delta,
-    store_stats_snapshot,
-)
+from repro.exec.store import MAGIC, DiskStore, DiskStoreStats, default_cache_dir
 
 
 @pytest.fixture
@@ -257,17 +251,17 @@ class TestEnvironment:
 
 
 class TestStatsPlumbing:
-    def test_snapshot_delta(self, store):
-        before = store_stats_snapshot(store)
+    def test_merge_adds_every_tally(self, store):
         store.put("stage", KEY, 1)
         store.get("stage", KEY)
-        delta = store_stats_delta(before, store_stats_snapshot(store))
-        assert delta["writes"] == 1 and delta["hits"] == 1
-        assert delta["bytes_written"] > 0
-
-    def test_none_snapshots(self):
-        assert store_stats_snapshot(None) is None
-        assert store_stats_delta(None, None) is None
+        store.get("stage", "ef" * 32)
+        home = DiskStoreStats()
+        home.merge(store.stats)
+        home.merge(store.stats)
+        assert home.writes == 2 and home.hits == 2 and home.misses == 2
+        for name in DiskStoreStats.__slots__:
+            assert getattr(home, name) == 2 * getattr(store.stats, name)
+        assert home.bytes_written > 0
 
     def test_spawn_config_reconstructs(self, store):
         twin = DiskStore(**store.spawn_config())

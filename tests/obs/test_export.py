@@ -20,7 +20,8 @@ from repro.obs.export import (
     dump_rtl_vcd,
     write_chrome_trace,
 )
-from repro.obs.trace import Tracer
+from repro.obs.profile import span
+from repro.obs.trace import Tracer, set_tracer
 
 
 def parse_vcd(text):
@@ -181,8 +182,12 @@ class TestChromeTrace:
         tracer.instant("timestep", component="sim.array", cycle=3, live=4)
         tracer.end("run", component="sim.array", cycle=9)
         tracer.complete("xfer", component="sim.dma", start_cycle=2, duration=5)
-        with tracer.span("compile", component="compiler"):
-            pass
+        previous = set_tracer(tracer)
+        try:
+            with span("compile", component="compiler"):
+                pass
+        finally:
+            set_tracer(previous)
         return tracer
 
     def test_document_shape(self):

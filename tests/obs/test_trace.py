@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import Accelerator, Bounds, matmul_spec, output_stationary
+from repro.obs.profile import span
 from repro.obs.trace import Tracer, get_tracer, set_tracer, tracing
 
 
@@ -19,8 +20,12 @@ class TestDisabledPath:
         tracer.begin("b")
         tracer.end("b")
         tracer.complete("c", start_cycle=0, duration=5)
-        with tracer.span("d"):
-            pass
+        previous = set_tracer(tracer)
+        try:
+            with span("d"):
+                pass
+        finally:
+            set_tracer(previous)
         assert len(tracer) == 0
         assert tracer.events() == []
         assert tracer.dropped == 0
@@ -99,8 +104,12 @@ class TestEventShapes:
     def test_span_measures_wall_time(self):
         times = iter([1.0, 3.5])
         tracer = Tracer(enabled=True, clock=lambda: next(times))
-        with tracer.span("work", component="compiler"):
-            pass
+        previous = set_tracer(tracer)
+        try:
+            with span("work", component="compiler"):
+                pass
+        finally:
+            set_tracer(previous)
         (event,) = tracer.events()
         assert event.kind == "X"
         assert event.domain == "wall"

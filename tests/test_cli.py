@@ -146,6 +146,26 @@ class TestCommands:
         assert "compile.elaborate" in out
         assert "dse.simulate" in out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_explore_profile_adds_self_time_to_the_sweep(self, capsys, jobs):
+        # Every profiled span nests inside a sweep point, so the table's
+        # total (summed self time) is the dse.point total, and the
+        # shares of self time add up to 100%.
+        assert main(
+            ["explore", "--size", "3", "--profile", "--jobs", jobs]
+        ) == 0
+        out = capsys.readouterr().out
+        lines = out.split("per-pass timing:\n", 1)[1].splitlines()
+        header, rows, total = lines[0], lines[1:-1], lines[-1].split()
+        assert header.split()[-1] == "share"
+        cells = {row.split()[0]: row.split() for row in rows}
+        assert total[0] == "total"
+        assert float(total[2]) == pytest.approx(
+            float(cells["dse.point"][2]), abs=0.01
+        )
+        shares = [float(row.split()[-1].rstrip("%")) for row in rows]
+        assert sum(shares) == pytest.approx(100.0, abs=0.1)
+
     def test_balancing_option(self, capsys):
         code = main(
             [
