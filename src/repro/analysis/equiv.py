@@ -42,7 +42,13 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..obs.export import capture_rtl_trace, first_trace_divergence
 from ..rtl.netlist import Module, Netlist, PortDir
 from ..rtl.passes import canonicalize
-from ..rtl.sim import RTLSimulator, parse_expression, parse_statement
+from ..rtl.sim import (
+    RTLSimulator,
+    lvalue_base,
+    parse_expression,
+    parse_statement,
+    refs,
+)
 from .diagnostics import Diagnostic, Severity
 
 #: Node-count ceiling for cone inlining.  A cone that trips it is marked
@@ -219,14 +225,13 @@ class _Inliner:
         assign_rhs: Dict[str, object] = {}
         for assign in module.assigns:
             lhs = parse_expression(assign.lhs)
-            base = _ref_base(lhs)
-            bump(base)
+            bump(lvalue_base(lhs))
             if lhs[0] == "ref":
                 assign_rhs[lhs[1]] = parse_expression(assign.rhs)
         for block in module.sync_blocks:
             for text in list(block.statements) + list(block.reset_statements):
                 _cond, lvalue, _rhs = parse_statement(text)
-                bump(_ref_base(lvalue))
+                bump(lvalue_base(lvalue))
         for inst in module.instances:
             child = netlist_modules.get(inst.module_name)
             outputs = (
@@ -236,7 +241,7 @@ class _Inliner:
             )
             for port_name, text in inst.connections.items():
                 if port_name in outputs:
-                    bump(_ref_base(parse_expression(text)))
+                    bump(lvalue_base(parse_expression(text)))
 
         # A wire is inlinable when its one and only driver is a plain
         # whole-net assign; registers and ports hold externally visible
@@ -334,12 +339,6 @@ class _Inliner:
                 self._expand(node[3], stack),
             )
         return node
-
-
-def _ref_base(node) -> Optional[str]:
-    while node[0] in ("index", "slice"):
-        node = node[1]
-    return node[1] if node[0] == "ref" else None
 
 
 def _is_memory_ref(node, memories: Set[str]) -> bool:
@@ -510,39 +509,7 @@ def _memory_value(name: str, index: int, width: int) -> int:
 
 
 def _cone_leaves(node, memories: Set[str]) -> Set[str]:
-    leaves: Set[str] = set()
-
-    def walk(n) -> None:
-        if n[0] == "ref":
-            if n[1] not in memories:
-                leaves.add(n[1])
-            return
-        if n[0] == "literal":
-            return
-        if n[0] == "index":
-            if not _is_memory_ref(n[1], memories):
-                walk(n[1])
-            walk(n[2])
-            return
-        if n[0] == "slice":
-            walk(n[1]); walk(n[2]); walk(n[3])
-            return
-        if n[0] == "concat":
-            for part in n[1]:
-                walk(part)
-            return
-        if n[0] == "repl":
-            walk(n[1]); walk(n[2])
-            return
-        if n[0] == "unop":
-            walk(n[2])
-            return
-        if n[0] == "binop":
-            walk(n[2]); walk(n[3])
-            return
-
-    walk(node)
-    return leaves
+    return set(refs(node)) - memories
 
 
 def _bounded_refute(

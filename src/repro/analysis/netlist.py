@@ -1,14 +1,20 @@
 """Level 2: netlist dataflow lint (``STL-NL-*``).
 
 Extends the structural name-level checks with dataflow analyses over
-the structural RTL IR:
+the structural RTL IR.  The netlist has one grammar:
+:func:`repro.rtl.sim.parse_expression` and
+:func:`repro.rtl.sim.parse_statement`, which the RTL simulator, the
+passes and the equivalence checker also read.  The lint checks the ASTs
+they return:
 
-* **bit-width inference** over the expression strings of assigns, sync
-  statements, and instance connections, warning on mismatches
-  (``STL-NL-012``) -- a recursive-descent evaluator that understands
-  based literals, part/bit selects, memory element selects, concats,
-  replications, and the usual operators, with Verilog's convention that
-  unsized literals adapt to the other operand;
+* **language conformance** (``STL-NL-018``): an assign, sync statement
+  or instance connection the shared parser rejects is an error and the
+  other checks skip it, so the lint accepts no text the rest of the
+  stack cannot run;
+* **bit-width inference** over the ASTs of assigns, sync statements,
+  and instance connections, warning on mismatches (``STL-NL-012``) -- a
+  fold over the AST node kinds in which a literal is as wide as its node
+  says, so an unsized number is 32 bits, as the simulator evaluates it;
 * **combinational-loop detection** (``STL-NL-013``) via a cycle search
   over the per-module continuous-assign dependency graph (registers
   break cycles);
@@ -27,101 +33,18 @@ The structural checks are ``STL-NL-001`` .. ``STL-NL-011``.
 
 from __future__ import annotations
 
-import re
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..rtl.netlist import Module, Netlist, PortDir, expression_identifiers
+from ..rtl.netlist import Module, Netlist, PortDir, RTLError, expression_identifiers
+from ..rtl.passes import unparse
+from ..rtl.sim import lvalue_base, parse_expression, parse_statement, refs
 from .diagnostics import Diagnostic, Severity, suppress as _suppress
-
-_IDENT_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)")
-_WORD_IF = re.compile(r"^if\b")
-_WORD_ELSE = re.compile(r"^else\b")
-_LHS_SELECT = re.compile(
-    r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*"
-    r"(?:\[\s*(\d+)\s*(?::\s*(\d+)\s*)?\])?\s*$"
-)
-
-
-# ---------------------------------------------------------------------------
-# Statement parsing
-# ---------------------------------------------------------------------------
-
-
-def strip_guard(statement: str) -> str:
-    """Drop a leading ``if (...)`` guard (balanced parens) from a statement."""
-    text = statement.lstrip()
-    if not _WORD_IF.match(text):
-        return text
-    start = text.find("(")
-    if start < 0:
-        return text
-    depth = 0
-    for pos in range(start, len(text)):
-        if text[pos] == "(":
-            depth += 1
-        elif text[pos] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[pos + 1:].lstrip()
-    return text
-
-
-def sequential_assignments(statement: str) -> Iterator[Tuple[str, str]]:
-    """Yield every ``(lhs, rhs)`` nonblocking assignment in a sequential
-    statement, handling chained and else-arm forms such as
-    ``if (c) a <= x; else b <= y;`` (both ``a`` and ``b`` are targets)."""
-    for fragment in statement.split(";"):
-        fragment = fragment.strip()
-        while True:
-            if _WORD_ELSE.match(fragment):
-                fragment = fragment[4:].lstrip()
-                continue
-            if _WORD_IF.match(fragment):
-                stripped = strip_guard(fragment)
-                if stripped != fragment:
-                    fragment = stripped
-                    continue
-            break
-        if "<=" in fragment:
-            lhs, rhs = fragment.split("<=", 1)
-            if lhs.strip():
-                yield lhs.strip(), rhs.strip()
-
-
-def lhs_identifiers(statement: str) -> List[str]:
-    """Every identifier assigned by a sequential statement."""
-    names = []
-    for lhs, _ in sequential_assignments(statement):
-        match = _IDENT_RE.match(lhs)
-        if match:
-            names.append(match.group(1))
-    return names
-
-
-def leading_identifier(text: str) -> str:
-    match = _IDENT_RE.match(text)
-    return match.group(1) if match else ""
-
 
 # ---------------------------------------------------------------------------
 # Width inference
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<based>\d+'[bdh][0-9a-fA-FxzXZ_]+)"
-    r"|(?P<num>\d+)"
-    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op><<<|>>>|<<|>>|<=|>=|==|!=|&&|\|\||[-+*/%&|^~!<>()\[\]{},:?])"
-    r"|(?P<ws>\s+)"
-)
-
-_COMPARISON_OPS = frozenset({"==", "!=", "<", ">", "<=", ">=", "&&", "||"})
-_SHIFT_OPS = frozenset({"<<", ">>", "<<<", ">>>"})
-
-
-class _ParseAbort(Exception):
-    """Internal: the expression uses syntax the inferencer does not model;
-    width checking is skipped for it (never an error)."""
+_COMPARISON_OPS = frozenset({"==", "!=", "<", ">", "<=", ">="})
 
 
 class WidthEnv:
@@ -138,218 +61,59 @@ class WidthEnv:
                 self.memories.add(net.name)
 
 
-class _WidthParser:
-    """Recursive-descent width evaluator over one expression string.
-
-    Returns ``(bits, value)`` pairs: ``bits`` is ``None`` for unsized
-    literals (they adapt to the other operand, as in Verilog) and for
-    subexpressions the model cannot size; ``value`` is only tracked for
-    literal constants (needed for part-select bounds and replication
-    counts).
-    """
-
-    def __init__(self, text: str, env: WidthEnv, report):
-        self.tokens: List[Tuple[str, str]] = []
-        pos = 0
-        for match in _TOKEN_RE.finditer(text):
-            if match.start() != pos:
-                raise _ParseAbort()
-            pos = match.end()
-            if match.lastgroup != "ws":
-                self.tokens.append((match.lastgroup, match.group(0)))
-        if pos != len(text):
-            raise _ParseAbort()
-        self.pos = 0
-        self.env = env
-        self.report = report
-
-    # -- token plumbing -------------------------------------------------
-    def _peek(self) -> Optional[Tuple[str, str]]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self) -> Tuple[str, str]:
-        token = self._peek()
-        if token is None:
-            raise _ParseAbort()
-        self.pos += 1
-        return token
-
-    def _accept(self, text: str) -> bool:
-        token = self._peek()
-        if token is not None and token[1] == text:
-            self.pos += 1
-            return True
-        return False
-
-    def _expect(self, text: str) -> None:
-        if not self._accept(text):
-            raise _ParseAbort()
-
-    # -- grammar --------------------------------------------------------
-    def parse(self) -> Tuple[Optional[int], Optional[int]]:
-        result = self._ternary()
-        if self._peek() is not None:
-            raise _ParseAbort()
-        return result
-
-    def _ternary(self) -> Tuple[Optional[int], Optional[int]]:
-        condition = self._binary(0)
-        if self._accept("?"):
-            true_arm = self._ternary()
-            self._expect(":")
-            false_arm = self._ternary()
-            return _merge(true_arm[0], false_arm[0]), None
-        return condition
-
-    _LEVELS: Tuple[Tuple[str, ...], ...] = (
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>", "<<<", ">>>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
-    def _binary(self, level: int) -> Tuple[Optional[int], Optional[int]]:
-        if level >= len(self._LEVELS):
-            return self._unary()
-        left = self._binary(level + 1)
-        while True:
-            token = self._peek()
-            if token is None or token[1] not in self._LEVELS[level]:
-                return left
-            op = self._next()[1]
-            right = self._binary(level + 1)
-            if op in _COMPARISON_OPS:
-                left = (1, None)
-            elif op in _SHIFT_OPS:
-                left = (left[0], None)
-            else:
-                left = (_merge(left[0], right[0]), None)
-
-    def _unary(self) -> Tuple[Optional[int], Optional[int]]:
-        token = self._peek()
-        if token is not None and token[1] in ("!", "~", "-", "+", "&", "|", "^"):
-            op = self._next()[1]
-            operand = self._unary()
-            if op in ("!", "&", "|", "^"):
-                return (1, None)
-            return (operand[0], None)
-        return self._primary()
-
-    def _primary(self) -> Tuple[Optional[int], Optional[int]]:
-        token = self._next()
-        kind, text = token
-        if text == "(":
-            inner = self._ternary()
-            self._expect(")")
-            return inner
-        if text == "{":
-            return self._concat()
-        if kind == "based":
-            width_text, _, value_text = text.partition("'")
-            try:
-                value = int(value_text[1:].replace("_", ""), _base(value_text[0]))
-            except ValueError:
-                value = None
-            return int(width_text), value
-        if kind == "num":
-            return None, int(text)
-        if kind == "id":
-            return self._identifier(text)
-        raise _ParseAbort()
-
-    def _concat(self) -> Tuple[Optional[int], Optional[int]]:
-        first = self._ternary()
-        if self._accept("{"):
-            # Replication {N{expr}}: the count must be a known constant.
-            inner = self._ternary()
-            self._expect("}")
-            self._expect("}")
-            if first[1] is None or inner[0] is None:
-                return None, None
-            return first[1] * inner[0], None
-        widths = [first[0]]
-        while self._accept(","):
-            widths.append(self._ternary()[0])
-        self._expect("}")
-        if any(w is None for w in widths):
-            return None, None
-        return sum(widths), None
-
-    def _identifier(self, name: str) -> Tuple[Optional[int], Optional[int]]:
-        width = self.env.widths.get(name)
-        element_pending = name in self.env.memories
-        first = True
-        while self._peek() is not None and self._peek()[1] == "[":
-            self._next()
-            index = self._ternary()
-            if self._accept(":"):
-                low = self._ternary()
-                self._expect("]")
-                hi, lo = index[1], low[1]
-                if hi is None or lo is None:
-                    width = None
-                elif hi < lo:
-                    self.report(
-                        f"part-select [{hi}:{lo}] of {name!r} is reversed"
-                    )
-                    width = None
-                else:
-                    if width is not None and hi >= width:
-                        self.report(
-                            f"part-select [{hi}:{lo}] exceeds the"
-                            f" {width}-bit width of {name!r}"
-                        )
-                    width = hi - lo + 1
-            else:
-                self._expect("]")
-                if first and element_pending:
-                    pass  # memory element select keeps the element width
-                else:
-                    if (
-                        width is not None
-                        and index[1] is not None
-                        and index[1] >= width
-                    ):
-                        self.report(
-                            f"bit-select [{index[1]}] exceeds the"
-                            f" {width}-bit width of {name!r}"
-                        )
-                    width = 1
-            first = False
-        return width, None
-
-
-def _merge(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    """Width of a context-determined binary result; unsized adapts."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
-
-
-def _base(marker: str) -> int:
-    return {"b": 2, "d": 10, "h": 16}[marker]
-
-
 def infer_width(
-    expression: str, env: WidthEnv, report=lambda message: None
+    node, env: WidthEnv, report: Callable[[str], None] = lambda message: None
 ) -> Optional[int]:
-    """Inferred bit width of an expression, or None when unknown.
+    """Inferred bit width of an expression AST, or None when unknown.
 
-    ``report`` receives messages for range violations found on the way
-    (out-of-bounds part/bit selects).
+    Every subexpression is visited, and ``report`` receives a message
+    for each range violation found on the way (reversed or out-of-bounds
+    part/bit selects).  An operand of unknown width (an undeclared name,
+    a select with non-literal bounds) leaves a context-determined result
+    to the other operand.
     """
-    try:
-        return _WidthParser(expression, env, report).parse()[0]
-    except _ParseAbort:
+    kind = node[0]
+    if kind == "literal":
+        return node[2]
+    if kind == "ref":
+        return env.widths.get(node[1])
+    widths = [
+        infer_width(child, env, report)
+        for child in (node[1] if kind == "concat" else node[1:])
+        if type(child) is tuple
+    ]
+    if kind == "concat":
+        return None if None in widths else sum(widths)
+    if kind == "repl":
+        count = node[1]
+        if count[0] != "literal" or widths[1] is None:
+            return None
+        return count[1] * widths[1]
+    if kind == "unop":
+        return 1 if node[1] == "!" else widths[0]
+    if kind == "binop":
+        if node[1] in _COMPARISON_OPS:
+            return 1
+        known = [width for width in widths if width is not None]
+        return max(known) if known else None
+    base, width = node[1], widths[0]
+    if kind == "index" and base[0] == "ref" and base[1] in env.memories:
+        return width  # a memory element select keeps the element width
+    name = lvalue_base(base) or unparse(base)
+    if kind == "index":
+        bit = node[2]
+        if width is not None and bit[0] == "literal" and bit[1] >= width:
+            report(f"bit-select [{bit[1]}] exceeds the {width}-bit width of {name!r}")
+        return 1
+    if node[2][0] != "literal" or node[3][0] != "literal":
         return None
+    hi, lo = node[2][1], node[3][1]
+    if hi < lo:
+        report(f"part-select [{hi}:{lo}] of {name!r} is reversed")
+        return None
+    if width is not None and hi >= width:
+        report(f"part-select [{hi}:{lo}] exceeds the {width}-bit width of {name!r}")
+    return hi - lo + 1
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +134,27 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
     # Continuous drivers per signal: (lo, hi, description); hi None when the
     # driven range is not statically known (skipped by overlap detection).
     cont_drivers: Dict[str, List[Tuple[int, Optional[int], str]]] = {}
+    # (target, rhs AST) of every parsed continuous assign.
+    assign_graph: List[Tuple[Optional[str], tuple]] = []
 
     def emit(code, severity, message, suggestion=""):
         diagnostics.append(
             Diagnostic(code, severity, "netlist", message, loc, suggestion)
         )
+
+    def parsed(parse, text: str, where: str):
+        """The AST of ``text``, or None (reported) if the parser rejects it."""
+        try:
+            return parse(text)
+        except RTLError as error:
+            emit(
+                "STL-NL-018",
+                Severity.ERROR,
+                f"{text!r} in {where} is outside the netlist expression"
+                f" language: {error}",
+                suggestion="rewrite it in the subset repro.rtl.sim parses",
+            )
+            return None
 
     def check_refs(expression: str, where: str) -> None:
         for name in expression_identifiers(expression):
@@ -385,47 +165,43 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
                     f"undeclared identifier {name!r} in {where}",
                 )
 
-    def width_of(expression: str, where: str) -> Optional[int]:
+    def width_of(node, where: str) -> Optional[int]:
         def report(message: str) -> None:
             emit("STL-NL-017", Severity.ERROR, f"{message} in {where}")
 
-        return infer_width(expression, env, report)
+        return infer_width(node, env, report)
 
-    def check_widths(lhs: str, rhs: str, where: str) -> None:
+    def check_widths(target: str, lhs, rhs, where: str) -> None:
         lhs_width = width_of(lhs, where)
         rhs_width = width_of(rhs, where)
         if lhs_width is not None and rhs_width is not None and lhs_width != rhs_width:
             emit(
                 "STL-NL-012",
                 Severity.WARNING,
-                f"width mismatch in {where}: target {lhs!r} is"
+                f"width mismatch in {where}: target {target!r} is"
                 f" {lhs_width} bits but expression is {rhs_width} bits",
                 suggestion="resize one side or slice the wider value",
             )
 
-    def record_driver(lhs: str, description: str) -> None:
-        match = _LHS_SELECT.match(lhs)
-        if not match:
-            name = leading_identifier(lhs)
-            if name:
-                cont_drivers.setdefault(name, []).append((0, None, description))
-            return
-        name, hi_text, lo_text = match.groups()
-        if hi_text is None:
-            width = env.widths.get(name, 1)
-            cont_drivers.setdefault(name, []).append((0, width - 1, description))
-        elif lo_text is None:
-            bit = int(hi_text)
-            cont_drivers.setdefault(name, []).append((bit, bit, description))
+    def record_driver(name: str, lvalue, description: str) -> None:
+        kind, operands = lvalue[0], lvalue[2:]
+        if kind == "ref":
+            span = (0, env.widths.get(name, 1) - 1)
+        elif lvalue[1][0] != "ref" or any(op[0] != "literal" for op in operands):
+            span = (0, None)
         else:
-            cont_drivers.setdefault(name, []).append(
-                (int(lo_text), int(hi_text), description)
-            )
+            span = (operands[-1][1], operands[0][1])  # [hi] or [hi:lo]
+        cont_drivers.setdefault(name, []).append((*span, description))
 
     # --- Continuous assigns --------------------------------------------
     for assign in module.assigns:
-        name = leading_identifier(assign.lhs)
         where = f"assign {assign.lhs}"
+        lhs = parsed(parse_expression, assign.lhs, where)
+        rhs = None if lhs is None else parsed(parse_expression, assign.rhs, where)
+        if rhs is None:
+            continue
+        name = lvalue_base(lhs)
+        assign_graph.append((name, rhs))
         if name in regs:
             emit(
                 "STL-NL-002",
@@ -435,31 +211,35 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
         elif name not in wires | outputs:
             emit("STL-NL-004", Severity.ERROR, f"assign drives undeclared {name!r}")
         driven.add(name)
-        record_driver(assign.lhs, where)
+        if name:
+            record_driver(name, lhs, where)
         check_refs(assign.rhs, where)
         if name in declared:
-            check_widths(assign.lhs, assign.rhs, where)
+            check_widths(assign.lhs, lhs, rhs, where)
 
     # --- Sync blocks ----------------------------------------------------
+    def sync_target(statement: str) -> Optional[str]:
+        """Check one sync statement; returns the name it drives, or None
+        when the parser rejects it."""
+        parts = parsed(parse_statement, statement, "sync block")
+        if parts is None:
+            return None
+        check_refs(statement, "sync block")
+        _cond, lvalue, rhs = parts
+        name = lvalue_base(lvalue)
+        if name not in regs:
+            emit("STL-NL-003", Severity.ERROR, f"sync block drives non-reg {name!r}")
+        driven.add(name)
+        if name in declared:
+            target = unparse(lvalue)
+            check_widths(target, lvalue, rhs, f"sync statement {target} <= ...")
+        return name
+
     sync_block_of: Dict[str, int] = {}
     for block_index, block in enumerate(module.sync_blocks):
-        block_driven: Set[str] = set()
-        for stmt in list(block.statements) + list(block.reset_statements):
-            check_refs(stmt, "sync block")
-            for lhs, rhs in sequential_assignments(stmt):
-                name = leading_identifier(lhs)
-                if not name:
-                    continue
-                if name not in regs:
-                    emit(
-                        "STL-NL-003",
-                        Severity.ERROR,
-                        f"sync block drives non-reg {name!r}",
-                    )
-                driven.add(name)
-                block_driven.add(name)
-                if name in declared:
-                    check_widths(lhs, rhs, f"sync statement {lhs} <= ...")
+        block_driven = {sync_target(stmt) for stmt in block.statements}
+        reset_covered = {sync_target(stmt) for stmt in block.reset_statements}
+        block_driven = (block_driven | reset_covered) - {None}
         for name in sorted(block_driven):
             previous = sync_block_of.get(name)
             if previous is not None and previous != block_index:
@@ -470,9 +250,6 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
                 )
             sync_block_of[name] = block_index
         if block.reset_statements:
-            reset_covered: Set[str] = set()
-            for stmt in block.reset_statements:
-                reset_covered.update(lhs_identifiers(stmt))
             for name in sorted(block_driven - reset_covered - env.memories):
                 emit(
                     "STL-NL-016",
@@ -498,6 +275,9 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
         }
         for port_name, signal in inst.connections.items():
             where = f"instance {inst.instance_name}.{port_name}"
+            node = parsed(parse_expression, signal, where)
+            if node is None:
+                continue
             if not child.has_port(port_name):
                 emit(
                     "STL-NL-008",
@@ -508,7 +288,7 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
                 continue
             check_refs(signal, where)
             port = child.port(port_name)
-            signal_width = width_of(signal, where)
+            signal_width = width_of(node, where)
             if signal_width is not None and signal_width != port.width:
                 emit(
                     "STL-NL-012",
@@ -517,10 +297,10 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
                     f" but {signal!r} is {signal_width} bits",
                 )
             if port.direction is PortDir.OUTPUT:
-                name = leading_identifier(signal)
+                name = lvalue_base(node)
                 if name:
                     driven.add(name)
-                    record_driver(signal, where)
+                    record_driver(name, node, where)
         for port_name in sorted(child_inputs - set(inst.connections)):
             emit(
                 "STL-NL-009",
@@ -549,7 +329,7 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
                 break
 
     # --- Combinational loops over the assign graph ----------------------
-    diagnostics.extend(_check_comb_loops(module, regs, env.memories, loc))
+    diagnostics.extend(_check_comb_loops(assign_graph, regs, env.memories, loc))
 
     # --- Dead nets -------------------------------------------------------
     used: Set[str] = set()
@@ -575,21 +355,19 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
 
 
 def _check_comb_loops(
-    module: Module, regs: Set[str], memories: Set[str], loc: str
+    assign_graph: List[Tuple[Optional[str], tuple]],
+    regs: Set[str],
+    memories: Set[str],
+    loc: str,
 ) -> List[Diagnostic]:
     """Cycles in the continuous-assign dependency graph are combinational
     loops; registers (sync-driven) legally break feedback paths."""
     sequential = regs | memories
     edges: Dict[str, List[str]] = {}
-    for assign in module.assigns:
-        target = leading_identifier(assign.lhs)
+    for target, rhs in assign_graph:
         if not target or target in sequential:
             continue
-        deps = [
-            name
-            for name in expression_identifiers(assign.rhs)
-            if name not in sequential
-        ]
+        deps = [name for name in refs(rhs) if name not in sequential]
         edges.setdefault(target, []).extend(deps)
 
     diagnostics: List[Diagnostic] = []

@@ -10,8 +10,10 @@ renders as synthesizable-style text and the netlist dataflow analyzer
 
 The IR is deliberately flat and explicit: expressions inside assigns and
 always-blocks are plain strings over declared identifiers, which keeps the
-emitter trivial while the lint still verifies that every referenced
-identifier is declared and every output is driven.
+emitter trivial.  Their only grammar is the parser in :mod:`repro.rtl.sim`
+(``parse_expression`` / ``parse_statement``): the simulator, the passes,
+the equivalence checker and the lint all read its ASTs, and the lint
+reports text it rejects.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 from ..obs.profile import span
 from .netlist import Module, Netlist, PortDir, RTLError, expression_identifiers
-from .sim import parse_expression, parse_statement
+from .sim import lvalue_base, parse_expression, parse_statement, refs
 
 #: Version of the pass pipeline's semantics.  Any change to what a rung
 #: rewrites MUST bump this: :meth:`repro.exec.cache.CompileCache.lower`
@@ -451,24 +451,15 @@ def _driver_counts(module: Module, netlist: Netlist) -> Dict[str, int]:
     def bump(name: str) -> None:
         counts[name] = counts.get(name, 0) + 1
 
-    def lvalue_base(text: str) -> Optional[str]:
-        node = parse_expression(text)
-        while node[0] in ("index", "slice"):
-            node = node[1]
-        return node[1] if node[0] == "ref" else None
-
     for assign in module.assigns:
-        base = lvalue_base(assign.lhs)
+        base = lvalue_base(parse_expression(assign.lhs))
         if base:
             bump(base)
     for block in module.sync_blocks:
         for text in list(block.statements) + list(block.reset_statements):
-            _cond, lvalue, _rhs = parse_statement(text)
-            node = lvalue
-            while node[0] in ("index", "slice"):
-                node = node[1]
-            if node[0] == "ref":
-                bump(node[1])
+            base = lvalue_base(parse_statement(text)[1])
+            if base:
+                bump(base)
     for inst in module.instances:
         child = netlist.modules.get(inst.module_name)
         if child is None:
@@ -476,7 +467,7 @@ def _driver_counts(module: Module, netlist: Netlist) -> Dict[str, int]:
         outputs = {p.name for p in child.ports if p.direction is PortDir.OUTPUT}
         for port_name, text in inst.connections.items():
             if port_name in outputs:
-                base = lvalue_base(text)
+                base = lvalue_base(parse_expression(text))
                 if base:
                     bump(base)
     return counts
@@ -653,37 +644,26 @@ def dead_nets(netlist: Netlist) -> PassResult:
                 for text in inst.connections.values():
                     live.update(expression_identifiers(text))
 
-            def reads_outside_self(text: str, target: Optional[str]) -> Iterable[str]:
-                return (
-                    name
-                    for name in expression_identifiers(text)
-                    if name != target
-                )
-
+            # Index/slice expressions inside an lvalue are reads too.
             for assign in module.assigns:
-                target = _base_name(assign.lhs)
-                live.update(reads_outside_self(assign.rhs, target))
-                # Index/slice expressions inside the lvalue are reads too.
+                target = lvalue_base(parse_expression(assign.lhs))
                 live.update(
                     name
-                    for name in expression_identifiers(assign.lhs)
+                    for text in (assign.rhs, assign.lhs)
+                    for name in expression_identifiers(text)
                     if name != target
                 )
             for block in module.sync_blocks:
                 for text in list(block.statements) + list(block.reset_statements):
                     cond, lvalue, rhs = parse_statement(text)
-                    target = _lvalue_base(lvalue)
-                    if cond is not None:
-                        live.update(reads_outside_self(unparse(cond), target))
-                    live.update(reads_outside_self(unparse(rhs), target))
-                    node = lvalue
-                    while node[0] in ("index", "slice"):
-                        live.update(
-                            name
-                            for name in expression_identifiers(unparse(node[2]))
-                            if name != target
-                        )
-                        node = node[1]
+                    target = lvalue_base(lvalue)
+                    live.update(
+                        name
+                        for node in (cond, lvalue, rhs)
+                        if node is not None
+                        for name in refs(node)
+                        if name != target
+                    )
 
             dead = [net for net in module.nets if net.name not in live]
             if not dead:
@@ -693,43 +673,26 @@ def dead_nets(netlist: Netlist) -> PassResult:
             for name in dead_names:
                 module._names.pop(name, None)
             module.assigns = [
-                a for a in module.assigns if _base_name(a.lhs) not in dead_names
+                a
+                for a in module.assigns
+                if lvalue_base(parse_expression(a.lhs)) not in dead_names
             ]
             for block in module.sync_blocks:
                 block.statements = [
                     s
                     for s in block.statements
-                    if _statement_target(s) not in dead_names
+                    if lvalue_base(parse_statement(s)[1]) not in dead_names
                 ]
                 block.reset_statements = [
                     s
                     for s in block.reset_statements
-                    if _statement_target(s) not in dead_names
+                    if lvalue_base(parse_statement(s)[1]) not in dead_names
                 ]
             module.sync_blocks = [
                 b for b in module.sync_blocks if b.statements or b.reset_statements
             ]
             result.add(module.name, len(dead))
     return result
-
-
-def _base_name(text: str) -> Optional[str]:
-    node = parse_expression(text)
-    while node[0] in ("index", "slice"):
-        node = node[1]
-    return node[1] if node[0] == "ref" else None
-
-
-def _lvalue_base(lvalue) -> Optional[str]:
-    node = lvalue
-    while node[0] in ("index", "slice"):
-        node = node[1]
-    return node[1] if node[0] == "ref" else None
-
-
-def _statement_target(text: str) -> Optional[str]:
-    _cond, lvalue, _rhs = parse_statement(text)
-    return _lvalue_base(lvalue)
 
 
 # ---------------------------------------------------------------------------

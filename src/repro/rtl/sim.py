@@ -8,11 +8,17 @@ values across module instances (including slice-connected buses), and
 committing synchronous blocks on each clock edge with synchronous reset.
 
 The expression language is exactly the subset the lowering emits:
-identifiers, sized literals (``16'd3``, ``1'b0``), ``+ - * < <= > >= ==
-!= & | !``, bit-slices ``x[hi:lo]``, memory subscripts ``mem[expr]``,
-concatenations ``{a, b}``, and guarded non-blocking assignments
-``if (cond) lhs <= rhs;``.  Values are Python integers masked to their
-declared widths, so overflow behaves as hardware would.
+identifiers, sized literals (``16'd3``, ``1'b0``) and unsized 32-bit
+numbers, ``+ - * < <= > >= == != & | ! ~``, bit-slices ``x[hi:lo]``,
+memory subscripts ``mem[expr]``, concatenations ``{a, b}``, replications
+``{n{x}}``, and guarded non-blocking assignments ``if (cond) lhs <= rhs;``.
+Values are Python integers masked to their declared widths, so overflow
+behaves as hardware would.
+
+:func:`parse_expression` and :func:`parse_statement` are the netlist
+IR's only grammar: the RTL passes, the equivalence checker and the
+netlist lint all read the ASTs they return, so text one of them accepts
+the others can run.
 
 Three things keep the interpretation cheap:
 
@@ -64,7 +70,10 @@ def _literal_value(token: str) -> Tuple[int, int]:
     """Parse a sized literal; returns (value, width)."""
     width_text, rest = token.split("'")
     base = {"b": 2, "d": 10, "h": 16}[rest[0]]
-    return int(rest[1:].replace("_", ""), base), int(width_text)
+    try:
+        return int(rest[1:].replace("_", ""), base), int(width_text)
+    except ValueError:
+        raise RTLError(f"malformed literal {token!r}") from None
 
 
 class _Parser:
@@ -151,8 +160,13 @@ class _Parser:
             return ("literal", value, width)
         if token.isdigit():
             return ("literal", int(self.take()), 32)
-        name = self.take()
-        return self._postfix(("ref", name))
+        return self._postfix(("ref", self.name()))
+
+    def name(self) -> str:
+        token = self.take()
+        if not (token[0].isalpha() or token[0] == "_"):
+            raise RTLError(f"expected an identifier, found {token!r}")
+        return token
 
     def _postfix(self, node):
         while self.peek() == "[":
@@ -187,7 +201,7 @@ def parse_statement(text: str):
         parser.take("(")
         cond = parser.expression()
         parser.take(")")
-    lvalue = parser._postfix(("ref", parser.take()))
+    lvalue = parser._postfix(("ref", parser.name()))
     parser.take("<=")
     rhs = parser.expression()
     if parser.peek() == ";":
@@ -195,6 +209,24 @@ def parse_statement(text: str):
     if parser.peek() is not None:
         raise RTLError(f"trailing tokens in statement {text!r}")
     return cond, lvalue, rhs
+
+
+def lvalue_base(node) -> Optional[str]:
+    """The signal an lvalue writes: the ref under its selects, if any."""
+    while node[0] in ("index", "slice"):
+        node = node[1]
+    return node[1] if node[0] == "ref" else None
+
+
+def refs(node) -> Iterator[str]:
+    """Every identifier an AST names, depth first, repeats included."""
+    kind = node[0]
+    if kind == "ref":
+        yield node[1]
+    elif kind != "literal":
+        for child in node[1] if kind == "concat" else node[1:]:
+            if type(child) is tuple:
+                yield from refs(child)
 
 
 # ---------------------------------------------------------------------------

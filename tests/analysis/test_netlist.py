@@ -1,13 +1,11 @@
 """Level 2 golden tests: netlist dataflow lint (STL-NL-*)."""
 
-from repro.analysis import Severity, check_netlist
-from repro.analysis.netlist import (
-    check_module,
-    infer_width,
-    lhs_identifiers,
-    sequential_assignments,
-    WidthEnv,
-)
+import os
+
+import pytest
+
+from repro.analysis import Severity, check_netlist, discover_examples
+from repro.analysis.netlist import check_module, infer_width, WidthEnv
 from repro.core import Accelerator, Bounds
 from repro.core.dataflow import output_stationary
 from repro.rtl.lowering import lower_design
@@ -18,7 +16,15 @@ from repro.rtl.netlist import (
     Netlist,
     Port,
     PortDir,
+    RTLError,
     SyncBlock,
+)
+from repro.rtl.passes import run_passes
+from repro.rtl.sim import RTLSimulator, parse_expression
+
+EXAMPLES_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "examples",
 )
 
 
@@ -34,21 +40,33 @@ def _netlist(module):
     return netlist
 
 
-# --- Satellite: chained/else-arm LHS extraction -------------------------
+# --- One grammar: text the shared parser rejects is STL-NL-018 ----------
 
 
-def test_else_arm_assignments_both_extracted():
-    stmt = "if (en) a <= x; else b <= y;"
-    assert list(sequential_assignments(stmt)) == [("a", "x"), ("b", "y")]
-    assert lhs_identifiers(stmt) == ["a", "b"]
+def _statement_findings(statement):
+    module = _module()
+    module.nets.append(Net("r", 8, is_reg=True))
+    module.sync_blocks.append(SyncBlock([statement]))
+    return check_module(module, _netlist(module))
 
 
-def test_chained_sequential_statements_extracted():
-    stmt = "a <= x; b <= y; if (go) c <= z;"
-    assert [lhs for lhs, _ in sequential_assignments(stmt)] == ["a", "b", "c"]
+def test_else_arm_statement_is_outside_the_language():
+    (diag,) = _statement_findings("if (en) r <= 8'd1; else r <= 8'd2;")
+    assert diag.code == "STL-NL-018"
+    assert diag.severity is Severity.ERROR
+    assert diag.message == (
+        "\"if (en) r <= 8'd1; else r <= 8'd2;\" in sync block is outside the"
+        " netlist expression language: trailing tokens in statement"
+        " \"if (en) r <= 8'd1; else r <= 8'd2;\""
+    )
 
 
-def test_else_arm_target_counts_as_driven():
+def test_chained_statements_are_outside_the_language():
+    findings = _statement_findings("r <= 8'd1; r <= 8'd2; if (go) r <= 8'd3;")
+    assert [d.code for d in findings] == ["STL-NL-018"]
+
+
+def test_rejected_statement_is_skipped_by_other_checks():
     module = _module()
     module.ports.append(Port("en", PortDir.INPUT, 1))
     module.ports.append(Port("a", PortDir.OUTPUT, 8))
@@ -61,10 +79,49 @@ def test_else_arm_target_counts_as_driven():
         SyncBlock(["if (en) a_r <= 8'd1; else b_r <= 8'd2;"])
     )
     findings = check_module(module, _netlist(module))
-    # The old lint missed b_r and would flag nothing here either, but it
-    # also failed to attribute the else-arm drive; the analyzer must not
-    # report b_r as undriven or either reg as a non-reg drive.
-    assert findings == []
+    # One report for the statement; no driver, width or reset finding is
+    # drawn from text the simulator cannot run.
+    assert [d.code for d in findings] == ["STL-NL-018"]
+
+
+def _form_netlist(kind, text):
+    module = Module("top")
+    for name in ("clk", "rst", "en"):
+        module.input(name)
+    module.output("out", 8)
+    module.reg("r", 8)
+    if kind == "sync":
+        module.sync([text])
+        module.assign("out", "r")
+    else:
+        module.sync(["r <= r + 8'd1;"])
+        module.assign("out", text)
+    return _netlist(module)
+
+
+_FORMS = {
+    "else-arm": ("sync", "if (en) r <= 8'd1; else r <= 8'd2;"),
+    "two-assignments": ("sync", "r <= 8'd1; r <= 8'd2;"),
+    "ternary": ("assign", "en ? r : 8'd0"),
+    "shift": ("assign", "r << 1"),
+    "x-literal": ("assign", "8'hx"),
+    "bad-digit": ("assign", "8'dff"),
+    "control": ("assign", "r + 8'd1"),
+}
+
+
+@pytest.mark.parametrize("kind, text", list(_FORMS.values()), ids=list(_FORMS))
+def test_lint_and_simulator_agree_on_the_language(kind, text):
+    netlist = _form_netlist(kind, text)
+    try:
+        RTLSimulator(netlist)
+    except RTLError:
+        rejected = True
+    else:
+        rejected = False
+    codes = [d.code for d in check_netlist(netlist)]
+    assert ("STL-NL-018" in codes) == rejected
+    assert rejected == (text != _FORMS["control"][1])
 
 
 # --- Width inference -----------------------------------------------------
@@ -76,14 +133,37 @@ def test_width_inference_core_forms():
     module.nets.append(Net("w16", 16))
     module.nets.append(Net("mem", 32, is_reg=True, depth=4))
     env = WidthEnv(module)
-    assert infer_width("8'd3", env) == 8
-    assert infer_width("w8 + 8'd1", env) == 8
-    assert infer_width("w16[7:0]", env) == 8
-    assert infer_width("w16[3]", env) == 1
-    assert infer_width("{w8, w8}", env) == 16
-    assert infer_width("{4{w8}}", env) == 32
-    assert infer_width("w8 == 8'd7", env) == 1
-    assert infer_width("mem[w8]", env) == 32
+
+    def width(text):
+        return infer_width(parse_expression(text), env)
+
+    assert width("8'd3") == 8
+    assert width("w8 + 8'd1") == 8
+    assert width("w16[7:0]") == 8
+    assert width("w16[3]") == 1
+    assert width("{w8, w8}") == 16
+    assert width("{4{w8}}") == 32
+    assert width("w8 == 8'd7") == 1
+    assert width("mem[w8]") == 32
+    # Unsized numbers are 32 bits, as the simulator evaluates them.
+    assert width("w8 + 1") == 32
+    # Selects apply to any base, not only to a name.
+    assert width("(w8 + w16)[3:0]") == 4
+
+
+def test_range_reports_name_the_select_base():
+    module = _module()
+    module.nets.append(Net("w8", 8))
+    env = WidthEnv(module)
+    reports = []
+    infer_width(parse_expression("{w8[9:0], w8[8], w8[0:3], (w8 + w8)[8]}"), env,
+                reports.append)
+    assert reports == [
+        "part-select [9:0] exceeds the 8-bit width of 'w8'",
+        "bit-select [8] exceeds the 8-bit width of 'w8'",
+        "part-select [0:3] of 'w8' is reversed",
+        "bit-select [8] exceeds the 8-bit width of '(w8 + w8)'",
+    ]
 
 
 def test_width_mismatch_exact_diagnostic():
@@ -139,13 +219,13 @@ def test_reset_coverage_warns_only_with_reset_arm():
     module.nets.append(Net("r1", 8, is_reg=True))
     module.nets.append(Net("r2", 8, is_reg=True))
     module.sync_blocks.append(
-        SyncBlock(["r1 <= 8'd1; r2 <= 8'd2;"], reset_statements=["r1 <= 8'd0;"])
+        SyncBlock(["r1 <= 8'd1;", "r2 <= 8'd2;"], reset_statements=["r1 <= 8'd0;"])
     )
     findings = check_module(module, _netlist(module))
     assert [d.code for d in findings] == ["STL-NL-016"]
     assert "r2" in findings[0].message
     # No reset arm at all: nothing to be inconsistent with.
-    module.sync_blocks[0] = SyncBlock(["r1 <= 8'd1; r2 <= 8'd2;"])
+    module.sync_blocks[0] = SyncBlock(["r1 <= 8'd1;", "r2 <= 8'd2;"])
     assert check_module(module, _netlist(module)) == []
 
 
@@ -174,6 +254,15 @@ def test_generated_design_is_clean_and_gate_passes(spec):
     ).build()
     netlist = lower_design(design.compiled)  # check=True by default
     assert check_netlist(netlist) == []
+    # Every example, at every optimization rung.
+    targets = discover_examples([EXAMPLES_DIR])
+    assert len(targets) == 5
+    for target in targets:
+        base = lower_design(target.build().build().compiled)
+        for opt_level in (0, 1, 2):
+            optimized, _ = run_passes(base, opt_level)
+            findings = check_netlist(optimized)
+            assert findings == [], (target.name, opt_level, findings)
 
 
 def test_missing_top_keeps_exact_legacy_string():

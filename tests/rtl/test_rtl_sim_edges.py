@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rtl.netlist import Module, Netlist, RTLError
-from repro.rtl.sim import RTLSimulator
+from repro.rtl.sim import RTLSimulator, parse_expression, parse_statement
 
 
 def _netlist(module: Module) -> Netlist:
@@ -155,3 +155,16 @@ class TestErrors:
         module.assign("a", "a + 1'b1")  # a = !a: oscillates, never settles
         with pytest.raises(RTLError):
             RTLSimulator(_netlist(module))
+
+
+class TestParserErrors:
+    @pytest.mark.parametrize("literal", ["8'dff", "8'b102", "8'd_"])
+    def test_malformed_literal_raises_rtl_error_naming_it(self, literal):
+        with pytest.raises(RTLError, match=f"malformed literal \"{literal}\""):
+            parse_expression(f"a + {literal}")
+
+    def test_only_an_identifier_is_a_name(self):
+        with pytest.raises(RTLError, match="expected an identifier, found '<'"):
+            parse_expression("a < <")
+        with pytest.raises(RTLError, match="expected an identifier, found \"8'd1\""):
+            parse_statement("8'd1 <= a;")
