@@ -29,11 +29,8 @@ import time
 import numpy as np
 
 import repro
-from repro.cli import SPARSITIES, TRANSFORMS, _random_tensors
 from repro.core import Bounds, matmul_spec
-from repro.core.balancing import LoadBalancingScheme, row_shift_scheme
-from repro.core.sparsity import SparsityStructure
-from repro.dse.explorer import explore
+from repro.dse.explorer import run_explore
 from repro.exec.cache import CompileCache
 from repro.sim.kernel import compile_kernel
 
@@ -59,25 +56,10 @@ def _best_of(fn, repeats):
 
 
 def quick(size=6, seed=0):
-    spec = matmul_spec()
-    bounds = Bounds({name: size for name in spec.index_names})
-    tensors = _random_tensors(spec, size, seed)
-    sparsities = {"dense": SparsityStructure()}
-    sparsities.update(
-        (name, factory(spec)) for name, factory in SPARSITIES.items() if factory
-    )
-    kwargs = dict(
-        transforms={name: factory() for name, factory in TRANSFORMS.items()},
-        sparsities=sparsities,
-        balancings={
-            "none": LoadBalancingScheme(),
-            "row-shift": row_shift_scheme(size // 2),
-        },
-    )
     times, points = [], []
     for cache, jobs in ((False, None), (True, None), (CompileCache(), 0)):
         start = time.perf_counter()
-        result = explore(spec, bounds, tensors, cache=cache, jobs=jobs, **kwargs)
+        result = run_explore("matmul", size, seed, jobs=jobs, cache=cache)
         times.append(time.perf_counter() - start)
         points.append([
             (p.name, p.cycles, round(p.utilization, 12), round(p.area_um2, 6))

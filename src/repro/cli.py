@@ -56,7 +56,9 @@ Wraps the Figure 1 flow for quick use without writing Python:
   same 0/1/2 exit contract as ``check``.
 
 Specs, dataflows, sparsity structures, and balancing schemes are selected
-by name; the registries below are the same objects the library exposes.
+by name: specs and sparsities from the registries of
+:mod:`repro.dse.explorer` (shared with the served ``explore`` request),
+dataflows and balancings from the registries below.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .core import Accelerator, Bounds, matmul_spec
+from .core import Accelerator, Bounds
 from .core.balancing import (
     LoadBalancingScheme,
     flexible_pe_scheme,
@@ -81,32 +83,14 @@ from .core.dataflow import (
     output_stationary,
     weight_stationary,
 )
-from .core.functionality import batched_matmul_spec, conv1d_spec
-from .core.sparsity import (
-    SparsityStructure,
-    a100_two_four,
-    csr_b_matrix,
-    csr_csc_both,
-)
-
-SPECS: Dict[str, Callable] = {
-    "matmul": matmul_spec,
-    "conv1d": conv1d_spec,
-    "bmm": batched_matmul_spec,
-}
+from .core.sparsity import SparsityStructure
+from .dse.explorer import SPARSITIES, SPECS, random_tensors
 
 TRANSFORMS: Dict[str, Callable] = {
     "output-stationary": output_stationary,
     "input-stationary": input_stationary,
     "weight-stationary": weight_stationary,
     "hexagonal": hexagonal,
-}
-
-SPARSITIES: Dict[str, Optional[Callable]] = {
-    "dense": None,
-    "b-csr": csr_b_matrix,
-    "outer-product": csr_csc_both,
-    "a100-2-4": a100_two_four,
 }
 
 BALANCINGS: Dict[str, Optional[Callable]] = {
@@ -133,40 +117,6 @@ def _build_accelerator(args) -> Accelerator:
     )
 
 
-def _random_tensors(spec, size: int, seed: int):
-    """Random inputs sized to cover every access the spec makes.
-
-    Subscripts may be affine combinations of indices (``I[ox + f]``), so
-    each tensor axis is sized to the maximum subscript value over the
-    iteration domain plus one.
-    """
-    from .core.expr import IndexExpr
-    from .core.functionality import AssignmentKind
-
-    bounds = Bounds({name: size for name in spec.index_names})
-    max_env = {name: size - 1 for name in spec.index_names}
-    extents: Dict[str, list] = {}
-    for assignment in spec.assignments:
-        if assignment.kind is AssignmentKind.OUTPUT:
-            continue
-        for access in assignment.rhs.references():
-            if access.target.name not in {t.name for t in spec.input_tensors()}:
-                continue
-            sizes = extents.setdefault(access.target.name, [1] * access.target.rank)
-            for axis, sub in enumerate(access.subscripts):
-                if isinstance(sub, IndexExpr):
-                    sizes[axis] = max(sizes[axis], sub.evaluate(max_env, bounds) + 1)
-                else:
-                    sizes[axis] = max(sizes[axis], size)
-
-    rng = np.random.default_rng(seed)
-    tensors = {}
-    for tensor in spec.input_tensors():
-        shape = tuple(extents.get(tensor.name, [size] * tensor.rank))
-        tensors[tensor.name] = rng.integers(-4, 5, shape)
-    return tensors
-
-
 def cmd_generate(args) -> int:
     design = _build_accelerator(args).build()
     problems = design.to_netlist().lint()
@@ -190,7 +140,7 @@ def cmd_generate(args) -> int:
 def cmd_simulate(args) -> int:
     accelerator = _build_accelerator(args)
     design = accelerator.build()
-    tensors = _random_tensors(accelerator.spec, args.size, args.seed)
+    tensors = random_tensors(accelerator.spec, args.size, args.seed)
     result = design.run(tensors)
     reference = accelerator.spec.interpret(accelerator.bounds, tensors)
     ok = all(
@@ -246,7 +196,7 @@ def cmd_trace(args) -> int:
     with tracing(capacity=args.capacity) as tracer:
         accelerator = _build_accelerator(args)
         design = accelerator.build()
-        tensors = _random_tensors(accelerator.spec, args.size, args.seed)
+        tensors = random_tensors(accelerator.spec, args.size, args.seed)
         result = design.run(tensors)
         vcd_path = f"{args.output}.vcd"
         rtl_cycles = dump_rtl_vcd(
@@ -269,29 +219,13 @@ def cmd_trace(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    from .dse import explore
+    from .dse.explorer import run_explore
     from .obs import profiling
 
     with profiling() if args.profile else nullcontext() as profiler:
-        spec = SPECS[args.spec]()
-        bounds = Bounds({name: args.size for name in spec.index_names})
-        tensors = _random_tensors(spec, args.size, args.seed)
-        sparsities = {"dense": SparsityStructure()}
-        for name, factory in SPARSITIES.items():
-            if factory is not None and args.spec == "matmul":
-                sparsities[name] = factory(spec)
-        result = explore(
-            spec,
-            bounds,
-            tensors,
-            transforms={name: factory() for name, factory in TRANSFORMS.items()},
-            sparsities=sparsities,
-            balancings={
-                "none": LoadBalancingScheme(),
-                "row-shift": row_shift_scheme(args.size // 2),
-            },
-            jobs=args.jobs,
-            cache=not args.no_cache,
+        result = run_explore(
+            args.spec, args.size, args.seed,
+            jobs=args.jobs, cache=not args.no_cache,
         )
 
     print(result.table())
@@ -731,6 +665,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _objective(text: str) -> str:
+    # Imported here, not at parser build: only ``sweep`` pays for it.
+    from .exec.halving import OBJECTIVES
+
+    if text not in OBJECTIVES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from"
+            f" {', '.join(map(repr, OBJECTIVES))})"
+        )
+    return text
+
+
 def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", choices=sorted(SPECS), default="matmul")
     parser.add_argument(
@@ -836,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--objective",
-        choices=["cycles", "energy", "edp"],
+        type=_objective,
         default="cycles",
         help="autotuning objective minimized on each layer's Pareto"
         " frontier (default cycles)",

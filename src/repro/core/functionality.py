@@ -34,7 +34,7 @@ The spec exposes the analyses the compiler needs:
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -198,6 +198,20 @@ class FunctionalSpec:
                 return assignment
         return None
 
+    def computed_locals(self) -> frozenset:
+        """Locals with an interior recurrence.
+
+        The recurrence defines such a local at *every* in-domain point;
+        its boundary INPUT/INIT rules describe the phantom slot one step
+        outside the domain (the paper's ``k.lowerBound`` initialization)
+        and only answer out-of-domain reads.
+        """
+        return frozenset(
+            a.variable.name
+            for a in self.assignments
+            if a.kind is AssignmentKind.COMPUTE
+        )
+
     def has_data_dependent_accesses(self) -> bool:
         """True for merge/sort-style specs with value-typed subscripts."""
         return any(
@@ -318,44 +332,12 @@ class FunctionalSpec:
             result = replay_interpret(self, bounds, tensors)
             if result is not None:
                 return result
-        values: Dict[Tuple[str, Tuple[int, ...]], Union[int, float]] = {}
         outputs: Dict[str, Dict[Tuple[int, ...], Union[int, float]]] = {
             t.name: {} for t in self.output_tensors()
         }
-        interpreter = _Interpreter(self, bounds, tensors, values)
-        # A variable with an interior recurrence is defined by it at *every*
-        # in-domain point; its boundary INPUT/INIT rules describe the phantom
-        # slot one step outside the domain (the paper's ``k.lowerBound``
-        # initialization) and are only consulted by out-of-domain reads.
-        has_compute = {
-            a.variable.name
-            for a in self.assignments
-            if a.kind is AssignmentKind.COMPUTE
-        }
-
+        interpreter = _Interpreter(self, bounds, tensors)
         for point in bounds.domain(self.index_names):
-            env = dict(zip(self.index_names, point))
-            ctx = EvalContext(env, bounds, interpreter.read)
-            for assignment in self.assignments:
-                if not self._applies_at(assignment, env, bounds):
-                    continue
-                if assignment.kind is AssignmentKind.OUTPUT:
-                    coords = tuple(
-                        int(s.evaluate(env, bounds)) for s in assignment.lhs.subscripts
-                    )
-                    outputs[assignment.lhs.target.name][coords] = (
-                        assignment.rhs.evaluate(ctx)
-                    )
-                else:
-                    if (
-                        assignment.kind is not AssignmentKind.COMPUTE
-                        and assignment.variable.name in has_compute
-                    ):
-                        continue
-                    key = (assignment.variable.name, point)
-                    if key not in values:
-                        values[key] = assignment.rhs.evaluate(ctx)
-
+            interpreter.step(point, outputs)
         return {
             name: _dict_to_array(cells, tensors)
             for name, cells in outputs.items()
@@ -373,14 +355,65 @@ class FunctionalSpec:
         return True
 
 
-class _Interpreter:
-    """Resolves local-variable reads, following recurrences and boundaries."""
+def _undefined_read(name: str, coords: Tuple[int, ...]) -> SpecError:
+    return SpecError(f"read of {name} at {coords} before definition")
 
-    def __init__(self, spec, bounds, tensors, values):
+
+class _Interpreter:
+    """Steps the spec's rules one point at a time, resolving local reads
+    through recurrences and boundary rules.
+
+    ``unproduced`` builds the error for an in-domain read of a value no
+    earlier step stored; the simulator passes its own, which blames the
+    space-time schedule.
+    """
+
+    def __init__(
+        self, spec, bounds, tensors,
+        unproduced: Callable[[str, Tuple[int, ...]], SpecError] = _undefined_read,
+    ):
         self.spec = spec
         self.bounds = bounds
         self.tensors = tensors
-        self.values = values
+        self.unproduced = unproduced
+        self.values: Dict[Tuple[str, Tuple[int, ...]], Union[int, float]] = {}
+        self.computed = spec.computed_locals()
+
+    def step(
+        self,
+        point: Tuple[int, ...],
+        outputs: Dict[str, Dict[Tuple[int, ...], Union[int, float]]],
+    ) -> Tuple[int, int]:
+        """Fire every rule that applies at ``point``: store its locals'
+        values and write its output cells into ``outputs``.  Returns the
+        regfile traffic, ``(input reads, output writes)``."""
+        spec, bounds = self.spec, self.bounds
+        env = dict(zip(spec.index_names, point))
+        ctx = EvalContext(env, bounds, self.read)
+        reads = writes = 0
+        for assignment in spec.assignments:
+            if not spec._applies_at(assignment, env, bounds):
+                continue
+            if assignment.kind is AssignmentKind.OUTPUT:
+                coords = tuple(
+                    int(s.evaluate(env, bounds)) for s in assignment.lhs.subscripts
+                )
+                outputs[assignment.lhs.target.name][coords] = (
+                    assignment.rhs.evaluate(ctx)
+                )
+                writes += 1
+                continue
+            if (
+                assignment.kind is not AssignmentKind.COMPUTE
+                and assignment.variable.name in self.computed
+            ):
+                continue
+            key = (assignment.variable.name, point)
+            if key not in self.values:
+                self.values[key] = assignment.rhs.evaluate(ctx)
+            if assignment.kind is AssignmentKind.INPUT:
+                reads += 1
+        return reads, writes
 
     def read(self, symbol: Symbol, coords: Tuple[int, ...]):
         if isinstance(symbol, Tensor):
@@ -414,7 +447,7 @@ class _Interpreter:
                     f"read of {symbol.name} at out-of-domain point {coords} with"
                     f" no boundary rule on axis {name!r}"
                 )
-        raise SpecError(f"read of {symbol.name} at {coords} before definition")
+        raise self.unproduced(symbol.name, coords)
 
 
 def _dict_to_array(

@@ -29,10 +29,24 @@ values (see :mod:`repro.core.passes.prune`).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .expr import WILDCARD, Expr, Index, SpecError, Tensor
+from .expr import WILDCARD, Access, Comparison, Expr, Index, SpecError, Tensor
 from .functionality import FunctionalSpec
+
+
+def row_operand(condition: Expr) -> Optional[Access]:
+    """The whole-row access a skip condition tests, if any.
+
+    In ``A(i, ->) == 0`` (Listing 2) a wildcard access on the left of a
+    top-level comparison reads as its row's any-nonzero flag (0 or 1).
+    A wildcard anywhere else cannot be evaluated.
+    """
+    if isinstance(condition, Comparison):
+        lhs = condition.lhs
+        if isinstance(lhs, Access) and any(s is WILDCARD for s in lhs.subscripts):
+            return lhs
+    return None
 
 
 class Skip:

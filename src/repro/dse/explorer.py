@@ -12,17 +12,23 @@ model, and extracts the Pareto frontier over (cycles, area).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.balancing import LoadBalancingScheme
+from ..core.balancing import LoadBalancingScheme, row_shift_scheme
 from ..core.dataflow import SpaceTimeTransform
-from ..core.expr import Bounds, SpecError
-from ..core.functionality import FunctionalSpec
-from ..core.sparsity import SparsityStructure
+from ..core.expr import Bounds, IndexExpr, SpecError
+from ..core.functionality import (
+    AssignmentKind,
+    FunctionalSpec,
+    batched_matmul_spec,
+    conv1d_spec,
+    matmul_spec,
+)
+from ..core.sparsity import SparsityStructure, a100_two_four, csr_b_matrix, csr_csc_both
 from ..obs.trace import get_tracer
-from .space import DesignSpace
+from .space import DesignSpace, standard_transforms
 
 if TYPE_CHECKING:
     # Annotation-only: the runtime imports live inside explore(), so
@@ -30,6 +36,22 @@ if TYPE_CHECKING:
     # imports back into repro.dse for the autotuner).
     from ..exec.cache import CompileCache
     from ..exec.engine import EngineReport
+
+
+#: Functional specs by name (``--spec``, the served ``explore`` request).
+SPECS: Dict[str, Callable[[], FunctionalSpec]] = {
+    "matmul": matmul_spec,
+    "conv1d": conv1d_spec,
+    "bmm": batched_matmul_spec,
+}
+
+#: Sparsity structures for the matmul spec by name (``None`` is dense).
+SPARSITIES: Dict[str, Optional[Callable[[FunctionalSpec], SparsityStructure]]] = {
+    "dense": None,
+    "b-csr": csr_b_matrix,
+    "outer-product": csr_csc_both,
+    "a100-2-4": a100_two_four,
+}
 
 
 class DesignPoint:
@@ -244,3 +266,64 @@ def explore(
     if not points:
         raise SpecError("no legal design points in the given space")
     return ExplorationResult(points, report=report)
+
+
+def random_tensors(spec: FunctionalSpec, size: int, seed: int):
+    """Random inputs sized to cover every access the spec makes.
+
+    Subscripts may be affine combinations of indices (``I[ox + f]``), so
+    each tensor axis is sized to the maximum subscript value over the
+    iteration domain plus one.
+    """
+    bounds = Bounds({name: size for name in spec.index_names})
+    max_env = {name: size - 1 for name in spec.index_names}
+    extents: Dict[str, list] = {}
+    for assignment in spec.assignments:
+        if assignment.kind is AssignmentKind.OUTPUT:
+            continue
+        for access in assignment.rhs.references():
+            if access.target.name not in {t.name for t in spec.input_tensors()}:
+                continue
+            sizes = extents.setdefault(access.target.name, [1] * access.target.rank)
+            for axis, sub in enumerate(access.subscripts):
+                if isinstance(sub, IndexExpr):
+                    sizes[axis] = max(sizes[axis], sub.evaluate(max_env, bounds) + 1)
+                else:
+                    sizes[axis] = max(sizes[axis], size)
+
+    rng = np.random.default_rng(seed)
+    tensors = {}
+    for tensor in spec.input_tensors():
+        shape = tuple(extents.get(tensor.name, [size] * tensor.rank))
+        tensors[tensor.name] = rng.integers(-4, 5, shape)
+    return tensors
+
+
+def run_explore(
+    spec_name: str,
+    size: int,
+    seed: int,
+    jobs: Optional[int] = None,
+    cache: Union[bool, CompileCache, None] = True,
+) -> ExplorationResult:
+    """The design-space sweep behind ``repro explore`` and the served
+    ``explore`` request: every dataflow, the matmul sparsities and two
+    balancings over a random workload of ``size`` per index."""
+    spec = SPECS[spec_name]()
+    sparsities = {"dense": SparsityStructure()}
+    for name, factory in SPARSITIES.items():
+        if factory is not None and spec_name == "matmul":
+            sparsities[name] = factory(spec)
+    return explore(
+        spec,
+        Bounds({name: size for name in spec.index_names}),
+        random_tensors(spec, size, seed),
+        transforms=standard_transforms(),
+        sparsities=sparsities,
+        balancings={
+            "none": LoadBalancingScheme(),
+            "row-shift": row_shift_scheme(size // 2),
+        },
+        jobs=jobs,
+        cache=cache,
+    )

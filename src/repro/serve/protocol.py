@@ -23,7 +23,9 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, Optional, Tuple
 
+from ..dse.explorer import SPECS
 from ..exec.fingerprint import fingerprint
+from ..exec.halving import OBJECTIVES as _OBJECTIVE_MEASURES
 
 #: Protocol revision, echoed in ``pong`` replies.  Bump on any change
 #: that an old client would misread.  Version 2 added the successive-
@@ -35,11 +37,11 @@ PROTOCOL_VERSION = 2
 #: Request types the server accepts.
 REQUEST_TYPES = ("sweep", "explore", "metrics", "ping", "shutdown")
 
-#: Autotune objectives (mirrors ``repro sweep --objective``).
-OBJECTIVES = ("cycles", "energy", "edp")
+#: Autotune objectives (those of ``repro sweep --objective``).
+OBJECTIVES = tuple(_OBJECTIVE_MEASURES)
 
 #: DSE specs servable through an ``explore`` request.
-EXPLORE_SPECS = ("matmul", "conv1d", "bmm")
+EXPLORE_SPECS = tuple(SPECS)
 
 #: Upper bound on the per-index size of an ``explore`` request: the
 #: sweep is cubic in this, and the service should never be wedged by

@@ -472,34 +472,12 @@ class EvalServer:
         return payload
 
     def _evaluate_explore(self, request, emit_row) -> Dict[str, object]:
-        from ..cli import SPARSITIES, SPECS, TRANSFORMS, _random_tensors
-        from ..core import Bounds
-        from ..core.balancing import LoadBalancingScheme, row_shift_scheme
-        from ..core.sparsity import SparsityStructure
-        from ..dse import explore
+        from ..dse.explorer import run_explore
 
-        spec = SPECS[request["spec"]]()
         size = request["size"]
-        bounds = Bounds({name: size for name in spec.index_names})
-        tensors = _random_tensors(spec, size, request["seed"])
-        sparsities = {"dense": SparsityStructure()}
-        for name, factory in SPARSITIES.items():
-            if factory is not None and request["spec"] == "matmul":
-                sparsities[name] = factory(spec)
-        result = explore(
-            spec,
-            bounds,
-            tensors,
-            transforms={
-                name: factory() for name, factory in TRANSFORMS.items()
-            },
-            sparsities=sparsities,
-            balancings={
-                "none": LoadBalancingScheme(),
-                "row-shift": row_shift_scheme(size // 2),
-            },
-            jobs=self.jobs,
-            cache=self.cache,
+        result = run_explore(
+            request["spec"], size, request["seed"],
+            jobs=self.jobs, cache=self.cache,
         )
         for index, point in enumerate(result.points):
             emit_row(

@@ -27,13 +27,18 @@ out-of-range axis selects the rule, and only the lanes that need a
 boundary value evaluate its right-hand side (compressed to 1-D so a
 discarded lane can never raise a spurious error).
 
-**Fallback contract** (same as ``_batch_condition``): any expression
-shape the tracer does not recognize -- data-dependent accesses,
-multi-step or multi-reference recurrences, locals without a compute
-rule, a missing boundary rule at replay time -- raises
-:class:`KernelFallback`, and callers transparently re-run the scalar
-interpreter.  The two paths are required to agree byte for byte; the
-differential suite in ``tests/exec/test_differential.py`` proves it.
+**Fallback contract**: any expression shape the tracer does not
+recognize -- data-dependent accesses, multi-step or multi-reference
+recurrences, locals without a compute rule, a missing boundary rule at
+replay time -- raises :class:`KernelFallback`, and callers transparently
+re-run the scalar interpreter.  The two paths are required to agree
+byte for byte; the differential suite in
+``tests/exec/test_differential.py`` proves it.
+
+The same evaluator computes the simulator's sparse skip masks
+(:func:`skip_mask`) under the same contract: a condition it cannot
+batch raises :class:`KernelFallback`, and the simulator evaluates that
+condition point by point.
 
 Compiled kernels are pure data (step descriptors plus references into
 the spec's expression trees), so they fingerprint and pickle cleanly:
@@ -56,7 +61,6 @@ from ..core.expr import (
     Comparison,
     Const,
     Expr,
-    IndexExpr,
     IndexValue,
     Local,
     Select,
@@ -65,6 +69,7 @@ from ..core.expr import (
     WILDCARD,
 )
 from ..core.functionality import Assignment, AssignmentKind, FunctionalSpec
+from ..core.sparsity import row_operand
 from ..obs.profile import span
 from ..obs.trace import get_tracer
 
@@ -210,15 +215,10 @@ def _self_accesses(rhs: Expr, name: str) -> List[Access]:
 def _check_traceable_accesses(spec: FunctionalSpec) -> None:
     for assignment in spec.assignments:
         for access in (assignment.lhs, *assignment.rhs.references()):
-            for sub in access.subscripts:
-                if sub is WILDCARD:
-                    raise KernelFallback(
-                        f"wildcard subscript on {access.target.name!r}"
-                    )
-                if isinstance(sub, Expr):
-                    raise KernelFallback(
-                        f"data-dependent subscript on {access.target.name!r}"
-                    )
+            if any(sub is WILDCARD for sub in access.subscripts):
+                raise KernelFallback(
+                    f"wildcard subscript on {access.target.name!r}"
+                )
 
 
 def _classify_local(spec: FunctionalSpec, local: Local) -> _LocalStep:
@@ -421,16 +421,17 @@ class _Replay:
         if isinstance(expr, IndexValue):
             return expr.expr.evaluate(env, self.bounds)
         if isinstance(expr, Access):
-            coords = [
-                sub.evaluate(env, self.bounds) for sub in expr.subscripts
-            ]
+            if expr.is_data_dependent:
+                raise KernelFallback(
+                    f"data-dependent subscript on {expr.target.name!r}"
+                )
+            if any(sub is WILDCARD for sub in expr.subscripts):
+                raise KernelFallback(
+                    f"wildcard subscript on {expr.target.name!r}"
+                )
+            coords = [sub.evaluate(env, self.bounds) for sub in expr.subscripts]
             if isinstance(expr.target, Tensor):
-                array = self.tensors.get(expr.target.name)
-                if array is None:
-                    raise SpecError(
-                        f"no data provided for tensor {expr.target.name!r}"
-                    )
-                return np.asarray(array)[tuple(coords)]
+                return self.tensor(expr.target.name)[tuple(coords)]
             return self.read_local(expr.target.name, coords)
         if isinstance(expr, BinOp):
             return _UFUNCS[expr.op](
@@ -456,6 +457,12 @@ class _Replay:
                 ) from err
             return np.where(cond, if_true, if_false)
         raise KernelFallback(f"untraceable expression {type(expr).__name__}")
+
+    def tensor(self, name: str) -> np.ndarray:
+        array = self.tensors.get(name)
+        if array is None:
+            raise SpecError(f"no data provided for tensor {name!r}")
+        return np.asarray(array)
 
     # -- local reads with boundary clamping ------------------------------
 
@@ -674,3 +681,51 @@ def replay_interpret(
         return kernel.replay(bounds, tensors)
     except KernelFallback:
         return None
+
+
+def skip_mask(
+    spec: FunctionalSpec,
+    bounds: Bounds,
+    tensors: Mapping[str, np.ndarray],
+    condition: Expr,
+) -> np.ndarray:
+    """Where ``condition`` holds over the whole domain, as a flat bool mask
+    in lexicographic point order (``bounds.domain(spec.index_names)``).
+
+    A skip condition is evaluated with the same batched evaluator as the
+    spec's rules; a whole-row test (:func:`~repro.core.sparsity.
+    row_operand`) compares the row's any-nonzero flag.  Raises
+    :class:`KernelFallback` for what the caller must evaluate point by
+    point: a data-dependent subscript, a local read, any other wildcard
+    access, or an out-of-range tensor read (whose :class:`SpecError`
+    names the coordinates, which a batched read cannot).
+    """
+    for access in condition.references():
+        if isinstance(access.target, Local):
+            raise KernelFallback(f"skip condition reads {access.target.name!r}")
+    replayer = _Replay(spec, bounds, tensors)
+    env = replayer.env
+    row = row_operand(condition)
+    try:
+        if row is None:
+            value = replayer.eval(condition, env)
+        else:
+            if row.is_data_dependent:
+                raise KernelFallback(
+                    f"data-dependent subscript on {row.target.name!r}"
+                )
+            wild = [axis for axis, s in enumerate(row.subscripts) if s is WILDCARD]
+            flags = replayer.tensor(row.target.name).astype(bool).any(
+                axis=tuple(wild)
+            )
+            coords = [
+                s.evaluate(env, bounds) for s in row.subscripts if s is not WILDCARD
+            ]
+            value = _COMPARES[condition.op](
+                flags[tuple(coords)].astype(np.int64),
+                replayer.eval(condition.rhs, env),
+            )
+    except IndexError as err:
+        raise KernelFallback(f"skip condition read out of range: {err}") from err
+    mask = np.broadcast_to(np.asarray(value, dtype=bool), replayer.shape)
+    return mask.reshape(-1)

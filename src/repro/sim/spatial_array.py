@@ -14,7 +14,8 @@ dependences the per-point loop would honour implicitly are checked
 explicitly (same :class:`SpecError`), and the outputs come from the
 reference kernel (:mod:`repro.sim.kernel`).  The per-point loop stays as
 the ``vectorize=False`` reference, and answers for the spec shapes the
-closed form cannot see, such as data-dependent subscripts or a ``Select``.
+closed form cannot see, such as data-dependent subscripts or a ``Select``;
+it steps the spec interpreter one point at a time in schedule order.
 
 Sparse designs -- those compiled with pessimistic ``Skip`` s -- first
 *compress* each skipped iterator against the actual tensor contents (only
@@ -33,24 +34,20 @@ import numpy as np
 
 from ..core.compiler import CompiledDesign
 from ..core.expr import (
-    Access,
-    BinOp,
     Comparison,
-    Const,
     EvalContext,
-    IndexExpr,
-    IndexValue,
     Local,
     Select,
     SpecError,
-    Tensor,
     WILDCARD,
 )
-from ..core.functionality import AssignmentKind, _dict_to_array
+from ..core.functionality import AssignmentKind, _dict_to_array, _Interpreter
 from ..core.iterspace import IODirection
+from ..core.sparsity import row_operand
 from ..obs.trace import get_tracer
 from .balancer import spatial_balanced_makespan
 from .counters import PerfCounters
+from . import kernel as _kernel
 
 
 class SimResult:
@@ -100,9 +97,10 @@ class SpatialArraySim:
         ``(spec, bounds, tensors)``.  Sparse *results* are never memoized
         whole because cycle counts depend on the balancing axis.
     vectorize:
-        When ``False``, dense runs take the exact per-point loop instead
-        of the closed form, and skip-condition evaluation the
-        point-at-a-time path instead of the batched numpy evaluator.
+        When ``False``, dense runs take the exact per-point loop (which
+        steps the spec interpreter) instead of the closed form, and skip
+        conditions are evaluated point at a time instead of by the
+        kernel's batched evaluator (:func:`repro.sim.kernel.skip_mask`).
         The two paths are required to agree bit-for-bit in outputs,
         every counter and the schedule length -- this knob exists so the
         differential test suite and the ``sim.scalar_vs_vectorized``
@@ -279,12 +277,12 @@ class SpatialArraySim:
         for key, row in zip(times.tolist(), points.tolist()):
             by_time.setdefault(tuple(key), []).append(tuple(row))
 
-        values: Dict[Tuple[str, Tuple[int, ...]], object] = {}
         outputs: Dict[str, Dict[Tuple[int, ...], object]] = {
             t.name: {} for t in spec.output_tensors()
         }
-        interpreter = _SimInterpreter(spec, bounds, tensors, values)
-        has_compute = _computed_locals(spec)
+        interpreter = _Interpreter(
+            spec, bounds, tensors, unproduced=_unproduced_read
+        )
         pe_count = design.array.pe_count
         macs_per_point = max(1, spec.macs_per_point())
 
@@ -309,31 +307,9 @@ class SpatialArraySim:
                     cycle=step_index, live_pes=len(live), time=list(t),
                 )
             for point in live:
-                env = dict(zip(spec.index_names, point))
-                ctx = EvalContext(env, bounds, interpreter.read)
-                for assignment in spec.assignments:
-                    if not spec._applies_at(assignment, env, bounds):
-                        continue
-                    if assignment.kind is AssignmentKind.OUTPUT:
-                        coords = tuple(
-                            int(s.evaluate(env, bounds))
-                            for s in assignment.lhs.subscripts
-                        )
-                        outputs[assignment.lhs.target.name][coords] = (
-                            assignment.rhs.evaluate(ctx)
-                        )
-                        counters.regfile_writes += 1
-                    else:
-                        if (
-                            assignment.kind is not AssignmentKind.COMPUTE
-                            and assignment.variable.name in has_compute
-                        ):
-                            continue
-                        key = (assignment.variable.name, point)
-                        if key not in values:
-                            values[key] = assignment.rhs.evaluate(ctx)
-                        if assignment.kind is AssignmentKind.INPUT:
-                            counters.regfile_reads += 1
+                reads, writes = interpreter.step(point, outputs)
+                counters.regfile_reads += reads
+                counters.regfile_writes += writes
                 counters.macs += macs_per_point
 
         result_outputs = {
@@ -488,7 +464,6 @@ class SpatialArraySim:
         spec = self.design.spec
         bounds = self.design.bounds
         if self.kernel:
-            from . import kernel as _kernel
             compiled = (
                 self.memo.kernel(spec)
                 if self.memo is not None
@@ -507,76 +482,34 @@ class SpatialArraySim:
     ) -> List[Tuple[int, ...]]:
         """Iteration points that survive the pessimistic skip conditions.
 
-        Skip conditions are evaluated over the whole domain at once with
-        numpy; any condition shape the batch evaluator does not recognize
-        is evaluated point-at-a-time *on its own* and OR-ed into the
-        batched mask -- one unsupported condition never discards the
-        batched work of its supported siblings.
+        With ``vectorize``, each condition is evaluated over the whole
+        domain at once by the kernel's batched evaluator; a condition it
+        cannot take is evaluated point-at-a-time *on its own* and OR-ed
+        into the batched mask -- one unsupported condition never discards
+        the batched work of its supported siblings.
         """
-        if not self.vectorize:
-            return self._valid_points_scalar(tensors)
-
         spec = self.design.spec
         bounds = self.design.bounds
         skips = [s for s in self.design.sparsity if not s.optimistic]
-
         points = _domain_grid(bounds, spec.index_names)
-        env = {
-            name: points[:, axis] for axis, name in enumerate(spec.index_names)
-        }
         skipped = np.zeros(len(points), dtype=bool)
-        unsupported = []
-        for skip in skips:
-            mask = _batch_condition(skip.condition, env, bounds, tensors, len(points))
-            if mask is None:
-                unsupported.append(skip)
-            else:
-                skipped |= mask
-        if unsupported:
-            skipped |= self._scalar_skip_mask(unsupported, tensors)
-        return [tuple(row) for row in points[~skipped].tolist()]
-
-    def _valid_points_scalar(
-        self, tensors: Mapping[str, np.ndarray]
-    ) -> List[Tuple[int, ...]]:
-        """Point-at-a-time fallback for conditions the batch path skips."""
-        spec = self.design.spec
-        bounds = self.design.bounds
-        skips = [s for s in self.design.sparsity if not s.optimistic]
-        points = _domain_grid(bounds, spec.index_names)
-        mask = self._scalar_skip_mask(skips, tensors)
-        return [tuple(row) for row in points[~mask].tolist()]
-
-    def _scalar_skip_mask(
-        self, skips, tensors: Mapping[str, np.ndarray]
-    ) -> np.ndarray:
-        """Exact per-point skip mask for ``skips``, aligned with the
-        lexicographic :func:`_domain_grid` row order."""
-        spec = self.design.spec
-        bounds = self.design.bounds
-
-        def read(symbol, coords):
-            array = tensors.get(symbol.name)
-            if array is None:
-                raise SpecError(f"no data for tensor {symbol.name!r}")
-            try:
-                return array[coords]
-            except IndexError as err:
-                raise SpecError(
-                    f"skip condition reads tensor {symbol.name!r} at"
-                    f" out-of-range coordinates {tuple(coords)}"
-                    f" (shape {np.asarray(array).shape})"
-                ) from err
-
-        mask = np.zeros(bounds.point_count(spec.index_names), dtype=bool)
-        for index, point in enumerate(bounds.domain(spec.index_names)):
-            env = dict(zip(spec.index_names, point))
-            ctx = EvalContext(env, bounds, read)
+        pointwise = skips
+        if self.vectorize:
+            pointwise = []
             for skip in skips:
-                if _condition_holds(skip.condition, ctx, tensors):
-                    mask[index] = True
-                    break
-        return mask
+                try:
+                    skipped |= _kernel.skip_mask(
+                        spec, bounds, tensors, skip.condition
+                    )
+                except _kernel.KernelFallback:
+                    pointwise.append(skip)
+        if pointwise:
+            read = _skip_reader(tensors)
+            for index, point in enumerate(bounds.domain(spec.index_names)):
+                ctx = EvalContext(dict(zip(spec.index_names, point)), bounds, read)
+                if any(_condition_holds(s.condition, ctx) for s in pointwise):
+                    skipped[index] = True
+        return [tuple(row) for row in points[~skipped].tolist()]
 
     def _compress_points(
         self, valid_points: Sequence[Tuple[int, ...]]
@@ -647,17 +580,6 @@ def _domain_grid(bounds, order: Sequence[str]) -> np.ndarray:
         return np.zeros((1, 0), dtype=np.int64)
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-
-def _computed_locals(spec) -> set:
-    """Locals with an interior recurrence.  In-domain the recurrence
-    defines them everywhere; their boundary rules only answer
-    out-of-domain reads."""
-    return {
-        a.variable.name
-        for a in spec.assignments
-        if a.kind is AssignmentKind.COMPUTE
-    }
 
 
 def _has_select(expr) -> bool:
@@ -734,7 +656,7 @@ def _dense_accesses(
     hi = np.array([bounds[name][1] for name in names], dtype=np.int64)
     n = len(points)
     never = len(spec.assignments)  # the producer stage of an unstored cell
-    computed = _computed_locals(spec)
+    computed = spec.computed_locals()
     producer: Dict[str, np.ndarray] = {}
     evaluated = []
     written: Dict[str, List[np.ndarray]] = {}
@@ -810,166 +732,43 @@ def _unproduced_read(name: str, coords: Tuple[int, ...]) -> SpecError:
     )
 
 
-# Elementwise counterparts of BinOp._OPS (``min``/``max`` are the Python
-# builtins there, which do not broadcast).
-_BATCH_BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "//": lambda a, b: a // b,
-    "%": lambda a, b: a % b,
-    "min": np.minimum,
-    "max": np.maximum,
-}
+def _skip_reader(tensors: Mapping[str, np.ndarray]):
+    """The tensor read of a point-at-a-time skip condition: a missing
+    tensor or an out-of-range read raises the :class:`SpecError` that
+    names the tensor (and the coordinates, ``->`` for a wildcard)."""
 
-
-def _batch_subscript(sub, env: Mapping[str, np.ndarray], bounds):
-    """Evaluate an index-expression subscript over the whole domain.
-
-    ``Index``/``AffineIndexExpr``/``BoundMarker`` evaluation is pure
-    arithmetic over the environment, so passing coordinate *vectors*
-    broadcasts; data-dependent (``Expr``) subscripts return None.
-    """
-    if isinstance(sub, IndexExpr):
-        return sub.evaluate(env, bounds)
-    return None
-
-
-def _batch_value(
-    expr, env: Mapping[str, np.ndarray], bounds, tensors, n: int
-):
-    """Evaluate a condition operand over the whole domain, or None when
-    the expression needs the scalar path."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, IndexValue):
-        return _batch_subscript(expr.expr, env, bounds)
-    if isinstance(expr, Access):
-        if not isinstance(expr.target, Tensor):
-            return None
-        array = tensors.get(expr.target.name)
+    def read(symbol, coords):
+        array = tensors.get(symbol.name)
         if array is None:
-            raise SpecError(f"no data for tensor {expr.target.name!r}")
-        coords = []
-        for sub in expr.subscripts:
-            if sub is WILDCARD:
-                return None  # handled at the Comparison level
-            coord = _batch_subscript(sub, env, bounds)
-            if coord is None:
-                return None
-            coords.append(coord)
-        return np.asarray(array)[tuple(coords)]
-    if isinstance(expr, BinOp):
-        lhs = _batch_value(expr.lhs, env, bounds, tensors, n)
-        rhs = _batch_value(expr.rhs, env, bounds, tensors, n)
-        if lhs is None or rhs is None:
-            return None
-        return _BATCH_BINOPS[expr.op](lhs, rhs)
-    return None
-
-
-def _batch_condition(
-    condition, env: Mapping[str, np.ndarray], bounds, tensors, n: int
-) -> Optional[np.ndarray]:
-    """Evaluate a skip condition over the whole domain as a bool mask.
-
-    Mirrors :func:`_condition_holds`: a wildcard row access compares the
-    row's any-nonzero flag (0/1) against the right-hand side.  Returns
-    None for shapes the batch evaluator does not support.
-    """
-    if not isinstance(condition, Comparison):
-        return None
-    lhs, rhs = condition.lhs, condition.rhs
-    if isinstance(lhs, Access) and any(s is WILDCARD for s in lhs.subscripts):
-        if not isinstance(lhs.target, Tensor):
-            return None
-        array = tensors.get(lhs.target.name)
-        if array is None:
-            return None  # scalar path raises the precise KeyError/SpecError
-        wild_axes = tuple(
-            axis for axis, s in enumerate(lhs.subscripts) if s is WILDCARD
-        )
-        # Reduce the wildcard axes to an any-nonzero flag first, then
-        # gather with the remaining (batched) subscripts.
-        reduced = np.asarray(array).astype(bool).any(axis=wild_axes)
-        coords = []
-        for s in lhs.subscripts:
-            if s is WILDCARD:
-                continue
-            coord = _batch_subscript(s, env, bounds)
-            if coord is None:
-                return None
-            coords.append(coord)
-        value = reduced[tuple(coords)].astype(np.int64)
-        other = _batch_value(rhs, env, bounds, tensors, n)
-        if other is None:
-            return None
-        result = Comparison._OPS[condition.op](value, other)
-    else:
-        lhs_v = _batch_value(lhs, env, bounds, tensors, n)
-        rhs_v = _batch_value(rhs, env, bounds, tensors, n)
-        if lhs_v is None or rhs_v is None:
-            return None
-        result = Comparison._OPS[condition.op](lhs_v, rhs_v)
-    return np.broadcast_to(np.asarray(result, dtype=bool), (n,)).copy()
-
-
-def _condition_holds(condition, ctx: EvalContext, tensors) -> bool:
-    """Evaluate a skip condition, handling wildcard row accesses."""
-
-    if isinstance(condition, Comparison):
-        lhs, rhs = condition.lhs, condition.rhs
-        if isinstance(lhs, Access) and any(s is WILDCARD for s in lhs.subscripts):
-            array = tensors[lhs.target.name]
-            index = [
-                slice(None) if s is WILDCARD else int(s.evaluate(ctx.env, ctx.bounds))
-                for s in lhs.subscripts
-            ]
-            row = np.asarray(array[tuple(index)])
-            value = 0 if not row.any() else 1
-            other = rhs.evaluate(ctx)
-            return Comparison._OPS[condition.op](value, other)
-    return bool(condition.evaluate(ctx))
-
-
-class _SimInterpreter:
-    """Value resolution identical to the reference interpreter's."""
-
-    def __init__(self, spec, bounds, tensors, values):
-        self.spec = spec
-        self.bounds = bounds
-        self.tensors = tensors
-        self.values = values
-
-    def read(self, symbol, coords: Tuple[int, ...]):
-        from ..core.expr import Tensor as TensorSym
-
-        if isinstance(symbol, TensorSym):
-            array = self.tensors.get(symbol.name)
-            if array is None:
-                raise SpecError(f"no data provided for tensor {symbol.name!r}")
+            raise SpecError(f"no data provided for tensor {symbol.name!r}")
+        try:
             return array[coords]
-        key = (symbol.name, coords)
-        if key in self.values:
-            return self.values[key]
-        env = dict(zip(self.spec.index_names, coords))
-        for name in reversed(self.spec.index_names):
-            lo, hi = self.bounds[name]
-            if env[name] < lo or env[name] > hi:
-                clamped = dict(env)
-                clamped[name] = lo if env[name] < lo else hi
-                for assignment in self.spec.assignments_for(symbol.name):
-                    conds = assignment.boundary_conditions()
-                    which = conds.get(name)
-                    if which == ("lb" if env[name] < lo else "ub"):
-                        ctx = EvalContext(clamped, self.bounds, self.read)
-                        return assignment.rhs.evaluate(ctx)
-                raise SpecError(
-                    f"read of {symbol.name} at out-of-domain {coords} without"
-                    f" a boundary rule on {name!r}"
-                )
-        raise _unproduced_read(symbol.name, coords)
+        except IndexError as err:
+            where = ", ".join(
+                "->" if isinstance(c, slice) else str(c) for c in coords
+            )
+            raise SpecError(
+                f"skip condition reads tensor {symbol.name!r} at"
+                f" out-of-range coordinates ({where})"
+                f" (shape {np.asarray(array).shape})"
+            ) from err
+
+    return read
+
+
+def _condition_holds(condition, ctx: EvalContext) -> bool:
+    """Evaluate a skip condition at one point; a whole-row test
+    (:func:`~repro.core.sparsity.row_operand`) reads its row through
+    ``ctx.read`` and compares the row's any-nonzero flag."""
+    row = row_operand(condition)
+    if row is None:
+        return bool(condition.evaluate(ctx))
+    coords = tuple(
+        slice(None) if s is WILDCARD else int(s.evaluate(ctx.env, ctx.bounds))
+        for s in row.subscripts
+    )
+    value = 1 if np.asarray(ctx.read(row.target, coords)).any() else 0
+    return Comparison._OPS[condition.op](value, condition.rhs.evaluate(ctx))
 
 
 def differential_run(

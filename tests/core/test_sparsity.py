@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import Index, SpecError, Tensor, matmul_spec
+from repro.core import WILDCARD, Const, Index, SpecError, Tensor, matmul_spec
+from repro.core.expr import Comparison
 from repro.core.sparsity import (
     Skip,
     SparsityStructure,
@@ -11,6 +12,7 @@ from repro.core.sparsity import (
     csr_csc_both,
     diagonal_a_matrix,
     empty_rows_of_a,
+    row_operand,
 )
 
 
@@ -82,6 +84,17 @@ class TestSkip:
         assert "OptimisticSkip" in repr(
             Skip([j], B[k, j] == 0, optimistic=True, bundle=4)
         )
+
+    def test_row_operand_is_a_compared_wildcard_access(self):
+        """Only a wildcard access on the left of a top-level comparison
+        is a whole-row test."""
+        i, j, k = Index("i"), Index("j"), Index("k")
+        A, B = Tensor("A", 2), Tensor("B", 2)
+        row = A[i, WILDCARD]
+        assert row_operand(row == 0) is row
+        assert row_operand(B[k, j] == 0) is None
+        assert row_operand(Comparison("==", Const(0), row)) is None
+        assert row_operand((row + 1) == 1) is None
 
 
 class TestSparsityStructure:

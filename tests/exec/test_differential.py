@@ -34,6 +34,7 @@ from repro.core.dataflow import (
     weight_stationary,
 )
 from repro.core.expr import (
+    WILDCARD,
     Comparison,
     Const,
     Index,
@@ -48,12 +49,19 @@ from repro.core.functionality import (
     batched_matmul_spec,
     conv1d_spec,
 )
-from repro.core.sparsity import Skip, SparsityStructure, csr_b_matrix
+from repro.core.sparsity import (
+    Skip,
+    SparsityStructure,
+    csr_b_matrix,
+    csr_csc_both,
+    diagonal_a_matrix,
+    empty_rows_of_a,
+)
 from repro.exec.cache import CompileCache
 from repro.exec.halving import sweep_suite
 from repro.exec.store import DiskStore
 from repro.exec.suite import build_suite, evaluate_suite
-from repro.sim.kernel import compile_kernel
+from repro.sim.kernel import KernelFallback, compile_kernel, skip_mask
 from repro.sim.spatial_array import SpatialArraySim
 
 TRANSFORMS = {
@@ -125,10 +133,18 @@ class TestVectorizedVsScalarSim:
         _assert_same_run(fast, slow)
         assert np.array_equal(fast.outputs["C"], tensors["A"] @ tensors["B"])
 
+    # One tensor read, two skips, an index-only condition, a wildcard row.
+    @pytest.mark.parametrize(
+        "sparsity",
+        [csr_b_matrix, csr_csc_both, diagonal_a_matrix, empty_rows_of_a],
+        ids=lambda factory: factory.__name__,
+    )
     @pytest.mark.parametrize("transform_name", ["output-stationary", "input-stationary"])
     @pytest.mark.parametrize("density", [0.0, 0.3, 0.8])
     @pytest.mark.parametrize("balanced", [False, True])
-    def test_sparse_random_densities(self, transform_name, density, balanced):
+    def test_sparse_random_densities(
+        self, transform_name, density, balanced, sparsity
+    ):
         rng = np.random.default_rng([int(density * 10), balanced, 5])
         i, j, k = (int(d) for d in rng.integers(3, 7, 3))
         spec = matmul_spec()
@@ -136,13 +152,16 @@ class TestVectorizedVsScalarSim:
             spec,
             Bounds({"i": i, "j": j, "k": k}),
             TRANSFORMS[transform_name](),
-            sparsity=csr_b_matrix(spec),
+            sparsity=sparsity(spec),
             balancing=row_shift_scheme(max(i // 2, 1)) if balanced else None,
         )
-        tensors = {
-            "A": rng.integers(-4, 5, (i, k)),
-            "B": _masked(rng, (k, j), density),
-        }
+        # csr_b_matrix's skip reads only B, so its A stays dense; the
+        # other three skip on A (or on the diagonal of A).
+        if sparsity is csr_b_matrix:
+            a = rng.integers(-4, 5, (i, k))
+        else:
+            a = _masked(rng, (i, k), density)
+        tensors = {"A": a, "B": _masked(rng, (k, j), density)}
         _assert_same_run(*_run_both_paths(design, tensors))
 
     def test_scalar_path_is_really_taken(self):
@@ -319,40 +338,17 @@ class TestKernelVsInterpreter:
         assert SpatialArraySim(design, memo=None).kernel is True
 
     def test_partial_fallback_mask_parity(self):
-        """One batch-unsupported skip condition (a ``Select`` operand)
-        must be evaluated scalar *on its own* and OR-ed into the batched
-        mask of its supported sibling -- never discard it."""
-        rng = np.random.default_rng(17)
-        i, j, k = 4, 3, 5
-        idx_i, idx_j, idx_k = Index("i"), Index("j"), Index("k")
-        A, B = Tensor("A", 2), Tensor("B", 2)
-        sparsity = SparsityStructure(
-            [
-                Skip([idx_j], B[idx_k, idx_j] == 0),
-                Skip([idx_k], Select(A[idx_i, idx_k] == 0, 1, 0) == 1),
-            ]
-        )
-        design = compile_design(
-            matmul_spec(),
-            Bounds({"i": i, "j": j, "k": k}),
-            output_stationary(),
-            sparsity=sparsity,
-            check=False,
-        )
-        tensors = {
-            "A": _masked(rng, (i, k), 0.6),
-            "B": _masked(rng, (k, j), 0.5),
-        }
-        fast = SpatialArraySim(design, memo=None, vectorize=True)
-        slow = SpatialArraySim(design, memo=None, vectorize=False)
-        fast_points = fast._valid_points(tensors)
-        assert fast_points == slow._valid_points(tensors)
-        # Both masks actually bit: fewer points than the dense domain,
-        # more than the supported condition alone would leave.
-        assert 0 < len(fast_points) < i * j * k
-        fast_run, slow_run = fast.run(tensors), slow.run(tensors)
-        assert fast_run.outputs["C"].tobytes() == slow_run.outputs["C"].tobytes()
-        assert fast_run.cycles == slow_run.cycles
+        """One batch-unsupported skip condition (a data-dependent
+        subscript) must be evaluated scalar *on its own* and OR-ed into
+        the batched mask of its supported sibling -- never discard it."""
+        A, i, k = Tensor("A", 2), Index("i"), Index("k")
+        _assert_k_skip_parity(A[i, IndexValue(k) + 0] == 0, batched=False)
+
+    def test_select_condition_mask_parity(self):
+        """A ``Select`` skip condition is batched (both branches over
+        every lane) and keeps the same points as the scalar path."""
+        A, i, k = Tensor("A", 2), Index("i"), Index("k")
+        _assert_k_skip_parity(Select(A[i, k] == 0, 1, 0) == 1, batched=True)
 
     def test_sparse_multitime_schedule_matches_dense(self):
         """With a fully dense operand, a sparse design under a
@@ -384,29 +380,97 @@ class TestKernelVsInterpreter:
         assert sparse.cycles == dense.cycles
         assert sparse.outputs["C"].tobytes() == dense.outputs["C"].tobytes()
 
-    def test_scalar_skip_read_out_of_range_names_tensor(self):
+    @pytest.mark.parametrize("vectorize", [False, True])
+    def test_scalar_skip_read_out_of_range_names_tensor(self, vectorize):
         """An out-of-range tensor read inside a skip condition surfaces
         as a :class:`SpecError` naming the tensor and coordinates, not a
         bare ``IndexError``."""
         idx_j, idx_k = Index("j"), Index("k")
         B = Tensor("B", 2)
-        sparsity = SparsityStructure([Skip([idx_j], B[idx_k + 10, idx_j] == 0)])
-        design = compile_design(
-            matmul_spec(),
-            Bounds({"i": 2, "j": 2, "k": 2}),
-            output_stationary(),
-            sparsity=sparsity,
-            check=False,
-        )
-        sim = SpatialArraySim(design, memo=None, vectorize=False)
-        tensors = {
-            "A": np.ones((2, 2), dtype=np.int64),
-            "B": np.ones((2, 2), dtype=np.int64),
-        }
+        condition = B[idx_k + 10, idx_j] == 0
         with pytest.raises(
-            SpecError, match=r"tensor 'B' at out-of-range coordinates"
+            SpecError,
+            match=r"tensor 'B' at out-of-range coordinates \(10, 0\)",
         ):
-            sim.run(tensors)
+            _run_skip(condition, vectorize, B=np.ones((2, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("vectorize", [False, True])
+    @pytest.mark.parametrize(
+        "subscripts, tensors, message",
+        [
+            ((0, 0), {}, r"no data provided for tensor 'B'"),
+            ((WILDCARD, 0), {}, r"no data provided for tensor 'B'"),
+            (
+                (WILDCARD, 10),
+                {"B": np.ones((2, 2), dtype=np.int64)},
+                r"tensor 'B' at out-of-range coordinates \(->, 10\)"
+                r" \(shape \(2, 2\)\)",
+            ),
+        ],
+        ids=["missing", "wildcard-missing", "wildcard-out-of-range"],
+    )
+    def test_skip_read_failures_name_tensor(
+        self, subscripts, tensors, message, vectorize
+    ):
+        """Every failing skip read -- a missing tensor, a wildcard row of
+        a missing tensor, a wildcard row out of range -- raises the same
+        :class:`SpecError` naming the tensor on both paths."""
+        B = Tensor("B", 2)
+        idx_j = Index("j")
+        subscripts = tuple(idx_j + s if isinstance(s, int) else s for s in subscripts)
+        with pytest.raises(SpecError, match=message):
+            _run_skip(B[subscripts] == 0, vectorize, **tensors)
+
+
+def _assert_k_skip_parity(condition, batched):
+    """Skip ``j`` where B is zero and ``k`` where ``condition`` holds:
+    ``skip_mask`` batches ``condition`` (or falls back on it, per
+    ``batched``), and the vectorized and scalar paths keep the same
+    points and produce the same run."""
+    rng = np.random.default_rng(17)
+    i, j, k = 4, 3, 5
+    idx_j, idx_k = Index("j"), Index("k")
+    B = Tensor("B", 2)
+    sparsity = SparsityStructure(
+        [Skip([idx_j], B[idx_k, idx_j] == 0), Skip([idx_k], condition)]
+    )
+    bounds = Bounds({"i": i, "j": j, "k": k})
+    spec = matmul_spec()
+    design = compile_design(
+        spec, bounds, output_stationary(), sparsity=sparsity, check=False
+    )
+    tensors = {
+        "A": _masked(rng, (i, k), 0.6),
+        "B": _masked(rng, (k, j), 0.5),
+    }
+    if batched:
+        skip_mask(spec, bounds, tensors, condition)
+    else:
+        with pytest.raises(KernelFallback, match="data-dependent"):
+            skip_mask(spec, bounds, tensors, condition)
+    fast = SpatialArraySim(design, memo=None, vectorize=True)
+    slow = SpatialArraySim(design, memo=None, vectorize=False)
+    fast_points = fast._valid_points(tensors)
+    assert fast_points == slow._valid_points(tensors)
+    # Both masks actually bit: fewer points than the dense domain,
+    # more than the supported condition alone would leave.
+    assert 0 < len(fast_points) < i * j * k
+    fast_run, slow_run = fast.run(tensors), slow.run(tensors)
+    assert fast_run.outputs["C"].tobytes() == slow_run.outputs["C"].tobytes()
+    assert fast_run.cycles == slow_run.cycles
+
+
+def _run_skip(condition, vectorize, **tensors):
+    """Run a 2x2x2 matmul that skips ``j`` where ``condition`` holds."""
+    design = compile_design(
+        matmul_spec(),
+        Bounds({"i": 2, "j": 2, "k": 2}),
+        output_stationary(),
+        sparsity=SparsityStructure([Skip([Index("j")], condition)]),
+        check=False,
+    )
+    tensors.setdefault("A", np.ones((2, 2), dtype=np.int64))
+    return SpatialArraySim(design, memo=None, vectorize=vectorize).run(tensors)
 
 
 class TestSerialVsParallel:

@@ -13,7 +13,16 @@ import numpy as np
 import pytest
 
 from repro.core import Bounds, matmul_spec
-from repro.core.expr import Index, Local, SpecError, Tensor
+from repro.core.expr import (
+    WILDCARD,
+    Comparison,
+    Const,
+    Index,
+    IndexValue,
+    Local,
+    SpecError,
+    Tensor,
+)
 from repro.core.functionality import (
     FunctionalSpec,
     batched_matmul_spec,
@@ -30,6 +39,7 @@ from repro.sim.kernel import (
     cached_kernel,
     compile_kernel,
     replay_interpret,
+    skip_mask,
 )
 
 
@@ -176,6 +186,53 @@ class TestFallbackContract:
         got = compile_kernel(spec).replay(bounds, tensors)
         want = spec.interpret(bounds, tensors, kernel=False)
         assert got["Y"].tobytes() == want["Y"].tobytes()
+
+
+class TestSkipMask:
+    """Skip conditions evaluated by the batched evaluator."""
+
+    BOUNDS = Bounds({"i": 2, "j": 3, "k": 4})
+
+    def _mask(self, condition, tensors):
+        return skip_mask(matmul_spec(), self.BOUNDS, tensors, condition)
+
+    def test_lexicographic_point_order(self):
+        i, j, k = Index("i"), Index("j"), Index("k")
+        B = Tensor("B", 2)
+        tensors = {"B": np.arange(12).reshape(4, 3) % 5}
+        got = self._mask(B[k, j] == 0, tensors)
+        want = [
+            tensors["B"][kk, jj] == 0
+            for _ii, jj, kk in self.BOUNDS.domain(("i", "j", "k"))
+        ]
+        assert got.dtype == bool and got.tolist() == want
+        index_only = self._mask(IndexValue(i) != IndexValue(k), tensors)
+        assert index_only.tolist() == [
+            ii != kk for ii, _jj, kk in self.BOUNDS.domain(("i", "j", "k"))
+        ]
+
+    def test_wildcard_row_reads_its_any_nonzero_flag(self):
+        i = Index("i")
+        A = Tensor("A", 2)
+        tensors = {"A": np.array([[0, 0, 0, 0], [0, 3, 0, 0]])}
+        got = self._mask(A[i, WILDCARD] == 0, tensors)
+        assert got.tolist() == [True] * 12 + [False] * 12
+
+    def test_unbatchable_conditions_fall_back(self):
+        i, j, k = Index("i"), Index("j"), Index("k")
+        A, B = Tensor("A", 2), Tensor("B", 2)
+        tensors = {
+            "A": np.ones((2, 4), dtype=np.int64),
+            "B": np.ones((4, 3), dtype=np.int64),
+        }
+        for condition, reason in [
+            (A[i, IndexValue(k) + 0] == 0, "data-dependent"),
+            (Local("c", 3)[i, j, k] == 0, "reads 'c'"),
+            (Comparison("==", Const(0), A[i, WILDCARD]), "wildcard"),
+            (B[k + 10, j] == 0, "out of range"),
+        ]:
+            with pytest.raises(KernelFallback, match=reason):
+                self._mask(condition, tensors)
 
 
 class TestMemoization:
