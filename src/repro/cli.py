@@ -219,9 +219,14 @@ def cmd_trace(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    from .dse.explorer import run_explore
+    from .dse.explorer import explorable_spec, run_explore
     from .obs import profiling
 
+    try:
+        explorable_spec(args.spec)
+    except ValueError as err:
+        print(f"explore: {err}", file=sys.stderr)
+        return 2
     with profiling() if args.profile else nullcontext() as profiler:
         result = run_explore(
             args.spec, args.size, args.seed,

@@ -299,6 +299,24 @@ def random_tensors(spec: FunctionalSpec, size: int, seed: int):
     return tensors
 
 
+def explorable_spec(spec_name: str) -> FunctionalSpec:
+    """The spec ``spec_name`` names, if the explore space covers it.
+
+    The space's dataflows are the rank-3 Figure 2 transforms, so a spec
+    over another number of indices (``bmm``) has no legal design point;
+    it is refused with a :class:`ValueError` before anything compiles.
+    """
+    spec = SPECS[spec_name]()
+    rank = len(spec.index_names)
+    ranks = sorted({t.rank for t in standard_transforms().values()})
+    if ranks != [rank]:
+        raise ValueError(
+            f"spec {spec_name!r} has {rank} indices, but the explore"
+            f" dataflows are rank {', '.join(map(str, ranks))}"
+        )
+    return spec
+
+
 def run_explore(
     spec_name: str,
     size: int,
@@ -308,8 +326,10 @@ def run_explore(
 ) -> ExplorationResult:
     """The design-space sweep behind ``repro explore`` and the served
     ``explore`` request: every dataflow, the matmul sparsities and two
-    balancings over a random workload of ``size`` per index."""
-    spec = SPECS[spec_name]()
+    balancings over a random workload of ``size`` per index.  A spec the
+    space does not cover raises :class:`ValueError`
+    (:func:`explorable_spec`)."""
+    spec = explorable_spec(spec_name)
     sparsities = {"dense": SparsityStructure()}
     for name, factory in SPARSITIES.items():
         if factory is not None and spec_name == "matmul":

@@ -111,10 +111,10 @@ class CompileCache:
     """Two-tier LRU memo store for compile/lower/evaluate products.
 
     ``max_entries`` bounds the number of memoized values (least recently
-    used evicted first); the identity->fingerprint memo is bounded by
-    the same limit.  ``stats`` (and the store's ``stats``) are the only
-    tallies of cache traffic; :attr:`registry` presents them as
-    metrics.
+    used evicted first); the identity->fingerprint and digests->key
+    memos are bounded by the same limit.  ``stats`` (and the store's
+    ``stats``) are the only tallies of cache traffic; :attr:`registry`
+    presents them as metrics.
 
     ``store`` (a :class:`~repro.exec.store.DiskStore`) adds the
     persistent tier: a memory miss consults the disk before building,
@@ -137,6 +137,7 @@ class CompileCache:
         self.stats = CacheStats()
         self._entries: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
         self._fp_memo: "OrderedDict[int, Tuple[object, str]]" = OrderedDict()
+        self._key_memo: "OrderedDict[Tuple[str, ...], str]" = OrderedDict()
         self.store = store
 
     @property
@@ -175,7 +176,19 @@ class CompileCache:
         return digest
 
     def key(self, parts: Tuple[object, ...]) -> str:
-        return fingerprint(tuple(self.fingerprint_of(part) for part in parts))
+        """The memo key of ``parts``: the fingerprint of its members'
+        fingerprints, remembered per tuple of those, so the uarch
+        variants of one design point, which share every part, are
+        keyed once."""
+        digests = tuple(self.fingerprint_of(part) for part in parts)
+        key = self._key_memo.get(digests)
+        if key is None:
+            key = self._key_memo[digests] = fingerprint(digests)
+            while len(self._key_memo) > self.max_entries:
+                self._key_memo.popitem(last=False)
+        else:
+            self._key_memo.move_to_end(digests)
+        return key
 
     # -- the generic memo -----------------------------------------------
 
@@ -320,6 +333,7 @@ class CompileCache:
     def clear(self) -> None:
         self._entries.clear()
         self._fp_memo.clear()
+        self._key_memo.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -32,6 +32,11 @@ on fresh :class:`~repro.exec.cache.CacheStats` and
 with its profiler and tracer, and the parent folds each one into its
 own with that type's ``merge``.
 
+With a cache, each design point's finished figures are memoized whole
+under the ``dse.point`` stage (:func:`_evaluate_point`), so a warm or
+duplicate point costs one lookup; the membuf/DMA/regfile overlays of
+:mod:`repro.dse.uarch` are applied afterwards, per candidate.
+
 Suites ride on the same sweep: a candidate may carry its own
 ``bounds``, a ``tensors_key`` naming an operand set in the sweep-wide
 ``tensor_table``, and ``want_energy`` / ``want_digest`` flags asking
@@ -134,6 +139,11 @@ def _operands(
     return tensor_table[tensors_key]
 
 
+class _Illegal(Exception):
+    """A compile-step :class:`SpecError` (its ``__cause__``) carried out
+    of the point memo, told apart from one the simulator raises."""
+
+
 def _evaluate_point(
     spec,
     bounds,
@@ -144,7 +154,8 @@ def _evaluate_point(
     skip_illegal: bool,
 ) -> Dict[str, object]:
     """Compile + simulate + area for one candidate on its own operand
-    set ``tensors`` (already resolved by :func:`_operands`).
+    set ``tensors`` (already resolved by :func:`_operands`), before any
+    uarch overlay (:func:`_apply_overlay`).
 
     Runs against whatever profiler/tracer are currently installed, so the
     same code serves the inline path (parent observability) and the
@@ -156,38 +167,35 @@ def _evaluate_point(
     ``want_digest`` (canonical fingerprint of the simulated outputs,
     for byte-identity checks across runs and transports).
 
+    With a ``cache``, the measured figures are memoized whole under the
+    ``dse.point`` stage, keyed on the point's content: spec, bounds,
+    transform, sparsity, balancing, element width, operand set and the
+    two ``want_*`` flags.  A warm or duplicate point then costs one
+    lookup.  Names never enter the memo, so two content-identical
+    transforms keep their own ``transform_name``.
+
     A candidate may also override the sweep-wide ``skip_illegal``: the
     autotuner sweeps exploration combos permissively (an illegal
     transform is a pruned point) while pinning ``skip_illegal: False``
     on each layer's fixed baseline design, whose failure to compile is
-    a configuration bug and must raise.
-
-    Two more optional candidate knobs serve the successive-halving
-    autotuner: ``fidelity`` (a low-fidelity tag folded into the
-    simulator's memo key so reduced-rung results never poison
-    full-fidelity cache entries) and the microarchitecture overlay
-    fields ``membuf``/``dma``/``regfile`` (:mod:`repro.dse.uarch`
-    variants applied as deterministic cycle/area adjustments *after*
-    the cached simulation, so overlay combos share one compile +
-    simulate entry).
+    a configuration bug and must raise.  Illegal points are never
+    memoized.
     """
     name = candidate["name"]
     skip_illegal = bool(candidate.get("skip_illegal", skip_illegal))
     bounds = candidate.get("bounds", bounds)
-    accelerator = Accelerator(
-        spec=spec,
-        bounds=bounds,
-        transform=candidate["transform"],
-        sparsity=candidate["sparsity"],
-        balancing=candidate["balancing"],
-        element_bits=element_bits,
-    )
-    with span(
-        "dse.point", name, component="dse",
-        transform=candidate["transform_name"],
-        sparsity=candidate["sparsity_name"],
-        balancing=candidate["balancing_name"],
-    ):
+    want_energy = bool(candidate.get("want_energy"))
+    want_digest = bool(candidate.get("want_digest"))
+
+    def measure() -> Dict[str, object]:
+        accelerator = Accelerator(
+            spec=spec,
+            bounds=bounds,
+            transform=candidate["transform"],
+            sparsity=candidate["sparsity"],
+            balancing=candidate["balancing"],
+            element_bits=element_bits,
+        )
         # Only the compile step decides legality.  A SpecError out of the
         # simulator (bad workload data, a broken transform round-trip) is
         # a real failure and must surface, not shrink the sweep.
@@ -195,55 +203,94 @@ def _evaluate_point(
             with span("dse.compile"):
                 design = accelerator.build(cache=cache)
         except SpecError as err:
-            if skip_illegal:
-                get_tracer().instant("illegal_point", component="dse", point=name)
-                return {"status": "illegal", "name": name, "error": str(err)}
-            raise
+            raise _Illegal() from err
         with span("dse.simulate"):
-            result = SpatialArraySim(
-                design.compiled, memo=cache,
-                fidelity=candidate.get("fidelity"),
-            ).run(tensors)
+            result = SpatialArraySim(design.compiled, memo=cache).run(tensors)
         with span("dse.area"):
             area = estimate_design_area(design.compiled)
-    cycles = int(result.cycles)
-    area_um2 = float(area.total)
+        figures = {
+            "cycles": int(result.cycles),
+            "utilization": float(result.utilization),
+            "area_um2": float(area.total),
+            "pe_count": int(design.pe_count),
+            "conn_count": len(design.compiled.array.conns),
+            "pruned_variables": tuple(design.compiled.pruned_variables()),
+        }
+        if want_energy:
+            energy = energy_from_counters(
+                result.counters, element_bytes=max(1, element_bits // 8)
+            )
+            figures["energy_pj"] = float(energy.total_pj)
+        if want_digest:
+            figures["output_digest"] = fingerprint(result.outputs)
+        return figures
+
+    with span(
+        "dse.point", name, component="dse",
+        transform=candidate["transform_name"],
+        sparsity=candidate["sparsity_name"],
+        balancing=candidate["balancing_name"],
+    ):
+        try:
+            if cache is None:
+                figures = measure()
+            else:
+                figures = cache.memo(
+                    "dse.point",
+                    (spec, bounds, candidate["transform"],
+                     candidate["sparsity"], candidate["balancing"],
+                     element_bits, tensors, want_energy, want_digest),
+                    measure,
+                )
+        except _Illegal as illegal:
+            if not skip_illegal:
+                raise illegal.__cause__ from None
+            get_tracer().instant("illegal_point", component="dse", point=name)
+            return {"status": "illegal", "name": name, "error": str(illegal.__cause__)}
     outcome = {
         "status": "ok",
         "name": name,
         "transform_name": candidate["transform_name"],
         "sparsity_name": candidate["sparsity_name"],
         "balancing_name": candidate["balancing_name"],
-        "cycles": cycles,
-        "utilization": float(result.utilization),
-        "area_um2": area_um2,
-        "pe_count": int(design.pe_count),
-        "conn_count": len(design.compiled.array.conns),
-        "pruned_variables": list(design.compiled.pruned_variables()),
     }
-    membuf = candidate.get("membuf")
-    dma = candidate.get("dma")
-    regfile = candidate.get("regfile")
-    if membuf is not None or dma is not None or regfile is not None:
+    outcome.update(figures)
+    outcome["pruned_variables"] = list(figures["pruned_variables"])
+    return outcome
+
+
+def _apply_overlay(
+    outcome: Dict[str, object],
+    candidate: Mapping[str, object],
+    bounds,
+    element_bits: int,
+    overlays: Dict[tuple, Tuple[int, float]],
+) -> Dict[str, object]:
+    """Adjust an ``ok`` outcome by the candidate's membuf/DMA/regfile
+    variants (:mod:`repro.dse.uarch`), in place.
+
+    The overlay is applied after the point memo, so every variant of one
+    base shares its ``dse.point`` entry.  ``overlays`` is the sweep's
+    table of computed ``(extra_cycles, area_delta)`` pairs: each distinct
+    (variants, bounds, element_bits) is computed once per sweep.
+    """
+    variants = tuple(candidate.get(axis) for axis in ("membuf", "dma", "regfile"))
+    if outcome["status"] != "ok" or variants == (None, None, None):
+        return outcome
+    bounds = candidate.get("bounds", bounds)
+    key = (variants, tuple((n, bounds[n]) for n in bounds.names()), element_bits)
+    if key not in overlays:
         from ..dse.uarch import uarch_overlay
 
-        extra_cycles, area_delta = uarch_overlay(
-            membuf, dma, regfile, bounds, element_bits
-        )
-        outcome["cycles"] = cycles + extra_cycles
-        outcome["area_um2"] = area_um2 + area_delta
-        outcome["membuf_name"] = candidate.get("membuf_name", "default")
-        outcome["dma_name"] = candidate.get("dma_name", "default")
-        outcome["regfile_name"] = candidate.get("regfile_name", "default")
-        outcome["uarch_extra_cycles"] = extra_cycles
-        outcome["uarch_area_delta_um2"] = round(area_delta, 3)
-    if candidate.get("want_energy"):
-        energy = energy_from_counters(
-            result.counters, element_bytes=max(1, element_bits // 8)
-        )
-        outcome["energy_pj"] = float(energy.total_pj)
-    if candidate.get("want_digest"):
-        outcome["output_digest"] = fingerprint(result.outputs)
+        overlays[key] = uarch_overlay(*variants, bounds, element_bits)
+    extra_cycles, area_delta = overlays[key]
+    outcome["cycles"] += extra_cycles
+    outcome["area_um2"] += area_delta
+    outcome["membuf_name"] = candidate.get("membuf_name", "default")
+    outcome["dma_name"] = candidate.get("dma_name", "default")
+    outcome["regfile_name"] = candidate.get("regfile_name", "default")
+    outcome["uarch_extra_cycles"] = extra_cycles
+    outcome["uarch_area_delta_um2"] = round(area_delta, 3)
     return outcome
 
 
@@ -267,10 +314,11 @@ def evaluate_point(
     single named point that fails to compile is the caller's bug, not a
     pruned sweep entry.
     """
-    return _evaluate_point(
+    outcome = _evaluate_point(
         spec, bounds, _operands(candidate, tensors, tensor_table),
         element_bits, candidate, cache, skip_illegal,
     )
+    return _apply_overlay(outcome, candidate, bounds, element_bits, {})
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +479,13 @@ def evaluate_sweep(
     ``transform``, ``sparsity_name`` / ``sparsity`` and
     ``balancing_name`` / ``balancing``; suite candidates may add
     ``bounds``, ``tensors_key`` (an entry of ``tensor_table``), the
-    ``want_energy`` / ``want_digest`` flags, and a per-candidate
-    ``skip_illegal`` override.  Outcomes are plain dicts with ``status``
-    either ``"ok"`` (plus the measured figures) or ``"illegal"`` (plus
-    the compile error text).
+    ``want_energy`` / ``want_digest`` flags, a per-candidate
+    ``skip_illegal`` override, and the uarch overlay fields
+    ``membuf`` / ``dma`` / ``regfile`` (with their ``*_name``).  Outcomes
+    are plain dicts with ``status`` either ``"ok"`` (plus the measured
+    figures) or ``"illegal"`` (plus the compile error text).  Overlays
+    are applied in this process after each point's evaluation, from a
+    table local to this sweep (:func:`_apply_overlay`).
 
     ``on_outcome(index, outcome)`` -- when given -- is invoked once per
     candidate *in candidate order* as each outcome is finalized (worker
@@ -458,12 +509,16 @@ def evaluate_sweep(
     else:
         workers = min(resolve_jobs(jobs), max(1, len(candidates)))
 
+    overlays: Dict[tuple, Tuple[int, float]] = {}
     if workers <= 1:
         outcomes = []
         for index, candidate in enumerate(candidates):
-            outcome = _evaluate_point(
-                spec, bounds, _operands(candidate, tensors, tensor_table),
-                element_bits, candidate, cache, skip_illegal,
+            outcome = _apply_overlay(
+                _evaluate_point(
+                    spec, bounds, _operands(candidate, tensors, tensor_table),
+                    element_bits, candidate, cache, skip_illegal,
+                ),
+                candidate, bounds, element_bits, overlays,
             )
             outcomes.append(outcome)
             if on_outcome is not None:
@@ -523,7 +578,9 @@ def evaluate_sweep(
                 cache.stats.merge(cache_stats)
                 if cache.store is not None and store_stats is not None:
                     cache.store.stats.merge(store_stats)
-            outcomes[index] = outcome
+            outcomes[index] = _apply_overlay(
+                outcome, candidates[index], bounds, element_bits, overlays
+            )
             if on_outcome is not None:
                 on_outcome(index, outcome)
     finally:

@@ -11,10 +11,10 @@ successive-halving schedule:
 
 * **Rung 0** evaluates *all* combos of every layer at a cheap fidelity:
   each case's bounds are clipped to a small ``cap`` and its operand
-  tensors sliced to match, energy and output digests are skipped, and
-  the reduced run is tagged with a ``fidelity`` label that the engine
-  folds into the simulator's memo key -- rung entries can never answer
-  for (or be answered by) full-fidelity cache entries.
+  tensors sliced to match, and energy and output digests are skipped.
+  A rung tile's (bounds, operands) content and ``want_*`` flags differ
+  from the full point's, so its ``dse.point`` memo entry can never
+  answer for (or be answered by) a full-fidelity one.
 * Each subsequent rung re-runs only the survivors at an ``eta``-times
   larger cap, keeping the top ``ceil(n / eta)`` combos per layer on the
   rung objective (cycles, then area, then name -- deterministic).  Three
@@ -26,8 +26,8 @@ successive-halving schedule:
   a balancing scheme that is legal at full bounds; they are carried
   forward rather than falsely pruned).
 * The **final rung** is the exact evaluation: full bounds, full
-  tensors, energy + digest on, no fidelity tag -- so it shares cache
-  entries with the fixed sweep, and cold/warm runs stay byte-identical.
+  tensors, energy + digest on -- so it shares ``dse.point`` entries
+  with the fixed sweep, and cold/warm runs stay byte-identical.
 
 ``eta=1`` degenerates to that single exact rung: an exhaustive search.
 ``repro sweep --autotune`` is exactly that case over the non-widened
@@ -642,7 +642,6 @@ def halving_autotune_suite(
                 bounds, tensors, clipped = _clip_case(case, cap)
             tensors_key = f"{case.name}@cap{cap}" if clipped else case.name
             tensor_table.setdefault(tensors_key, tensors)
-            fidelity = f"cap{cap}" if clipped else None
             for combo in survivors[case_index]:
                 entries.append((case_index, combo))
                 candidates.append(
@@ -651,7 +650,6 @@ def halving_autotune_suite(
                         + ("" if not clipped else f" @ rung{rung_index}"),
                         bounds=bounds,
                         tensors_key=tensors_key,
-                        fidelity=fidelity,
                         want_energy=final,
                         want_digest=final,
                         # The baseline must compile; exploration combos

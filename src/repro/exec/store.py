@@ -75,7 +75,7 @@ _MISSING = object()
 
 
 def _parse_stage_weights(raw: Optional[str]) -> Dict[str, float]:
-    """``"compile=4,sim.dense=1"`` -> ``{"compile": 4.0, ...}``.
+    """``"compile=4,dse.point=1"`` -> ``{"compile": 4.0, ...}``.
 
     Malformed entries are dropped rather than failing a GC that is
     usually running amortized inside a build.
@@ -103,7 +103,7 @@ def _water_fill(
     Stages whose occupancy fits inside their weighted share are
     satisfied in full and their slack is redistributed to the rest, so
     a small ``compile`` stage is never starved just because a huge
-    ``sim.dense`` stage exists -- the failure mode of a single global
+    ``compile.prune`` stage exists -- the failure mode of a single global
     LRU budget.
     """
     budgets = {stage: 0 for stage in sizes}
@@ -427,7 +427,7 @@ class DiskStore:
         """Per-stage ``{"entries": n, "bytes": b}`` for the live version.
 
         Stages are the memo names under the version directory
-        (``compile``, ``sim.dense``, ``analysis.spec``, ...); the map is
+        (``compile``, ``dse.point``, ``analysis.spec``, ...); the map is
         sorted by stage name so renders are stable.
         """
         stages: Dict[str, Dict[str, int]] = {}
@@ -538,7 +538,7 @@ class DiskStore:
         globally by mtime (reads bump it), tallied under ``"<lru>"``;
         ``per_stage`` instead enforces the water-filled
         :meth:`stage_budgets`, evicting LRU *within* each
-        over-budget stage so one bulky stage (a big ``sim.dense``
+        over-budget stage so one bulky stage (a big ``compile.prune``
         sweep) can no longer wipe out every ``compile`` entry.  The
         whole pass holds the store's advisory GC lock; if another
         process holds it the collection is skipped (empty report).

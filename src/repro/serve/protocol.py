@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, Optional, Tuple
 
-from ..dse.explorer import SPECS
+from ..dse.explorer import SPECS, explorable_spec
 from ..exec.fingerprint import fingerprint
 from ..exec.halving import OBJECTIVES as _OBJECTIVE_MEASURES
 
@@ -40,7 +40,9 @@ REQUEST_TYPES = ("sweep", "explore", "metrics", "ping", "shutdown")
 #: Autotune objectives (those of ``repro sweep --objective``).
 OBJECTIVES = tuple(_OBJECTIVE_MEASURES)
 
-#: DSE specs servable through an ``explore`` request.
+#: DSE specs an ``explore`` request may name; one the explore space
+#: does not cover (:func:`~repro.dse.explorer.explorable_spec`) is
+#: refused as ``unsupported-spec``.
 EXPLORE_SPECS = tuple(SPECS)
 
 #: Upper bound on the per-index size of an ``explore`` request: the
@@ -205,6 +207,10 @@ def _validate_explore(request: Dict[str, object]) -> Dict[str, object]:
             "unknown-spec",
             f"unknown spec {spec!r}; available: {', '.join(EXPLORE_SPECS)}",
         )
+    try:
+        explorable_spec(spec)
+    except ValueError as err:
+        raise RequestError("unsupported-spec", str(err)) from None
     return {
         "type": "explore",
         "spec": spec,

@@ -89,13 +89,12 @@ class SpatialArraySim:
         (Section VI-B); handwritten baselines set this to 0.
     memo:
         An optional :class:`repro.exec.cache.CompileCache`.  When given,
-        whole dense runs are memoized per ``(spec, bounds, transform,
-        pe_count, tensors, fill_drain_overhead)`` -- the dense path is
-        independent of the sparsity/balancing axes -- and the sparse path
-        memoizes its sub-products: workload compression per ``(spec,
-        bounds, sparsity, tensors)`` and the reference interpretation per
-        ``(spec, bounds, tensors)``.  Sparse *results* are never memoized
-        whole because cycle counts depend on the balancing axis.
+        the sub-products shared across the balancing axis are memoized:
+        workload compression per ``(spec, bounds, sparsity, tensors)``,
+        the reference interpretation per ``(spec, bounds, tensors)`` and
+        compiled kernels per spec.  Whole runs are never memoized here;
+        the evaluation engine memoizes each design point's finished
+        figures (the ``dse.point`` stage).
     vectorize:
         When ``False``, dense runs take the exact per-point loop (which
         steps the spec interpreter) instead of the closed form, and skip
@@ -117,13 +116,6 @@ class SpatialArraySim:
         byte-identical.
         As with ``vectorize``, pass ``memo=None`` when comparing paths,
         or the content-keyed reference memo will answer for both.
-    fidelity:
-        An optional low-fidelity tag (the successive-halving autotuner
-        labels reduced-``cap`` rungs).  When set, it is folded into the
-        dense-run memo key so rung results can never answer for -- or be
-        answered by -- a full-fidelity entry; ``None`` (the default)
-        keeps every key byte-identical to the untagged scheme, so full
-        runs keep hitting the store entries they always have.
     """
 
     def __init__(
@@ -133,14 +125,12 @@ class SpatialArraySim:
         memo=None,
         vectorize: bool = True,
         kernel: bool = True,
-        fidelity: Optional[str] = None,
     ):
         self.design = design
         self.fill_drain_overhead = fill_drain_overhead
         self.memo = memo
         self.vectorize = vectorize
         self.kernel = kernel
-        self.fidelity = fidelity
 
     # ------------------------------------------------------------------
 
@@ -148,15 +138,6 @@ class SpatialArraySim:
         tensors = {name: np.asarray(arr) for name, arr in tensors.items()}
         if self._is_sparse():
             return self._run_sparse(tensors)
-        if self.memo is not None:
-            design = self.design
-            parts = (design.spec, design.bounds, design.transform,
-                     design.array.pe_count, tensors, self.fill_drain_overhead)
-            if self.fidelity is not None:
-                parts = parts + (self.fidelity,)
-            return self.memo.memo(
-                "sim.dense", parts, lambda: self._run_dense(tensors),
-            )
         return self._run_dense(tensors)
 
     def _is_sparse(self) -> bool:

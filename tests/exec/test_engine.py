@@ -5,6 +5,7 @@ import pytest
 
 import repro.analysis.spec as analysis_spec
 from repro.core import Bounds, SpecError, matmul_spec
+from repro.core.accelerator import Accelerator
 from repro.core.balancing import LoadBalancingScheme, row_shift_scheme
 from repro.core.dataflow import (
     SpaceTimeTransform,
@@ -15,7 +16,7 @@ from repro.core.dataflow import (
 from repro.core.sparsity import SparsityStructure, csr_b_matrix
 from repro.dse import explore
 from repro.exec.cache import CompileCache
-from repro.exec.engine import EngineReport, resolve_jobs
+from repro.exec.engine import EngineReport, evaluate_sweep, resolve_jobs
 from repro.obs.profile import Profiler, set_profiler
 from repro.obs.trace import Tracer, set_tracer
 
@@ -100,10 +101,16 @@ class TestParity:
         spec, kwargs = _sweep_kwargs()
         cache = CompileCache()
         first = explore(spec, bounds, tensors, cache=cache, **kwargs)
+        compile_lookups = sum(cache.stats.by_stage["compile"])
+        point_hits = cache.stats.by_stage["dse.point"][0]
         second = explore(spec, bounds, tensors, cache=cache, **kwargs)
         assert _signature(first) == _signature(second)
-        # The second sweep is answered almost entirely from the cache.
-        assert cache.stats.by_stage["compile"][0] >= len(second.points)
+        # The second sweep is answered whole from the point memo: every
+        # point hits, and none of them reaches the compile stage.
+        assert cache.stats.by_stage["dse.point"][0] - point_hits >= len(
+            second.points
+        )
+        assert sum(cache.stats.by_stage["compile"]) == compile_lookups
 
     def test_cache_records_hits(self, workload):
         bounds, tensors = workload
@@ -290,3 +297,158 @@ class TestTallies:
         assert sum(hits + misses for hits, misses in stats.by_stage.values()) == (
             stats.lookups
         )
+
+
+def _candidate(name, transform, **extra):
+    fields = {
+        "name": name,
+        "transform_name": name,
+        "transform": transform,
+        "sparsity_name": "dense",
+        "sparsity": SparsityStructure(),
+        "balancing_name": "none",
+        "balancing": LoadBalancingScheme(),
+    }
+    fields.update(extra)
+    return fields
+
+
+class TestPointMemo:
+    """Each design point is evaluated once and its figures stored under
+    one ``dse.point`` key; names and uarch overlays come per candidate."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_identical_transforms_keep_their_own_names(self, workload, jobs):
+        bounds, tensors = workload
+        cache = CompileCache()
+        candidates = [
+            _candidate("os-a", output_stationary()),
+            _candidate("os-b", output_stationary()),
+        ]
+        outcomes, _ = evaluate_sweep(
+            matmul_spec(), bounds, tensors, candidates, jobs=jobs, cache=cache
+        )
+        assert [o["name"] for o in outcomes] == ["os-a", "os-b"]
+        assert [o["transform_name"] for o in outcomes] == ["os-a", "os-b"]
+        figures = [
+            {k: v for k, v in o.items() if not k.endswith("name")}
+            for o in outcomes
+        ]
+        assert figures[0] == figures[1]
+        if jobs == 1:
+            assert cache.stats.by_stage["dse.point"] == (1, 1)
+
+    def test_uarch_variants_of_one_base_compile_and_simulate_once(
+        self, monkeypatch
+    ):
+        import repro.dse.uarch as uarch
+        from repro.dse.space import DesignSpace
+        from repro.exec.halving import halving_autotune_suite
+        from repro.exec.suite import build_suite
+
+        membufs, dmas, regfiles = uarch.standard_uarch_axes()
+        suite = build_suite("alexnet", cap=4, seed=7)
+        space = DesignSpace(
+            {suite.transform_name: output_stationary()},
+            {suite.sparsity_name: suite.sparsity},
+            {suite.balancing_name: LoadBalancingScheme()},
+            membufs, dmas, regfiles,
+        )
+        overlay_calls = []
+        original = uarch.uarch_overlay
+
+        def counting(*args):
+            overlay_calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(uarch, "uarch_overlay", counting)
+        cache = CompileCache()
+        profiler = Profiler(enabled=True)
+        previous = set_profiler(profiler)
+        try:
+            result = halving_autotune_suite(
+                suite, eta=2, jobs=1, cache=cache, space=space
+            )
+        finally:
+            set_profiler(previous)
+        labels = {r.label: r.calls for r in profiler.records()}
+        candidates = sum(stats.candidates for stats in result.rungs)
+        bases = len(suite.cases) * len(result.rungs)
+        assert len(result.combos) == 8
+        assert labels["dse.point"] == candidates > bases
+        # One compile and one simulation per distinct base, never one
+        # per uarch variant.
+        assert cache.stats.by_stage["dse.point"][1] == bases
+        assert labels["dse.compile"] == labels["dse.simulate"] == bases
+        # Each (variants, bounds) pair is computed once per rung.
+        assert len(overlay_calls) == len(
+            {(args[:3], repr(args[3])) for args in overlay_calls}
+        )
+        assert len(overlay_calls) <= 7 * bases
+
+    def test_store_without_point_entries_gives_identical_rows(self, tmp_path):
+        import json
+        import os
+        import shutil
+
+        from repro.exec.store import DiskStore
+        from repro.exec.suite import build_suite, evaluate_suite
+
+        suite = build_suite("resnet50", cap=4, seed=7)
+        root = str(tmp_path / "store")
+        first = evaluate_suite(suite, cache=CompileCache(store=DiskStore(root)))
+        # A store written before the point memo existed holds every
+        # other stage but no dse.point entries.
+        store = DiskStore(root)
+        shutil.rmtree(os.path.join(store.version_dir, "dse.point"))
+        assert "dse.point" not in store.stage_summary()
+        second = evaluate_suite(suite, cache=CompileCache(store=store))
+        assert json.dumps(second.rows) == json.dumps(first.rows)
+        assert store.stage_summary()["dse.point"]["entries"] == len(suite.cases)
+
+    def test_fixed_baseline_that_fails_to_compile_still_raises(self, workload):
+        bounds, tensors = workload
+        bad = SpaceTimeTransform([[1, 0, 0], [0, 1, 0], [1, 1, -1]])
+        cache = CompileCache()
+        with pytest.raises(SpecError) as direct:
+            Accelerator(matmul_spec(), bounds, bad).build(cache=CompileCache())
+        pruned, _ = evaluate_sweep(
+            matmul_spec(), bounds, tensors, [_candidate("bad", bad)],
+            skip_illegal=True, cache=cache,
+        )
+        assert pruned == [
+            {"status": "illegal", "name": "bad", "error": str(direct.value)}
+        ]
+        for _ in range(2):  # an illegal point is never memoized
+            with pytest.raises(type(direct.value)) as raised:
+                evaluate_sweep(
+                    matmul_spec(), bounds, tensors,
+                    [_candidate("bad", bad, skip_illegal=False)],
+                    skip_illegal=True, cache=cache,
+                )
+            assert str(raised.value) == str(direct.value)
+        assert "dse.point" not in cache.entries_by_stage()
+
+    def test_overlay_on_a_shared_base_matches_the_direct_overlay(self, workload):
+        from repro.dse.space import DesignSpace
+        from repro.dse.uarch import standard_uarch_axes, uarch_overlay
+
+        bounds, tensors = workload
+        space = DesignSpace(
+            {"os": output_stationary()}, None, None, *standard_uarch_axes()
+        )
+        candidates = [combo.candidate() for combo in space.combos()]
+        cache = CompileCache()
+        outcomes, _ = evaluate_sweep(
+            matmul_spec(), bounds, tensors, candidates, cache=cache
+        )
+        assert cache.stats.by_stage["dse.point"] == (len(candidates) - 1, 1)
+        base = outcomes[0]
+        assert "uarch_extra_cycles" not in base
+        for candidate, outcome in zip(candidates, outcomes):
+            extra, delta = uarch_overlay(
+                candidate.get("membuf"), candidate.get("dma"),
+                candidate.get("regfile"), bounds, 32,
+            )
+            assert outcome["cycles"] == base["cycles"] + extra
+            assert outcome["area_um2"] == base["area_um2"] + delta

@@ -14,6 +14,8 @@ import json
 import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.expr import Bounds
 from repro.dse.space import budgeted_combos, suite_design_space
@@ -25,6 +27,7 @@ from repro.dse.uarch import (
     uarch_overlay,
 )
 from repro.exec.cache import CompileCache, persistent_compile_cache
+from repro.exec.engine import _apply_overlay
 from repro.exec.halving import (
     MIN_RUNG_CAP,
     Constraint,
@@ -341,6 +344,40 @@ class TestUarchOverlay:
             MembufVariant(4, 4), DmaVariant(1), None, bounds, 16
         )
         assert area < 0
+
+    #: One overlay table shared by every example, as one sweep shares it
+    #: across its candidates.
+    shared_table = {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.tuples(*[st.integers(1, 48)] * 3),
+        names=st.tuples(
+            *(st.sampled_from(sorted(axis)) for axis in standard_uarch_axes())
+        ),
+        element_bits=st.sampled_from([8, 16, 32]),
+    )
+    def test_overlay_properties_over_the_standard_axes(
+        self, sizes, names, element_bits
+    ):
+        bounds = Bounds(dict(zip("ijk", sizes)))
+        variants = tuple(
+            axis[name] for axis, name in zip(standard_uarch_axes(), names)
+        )
+        extra, delta = uarch_overlay(*variants, bounds, element_bits)
+        assert extra >= 0
+        if variants == (None, None, None):
+            assert (extra, delta) == (0, 0.0)
+        base = {"status": "ok", "cycles": 1000, "area_um2": 5000.0}
+        candidate = dict(zip(("membuf", "dma", "regfile"), variants))
+        outcome = _apply_overlay(
+            dict(base), candidate, bounds, element_bits, self.shared_table
+        )
+        assert outcome["cycles"] == base["cycles"] + extra
+        assert outcome["area_um2"] == base["area_um2"] + delta
+        assert ("uarch_extra_cycles" in outcome) == any(
+            variant is not None for variant in variants
+        )
 
     def test_standard_axes_lead_with_default(self):
         for axis in standard_uarch_axes():

@@ -150,6 +150,7 @@ class TestValidate:
 
     def test_explore_bounds(self):
         assert err({"type": "explore", "spec": "nope"}).code == "unknown-spec"
+        assert err({"type": "explore", "spec": "bmm"}).code == "unsupported-spec"
         assert err({"type": "explore", "size": 0}).code == "bad-bounds"
         assert err({"type": "explore", "size": 1000}).code == "bad-bounds"
 

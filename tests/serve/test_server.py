@@ -243,6 +243,16 @@ class TestStreaming:
             row["name"] for row in result["rows"]
         }
 
+    def test_explore_of_a_spec_outside_the_space_is_a_structured_error(
+        self, harness
+    ):
+        h = harness()
+        with pytest.raises(ServeError) as excinfo:
+            h.client.explore(spec="bmm", size=2, seed=0)
+        assert excinfo.value.code == "unsupported-spec"
+        # The daemon serves the next request normally.
+        assert h.client.explore(spec="matmul", size=2, seed=0)["points"] > 0
+
 
 class TestTraces:
     def test_traces_interleave_with_rows_in_emission_order(self, harness):

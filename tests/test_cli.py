@@ -92,6 +92,16 @@ class TestCommands:
         assert "pareto" in out
         assert "best area-delay product" in out
 
+    def test_explore_refuses_a_spec_outside_the_space(self, capsys):
+        # The explore dataflows are rank 3; bmm has four indices.
+        assert main(["explore", "--spec", "bmm", "--size", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "explore: spec 'bmm' has 4 indices, but the explore dataflows"
+            " are rank 3\n"
+        )
+
     def test_simulate_json(self, capsys):
         assert main(["simulate", "--size", "3", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
