@@ -32,8 +32,8 @@ Wraps the Figure 1 flow for quick use without writing Python:
   in-flight deduplication of identical requests, streamed per-layer
   rows, and a live ``metrics`` endpoint;
 * ``cache`` -- inspect or maintain the persistent design cache
-  (``stats`` / ``gc`` / ``clear``; ``gc --per-stage`` water-fills the
-  byte budget across stages);
+  (``stats`` / ``gc`` / ``clear``; ``gc`` evicts least-recently-used
+  entries down to the byte budget);
 * ``trace`` -- run a design with tracing enabled and write a Chrome
   ``trace_event`` JSON timeline plus a VCD waveform dump of the RTL
   interpreter;
@@ -472,20 +472,13 @@ def cmd_cache(args) -> int:
         return 0
 
     if args.action == "gc":
-        # Budgets describe what this collection enforces, so compute
-        # them from the pre-GC occupancy.
-        budgets = store.stage_budgets() if args.per_stage else None
-        report = store.gc_report(per_stage=args.per_stage or None)
-        evicted = sum(report.values())
+        evicted = store.gc()
         remaining = store.total_bytes()
         payload = {
             "evicted": evicted,
             "total_bytes": remaining,
             "max_bytes": store.max_bytes,
         }
-        if args.per_stage:
-            payload["per_stage"] = report
-            payload["budgets"] = budgets
         if args.json:
             print(json.dumps(payload, indent=2))
         else:
@@ -493,13 +486,6 @@ def cmd_cache(args) -> int:
                 f"cache: evicted {evicted} entries;"
                 f" {remaining} / {store.max_bytes} bytes in use"
             )
-            if args.per_stage:
-                width = max((len(stage) for stage in budgets), default=0)
-                for stage, budget in sorted(budgets.items()):
-                    print(
-                        f"  {stage.ljust(width)}  budget {budget:10d} B"
-                        f"  evicted {report.get(stage, 0)}"
-                    )
         return 0
 
     # clear
@@ -921,8 +907,9 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd.add_argument(
         "action",
         choices=["stats", "gc", "clear"],
-        help="stats: per-stage occupancy; gc: enforce the byte budget;"
-        " clear: drop every entry of the live version",
+        help="stats: per-stage occupancy; gc: evict least-recently-used"
+        " entries down to the byte budget; clear: drop every entry of"
+        " the live version",
     )
     cache_cmd.add_argument(
         "--cache-dir",
@@ -936,14 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the byte budget for this invocation (gc evicts"
         " down to it; default STELLAR_CACHE_MAX_BYTES)",
-    )
-    cache_cmd.add_argument(
-        "--per-stage",
-        action="store_true",
-        help="gc: water-fill the byte budget across stages"
-        " (STELLAR_CACHE_STAGE_WEIGHTS tunes the shares) so one bulky"
-        " stage cannot evict every compile entry; prints the per-stage"
-        " budgets and evictions",
     )
     cache_cmd.add_argument(
         "--json", action="store_true", help="machine-readable report"
@@ -1109,7 +1088,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        # Imported here: the store module pulls in the whole exec stack.
+        from .exec.store import StoreConfigError
+
+        if not isinstance(err, StoreConfigError):
+            raise
+        print(f"{args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,6 +41,16 @@ T = TypeVar("T")
 
 _MISSING = object()
 
+#: The stages a later process reads back from the disk tier: ``check``
+#: reads ``analysis.spec``, ``verify`` reads ``compile`` and ``lower``,
+#: warm sweeps and ``serve`` read ``dse.point``, and a known spec meeting
+#: new bounds reads ``sim.kernel``.  Every other stage (elaboration,
+#: pruning, sparse compression, reference outputs) is an in-process
+#: intermediate: it hits in the memory tier and never touches the disk.
+PERSISTED_STAGES = frozenset(
+    {"analysis.spec", "compile", "lower", "dse.point", "sim.kernel"}
+)
+
 
 class CacheStats:
     """Hit/miss/uncacheable tallies, total and per stage.
@@ -117,11 +127,11 @@ class CompileCache:
     presents them as metrics.
 
     ``store`` (a :class:`~repro.exec.store.DiskStore`) adds the
-    persistent tier: a memory miss consults the disk before building,
-    and every freshly built value is written back, so content keys
-    survive the process.  The disk is strictly behind the memory tier --
-    a disk hit is promoted into memory and evicting it from memory does
-    not touch the disk copy.
+    persistent tier for the :data:`PERSISTED_STAGES`: a memory miss
+    consults the disk before building, and every freshly built value is
+    written back, so content keys survive the process.  The disk is
+    strictly behind the memory tier -- a disk hit is promoted into
+    memory and evicting it from memory does not touch the disk copy.
     """
 
     DEFAULT_MAX_ENTRIES = 1024
@@ -196,7 +206,8 @@ class CompileCache:
         """Return the memoized value for ``(stage, parts)``, building it
         on first use.  Unfingerprintable parts bypass the cache --
         including the disk tier, so values without a canonical content
-        key are never persisted under a guessed one."""
+        key are never persisted under a guessed one, and stages outside
+        :data:`PERSISTED_STAGES` live in the memory tier only."""
         try:
             digest = self.key(parts)
         except FingerprintError:
@@ -208,8 +219,9 @@ class CompileCache:
             self._entries.move_to_end(entry_key)
             self.stats.record(stage, hit=True)
             return cached
-        if self.store is not None:
-            found, value = self.store.get(stage, digest)
+        store = self.store if stage in PERSISTED_STAGES else None
+        if store is not None:
+            found, value = store.get(stage, digest)
             if found:
                 self.stats.record(stage, hit=True)
                 self.stats.disk_hits += 1
@@ -218,8 +230,8 @@ class CompileCache:
         value = build()
         self.stats.record(stage, hit=False)
         self._insert(entry_key, value)
-        if self.store is not None:
-            self.store.put(stage, digest, value)
+        if store is not None:
+            store.put(stage, digest, value)
         return value
 
     def _insert(self, entry_key: Tuple[str, str], value: object) -> None:
@@ -317,18 +329,6 @@ class CompileCache:
         )
 
     # -- maintenance ----------------------------------------------------
-
-    def entries_by_stage(self) -> Dict[str, int]:
-        """Live memory-tier entry counts per stage, sorted by stage name.
-
-        The disk tier's counterpart is
-        :meth:`repro.exec.store.DiskStore.stage_summary`; both feed the
-        ``repro cache stats`` view of where the budget is going.
-        """
-        counts: Dict[str, int] = {}
-        for stage, _digest in self._entries:
-            counts[stage] = counts.get(stage, 0) + 1
-        return dict(sorted(counts.items()))
 
     def clear(self) -> None:
         self._entries.clear()

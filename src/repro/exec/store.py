@@ -27,9 +27,13 @@ Design constraints, in order:
   compiler products (compiled designs, netlists, diagnostics) use
   pickle;
 * **size-bounded** -- a byte budget (``STELLAR_CACHE_MAX_BYTES``,
-  default 256 MiB) is enforced by a least-recently-*used* GC: reads
-  bump an entry's mtime, eviction drops the stalest entries and any
-  other-version directories first.
+  default 256 MiB; a malformed or non-positive value is a
+  :class:`StoreConfigError`) is enforced by one least-recently-*used*
+  GC over the live version: reads bump an entry's mtime, eviction
+  drops any other-version directories first, then the stalest entries.
+
+The store persists whatever it is handed; which memo stages reach it
+is decided by :data:`repro.exec.cache.PERSISTED_STAGES`.
 
 Failures on the write path (read-only filesystem, disk full,
 unpicklable value) silently degrade the store to a pass-through: the
@@ -45,7 +49,7 @@ import os
 import pickle
 import tempfile
 from contextlib import contextmanager
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 try:  # pragma: no cover - present on every POSIX platform
     import fcntl
@@ -71,65 +75,28 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: Lock file (under the store root) serializing GC across processes.
 GC_LOCK_NAME = ".gc.lock"
 
-_MISSING = object()
+
+class StoreConfigError(ValueError):
+    """A store setting taken from the environment is malformed."""
 
 
-def _parse_stage_weights(raw: Optional[str]) -> Dict[str, float]:
-    """``"compile=4,dse.point=1"`` -> ``{"compile": 4.0, ...}``.
-
-    Malformed entries are dropped rather than failing a GC that is
-    usually running amortized inside a build.
-    """
-    weights: Dict[str, float] = {}
-    for part in (raw or "").split(","):
-        part = part.strip()
-        if not part or "=" not in part:
-            continue
-        stage, _eq, value = part.partition("=")
-        try:
-            weight = float(value)
-        except ValueError:
-            continue
-        if stage.strip() and weight > 0:
-            weights[stage.strip()] = weight
-    return weights
-
-
-def _water_fill(
-    budget: int, sizes: Mapping[str, int], weights: Mapping[str, float]
-) -> Dict[str, int]:
-    """Split ``budget`` bytes across stages, weighted, capped by need.
-
-    Stages whose occupancy fits inside their weighted share are
-    satisfied in full and their slack is redistributed to the rest, so
-    a small ``compile`` stage is never starved just because a huge
-    ``compile.prune`` stage exists -- the failure mode of a single global
-    LRU budget.
-    """
-    budgets = {stage: 0 for stage in sizes}
-    active = sorted(stage for stage in sizes if sizes[stage] > 0)
-    remaining = budget
-    while active and remaining > 0:
-        total_weight = sum(weights.get(stage, 1.0) for stage in active)
-        if total_weight <= 0:  # pragma: no cover - weights are validated > 0
-            break
-        satisfied = [
-            stage
-            for stage in active
-            if sizes[stage]
-            <= remaining * weights.get(stage, 1.0) / total_weight
-        ]
-        if not satisfied:
-            for stage in active:
-                budgets[stage] = int(
-                    remaining * weights.get(stage, 1.0) / total_weight
-                )
-            break
-        for stage in satisfied:
-            budgets[stage] = sizes[stage]
-            remaining -= sizes[stage]
-            active.remove(stage)
-    return budgets
+def _max_bytes_from_env() -> int:
+    """The byte budget ``STELLAR_CACHE_MAX_BYTES`` names, else the
+    default; anything but a positive integer is a
+    :class:`StoreConfigError` naming the variable."""
+    raw = os.environ.get("STELLAR_CACHE_MAX_BYTES")
+    if raw is None:
+        return DEFAULT_MAX_BYTES
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise StoreConfigError(
+            "STELLAR_CACHE_MAX_BYTES must be a positive integer byte count,"
+            f" got {raw!r}"
+        )
+    return value
 
 
 def default_cache_dir() -> Optional[str]:
@@ -266,12 +233,7 @@ class DiskStore:
     ):
         self.root = os.path.expanduser(root)
         if max_bytes is None:
-            try:
-                max_bytes = int(
-                    os.environ.get("STELLAR_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES)
-                )
-            except ValueError:
-                max_bytes = DEFAULT_MAX_BYTES
+            max_bytes = _max_bytes_from_env()
         if max_bytes < 1:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = max_bytes
@@ -406,10 +368,9 @@ class DiskStore:
 
     # -- maintenance ----------------------------------------------------
 
-    def _entries(self, root: Optional[str] = None) -> Iterable[Tuple[str, int, float]]:
-        """(path, size, mtime) of every entry under ``root`` (default:
-        the current version directory)."""
-        for dirpath, _dirnames, filenames in os.walk(root or self.version_dir):
+    def _entries(self) -> Iterable[Tuple[str, int, float]]:
+        """(path, size, mtime) of every entry in the live version."""
+        for dirpath, _dirnames, filenames in os.walk(self.version_dir):
             for filename in filenames:
                 if not filename.endswith(".entry"):
                     continue
@@ -489,112 +450,40 @@ class DiskStore:
         finally:
             handle.close()
 
-    def stage_budgets(
-        self, weights: Optional[Mapping[str, float]] = None
-    ) -> Dict[str, int]:
-        """Per-stage byte budgets under the store-wide ``max_bytes``.
-
-        The budget is water-filled across the live stages: every stage
-        gets a weighted share (``weights`` argument, else the
-        ``STELLAR_CACHE_STAGE_WEIGHTS`` environment knob as
-        ``stage=weight,...``, else equal weights), stages that need
-        less than their share keep what they have, and the slack
-        redistributes to the over-subscribed ones.
-        """
-        if weights is None:
-            weights = _parse_stage_weights(
-                os.environ.get("STELLAR_CACHE_STAGE_WEIGHTS")
-            )
-        sizes = {
-            stage: bucket["bytes"]
-            for stage, bucket in self.stage_summary().items()
-        }
-        return _water_fill(self.max_bytes, sizes, weights)
-
-    def gc(
-        self,
-        per_stage: Optional[bool] = None,
-        weights: Optional[Mapping[str, float]] = None,
-    ) -> int:
-        """Evict until the current version fits the byte budget.
-
-        Returns the total entries evicted; :meth:`gc_report` has the
-        per-bucket breakdown.  ``per_stage=None`` defers to the
-        ``STELLAR_CACHE_GC_PER_STAGE`` environment knob.
-        """
-        return sum(self.gc_report(per_stage=per_stage, weights=weights).values())
-
-    def gc_report(
-        self,
-        per_stage: Optional[bool] = None,
-        weights: Optional[Mapping[str, float]] = None,
-    ) -> Dict[str, int]:
-        """Run a collection; entries evicted per bucket.
+    def gc(self) -> int:
+        """Run a collection; returns the entries evicted.
 
         Other-version directories (stale schema or fingerprint stamps)
-        are removed wholesale first -- nothing can ever read them again
-        -- and tallied under ``"<stale-versions>"``.  Within the live
-        version, the default mode evicts least-recently-used entries
-        globally by mtime (reads bump it), tallied under ``"<lru>"``;
-        ``per_stage`` instead enforces the water-filled
-        :meth:`stage_budgets`, evicting LRU *within* each
-        over-budget stage so one bulky stage (a big ``compile.prune``
-        sweep) can no longer wipe out every ``compile`` entry.  The
-        whole pass holds the store's advisory GC lock; if another
-        process holds it the collection is skipped (empty report).
+        are removed wholesale first -- nothing can ever read them again.
+        Within the live version, least-recently-used entries (reads bump
+        the mtime) are evicted until it fits the byte budget.  The whole
+        pass holds the store's advisory GC lock; if another process
+        holds it the collection is skipped (returns 0).
         """
-        if per_stage is None:
-            per_stage = os.environ.get(
-                "STELLAR_CACHE_GC_PER_STAGE", ""
-            ).strip().lower() in ("1", "true", "yes", "on")
-        report: Dict[str, int] = {}
         with self._gc_guard() as acquired:
             if not acquired:
-                return report
+                return 0
             self._bytes_since_gc = 0
-            stale = 0
             try:
                 siblings = os.listdir(self.root)
             except OSError:
                 siblings = []
-            for name in siblings:
-                if name != self.version_tag and not name.startswith("."):
-                    stale += self._remove_tree(os.path.join(self.root, name))
-            if stale:
-                report["<stale-versions>"] = stale
-
-            if per_stage:
-                budgets = self.stage_budgets(weights)
-                for stage, budget in sorted(budgets.items()):
-                    dropped = self._evict_lru(
-                        os.path.join(self.version_dir, stage), budget
-                    )
-                    if dropped:
-                        report[stage] = dropped
-            else:
-                dropped = self._evict_lru(self.version_dir, self.max_bytes)
-                if dropped:
-                    report["<lru>"] = dropped
-
-        evicted = sum(report.values())
+            evicted = sum(
+                self._remove_tree(os.path.join(self.root, name))
+                for name in siblings
+                if name != self.version_tag and not name.startswith(".")
+            )
+            # Oldest first; path tie-break for same-mtime determinism.
+            entries = sorted(self._entries(), key=lambda e: (e[2], e[0]))
+            total = sum(size for _path, size, _mtime in entries)
+            for path, size, _mtime in entries:
+                if total <= self.max_bytes:
+                    break
+                self._remove(path)
+                total -= size
+                evicted += 1
         self.stats.evicted += evicted
-        return report
-
-    def _evict_lru(self, root: str, budget: int) -> int:
-        """Drop the stalest ``.entry`` files under ``root`` until the
-        tree fits ``budget`` bytes; returns entries removed."""
-        entries = sorted(
-            self._entries(root), key=lambda e: (e[2], e[0])
-        )  # oldest first; path tie-break for same-mtime determinism
-        total = sum(size for _path, size, _mtime in entries)
-        removed = 0
-        for path, size, _mtime in entries:
-            if total <= budget:
-                break
-            self._remove(path)
-            total -= size
-            removed += 1
-        return removed
+        return evicted
 
     def clear(self) -> None:
         self._remove_tree(self.version_dir)

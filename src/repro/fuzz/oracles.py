@@ -52,7 +52,7 @@ from ..dse.space import suite_design_space
 from ..exec.cache import CompileCache
 from ..exec.engine import ResidentPool, evaluate_point, evaluate_sweep
 from ..exec.halving import sweep_suite
-from ..exec.store import DiskStore
+from ..exec.store import DEFAULT_MAX_BYTES, DiskStore
 from ..exec.suite import build_table_suite
 from ..rtl.lowering import lower_design
 from ..sim.kernel import KernelFallback, compile_kernel
@@ -296,11 +296,12 @@ def _oracle_cold_vs_warm(case: FuzzCase, _ctx: OracleContext):
     bounds = case.build_bounds()
     tensors = case.build_tensors()
     with tempfile.TemporaryDirectory(prefix="stellar-fuzz-store-") as root:
-        cold_cache = CompileCache(store=DiskStore(root))
+        # An explicit budget keeps the oracle off STELLAR_CACHE_MAX_BYTES.
+        cold_cache = CompileCache(store=DiskStore(root, DEFAULT_MAX_BYTES))
         cold = evaluate_point(
             spec, bounds, tensors, _case_candidate(case), cache=cold_cache
         )
-        warm_cache = CompileCache(store=DiskStore(root))
+        warm_cache = CompileCache(store=DiskStore(root, DEFAULT_MAX_BYTES))
         warm = evaluate_point(
             spec, bounds, tensors, _case_candidate(case), cache=warm_cache
         )

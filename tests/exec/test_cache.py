@@ -181,14 +181,17 @@ class TestCompileFacade:
 
 
 class TestDiskTier:
+    """The disk tier behind ``memo``, exercised on ``dse.point``, one of
+    the ``PERSISTED_STAGES``."""
+
     def test_fresh_cache_same_root_hits_disk(self, tmp_path):
         root = str(tmp_path / "store")
         built = []
         first = CompileCache(store=DiskStore(root))
-        first.memo("stage", (1, "a"), lambda: built.append(1) or {"v": 42})
+        first.memo("dse.point", (1, "a"), lambda: built.append(1) or {"v": 42})
 
         second = CompileCache(store=DiskStore(root))
-        value = second.memo("stage", (1, "a"), lambda: built.append(1) or None)
+        value = second.memo("dse.point", (1, "a"), lambda: built.append(1) or None)
         assert value == {"v": 42}
         assert built == [1]  # rebuilt zero times in the second process
         assert second.stats.disk_hits == 1
@@ -197,23 +200,23 @@ class TestDiskTier:
 
     def test_disk_hit_promotes_to_memory(self, tmp_path):
         root = str(tmp_path / "store")
-        CompileCache(store=DiskStore(root)).memo("stage", (1,), lambda: "x")
+        CompileCache(store=DiskStore(root)).memo("dse.point", (1,), lambda: "x")
         cache = CompileCache(store=DiskStore(root))
-        cache.memo("stage", (1,), lambda: "x")
-        cache.memo("stage", (1,), lambda: "x")
+        cache.memo("dse.point", (1,), lambda: "x")
+        cache.memo("dse.point", (1,), lambda: "x")
         assert cache.stats.disk_hits == 1  # second hit came from memory
         assert cache.store.stats.hits == 1
 
     def test_memory_hit_does_not_touch_disk(self, tmp_path):
         cache = CompileCache(store=DiskStore(str(tmp_path)))
-        cache.memo("stage", (1,), lambda: "x")
+        cache.memo("dse.point", (1,), lambda: "x")
         lookups_after_build = cache.store.stats.lookups
-        cache.memo("stage", (1,), lambda: "x")
+        cache.memo("dse.point", (1,), lambda: "x")
         assert cache.store.stats.lookups == lookups_after_build
 
     def test_unfingerprintable_bypasses_disk(self, tmp_path):
         cache = CompileCache(store=DiskStore(str(tmp_path)))
-        cache.memo("stage", (lambda: 0,), lambda: "value")
+        cache.memo("dse.point", (lambda: 0,), lambda: "value")
         assert cache.stats.uncacheable == 1
         assert cache.store.stats.lookups == 0
         assert cache.store.stats.writes == 0

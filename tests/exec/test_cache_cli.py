@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.exec.cache import CompileCache
+from repro.exec.cache import PERSISTED_STAGES, CompileCache
 from repro.exec.store import DiskStore
 from repro.exec.suite import build_suite, evaluate_suite
 
@@ -56,13 +56,11 @@ class TestStats:
         assert payload["total_bytes"] == sum(b["bytes"] for b in stages.values())
 
     def test_stage_summary_matches_memory_tier_stages(self, tmp_path):
-        """The disk tier's stage breakdown and the in-memory cache's
-        entry counts name the same pipeline stages."""
+        """Every stage on disk is a persisted stage the cache looked up."""
         cache = _populate(tmp_path)
         disk_stages = set(cache.store.stage_summary())
-        memory_stages = set(cache.entries_by_stage())
         assert disk_stages  # populated
-        assert disk_stages <= memory_stages
+        assert disk_stages <= set(cache.stats.by_stage) & PERSISTED_STAGES
 
 
 class TestGc:
@@ -155,33 +153,7 @@ class TestParser:
 
 
 class TestPerStageGc:
-    def test_per_stage_json_reports_budgets_and_evictions(
-        self, tmp_path, capsys
-    ):
-        _populate(tmp_path)
-        assert cli_main(
-            [
-                "cache", "gc", "--cache-dir", str(tmp_path),
-                "--max-bytes", "1", "--per-stage", "--json",
-            ]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["evicted"] > 0
-        assert isinstance(payload["per_stage"], dict)
-        assert isinstance(payload["budgets"], dict)
-        assert payload["evicted"] == sum(payload["per_stage"].values())
-
-    def test_per_stage_text_lists_stage_budgets(self, tmp_path, capsys):
-        _populate(tmp_path)
-        assert cli_main(
-            [
-                "cache", "gc", "--cache-dir", str(tmp_path),
-                "--max-bytes", "1", "--per-stage",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "evicted" in out
-        assert "budget" in out
+    """``cache gc`` evicts with the one global LRU."""
 
     def test_default_gc_stays_global(self, tmp_path, capsys):
         _populate(tmp_path)
@@ -192,5 +164,37 @@ class TestPerStageGc:
             ]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "per_stage" not in payload
+        assert set(payload) == {"evicted", "total_bytes", "max_bytes"}
         assert payload["evicted"] > 0
+
+
+class TestMaxBytesEnv:
+    """A bad ``STELLAR_CACHE_MAX_BYTES`` is one line on stderr and exit 2
+    from every command that opens the store."""
+
+    @pytest.mark.parametrize("value", ["0", "64MB"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "resnet50", "--cap", "4"],
+            ["cache", "stats"],
+            ["check"],
+            ["verify"],
+            ["serve", "--port", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_budget_exits_2(self, argv, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("STELLAR_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("STELLAR_CACHE_MAX_BYTES", value)
+        # Were the budget accepted, serve would return instead of listening.
+        monkeypatch.setattr(
+            "repro.serve.server.EvalServer.run", lambda self, **kwargs: None
+        )
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{argv[0]}: STELLAR_CACHE_MAX_BYTES must be a positive integer"
+            f" byte count, got {value!r}\n"
+        )

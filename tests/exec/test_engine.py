@@ -427,7 +427,7 @@ class TestPointMemo:
                     skip_illegal=True, cache=cache,
                 )
             assert str(raised.value) == str(direct.value)
-        assert "dse.point" not in cache.entries_by_stage()
+        assert "dse.point" not in cache.stats.by_stage
 
     def test_overlay_on_a_shared_base_matches_the_direct_overlay(self, workload):
         from repro.dse.space import DesignSpace

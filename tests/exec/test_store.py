@@ -6,7 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from repro.exec.store import MAGIC, DiskStore, DiskStoreStats, default_cache_dir
+from repro.exec.store import (
+    MAGIC,
+    DiskStore,
+    DiskStoreStats,
+    StoreConfigError,
+    default_cache_dir,
+)
 
 
 @pytest.fixture
@@ -249,6 +255,13 @@ class TestEnvironment:
         monkeypatch.setenv("STELLAR_CACHE_MAX_BYTES", "12345")
         assert DiskStore(str(tmp_path)).max_bytes == 12345
 
+    @pytest.mark.parametrize("value", ["0", "-5", "64MB", ""])
+    def test_bad_max_bytes_env_is_a_config_error(self, monkeypatch, tmp_path, value):
+        monkeypatch.setenv("STELLAR_CACHE_MAX_BYTES", value)
+        with pytest.raises(StoreConfigError, match="STELLAR_CACHE_MAX_BYTES"):
+            DiskStore(str(tmp_path))
+        assert DiskStore(str(tmp_path), max_bytes=7).max_bytes == 7
+
 
 class TestStatsPlumbing:
     def test_merge_adds_every_tally(self, store):
@@ -289,6 +302,8 @@ def _rewrite_header(path, overrides):
 
 
 class TestPerStageGC:
+    """GC's eviction count, its lock, and reads that race it."""
+
     def fill(self, store, stage, count, size=4096, base=1000):
         keys = [f"{i:02d}" + "ab" * 31 for i in range(count)]
         for index, key in enumerate(keys):
@@ -299,65 +314,10 @@ class TestPerStageGC:
             )
         return keys
 
-    def test_water_fill_protects_small_stages(self, store):
-        # One entry of compile-stage product, many bulky sim entries:
-        # the global LRU would evict the compile entry; per-stage GC
-        # must not.
-        compile_keys = self.fill(store, "compile", 1, size=512, base=100)
-        sim_keys = self.fill(store, "sim.dense", 8, size=8192, base=2000)
-        store.max_bytes = 4 * (8192 + 256)
-        report = store.gc_report(per_stage=True)
-        assert store.get("compile", compile_keys[0])[0]  # survived
-        assert report.get("sim.dense", 0) >= 1
-        assert "compile" not in report
-        # LRU within the over-budget stage: oldest sim entries went.
-        assert not store.get("sim.dense", sim_keys[0])[0]
-        assert store.get("sim.dense", sim_keys[-1])[0]
-
-    def test_global_lru_would_have_taken_the_compile_entry(self, store):
-        # The counterfactual for the test above.
-        compile_keys = self.fill(store, "compile", 1, size=512, base=100)
-        self.fill(store, "sim.dense", 8, size=8192, base=2000)
-        store.max_bytes = 4 * (8192 + 256)
-        store.gc_report(per_stage=False)
-        assert not store.get("compile", compile_keys[0])[0]
-
-    def test_stage_budgets_water_fill(self, store):
-        self.fill(store, "small", 1, size=100)
-        self.fill(store, "big", 4, size=8192)
-        store.max_bytes = 10_000
-        budgets = store.stage_budgets()
-        # The small stage keeps what it has; slack flows to the big one.
-        assert budgets["small"] < 1000
-        assert budgets["big"] > store.max_bytes // 2
-        assert sum(budgets.values()) <= store.max_bytes
-
-    def test_weights_env_knob(self, store, monkeypatch):
-        self.fill(store, "compile", 4, size=4096)
-        self.fill(store, "sim", 4, size=4096)
-        store.max_bytes = 4 * (4096 + 256)
-        monkeypatch.setenv("STELLAR_CACHE_STAGE_WEIGHTS", "compile=3,sim=1")
-        budgets = store.stage_budgets()
-        assert budgets["compile"] > budgets["sim"]
-
-    def test_malformed_weights_are_ignored(self, store, monkeypatch):
-        self.fill(store, "a", 2, size=4096)
-        monkeypatch.setenv("STELLAR_CACHE_STAGE_WEIGHTS", "nonsense,,x=,y=-2")
-        budgets = store.stage_budgets()  # equal-weight fallback
-        assert "a" in budgets
-
-    def test_env_knob_turns_gc_per_stage(self, store, monkeypatch):
-        compile_keys = self.fill(store, "compile", 1, size=512, base=100)
-        self.fill(store, "sim.dense", 8, size=8192, base=2000)
-        store.max_bytes = 4 * (8192 + 256)
-        monkeypatch.setenv("STELLAR_CACHE_GC_PER_STAGE", "1")
-        store.gc()  # per_stage=None defers to the environment
-        assert store.get("compile", compile_keys[0])[0]
-
     def test_gc_returns_total_of_report(self, store):
-        self.fill(store, "sim", 6, size=8192)
+        self.fill(store, "dse.point", 6, size=8192)
         store.max_bytes = 2 * (8192 + 256)
-        evicted = store.gc(per_stage=True)
+        evicted = store.gc()
         assert evicted >= 4  # 6 entries, room for 2
         assert store.stats.evicted == evicted
         assert store.total_bytes() <= store.max_bytes
@@ -365,29 +325,30 @@ class TestPerStageGC:
     def test_gc_skipped_while_lock_held_elsewhere(self, store):
         import fcntl
 
-        self.fill(store, "sim", 4, size=8192)
+        self.fill(store, "dse.point", 4, size=8192)
         store.max_bytes = 1
         os.makedirs(store.root, exist_ok=True)
         with open(os.path.join(store.root, ".gc.lock"), "a+b") as handle:
             fcntl.flock(handle, fcntl.LOCK_EX)
-            assert store.gc_report(per_stage=True) == {}
-            assert store.gc_report(per_stage=False) == {}
+            assert store.gc() == 0
+            assert store.total_bytes() > 0
         # Lock released: the collection proceeds.
-        assert store.gc_report(per_stage=False)
+        assert store.gc() == 4
+        assert store.total_bytes() == 0
 
     def test_gc_lock_file_is_not_treated_as_stale_version(self, store):
-        store.put("stage", KEY, 1)
+        store.put("compile", KEY, 1)
         store.gc()  # creates .gc.lock in the root
         assert os.path.exists(os.path.join(store.root, ".gc.lock"))
-        report = store.gc_report()
-        assert "<stale-versions>" not in report
+        assert store.gc() == 0  # nothing stale, nothing over budget
         assert os.path.exists(os.path.join(store.root, ".gc.lock"))
+        assert store.get("compile", KEY)[0]
 
     def test_concurrent_reads_during_gc_degrade_to_misses(self, store):
         # A reader racing an eviction sees a miss, never an error.
-        keys = self.fill(store, "sim", 4, size=8192)
+        keys = self.fill(store, "dse.point", 4, size=8192)
         store.max_bytes = 1
         store.gc()
         for key in keys:
-            hit, value = store.get("sim", key)
+            hit, value = store.get("dse.point", key)
             assert (hit, value) == (False, None)
