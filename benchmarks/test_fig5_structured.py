@@ -7,6 +7,7 @@ pruned, then executes a 2:4-sparse workload.
 
 import numpy as np
 
+from repro.analysis import check_netlist, errors_only
 from repro.core import compile_design
 from repro.core.dataflow import output_stationary
 from repro.core.sparsity import a100_two_four
@@ -49,7 +50,7 @@ def test_fig5_a100_structured_sparsity(benchmark, spec, bounds4, rng):
     netlist = lower_design(design)
     pe = netlist.module("matmul_pe")
     assert pe.port("a_in").width == 32 * 4
-    assert netlist.lint() == []
+    assert errors_only(check_netlist(netlist)) == []
 
     # Functional check on an actual 2:4 weight matrix.
     A = _two_four_sparse(rng, 4)

@@ -75,12 +75,6 @@ class Diagnostic:
         self.message = message
         self.suggestion = suggestion
 
-    def legacy_text(self) -> str:
-        """The pre-``repro.analysis`` lint string (``module: message``)."""
-        if self.location:
-            return f"{self.location}: {self.message}"
-        return self.message
-
     def to_dict(self) -> Dict[str, str]:
         return {
             "code": self.code,

@@ -40,15 +40,9 @@ import zlib
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs.export import capture_rtl_trace, first_trace_divergence
-from ..rtl.netlist import Module, Netlist, PortDir
+from ..rtl.netlist import Module, Netlist, PortDir, lvalue_base, refs
 from ..rtl.passes import canonicalize
-from ..rtl.sim import (
-    RTLSimulator,
-    lvalue_base,
-    parse_expression,
-    parse_statement,
-    refs,
-)
+from ..rtl.sim import RTLSimulator
 from .diagnostics import Diagnostic, Severity
 
 #: Node-count ceiling for cone inlining.  A cone that trips it is marked
@@ -166,7 +160,7 @@ def check_equivalence(
                 )
             )
             continue
-        inliners = (_Inliner(mod_before, {}), _Inliner(mod_after, {}))
+        inliners = (_Inliner(mod_before), _Inliner(mod_after))
         _check_combinational(
             mod_before, mod_after, inliners, result, f"{prefix}{name}",
             max_exhaustive_bits, seed,
@@ -209,7 +203,7 @@ class _Cone:
 class _Inliner:
     """Inlines singly-assigned scalar wires into expression cones."""
 
-    def __init__(self, module: Module, netlist_modules: Dict[str, Module]):
+    def __init__(self, module: Module):
         self.widths = {p.name: p.width for p in module.ports}
         self.widths.update({n.name: n.width for n in module.nets})
         self.memories = {n.name for n in module.nets if n.depth}
@@ -224,25 +218,13 @@ class _Inliner:
 
         assign_rhs: Dict[str, object] = {}
         for assign in module.assigns:
-            lhs = parse_expression(assign.lhs)
+            lhs = assign.lhs.tree
             bump(lvalue_base(lhs))
             if lhs[0] == "ref":
-                assign_rhs[lhs[1]] = parse_expression(assign.rhs)
+                assign_rhs[lhs[1]] = assign.rhs.tree
         for block in module.sync_blocks:
-            for text in list(block.statements) + list(block.reset_statements):
-                _cond, lvalue, _rhs = parse_statement(text)
-                bump(lvalue_base(lvalue))
-        for inst in module.instances:
-            child = netlist_modules.get(inst.module_name)
-            outputs = (
-                {p.name for p in child.ports if p.direction is PortDir.OUTPUT}
-                if child is not None
-                else set()
-            )
-            for port_name, text in inst.connections.items():
-                if port_name in outputs:
-                    bump(lvalue_base(parse_expression(text)))
-
+            for statement in block.statements + block.reset_statements:
+                bump(lvalue_base(statement.tree[1]))
         # A wire is inlinable when its one and only driver is a plain
         # whole-net assign; registers and ports hold externally visible
         # state and stay as cone leaves.
@@ -409,9 +391,9 @@ def _check_combinational(
 def _assign_targets(module: Module) -> Dict[str, object]:
     targets: Dict[str, object] = {}
     for assign in module.assigns:
-        lhs = parse_expression(assign.lhs)
+        lhs = assign.lhs.tree
         if lhs[0] == "ref":
-            targets[lhs[1]] = parse_expression(assign.rhs)
+            targets[lhs[1]] = assign.rhs.tree
     return targets
 
 
@@ -592,8 +574,8 @@ def _sequential_program(module: Module, inliner: _Inliner) -> Set[Tuple]:
             ("run", block.statements),
             ("reset", block.reset_statements),
         ):
-            for text in statements:
-                cond, lvalue, rhs = parse_statement(text)
+            for statement in statements:
+                cond, lvalue, rhs = statement.tree
                 canon_cond = None
                 if cond is not None:
                     canon_cond = canonicalize(

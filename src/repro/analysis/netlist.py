@@ -1,16 +1,15 @@
 """Level 2: netlist dataflow lint (``STL-NL-*``).
 
 Extends the structural name-level checks with dataflow analyses over
-the structural RTL IR.  The netlist has one grammar:
-:func:`repro.rtl.sim.parse_expression` and
-:func:`repro.rtl.sim.parse_statement`, which the RTL simulator, the
-passes and the equivalence checker also read.  The lint checks the ASTs
-they return:
+the structural RTL IR.  The netlist IR owns one grammar
+(:mod:`repro.rtl.netlist`), and every assign, sync statement and
+instance connection keeps the tree it parsed when it was built -- the
+trees the RTL simulator, the passes and the equivalence checker also
+read.  The lint checks those trees and never parses:
 
-* **language conformance** (``STL-NL-018``): an assign, sync statement
-  or instance connection the shared parser rejects is an error and the
-  other checks skip it, so the lint accepts no text the rest of the
-  stack cannot run;
+* **language conformance** (``STL-NL-018``): a node whose text the
+  grammar rejected is an error and the other checks skip it, so the
+  lint accepts no text the rest of the stack cannot run;
 * **bit-width inference** over the ASTs of assigns, sync statements,
   and instance connections, warning on mismatches (``STL-NL-012``) -- a
   fold over the AST node kinds in which a literal is as wide as its node
@@ -35,9 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..rtl.netlist import Module, Netlist, PortDir, RTLError, expression_identifiers
-from ..rtl.passes import unparse
-from ..rtl.sim import lvalue_base, parse_expression, parse_statement, refs
+from ..rtl.netlist import Module, Netlist, PortDir, lvalue_base, refs, unparse
 from .diagnostics import Diagnostic, Severity, suppress as _suppress
 
 # ---------------------------------------------------------------------------
@@ -142,22 +139,22 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
             Diagnostic(code, severity, "netlist", message, loc, suggestion)
         )
 
-    def parsed(parse, text: str, where: str):
-        """The AST of ``text``, or None (reported) if the parser rejects it."""
-        try:
-            return parse(text)
-        except RTLError as error:
-            emit(
-                "STL-NL-018",
-                Severity.ERROR,
-                f"{text!r} in {where} is outside the netlist expression"
-                f" language: {error}",
-                suggestion="rewrite it in the subset repro.rtl.sim parses",
-            )
-            return None
+    def parsed(node, where: str):
+        """The tree of ``node``, or None (reported) if the grammar
+        rejected its text."""
+        if node.error is None:
+            return node.tree
+        emit(
+            "STL-NL-018",
+            Severity.ERROR,
+            f"{node.text!r} in {where} is outside the netlist expression"
+            f" language: {node.error}",
+            suggestion="rewrite it in the subset repro.rtl.netlist parses",
+        )
+        return None
 
-    def check_refs(expression: str, where: str) -> None:
-        for name in expression_identifiers(expression):
+    def check_refs(names: Iterable[str], where: str) -> None:
+        for name in names:
             if name not in declared:
                 emit(
                     "STL-NL-001",
@@ -195,9 +192,9 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
 
     # --- Continuous assigns --------------------------------------------
     for assign in module.assigns:
-        where = f"assign {assign.lhs}"
-        lhs = parsed(parse_expression, assign.lhs, where)
-        rhs = None if lhs is None else parsed(parse_expression, assign.rhs, where)
+        where = f"assign {assign.lhs.text}"
+        lhs = parsed(assign.lhs, where)
+        rhs = None if lhs is None else parsed(assign.rhs, where)
         if rhs is None:
             continue
         name = lvalue_base(lhs)
@@ -213,18 +210,18 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
         driven.add(name)
         if name:
             record_driver(name, lhs, where)
-        check_refs(assign.rhs, where)
+        check_refs(refs(rhs), where)
         if name in declared:
-            check_widths(assign.lhs, lhs, rhs, where)
+            check_widths(assign.lhs.text, lhs, rhs, where)
 
     # --- Sync blocks ----------------------------------------------------
-    def sync_target(statement: str) -> Optional[str]:
+    def sync_target(statement) -> Optional[str]:
         """Check one sync statement; returns the name it drives, or None
-        when the parser rejects it."""
-        parts = parsed(parse_statement, statement, "sync block")
+        when the grammar rejected it."""
+        parts = parsed(statement, "sync block")
         if parts is None:
             return None
-        check_refs(statement, "sync block")
+        check_refs(statement.names(), "sync block")
         _cond, lvalue, rhs = parts
         name = lvalue_base(lvalue)
         if name not in regs:
@@ -275,7 +272,7 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
         }
         for port_name, signal in inst.connections.items():
             where = f"instance {inst.instance_name}.{port_name}"
-            node = parsed(parse_expression, signal, where)
+            node = parsed(signal, where)
             if node is None:
                 continue
             if not child.has_port(port_name):
@@ -286,7 +283,7 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
                     f" {port_name!r} of {child.name}",
                 )
                 continue
-            check_refs(signal, where)
+            check_refs(refs(node), where)
             port = child.port(port_name)
             signal_width = width_of(node, where)
             if signal_width is not None and signal_width != port.width:
@@ -294,7 +291,7 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
                     "STL-NL-012",
                     Severity.WARNING,
                     f"width mismatch in {where}: port is {port.width} bits"
-                    f" but {signal!r} is {signal_width} bits",
+                    f" but {signal.text!r} is {signal_width} bits",
                 )
             if port.direction is PortDir.OUTPUT:
                 name = lvalue_base(node)
@@ -332,24 +329,22 @@ def check_module(module: Module, netlist: Netlist) -> List[Diagnostic]:
     diagnostics.extend(_check_comb_loops(assign_graph, regs, env.memories, loc))
 
     # --- Dead nets -------------------------------------------------------
-    used: Set[str] = set()
-    for assign in module.assigns:
-        used.update(expression_identifiers(assign.lhs))
-        used.update(expression_identifiers(assign.rhs))
+    # Undecidable while any text is unreadable: it may name any net.
+    nodes = [node for assign in module.assigns for node in (assign.lhs, assign.rhs)]
     for block in module.sync_blocks:
-        for stmt in list(block.statements) + list(block.reset_statements):
-            used.update(expression_identifiers(stmt))
+        nodes.extend(block.statements + block.reset_statements)
     for inst in module.instances:
-        for signal in inst.connections.values():
-            used.update(expression_identifiers(signal))
-    for net in module.nets:
-        if net.name not in used:
-            emit(
-                "STL-NL-015",
-                Severity.WARNING,
-                f"net {net.name!r} is declared but never used",
-                suggestion="delete the declaration",
-            )
+        nodes.extend(inst.connections.values())
+    if all(node.error is None for node in nodes):
+        used = {name for node in nodes for name in node.names()}
+        for net in module.nets:
+            if net.name not in used:
+                emit(
+                    "STL-NL-015",
+                    Severity.WARNING,
+                    f"net {net.name!r} is declared but never used",
+                    suggestion="delete the declaration",
+                )
 
     return diagnostics
 

@@ -118,13 +118,16 @@ def _build_accelerator(args) -> Accelerator:
 
 
 def cmd_generate(args) -> int:
+    from .analysis import AnalysisError
+
     design = _build_accelerator(args).build()
-    problems = design.to_netlist().lint()
-    if problems:
-        for problem in problems:
-            print(f"lint: {problem}", file=sys.stderr)
+    try:
+        # Lowering runs the netlist lint and raises on any error finding.
+        netlist = design.to_netlist()
+    except AnalysisError as error:
+        print(error, file=sys.stderr)
         return 1
-    verilog = design.to_verilog()
+    verilog = netlist.emit()
     if args.output == "-":
         print(verilog)
     else:

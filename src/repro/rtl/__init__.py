@@ -6,6 +6,7 @@ Netlist lint lives in :func:`repro.analysis.check_netlist`.
 from .lowering import lower_design
 from .netlist import (
     Assign,
+    Expr,
     Instance,
     Module,
     Net,
@@ -13,15 +14,19 @@ from .netlist import (
     Port,
     PortDir,
     RTLError,
+    Statement,
     SyncBlock,
+    parse_expression,
+    parse_statement,
 )
 from .passes import PASS_PIPELINE_VERSION, PassResult, run_passes
-from .sim import RTLSimulator, parse_expression, parse_statement
+from .sim import RTLSimulator
 from .verilog import emit_module, emit_netlist
 
 __all__ = [
     "lower_design",
     "Assign",
+    "Expr",
     "Instance",
     "Module",
     "Net",
@@ -31,6 +36,7 @@ __all__ = [
     "Port",
     "PortDir",
     "RTLError",
+    "Statement",
     "SyncBlock",
     "emit_module",
     "emit_netlist",

@@ -8,19 +8,23 @@ and instances -- that the Verilog emitter (:mod:`repro.rtl.verilog`)
 renders as synthesizable-style text and the netlist dataflow analyzer
 (:mod:`repro.analysis.netlist`) checks structurally.
 
-The IR is deliberately flat and explicit: expressions inside assigns and
-always-blocks are plain strings over declared identifiers, which keeps the
-emitter trivial.  Their only grammar is the parser in :mod:`repro.rtl.sim`
-(``parse_expression`` / ``parse_statement``): the simulator, the passes,
-the equivalence checker and the lint all read its ASTs, and the lint
-reports text it rejects.
+The IR owns its expression grammar (:func:`parse_expression`,
+:func:`parse_statement`).  Every expression text -- an assign side, a
+sync statement, an instance connection -- is an immutable node that
+parses its text once, when it is built, and keeps the tree next to the
+text: the emitter writes the text verbatim, while the simulator, the
+passes, the equivalence checker and the lint read the tree and never
+parse.  Text the grammar rejects keeps its :class:`RTLError` instead,
+which the lint reports and every other consumer raises.  A pass that
+rewrites a node builds a new one, so only rewritten text is parsed
+again.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class RTLError(ValueError):
@@ -29,33 +33,370 @@ class RTLError(ValueError):
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Verilog keywords and literal markers that may appear inside expression
-# strings without being declared identifiers.
-_EXPR_KEYWORDS = frozenset(
-    {
-        "posedge",
-        "negedge",
-        "if",
-        "else",
-        "begin",
-        "end",
-        "signed",
-        "case",
-        "endcase",
-        "default",
-    }
+# ---------------------------------------------------------------------------
+# The expression grammar
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<sized>\d+'[bdh][0-9a-fA-F_]+)|(?P<num>\d+)"
+    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op><=|>=|==|!=|<|>|\+|-|\*|&|\||!|~|\(|\)|\[|\]|\{|\}|,|:|;))"
 )
 
-# One scan, three token classes: based literals (sized ``8'd42``, unsized
-# ``'hFF``, signed ``16'sb01``, with x/z/? digits and underscores), plain
-# numbers (so ``1_000`` can never shed a ``_000`` identifier), and
-# identifiers.  Literals and numbers are consumed and discarded, so the
-# base/digit letters inside them can never leak out as identifiers.
-_EXPR_TOKEN = re.compile(
-    r"(?P<lit>(?:\d[\d_]*)?'\s*[sS]?[bBoOdDhH][0-9a-fA-FxzXZ?_]+)"
-    r"|(?P<num>\d[\d_]*)"
-    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
-)
+
+def _tokens(text: str) -> Iterator["re.Match[str]"]:
+    """The token matches of ``text``, each spanning the whitespace before it."""
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            raise RTLError(f"cannot tokenize {text[pos:]!r} in {text!r}")
+        yield match
+        pos = match.end()
+
+
+def _tokenize(text: str) -> List[str]:
+    return [match.group(0).strip() for match in _tokens(text)]
+
+
+def _mask(value: int, width: int) -> int:
+    return value & ((1 << width) - 1)
+
+
+def _literal_value(token: str) -> Tuple[int, int]:
+    """Parse a sized literal; returns (value, width)."""
+    width_text, rest = token.split("'")
+    base = {"b": 2, "d": 10, "h": 16}[rest[0]]
+    try:
+        return int(rest[1:].replace("_", ""), base), int(width_text)
+    except ValueError:
+        raise RTLError(f"malformed literal {token!r}") from None
+
+
+class _Parser:
+    """Recursive-descent parser for the emitted expression subset."""
+
+    def __init__(self, tokens: List[str]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expected: Optional[str] = None) -> str:
+        token = self.peek()
+        if token is None:
+            raise RTLError("unexpected end of expression")
+        if expected is not None and token != expected:
+            raise RTLError(f"expected {expected!r}, found {token!r}")
+        self.pos += 1
+        return token
+
+    # expression := comparison (('&'|'|') comparison)*
+    def expression(self):
+        node = self.comparison()
+        while self.peek() in ("&", "|"):
+            op = self.take()
+            node = ("binop", op, node, self.comparison())
+        return node
+
+    def comparison(self):
+        node = self.sum()
+        while self.peek() in ("==", "!=", "<", "<=", ">", ">="):
+            op = self.take()
+            node = ("binop", op, node, self.sum())
+        return node
+
+    def sum(self):
+        node = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            node = ("binop", op, node, self.term())
+        return node
+
+    def term(self):
+        node = self.unary()
+        while self.peek() == "*":
+            self.take()
+            node = ("binop", "*", node, self.unary())
+        return node
+
+    def unary(self):
+        if self.peek() in ("!", "~", "-"):
+            op = self.take()
+            return ("unop", op, self.unary())
+        return self.primary()
+
+    def primary(self):
+        token = self.peek()
+        if token == "(":
+            self.take()
+            node = self.expression()
+            self.take(")")
+            return self._postfix(node)
+        if token == "{":
+            self.take()
+            first = self.expression()
+            if self.peek() == "{":
+                # Replication: {N{expr}}.
+                self.take()
+                inner = self.expression()
+                self.take("}")
+                self.take("}")
+                return ("repl", first, inner)
+            parts = [first]
+            while self.peek() == ",":
+                self.take()
+                parts.append(self.expression())
+            self.take("}")
+            return ("concat", parts)
+        if token is None:
+            raise RTLError("unexpected end of expression")
+        if "'" in token:
+            value, width = _literal_value(self.take())
+            return ("literal", value, width)
+        if token.isdigit():
+            return ("literal", int(self.take()), 32)
+        return self._postfix(("ref", self.name()))
+
+    def name(self) -> str:
+        token = self.take()
+        if not (token[0].isalpha() or token[0] == "_"):
+            raise RTLError(f"expected an identifier, found {token!r}")
+        return token
+
+    def _postfix(self, node):
+        while self.peek() == "[":
+            self.take()
+            first = self.expression()
+            if self.peek() == ":":
+                self.take()
+                second = self.expression()
+                self.take("]")
+                node = ("slice", node, first, second)
+            else:
+                self.take("]")
+                node = ("index", node, first)
+        return node
+
+
+def parse_expression(text: str):
+    parser = _Parser(_tokenize(text))
+    node = parser.expression()
+    if parser.peek() not in (None, ";"):
+        raise RTLError(f"trailing tokens in expression {text!r}")
+    return node
+
+
+def parse_statement(text: str):
+    """Parse ``[if (cond)] lvalue <= expr ;`` into (cond, lvalue, expr)."""
+    parser = _Parser(_tokenize(text))
+    cond = None
+    if parser.peek() == "if":
+        parser.take()
+        parser.take("(")
+        cond = parser.expression()
+        parser.take(")")
+    lvalue = parser._postfix(("ref", parser.name()))
+    parser.take("<=")
+    rhs = parser.expression()
+    if parser.peek() == ";":
+        parser.take()
+    if parser.peek() is not None:
+        raise RTLError(f"trailing tokens in statement {text!r}")
+    return cond, lvalue, rhs
+
+
+def lvalue_base(node) -> Optional[str]:
+    """The signal an lvalue writes: the ref under its selects, if any."""
+    while node[0] in ("index", "slice"):
+        node = node[1]
+    return node[1] if node[0] == "ref" else None
+
+
+def refs(node) -> Iterator[str]:
+    """Every identifier an AST names, depth first, repeats included."""
+    kind = node[0]
+    if kind == "ref":
+        yield node[1]
+    elif kind != "literal":
+        for child in node[1] if kind == "concat" else node[1:]:
+            if type(child) is tuple:
+                yield from refs(child)
+
+
+def rename(text: str, old: str, new: str) -> str:
+    """``text`` with every identifier token ``old`` spelled ``new``.
+
+    Only identifier tokens change; literals (``4'd1`` holds no
+    identifier ``d1``), whitespace and every other token keep their
+    spelling.
+    """
+    return "".join(
+        match.group(0)[: -len(old)] + new
+        if match.group("id") == old
+        else match.group(0)
+        for match in _tokens(text)
+    )
+
+
+def unparse(node) -> str:
+    """Render an expression AST back to the emitted string subset.
+
+    Parenthesizes every compound node, so re-parsing is precedence-proof
+    and round-trips through :func:`parse_expression`.
+    """
+    kind = node[0]
+    if kind == "literal":
+        value, width = node[1], node[2]
+        return f"{width}'d{_mask(value, width)}"
+    if kind == "ref":
+        return node[1]
+    if kind in ("index", "slice"):
+        base = node[1]
+        base_text = unparse(base) if base[0] == "ref" else f"({unparse(base)})"
+        if kind == "index":
+            return f"{base_text}[{unparse(node[2])}]"
+        return f"{base_text}[{unparse(node[2])}:{unparse(node[3])}]"
+    if kind == "concat":
+        return "{" + ", ".join(unparse(part) for part in node[1]) + "}"
+    if kind == "repl":
+        return "{" + unparse(node[1]) + "{" + unparse(node[2]) + "}}"
+    if kind == "unop":
+        return f"({node[1]}{unparse(node[2])})"
+    if kind == "binop":
+        return f"({unparse(node[2])} {node[1]} {unparse(node[3])})"
+    raise RTLError(f"cannot unparse AST node {node!r}")
+
+
+def unparse_statement(cond, lvalue, rhs) -> str:
+    body = f"{unparse(lvalue)} <= {unparse(rhs)};"
+    if cond is not None:
+        return f"if ({unparse(cond)}) {body}"
+    return body
+
+
+# ---------------------------------------------------------------------------
+# Parsed nodes
+# ---------------------------------------------------------------------------
+
+
+class _Node:
+    """Base of the immutable IR nodes.
+
+    A pass that rewrites a node builds a new one instead, so a node's
+    tree always matches its text and clones can share nodes.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{type(self).__name__} nodes are immutable; build a new one"
+        )
+
+    def __setstate__(self, state):
+        # Pickle restores slots through setattr.
+        _Node.__init__(self, **state[1])
+
+
+class _Text(_Node):
+    """One text of the netlist and the tree parsed from it when built."""
+
+    __slots__ = ("text", "_tree", "error")
+
+    def __init__(self, text: str):
+        try:
+            tree, error = self._parse(text), None
+        except RTLError as rejected:
+            tree, error = None, rejected
+        super().__init__(text=text, _tree=tree, error=error)
+
+    @classmethod
+    def of(cls, value):
+        """``value`` if it already is such a node, else a node of its text."""
+        return value if isinstance(value, cls) else cls(value)
+
+    @property
+    def tree(self):
+        """The parsed tree; raises the parser's :class:`RTLError` when the
+        grammar rejected the text (:attr:`error` holds it)."""
+        if self.error is not None:
+            raise self.error.with_traceback(None)
+        return self._tree
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.text!r})"
+
+
+class Expr(_Text):
+    """An expression: an assign side or an instance connection."""
+
+    __slots__ = ()
+    _parse = staticmethod(parse_expression)
+
+    def names(self) -> Iterator[str]:
+        """Every identifier the expression names, in text order."""
+        return refs(self.tree)
+
+
+class Statement(_Text):
+    """A sequential statement ``[if (cond)] lvalue <= expr;``; its tree
+    is the ``(cond, lvalue, expr)`` triple, ``cond`` None when unguarded."""
+
+    __slots__ = ()
+    _parse = staticmethod(parse_statement)
+
+    def names(self) -> Iterator[str]:
+        """Every identifier the statement names, in text order."""
+        for part in self.tree:
+            if part is not None:
+                yield from refs(part)
+
+
+class Assign(_Node):
+    """A continuous assignment ``assign lhs = rhs;``."""
+
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs):
+        super().__init__(lhs=Expr.of(lhs), rhs=Expr.of(rhs))
+
+
+class SyncBlock(_Node):
+    """An ``always @(posedge clk)`` block of sequential statements."""
+
+    __slots__ = ("statements", "reset_statements")
+
+    def __init__(self, statements: Sequence, reset_statements: Sequence = ()):
+        super().__init__(
+            statements=tuple(Statement.of(s) for s in statements),
+            reset_statements=tuple(Statement.of(s) for s in reset_statements),
+        )
+
+
+class Instance(_Node):
+    """An instantiation of a child module with named port connections."""
+
+    __slots__ = ("module_name", "instance_name", "connections")
+
+    def __init__(self, module_name: str, instance_name: str, connections: Dict):
+        super().__init__(
+            module_name=module_name,
+            instance_name=instance_name,
+            connections={
+                port: Expr.of(signal) for port, signal in connections.items()
+            },
+        )
+
+
+# ---------------------------------------------------------------------------
+# Declarations and containers
+# ---------------------------------------------------------------------------
 
 
 class PortDir(enum.Enum):
@@ -95,46 +436,6 @@ class Net:
     def __repr__(self) -> str:
         kind = "reg" if self.is_reg else "wire"
         return f"Net({kind} [{self.width - 1}:0] {self.name})"
-
-
-class Assign:
-    """A continuous assignment ``assign lhs = rhs;``."""
-
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: str, rhs: str):
-        self.lhs = lhs
-        self.rhs = rhs
-
-
-class SyncBlock:
-    """An ``always @(posedge clk)`` block of sequential statement strings."""
-
-    __slots__ = ("statements", "reset_statements")
-
-    def __init__(
-        self,
-        statements: Sequence[str],
-        reset_statements: Sequence[str] = (),
-    ):
-        self.statements = list(statements)
-        self.reset_statements = list(reset_statements)
-
-
-class Instance:
-    """An instantiation of a child module with named port connections."""
-
-    __slots__ = ("module_name", "instance_name", "connections")
-
-    def __init__(
-        self,
-        module_name: str,
-        instance_name: str,
-        connections: Dict[str, str],
-    ):
-        self.module_name = module_name
-        self.instance_name = instance_name
-        self.connections = dict(connections)
 
 
 class Module:
@@ -216,23 +517,17 @@ class Module:
         return any(p.name == name for p in self.ports)
 
     def clone(self) -> "Module":
-        """A deep, independent copy (the optimization passes mutate it)."""
+        """An independent copy for the passes to rewrite: its own ports,
+        nets and lists, sharing the immutable nodes."""
         copy = Module(self.name)
         for port in self.ports:
             copy.add_port(port.name, port.direction, port.width)
         for net in self.nets:
             copy._declare(net.name)
             copy.nets.append(Net(net.name, net.width, net.is_reg, net.depth))
-        for assign in self.assigns:
-            copy.assigns.append(Assign(assign.lhs, assign.rhs))
-        for block in self.sync_blocks:
-            copy.sync_blocks.append(
-                SyncBlock(block.statements, block.reset_statements)
-            )
-        for inst in self.instances:
-            copy.instances.append(
-                Instance(inst.module_name, inst.instance_name, inst.connections)
-            )
+        copy.assigns = list(self.assigns)
+        copy.sync_blocks = list(self.sync_blocks)
+        copy.instances = list(self.instances)
         return copy
 
     def __repr__(self) -> str:
@@ -261,12 +556,8 @@ class Netlist:
         return module
 
     def module(self, name: str) -> Module:
-        return Netlist._get(self, name)
-
-    @staticmethod
-    def _get(netlist: "Netlist", name: str) -> Module:
         try:
-            return netlist.modules[name]
+            return self.modules[name]
         except KeyError:
             raise RTLError(f"no module named {name!r}") from None
 
@@ -280,25 +571,13 @@ class Netlist:
         return emit_netlist(self)
 
     def clone(self) -> "Netlist":
-        """A deep, independent copy of every module (for the passes)."""
+        """An independent copy of every module (for the passes)."""
         copy = Netlist(self.top_name)
         for module in self.modules.values():
             copy.add(module.clone())
         copy.opt_level = self.opt_level
         copy.pass_results = list(self.pass_results)
         return copy
-
-    def lint(self) -> List[str]:
-        # Error-severity findings of the netlist dataflow analyzer in the
-        # legacy ``module: message`` string format.
-        from ..analysis.diagnostics import Severity
-        from ..analysis.netlist import check_netlist
-
-        return [
-            d.legacy_text()
-            for d in check_netlist(self)
-            if d.severity >= Severity.ERROR
-        ]
 
     def total_module_count(self) -> int:
         return len(self.modules)
@@ -308,20 +587,3 @@ class Netlist:
 
     def __repr__(self) -> str:
         return f"Netlist(top={self.top_name!r}, modules={len(self.modules)})"
-
-
-def expression_identifiers(expression: str) -> Iterable[str]:
-    """Extract candidate identifiers from an expression string.
-
-    Skips Verilog keywords, based literals in every spelling the IR (or a
-    hand-written expression) may contain -- sized ``8'd42``, unsized
-    ``'hFF``, uppercase bases ``16'HDEAD``, signed ``8'sb01``, octal,
-    x/z/? digits, embedded underscores -- and plain numeric literals, so
-    neither base letters (``d42``) nor underscore tails (``_000``) are
-    ever mistaken for identifiers.  The equivalence checker's
-    canonicalization relies on this being exact.
-    """
-    for match in _EXPR_TOKEN.finditer(expression):
-        name = match.group("id")
-        if name and name not in _EXPR_KEYWORDS:
-            yield name

@@ -2,10 +2,13 @@
 
 Stellar's Chisel backend leans on FIRRTL's transform pipeline to clean
 up the lowered design before emission; this module plays that role for
-the structural netlist IR.  Four verified-transform passes operate on
-:class:`~repro.rtl.netlist.Module` expression strings through the RTL
-interpreter's own parser (:func:`repro.rtl.sim.parse_expression`), so
-pass semantics and simulator semantics can never drift apart:
+the structural netlist IR.  Like FIRRTL's, the passes rewrite the IR,
+not text: four verified-transform passes read the trees that
+:class:`~repro.rtl.netlist.Module` nodes parsed when they were built --
+the same trees the simulator runs, so pass semantics and simulator
+semantics can never drift apart.  A pass never mutates a node; it
+replaces it with one built from new text, so only rewritten text is
+parsed again:
 
 * **const_fold** -- evaluates literal subexpressions (``16'd3 + 16'd1``
   becomes ``17'd4``), applies value-preserving identities (``x + 0``,
@@ -15,8 +18,9 @@ pass semantics and simulator semantics can never drift apart:
   parts and replication bodies) whenever they would change the node's
   inferred width, because concatenation packing depends on it.
 * **collapse_chains** -- copy propagation: ``assign a = b`` where ``a``
-  is a singly-driven wire at least as wide as ``b`` rewrites every use
-  of ``a`` to ``b`` and deletes both the assign and the net.
+  is a singly-driven wire at least as wide as ``b`` renames every
+  identifier token ``a`` to ``b`` (literals such as ``4'd1`` are never
+  touched) and deletes both the assign and the net.
 * **cse** -- common-subexpression elimination: assigns within a module
   whose right-hand sides canonicalize identically (commutative operands
   sorted, constants folded) are rewritten to read the first assign's
@@ -37,18 +41,31 @@ the ``repro.exec`` cache keys so cached netlists never mix rungs.
 
 from __future__ import annotations
 
-import re
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs.profile import span
-from .netlist import Module, Netlist, PortDir, RTLError, expression_identifiers
-from .sim import lvalue_base, parse_expression, parse_statement, refs
+from .netlist import (
+    Assign,
+    Instance,
+    Module,
+    Netlist,
+    PortDir,
+    RTLError,
+    Statement,
+    SyncBlock,
+    _mask,
+    lvalue_base,
+    refs,
+    rename,
+    unparse,
+    unparse_statement,
+)
 
 #: Version of the pass pipeline's semantics.  Any change to what a rung
 #: rewrites MUST bump this: :meth:`repro.exec.cache.CompileCache.lower`
 #: folds it into the ``lower`` stage key so persisted netlists built by
 #: an older pipeline become unreachable instead of silently mixing rungs.
-PASS_PIPELINE_VERSION = 1
+PASS_PIPELINE_VERSION = 2
 
 #: Pass names per optimization rung.
 OPT_LEVELS: Dict[int, Tuple[str, ...]] = {
@@ -91,49 +108,9 @@ class PassResult:
 # ---------------------------------------------------------------------------
 
 
-def _mask(value: int, width: int) -> int:
-    return value & ((1 << width) - 1)
-
-
 def literal_node(value: int, width: int) -> Tuple[str, int, int]:
     width = max(1, width, int(value).bit_length())
     return ("literal", value, width)
-
-
-def unparse(node) -> str:
-    """Render an expression AST back to the emitted string subset.
-
-    Parenthesizes every compound node, so re-parsing is precedence-proof
-    and round-trips through :func:`repro.rtl.sim.parse_expression`.
-    """
-    kind = node[0]
-    if kind == "literal":
-        value, width = node[1], node[2]
-        return f"{width}'d{_mask(value, width)}"
-    if kind == "ref":
-        return node[1]
-    if kind in ("index", "slice"):
-        base = node[1]
-        base_text = unparse(base) if base[0] == "ref" else f"({unparse(base)})"
-        if kind == "index":
-            return f"{base_text}[{unparse(node[2])}]"
-        return f"{base_text}[{unparse(node[2])}:{unparse(node[3])}]"
-    if kind == "concat":
-        return "{" + ", ".join(unparse(part) for part in node[1]) + "}"
-    if kind == "repl":
-        return "{" + unparse(node[1]) + "{" + unparse(node[2]) + "}}"
-    if kind == "unop":
-        return f"({node[1]}{unparse(node[2])})"
-    if kind == "binop":
-        return f"({unparse(node[2])} {node[1]} {unparse(node[3])})"
-    raise RTLError(f"cannot unparse AST node {node!r}")
-
-
-def unparse_statement(cond, lvalue, rhs) -> str:
-    body = f"{unparse(lvalue)} <= {unparse(rhs)};"
-    if cond is not None:
-        return f"if ({unparse(cond)}) {body}"
-    return body
 
 
 def const_value(node) -> Optional[int]:
@@ -383,23 +360,23 @@ def _child_input_ports(module: Module, netlist: Netlist) -> Dict[str, Set[str]]:
 
 
 def const_fold(netlist: Netlist) -> PassResult:
-    """Fold constant subexpressions everywhere an expression string lives."""
+    """Fold constant subexpressions everywhere an expression lives."""
     result = PassResult("const_fold")
     for module in netlist.modules.values():
         widths = _module_widths(module)
         count = 0
-        for assign in module.assigns:
-            node = parse_expression(assign.rhs)
-            folded, c = fold_expression(node, widths)
+        for index, assign in enumerate(module.assigns):
+            folded, c = fold_expression(assign.rhs.tree, widths)
             if c:
-                assign.rhs = unparse(folded)
+                module.assigns[index] = Assign(assign.lhs, unparse(folded))
                 count += c
+        blocks = []
         for block in module.sync_blocks:
-            for arm in ("statements", "reset_statements"):
-                statements = getattr(block, arm)
-                kept: List[str] = []
-                for text in statements:
-                    cond, lvalue, rhs = parse_statement(text)
+            arms = []
+            for statements in (block.statements, block.reset_statements):
+                kept: List[Statement] = []
+                for statement in statements:
+                    cond, lvalue, rhs = statement.tree
                     changed = 0
                     if cond is not None:
                         cond, c = fold_expression(cond, widths)
@@ -414,26 +391,30 @@ def const_fold(netlist: Netlist) -> PassResult:
                     rhs, c = fold_expression(rhs, widths)
                     changed += c
                     if changed:
-                        kept.append(unparse_statement(cond, lvalue, rhs))
+                        statement = Statement(unparse_statement(cond, lvalue, rhs))
                         count += changed
-                    else:
-                        kept.append(text)
-                setattr(block, arm, kept)
-            block.statements = list(block.statements)
-        module.sync_blocks = [
-            b for b in module.sync_blocks if b.statements or b.reset_statements
-        ]
+                    kept.append(statement)
+                arms.append(kept)
+            if arms[0] or arms[1]:
+                blocks.append(SyncBlock(*arms))
+        module.sync_blocks = blocks
         child_inputs = _child_input_ports(module, netlist)
-        for inst in module.instances:
+        for index, inst in enumerate(module.instances):
             inputs = child_inputs.get(inst.module_name, set())
-            for port_name, text in list(inst.connections.items()):
+            folds: Dict[str, str] = {}
+            for port_name, expr in inst.connections.items():
                 if port_name not in inputs:
                     continue  # output connections are lvalues; leave them
-                node = parse_expression(text)
-                folded, c = fold_expression(node, widths)
+                folded, c = fold_expression(expr.tree, widths)
                 if c:
-                    inst.connections[port_name] = unparse(folded)
+                    folds[port_name] = unparse(folded)
                     count += c
+            if folds:
+                module.instances[index] = Instance(
+                    inst.module_name,
+                    inst.instance_name,
+                    {**inst.connections, **folds},
+                )
         result.add(module.name, count)
     return result
 
@@ -448,47 +429,54 @@ def _driver_counts(module: Module, netlist: Netlist) -> Dict[str, int]:
     output connections)."""
     counts: Dict[str, int] = {}
 
-    def bump(name: str) -> None:
-        counts[name] = counts.get(name, 0) + 1
+    def bump(name: Optional[str]) -> None:
+        if name:
+            counts[name] = counts.get(name, 0) + 1
 
     for assign in module.assigns:
-        base = lvalue_base(parse_expression(assign.lhs))
-        if base:
-            bump(base)
+        bump(lvalue_base(assign.lhs.tree))
     for block in module.sync_blocks:
-        for text in list(block.statements) + list(block.reset_statements):
-            base = lvalue_base(parse_statement(text)[1])
-            if base:
-                bump(base)
+        for statement in block.statements + block.reset_statements:
+            bump(lvalue_base(statement.tree[1]))
     for inst in module.instances:
         child = netlist.modules.get(inst.module_name)
         if child is None:
             continue
         outputs = {p.name for p in child.ports if p.direction is PortDir.OUTPUT}
-        for port_name, text in inst.connections.items():
+        for port_name, expr in inst.connections.items():
             if port_name in outputs:
-                base = lvalue_base(parse_expression(text))
-                if base:
-                    bump(base)
+                bump(lvalue_base(expr.tree))
     return counts
 
 
 def _substitute(module: Module, old: str, new: str) -> None:
-    pattern = re.compile(rf"\b{re.escape(old)}\b")
+    """Rename identifier ``old`` to ``new`` module-wide, replacing only
+    the nodes that name it."""
 
-    def sub(text: str) -> str:
-        return pattern.sub(new, text)
+    def renamed(node):
+        if old not in node.names():
+            return node
+        return type(node)(rename(node.text, old, new))
 
-    for assign in module.assigns:
-        assign.lhs = sub(assign.lhs)
-        assign.rhs = sub(assign.rhs)
-    for block in module.sync_blocks:
-        block.statements = [sub(s) for s in block.statements]
-        block.reset_statements = [sub(s) for s in block.reset_statements]
-    for inst in module.instances:
-        inst.connections = {
-            port: sub(text) for port, text in inst.connections.items()
-        }
+    module.assigns = [
+        Assign(renamed(assign.lhs), renamed(assign.rhs))
+        for assign in module.assigns
+    ]
+    module.sync_blocks = [
+        SyncBlock(
+            [renamed(s) for s in block.statements],
+            [renamed(s) for s in block.reset_statements],
+        )
+        for block in module.sync_blocks
+    ]
+    module.instances = [
+        Instance(
+            inst.module_name,
+            inst.instance_name,
+            {port: renamed(expr) for port, expr in inst.connections.items()},
+        )
+        for inst in module.instances
+    ]
 
 
 def _width_sensitive_uses(module: Module, name: str) -> bool:
@@ -519,22 +507,19 @@ def _width_sensitive_uses(module: Module, name: str) -> bool:
             return scan(node[2])
         return scan(node[2]) or scan(node[3])  # binop
 
-    pattern = re.compile(rf"\b{re.escape(name)}\b")
     for assign in module.assigns:
-        if pattern.search(assign.rhs) and scan(parse_expression(assign.rhs)):
+        if scan(assign.rhs.tree):
             return True
     for block in module.sync_blocks:
-        for text in list(block.statements) + list(block.reset_statements):
-            if not pattern.search(text):
-                continue
-            cond, _lvalue, rhs = parse_statement(text)
+        for statement in block.statements + block.reset_statements:
+            cond, _lvalue, rhs = statement.tree
             if scan(rhs) or (cond is not None and scan(cond)):
                 return True
-    for inst in module.instances:
-        for text in inst.connections.values():
-            if pattern.search(text) and scan(parse_expression(text)):
-                return True
-    return False
+    return any(
+        scan(expr.tree)
+        for inst in module.instances
+        for expr in inst.connections.values()
+    )
 
 
 def collapse_chains(netlist: Netlist) -> PassResult:
@@ -548,8 +533,7 @@ def collapse_chains(netlist: Netlist) -> PassResult:
             nets = {net.name: net for net in module.nets}
             collapsed = None
             for assign in module.assigns:
-                lhs = parse_expression(assign.lhs)
-                rhs = parse_expression(assign.rhs)
+                lhs, rhs = assign.lhs.tree, assign.rhs.tree
                 if lhs[0] != "ref" or rhs[0] != "ref" or lhs[1] == rhs[1]:
                     continue
                 alias, source = lhs[1], rhs[1]
@@ -594,13 +578,13 @@ def cse(netlist: Netlist) -> PassResult:
         memories = {net.name for net in module.nets if net.depth}
         first: Dict[object, Tuple[str, int]] = {}
         count = 0
-        for assign in module.assigns:
-            lhs = parse_expression(assign.lhs)
+        for index, assign in enumerate(module.assigns):
+            lhs = assign.lhs.tree
             if lhs[0] != "ref" or lhs[1] in memories:
                 continue
             if drivers.get(lhs[1], 0) != 1:
                 continue
-            rhs = parse_expression(assign.rhs)
+            rhs = assign.rhs.tree
             if rhs[0] in ("ref", "literal"):
                 continue  # nothing to share
             key = canonicalize(rhs, widths)
@@ -612,9 +596,9 @@ def cse(netlist: Netlist) -> PassResult:
             source, source_width = seen
             if source_width < target_width:
                 continue  # the shared value would be masked narrower
-            if source in expression_identifiers(assign.rhs):
+            if source in refs(rhs):
                 continue  # would create a self-dependence
-            assign.rhs = source
+            module.assigns[index] = Assign(assign.lhs, source)
             count += 1
         result.add(module.name, count)
     return result
@@ -641,28 +625,23 @@ def dead_nets(netlist: Netlist) -> PassResult:
             # child port's direction; both pin the net (the connection
             # text cannot reference an undeclared name).
             for inst in module.instances:
-                for text in inst.connections.values():
-                    live.update(expression_identifiers(text))
+                for expr in inst.connections.values():
+                    live.update(expr.names())
 
             # Index/slice expressions inside an lvalue are reads too.
             for assign in module.assigns:
-                target = lvalue_base(parse_expression(assign.lhs))
+                target = lvalue_base(assign.lhs.tree)
                 live.update(
                     name
-                    for text in (assign.rhs, assign.lhs)
-                    for name in expression_identifiers(text)
+                    for expr in (assign.rhs, assign.lhs)
+                    for name in expr.names()
                     if name != target
                 )
             for block in module.sync_blocks:
-                for text in list(block.statements) + list(block.reset_statements):
-                    cond, lvalue, rhs = parse_statement(text)
-                    target = lvalue_base(lvalue)
+                for statement in block.statements + block.reset_statements:
+                    target = lvalue_base(statement.tree[1])
                     live.update(
-                        name
-                        for node in (cond, lvalue, rhs)
-                        if node is not None
-                        for name in refs(node)
-                        if name != target
+                        name for name in statement.names() if name != target
                     )
 
             dead = [net for net in module.nets if net.name not in live]
@@ -675,22 +654,17 @@ def dead_nets(netlist: Netlist) -> PassResult:
             module.assigns = [
                 a
                 for a in module.assigns
-                if lvalue_base(parse_expression(a.lhs)) not in dead_names
+                if lvalue_base(a.lhs.tree) not in dead_names
             ]
+            blocks = []
             for block in module.sync_blocks:
-                block.statements = [
-                    s
-                    for s in block.statements
-                    if lvalue_base(parse_statement(s)[1]) not in dead_names
+                arms = [
+                    [s for s in arm if lvalue_base(s.tree[1]) not in dead_names]
+                    for arm in (block.statements, block.reset_statements)
                 ]
-                block.reset_statements = [
-                    s
-                    for s in block.reset_statements
-                    if lvalue_base(parse_statement(s)[1]) not in dead_names
-                ]
-            module.sync_blocks = [
-                b for b in module.sync_blocks if b.statements or b.reset_statements
-            ]
+                if arms[0] or arms[1]:
+                    blocks.append(SyncBlock(*arms))
+            module.sync_blocks = blocks
             result.add(module.name, len(dead))
     return result
 
@@ -768,7 +742,5 @@ __all__ = [
     "fold_expression",
     "run_passes",
     "total_rewrites",
-    "unparse",
-    "unparse_statement",
     "width_of",
 ]

@@ -15,16 +15,14 @@ memory subscripts ``mem[expr]``, concatenations ``{a, b}``, replications
 Values are Python integers masked to their declared widths, so overflow
 behaves as hardware would.
 
-:func:`parse_expression` and :func:`parse_statement` are the netlist
-IR's only grammar: the RTL passes, the equivalence checker and the
-netlist lint all read the ASTs they return, so text one of them accepts
-the others can run.
+The simulator never parses: every assign, statement and instance
+connection of the netlist IR carries the tree :mod:`repro.rtl.netlist`
+parsed from its text when the node was built, and building a simulator
+raises the parser's :class:`~repro.rtl.netlist.RTLError` for a node
+whose text the grammar rejected.
 
-Three things keep the interpretation cheap:
+Two things keep the interpretation cheap:
 
-* **Parsing once per module.**  A simulator parses each module's
-  assigns, statements and instance connections once, however many
-  instances of the module its hierarchy holds.
 * **Compiling once per instance.**  Each instance turns every
   expression, lvalue and port connection into a closure over its own
   signal dict when it is built; a sweep calls closures and walks no
@@ -41,201 +39,14 @@ Three things keep the interpretation cheap:
 
 from __future__ import annotations
 
-import re
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..obs.trace import get_tracer
-from .netlist import Module, Netlist, PortDir, RTLError
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<sized>\d+'[bdh][0-9a-fA-F_]+)|(?P<num>\d+)"
-    r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op><=|>=|==|!=|<|>|\+|-|\*|&|\||!|~|\(|\)|\[|\]|\{|\}|,|:|;))"
-)
-
-
-def _tokenize(text: str) -> List[str]:
-    tokens: List[str] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise RTLError(f"cannot tokenize {text[pos:]!r} in {text!r}")
-        tokens.append(match.group(0).strip())
-        pos = match.end()
-    return tokens
-
-
-def _literal_value(token: str) -> Tuple[int, int]:
-    """Parse a sized literal; returns (value, width)."""
-    width_text, rest = token.split("'")
-    base = {"b": 2, "d": 10, "h": 16}[rest[0]]
-    try:
-        return int(rest[1:].replace("_", ""), base), int(width_text)
-    except ValueError:
-        raise RTLError(f"malformed literal {token!r}") from None
-
-
-class _Parser:
-    """Recursive-descent parser for the emitted expression subset."""
-
-    def __init__(self, tokens: List[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: Optional[str] = None) -> str:
-        token = self.peek()
-        if token is None:
-            raise RTLError("unexpected end of expression")
-        if expected is not None and token != expected:
-            raise RTLError(f"expected {expected!r}, found {token!r}")
-        self.pos += 1
-        return token
-
-    # expression := comparison (('&'|'|') comparison)*
-    def expression(self):
-        node = self.comparison()
-        while self.peek() in ("&", "|"):
-            op = self.take()
-            node = ("binop", op, node, self.comparison())
-        return node
-
-    def comparison(self):
-        node = self.sum()
-        while self.peek() in ("==", "!=", "<", "<=", ">", ">="):
-            op = self.take()
-            node = ("binop", op, node, self.sum())
-        return node
-
-    def sum(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            node = ("binop", op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == "*":
-            self.take()
-            node = ("binop", "*", node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() in ("!", "~", "-"):
-            op = self.take()
-            return ("unop", op, self.unary())
-        return self.primary()
-
-    def primary(self):
-        token = self.peek()
-        if token == "(":
-            self.take()
-            node = self.expression()
-            self.take(")")
-            return self._postfix(node)
-        if token == "{":
-            self.take()
-            first = self.expression()
-            if self.peek() == "{":
-                # Replication: {N{expr}}.
-                self.take()
-                inner = self.expression()
-                self.take("}")
-                self.take("}")
-                return ("repl", first, inner)
-            parts = [first]
-            while self.peek() == ",":
-                self.take()
-                parts.append(self.expression())
-            self.take("}")
-            return ("concat", parts)
-        if token is None:
-            raise RTLError("unexpected end of expression")
-        if "'" in token:
-            value, width = _literal_value(self.take())
-            return ("literal", value, width)
-        if token.isdigit():
-            return ("literal", int(self.take()), 32)
-        return self._postfix(("ref", self.name()))
-
-    def name(self) -> str:
-        token = self.take()
-        if not (token[0].isalpha() or token[0] == "_"):
-            raise RTLError(f"expected an identifier, found {token!r}")
-        return token
-
-    def _postfix(self, node):
-        while self.peek() == "[":
-            self.take()
-            first = self.expression()
-            if self.peek() == ":":
-                self.take()
-                second = self.expression()
-                self.take("]")
-                node = ("slice", node, first, second)
-            else:
-                self.take("]")
-                node = ("index", node, first)
-        return node
-
-
-def parse_expression(text: str):
-    parser = _Parser(_tokenize(text))
-    node = parser.expression()
-    if parser.peek() not in (None, ";"):
-        raise RTLError(f"trailing tokens in expression {text!r}")
-    return node
-
-
-def parse_statement(text: str):
-    """Parse ``[if (cond)] lvalue <= expr ;`` into (cond, lvalue, expr)."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens)
-    cond = None
-    if parser.peek() == "if":
-        parser.take()
-        parser.take("(")
-        cond = parser.expression()
-        parser.take(")")
-    lvalue = parser._postfix(("ref", parser.name()))
-    parser.take("<=")
-    rhs = parser.expression()
-    if parser.peek() == ";":
-        parser.take()
-    if parser.peek() is not None:
-        raise RTLError(f"trailing tokens in statement {text!r}")
-    return cond, lvalue, rhs
-
-
-def lvalue_base(node) -> Optional[str]:
-    """The signal an lvalue writes: the ref under its selects, if any."""
-    while node[0] in ("index", "slice"):
-        node = node[1]
-    return node[1] if node[0] == "ref" else None
-
-
-def refs(node) -> Iterator[str]:
-    """Every identifier an AST names, depth first, repeats included."""
-    kind = node[0]
-    if kind == "ref":
-        yield node[1]
-    elif kind != "literal":
-        for child in node[1] if kind == "concat" else node[1:]:
-            if type(child) is tuple:
-                yield from refs(child)
-
+from .netlist import Module, Netlist, PortDir, RTLError, _mask
 
 # ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
-
-
-def _mask(value: int, width: int) -> int:
-    return value & ((1 << width) - 1)
 
 
 #: Binary operator -> factory taking the compiled operands and returning
@@ -272,47 +83,6 @@ def _literal_bounds(node) -> Optional[Tuple[int, int]]:
     return (hi, lo) if hi >= lo - 1 else None
 
 
-class _ModuleCode:
-    """One module's assigns, sync statements and instance wiring, parsed
-    once per simulator and shared by every instance of the module."""
-
-    __slots__ = ("module", "assigns", "sync_blocks", "instances")
-
-    def __init__(self, module: Module, netlist: Netlist):
-        self.module = module
-        self.assigns = [
-            (parse_expression(a.lhs), parse_expression(a.rhs))
-            for a in module.assigns
-        ]
-        self.sync_blocks = [
-            (
-                [parse_statement(s) for s in block.statements],
-                [parse_statement(s) for s in block.reset_statements],
-            )
-            for block in module.sync_blocks
-        ]
-        # (instance name, child module, [(input port, expr)],
-        #  [(output port, lvalue)]), each list in child port order.
-        self.instances = []
-        for inst in module.instances:
-            child = netlist.module(inst.module_name)
-            conns = {
-                port: parse_expression(signal)
-                for port, signal in inst.connections.items()
-            }
-            wired = [p for p in child.ports if p.name in conns]
-            self.instances.append(
-                (
-                    inst.instance_name,
-                    inst.module_name,
-                    [(p.name, conns[p.name]) for p in wired
-                     if p.direction is PortDir.INPUT],
-                    [(p.name, conns[p.name]) for p in wired
-                     if p.direction is PortDir.OUTPUT],
-                )
-            )
-
-
 class _ModuleState:
     """Runtime state of one module instance.
 
@@ -323,13 +93,7 @@ class _ModuleState:
     changed.  Errors in an expression raise when it is evaluated.
     """
 
-    def __init__(
-        self,
-        code: _ModuleCode,
-        code_of: Callable[[str], _ModuleCode],
-        path: str,
-    ):
-        module = code.module
+    def __init__(self, module: Module, netlist: Netlist, path: str):
         self.path = path
         self.widths: Dict[str, int] = {}
         self.values: Dict[str, int] = {}
@@ -344,26 +108,44 @@ class _ModuleState:
             else:
                 self.values[net.name] = 0
         self.assigns = [
-            (self._writer(lhs), self._compile(rhs)) for lhs, rhs in code.assigns
+            (self._writer(a.lhs.tree), self._compile(a.rhs.tree))
+            for a in module.assigns
         ]
         self.sync_blocks = [
             (
-                [self._statement(s) for s in statements],
-                [self._statement(s) for s in reset_statements],
+                [self._statement(s.tree) for s in block.statements],
+                [self._statement(s.tree) for s in block.reset_statements],
             )
-            for statements, reset_statements in code.sync_blocks
+            for block in module.sync_blocks
+        ]
+        # Every instance's child and connection trees first, so the
+        # module's own errors raise before any child's.
+        wiring = [
+            (
+                inst.instance_name,
+                netlist.module(inst.module_name),
+                {port: expr.tree for port, expr in inst.connections.items()},
+            )
+            for inst in module.instances
         ]
         self.children: List[Tuple["_ModuleState", list, list]] = []
-        for name, module_name, inputs, outputs in code.instances:
-            child = _ModuleState(code_of(module_name), code_of, f"{path}.{name}")
+        for name, child_module, conns in wiring:
+            child = _ModuleState(child_module, netlist, f"{path}.{name}")
+            # Inputs and outputs, each in child port order.
+            wired = [p for p in child_module.ports if p.name in conns]
             self.children.append(
                 (
                     child,
                     [
-                        (port, self._compile(expr), (1 << child.widths[port]) - 1)
-                        for port, expr in inputs
+                        (p.name, self._compile(conns[p.name]), (1 << p.width) - 1)
+                        for p in wired
+                        if p.direction is PortDir.INPUT
                     ],
-                    [(port, self._writer(expr)) for port, expr in outputs],
+                    [
+                        (p.name, self._writer(conns[p.name]))
+                        for p in wired
+                        if p.direction is PortDir.OUTPUT
+                    ],
                 )
             )
 
@@ -591,16 +373,8 @@ class RTLSimulator:
 
     def __init__(self, netlist: Netlist, top: Optional[str] = None):
         self.netlist = netlist
-        codes: Dict[str, _ModuleCode] = {}
-
-        def code_of(name: str) -> _ModuleCode:
-            code = codes.get(name)
-            if code is None:
-                code = codes[name] = _ModuleCode(netlist.module(name), netlist)
-            return code
-
-        code = code_of(top or netlist.top_name)
-        self.top = _ModuleState(code, code_of, code.module.name)
+        module = netlist.module(top or netlist.top_name)
+        self.top = _ModuleState(module, netlist, module.name)
         self.cycle = 0
         self._dirty = True
         self._settle()

@@ -54,27 +54,27 @@ def emit_module(module: Module) -> str:
         lines.append("")
 
     for assign in module.assigns:
-        lines.append(f"{_INDENT}assign {assign.lhs} = {assign.rhs};")
+        lines.append(f"{_INDENT}assign {assign.lhs.text} = {assign.rhs.text};")
 
     for block in module.sync_blocks:
         lines.append(f"{_INDENT}always @(posedge clk) begin")
         if block.reset_statements:
             lines.append(f"{_INDENT * 2}if (rst) begin")
             for stmt in block.reset_statements:
-                lines.append(f"{_INDENT * 3}{stmt}")
+                lines.append(f"{_INDENT * 3}{stmt.text}")
             lines.append(f"{_INDENT * 2}end else begin")
             for stmt in block.statements:
-                lines.append(f"{_INDENT * 3}{stmt}")
+                lines.append(f"{_INDENT * 3}{stmt.text}")
             lines.append(f"{_INDENT * 2}end")
         else:
             for stmt in block.statements:
-                lines.append(f"{_INDENT * 2}{stmt}")
+                lines.append(f"{_INDENT * 2}{stmt.text}")
         lines.append(f"{_INDENT}end")
 
     for inst in module.instances:
         lines.append(f"{_INDENT}{inst.module_name} {inst.instance_name} (")
         conns = [
-            f"{_INDENT * 2}.{port}({signal})"
+            f"{_INDENT * 2}.{port}({signal.text})"
             for port, signal in inst.connections.items()
         ]
         lines.append(",\n".join(conns))
@@ -123,9 +123,7 @@ def emit_netlist(netlist: Netlist) -> str:
         visit(name)
 
     optimized = ""
-    # getattr: netlists unpickled from an older disk-store generation
-    # predate the opt_level attribute.
-    if getattr(netlist, "opt_level", 0):
+    if netlist.opt_level:
         rewrites = ", ".join(
             f"{result.name}={result.rewrites}"
             for result in netlist.pass_results

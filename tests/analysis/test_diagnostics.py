@@ -37,11 +37,6 @@ def test_severity_ordering_and_parse():
         Severity.parse("fatal")
 
 
-def test_legacy_text_matches_old_lint_format():
-    assert _diag(location="matmul_pe").legacy_text() == "matmul_pe: boom"
-    assert _diag().legacy_text() == "boom"
-
-
 def test_render_orders_most_severe_first():
     text = render_text(
         [

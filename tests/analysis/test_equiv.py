@@ -8,7 +8,7 @@ from repro.analysis.equiv import check_equivalence
 from repro.core import Accelerator, Bounds, matmul_spec
 from repro.core.dataflow import output_stationary
 from repro.rtl.lowering import lower_design
-from repro.rtl.netlist import Module, Netlist
+from repro.rtl.netlist import Assign, Module, Netlist, SyncBlock
 from repro.rtl.passes import run_passes
 from repro.rtl.sim import RTLSimulator
 
@@ -79,11 +79,15 @@ class TestMutationCatching:
     def _mutate_first_guard(self, netlist: Netlist) -> str:
         """A 'broken pass': drop the guard from a guarded sync statement."""
         for module in netlist.modules.values():
-            for block in module.sync_blocks:
+            for b, block in enumerate(module.sync_blocks):
                 for i, stmt in enumerate(block.statements):
-                    match = re.match(r"if \((.+?)\) (.+)", stmt)
-                    if match and "else" not in stmt:
-                        block.statements[i] = match.group(2)
+                    match = re.match(r"if \((.+?)\) (.+)", stmt.text)
+                    if match and "else" not in stmt.text:
+                        statements = list(block.statements)
+                        statements[i] = match.group(2)
+                        module.sync_blocks[b] = SyncBlock(
+                            statements, block.reset_statements
+                        )
                         return module.name
         raise AssertionError("no guarded statement to mutate")
 
@@ -114,9 +118,10 @@ class TestMutationCatching:
     def test_combinational_mutation_refuted_symbolically(self, lowered):
         broken = lowered.clone()
         for module in broken.modules.values():
-            for assign in module.assigns:
-                if "+" in assign.rhs or "&" in assign.rhs:
-                    assign.rhs = f"~({assign.rhs})"
+            for i, assign in enumerate(module.assigns):
+                rhs = assign.rhs.text
+                if "+" in rhs or "&" in rhs:
+                    module.assigns[i] = Assign(assign.lhs, f"~({rhs})")
                     mutated = True
                     break
             else:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.analysis import Severity, check_netlist, discover_examples
+from repro.analysis import Severity, check_netlist, discover_examples, errors_only
 from repro.analysis.netlist import check_module, infer_width, WidthEnv
 from repro.core import Accelerator, Bounds
 from repro.core.dataflow import output_stationary
@@ -18,9 +18,10 @@ from repro.rtl.netlist import (
     PortDir,
     RTLError,
     SyncBlock,
+    parse_expression,
 )
 from repro.rtl.passes import run_passes
-from repro.rtl.sim import RTLSimulator, parse_expression
+from repro.rtl.sim import RTLSimulator
 
 EXAMPLES_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
@@ -229,22 +230,24 @@ def test_reset_coverage_warns_only_with_reset_arm():
     assert check_module(module, _netlist(module)) == []
 
 
-# --- Legacy string format (Netlist.lint) ---------------------------------
+# --- Error findings -------------------------------------------------------
 
 
-def test_legacy_lint_returns_old_strings():
+def test_undeclared_identifier_exact_diagnostic():
     module = _module()
     module.nets.append(Net("w", 8))
     module.assigns.append(Assign("w", "ghost"))
-    problems = _netlist(module).lint()
-    assert problems == ["m: undeclared identifier 'ghost' in assign w"]
+    findings = errors_only(check_netlist(_netlist(module)))
+    assert [(d.code, d.location, d.message) for d in findings] == [
+        ("STL-NL-001", "m", "undeclared identifier 'ghost' in assign w")
+    ]
 
 
-def test_legacy_lint_hides_warnings():
+def test_errors_only_hides_warnings():
     module = _module()
     module.nets.append(Net("unused", 4))
     assert check_netlist(_netlist(module))  # the dead-net warning
-    assert _netlist(module).lint() == []
+    assert errors_only(check_netlist(_netlist(module))) == []
 
 
 def test_generated_design_is_clean_and_gate_passes(spec):
@@ -268,6 +271,6 @@ def test_generated_design_is_clean_and_gate_passes(spec):
 def test_missing_top_keeps_exact_legacy_string():
     netlist = Netlist("nothing")
     findings = check_netlist(netlist)
-    assert [d.code for d in findings] == ["STL-NL-011"]
-    assert findings[0].legacy_text() == "top module 'nothing' is missing"
-    assert netlist.lint() == ["top module 'nothing' is missing"]
+    assert [(d.code, d.location, d.message) for d in findings] == [
+        ("STL-NL-011", "", "top module 'nothing' is missing")
+    ]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import check_netlist, errors_only
 from repro.core import Accelerator, Bounds, output_stationary, input_stationary
 from repro.core.sparsity import csr_b_matrix
 from repro.core.balancing import row_shift_scheme
@@ -37,7 +38,7 @@ class TestFacade:
         assert "endmodule" in verilog
 
     def test_to_netlist_lints_clean(self, acc):
-        assert acc.build().to_netlist().lint() == []
+        assert errors_only(check_netlist(acc.build().to_netlist())) == []
 
     def test_area_report(self, acc):
         report = acc.build().area_report()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import check_netlist, errors_only
 from repro.core import Bounds, compile_design
 from repro.core.dataflow import SpaceTimeTransform
 from repro.core.library import (
@@ -96,7 +97,7 @@ class TestMergeCompilation:
             assert conns[0].is_stationary  # pointer stays in its lane PE
 
     def test_verilog_lints_clean(self, design):
-        assert lower_design(design).lint() == []
+        assert errors_only(check_netlist(lower_design(design))) == []
 
 
 class TestSortNetwork:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import check_netlist, errors_only
 from repro.core import compile_design
 from repro.core.balancing import row_shift_scheme
 from repro.core.dataflow import hexagonal, input_stationary, output_stationary
@@ -133,10 +134,10 @@ class TestLintCleanliness:
     ])
     def test_dense_designs_lint_clean(self, spec, bounds4, transform):
         design = compile_design(spec, bounds4, transform)
-        assert lower_design(design).lint() == []
+        assert errors_only(check_netlist(lower_design(design))) == []
 
     def test_sparse_design_lints_clean(self, sparse_design):
-        assert lower_design(sparse_design).lint() == []
+        assert errors_only(check_netlist(lower_design(sparse_design))) == []
 
     def test_full_design_lints_clean(self, spec, bounds4):
         design = compile_design(
@@ -150,10 +151,10 @@ class TestLintCleanliness:
                 "B": csr_buffer("B", rows=4),
             },
         )
-        assert lower_design(design).lint() == []
+        assert errors_only(check_netlist(lower_design(design))) == []
 
     def test_dma_inflight_variant_lints_clean(self, dense_design):
-        assert lower_design(dense_design, max_inflight_dma=16).lint() == []
+        assert errors_only(check_netlist(lower_design(dense_design, max_inflight_dma=16))) == []
 
 
 class TestVerilogOutput:

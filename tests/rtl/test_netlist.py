@@ -1,13 +1,21 @@
 """Tests for the structural RTL IR (repro.rtl.netlist)."""
 
+import os
+
 import pytest
 
+from repro.analysis import check_netlist, discover_examples
 from repro.rtl.netlist import (
+    Assign,
+    Expr,
     Module,
     Netlist,
     PortDir,
     RTLError,
-    expression_identifiers,
+    Statement,
+    SyncBlock,
+    parse_expression,
+    refs,
 )
 
 
@@ -83,25 +91,69 @@ class TestNetlist:
         assert nl.instance_count() == 2
 
 
+def names(text):
+    """The identifiers an accepted expression names: refs of its tree."""
+    return set(refs(parse_expression(text)))
+
+
+def assert_rejected_without_phantoms(text, declared=()):
+    """``text`` is outside the grammar: its node keeps the error, and the
+    lint reports STL-NL-018 and invents no undeclared identifier
+    (STL-NL-001) from the literal spellings inside it."""
+    assert Expr(text).error is not None
+    module = Module("m")
+    module.output("out", 32)
+    for name in declared:
+        module.wire(name, 32)
+    module.assign("out", text)
+    netlist = Netlist("m")
+    netlist.add(module)
+    codes = [d.code for d in check_netlist(netlist)]
+    assert "STL-NL-018" in codes, codes
+    assert "STL-NL-001" not in codes, codes
+
+
 class TestExpressionIdentifiers:
+    """``refs`` over a node's tree is the netlist's only name scan."""
+
     def test_simple(self):
-        assert set(expression_identifiers("a + b * c")) == {"a", "b", "c"}
+        assert names("a + b * c") == {"a", "b", "c"}
 
     def test_skips_literals(self):
-        assert set(expression_identifiers("x + 32'd15")) == {"x"}
+        assert names("x + 32'd15") == {"x"}
 
     def test_skips_hex_literals(self):
-        assert set(expression_identifiers("y & 8'hff")) == {"y"}
+        assert names("y & 8'hff") == {"y"}
 
     def test_skips_keywords(self):
-        assert set(expression_identifiers("if (en) begin end")) == {"en"}
+        # Keywords are grammar, never names; free-form blocks are rejected.
+        assert set(Statement("if (en) q <= d;").names()) == {"en", "q", "d"}
+        assert_rejected_without_phantoms("if (en) begin end", ["en"])
 
     def test_subscripts(self):
-        assert set(expression_identifiers("mem[addr[3:0]]")) == {"mem", "addr"}
+        assert names("mem[addr[3:0]]") == {"mem", "addr"}
+
+
+# Literal spellings the grammar does not accept; their texts are
+# STL-NL-018 findings rather than name scans.
+_REJECTED_LITERALS = {
+    "8'D42",
+    "16'HDEAD",
+    "'d42",
+    "'hBEEF",
+    "16'sb01",
+    "16'SB01",
+    "8'o17",
+    "4'b10x1",
+    "4'bz0?1",
+    "1_000",
+    "12_3_4",
+}
 
 
 class TestExpressionIdentifierRobustness:
-    """Satellite hardening: literals in every spelling shed no identifiers."""
+    """Literals in every spelling shed no identifiers: the grammar reads
+    them as literals or rejects the whole text."""
 
     @pytest.mark.parametrize(
         "literal",
@@ -124,7 +176,10 @@ class TestExpressionIdentifierRobustness:
         ],
     )
     def test_literal_alone_yields_nothing(self, literal):
-        assert list(expression_identifiers(literal)) == []
+        if literal in _REJECTED_LITERALS:
+            assert_rejected_without_phantoms(literal)
+        else:
+            assert names(literal) == set()
 
     @pytest.mark.parametrize(
         "expression, expected",
@@ -139,11 +194,11 @@ class TestExpressionIdentifierRobustness:
         ],
     )
     def test_mixed_expressions(self, expression, expected):
-        assert set(expression_identifiers(expression)) == expected
+        assert_rejected_without_phantoms(expression, sorted(expected))
 
     def test_property_random_literal_spellings(self):
         """Property-style sweep: a generated literal next to a known
-        identifier never contributes tokens of its own."""
+        identifier never contributes names of its own."""
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
@@ -163,8 +218,11 @@ class TestExpressionIdentifierRobustness:
         @given(literal=literal)
         @settings(max_examples=200, deadline=None)
         def check(literal):
-            found = set(expression_identifiers(f"alpha + {literal} + omega"))
-            assert found == {"alpha", "omega"}, (literal, found)
+            text = f"alpha + {literal} + omega"
+            if Expr(text).error is None:
+                assert names(text) == {"alpha", "omega"}, literal
+            else:
+                assert_rejected_without_phantoms(text, ["alpha", "omega"])
 
         check()
 
@@ -174,13 +232,84 @@ class TestExpressionIdentifierRobustness:
 
         ident = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,10}", fullmatch=True)
 
-        @given(names=st.lists(ident, min_size=1, max_size=4, unique=True))
+        @given(names_=st.lists(ident, min_size=1, max_size=4, unique=True))
         @settings(max_examples=100, deadline=None)
-        def check(names):
-            from repro.rtl.netlist import _EXPR_KEYWORDS
-
-            expression = " + ".join(names)
-            expected = {n for n in names if n not in _EXPR_KEYWORDS}
-            assert set(expression_identifiers(expression)) == expected
+        def check(names_):
+            assert names(" + ".join(names_)) == set(names_)
 
         check()
+
+
+class TestParsedNodes:
+    def test_node_keeps_text_and_tree(self):
+        assign = Assign("y", "a + 4'd1")
+        assert assign.rhs.text == "a + 4'd1"
+        assert assign.rhs.tree == parse_expression("a + 4'd1")
+        assert assign.lhs.tree == ("ref", "y")
+
+    def test_rejected_text_keeps_its_error(self):
+        expr = Expr("a ? b : c")
+        assert expr.error is not None
+        with pytest.raises(RTLError, match="cannot tokenize"):
+            expr.tree
+
+    def test_nodes_are_immutable(self):
+        assign = Assign("y", "a")
+        with pytest.raises(AttributeError):
+            assign.rhs = Expr("b")
+        with pytest.raises(AttributeError):
+            assign.rhs.text = "b"
+        block = SyncBlock(["r <= r;"])
+        assert isinstance(block.statements, tuple)
+
+    def test_clone_shares_nodes(self):
+        module = Module("m")
+        module.output("y")
+        module.assign("y", "1'b1")
+        copy = module.clone()
+        assert copy.assigns[0] is module.assigns[0]
+        assert copy.assigns is not module.assigns
+
+    def test_pickle_round_trip_keeps_trees(self):
+        import pickle
+
+        block = SyncBlock(["if (en) r <= r + 8'd1;"], ["r <= 8'd0;"])
+        copy = pickle.loads(pickle.dumps(block))
+        assert [s.text for s in copy.statements] == ["if (en) r <= r + 8'd1;"]
+        assert copy.statements[0].tree == block.statements[0].tree
+        bad = pickle.loads(pickle.dumps(Expr("a ? b : c")))
+        with pytest.raises(RTLError):
+            bad.tree
+
+    def test_consumers_never_parse(self, monkeypatch):
+        """The simulator, the lint and the equivalence checker read the
+        trees the nodes parsed when they were built."""
+        import repro.rtl.netlist as netlist_module
+        from repro.analysis.equiv import check_equivalence
+        from repro.rtl.lowering import lower_design
+        from repro.rtl.passes import run_passes
+        from repro.rtl.sim import RTLSimulator
+
+        examples = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__)))),
+            "examples",
+            "quickstart.py",
+        )
+        (target,) = discover_examples([examples])
+        base = lower_design(target.build().build().compiled, check=False)
+        optimized, results = run_passes(base, 2)
+        assert sum(r.rewrites for r in results) > 0
+
+        parsed = []
+        tokenize = netlist_module._tokenize
+        monkeypatch.setattr(
+            netlist_module,
+            "_tokenize",
+            lambda text: parsed.append(text) or tokenize(text),
+        )
+        RTLSimulator(base).step(2)
+        assert check_netlist(base) == []
+        assert check_netlist(optimized) == []
+        assert check_equivalence(base, optimized).ok
+        assert parsed == []

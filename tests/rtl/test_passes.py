@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.rtl.netlist import Module, Netlist, RTLError
+from repro.rtl.netlist import (
+    Module,
+    Netlist,
+    RTLError,
+    parse_expression,
+    unparse,
+)
 from repro.rtl.passes import (
     OPT_LEVELS,
     PASS_PIPELINE_VERSION,
@@ -14,9 +20,8 @@ from repro.rtl.passes import (
     fold_expression,
     run_passes,
     total_rewrites,
-    unparse,
 )
-from repro.rtl.sim import RTLSimulator, parse_expression
+from repro.rtl.sim import RTLSimulator
 
 
 def _netlist(module: Module) -> Netlist:
@@ -45,7 +50,7 @@ class TestConstFold:
         m.assign("q", "16'd3 + 16'd1")
         result = const_fold(_netlist(m))
         assert result.rewrites == 1
-        assert parse_expression(m.assigns[0].rhs) == ("literal", 4, 17)
+        assert m.assigns[0].rhs.tree == ("literal", 4, 17)
 
     def test_add_zero_identity(self):
         m = _base_module()
@@ -53,7 +58,7 @@ class TestConstFold:
         m.output("q", 8)
         m.assign("q", "x + 8'd0")
         const_fold(_netlist(m))
-        assert m.assigns[0].rhs == "x"
+        assert m.assigns[0].rhs.text == "x"
 
     def test_multiply_by_zero(self):
         m = _base_module()
@@ -61,7 +66,7 @@ class TestConstFold:
         m.output("q", 8)
         m.assign("q", "x * 8'd0")
         const_fold(_netlist(m))
-        assert parse_expression(m.assigns[0].rhs)[0] == "literal"
+        assert m.assigns[0].rhs.tree[0] == "literal"
 
     def test_never_firing_guard_dropped(self):
         m = _base_module()
@@ -70,7 +75,7 @@ class TestConstFold:
         m.assign("q", "r")
         m.sync(["if (1'd0) r <= 8'd1;", "r <= r + 8'd1;"])
         const_fold(_netlist(m))
-        assert m.sync_blocks[0].statements == ["r <= r + 8'd1;"]
+        assert [s.text for s in m.sync_blocks[0].statements] == ["r <= r + 8'd1;"]
 
     def test_always_firing_guard_unguarded(self):
         m = _base_module()
@@ -79,7 +84,7 @@ class TestConstFold:
         m.assign("q", "r")
         m.sync(["if (1'd1) r <= 8'd2;"])
         const_fold(_netlist(m))
-        assert m.sync_blocks[0].statements == ["r <= 8'd2;"]
+        assert [s.text for s in m.sync_blocks[0].statements] == ["r <= 8'd2;"]
 
     def test_concat_fold_suppressed_when_width_changes(self):
         # (x + 8'd0) inside a concat has inferred width 32; folding it to
@@ -89,9 +94,9 @@ class TestConstFold:
         m.input("y", 8)
         m.output("q", 40)
         m.assign("q", "{x + 8'd0, y}")
-        before = m.assigns[0].rhs
+        before = m.assigns[0]
         const_fold(_netlist(m))
-        assert m.assigns[0].rhs == before
+        assert m.assigns[0] is before
 
     def test_negative_results_never_fold(self):
         # 0 - 1 is negative in the simulator's unmasked binop semantics;
@@ -99,9 +104,9 @@ class TestConstFold:
         m = _base_module()
         m.output("q", 8)
         m.assign("q", "8'd0 - 8'd1")
-        before = m.assigns[0].rhs
+        before = m.assigns[0]
         const_fold(_netlist(m))
-        assert m.assigns[0].rhs == before
+        assert m.assigns[0] is before
 
     def test_folding_preserves_simulation(self):
         m = _base_module()
@@ -133,7 +138,7 @@ class TestCollapseChains:
         m.assign("q", "alias_w + 8'd1")
         result = collapse_chains(_netlist(m))
         assert result.rewrites == 1
-        assert [a.rhs for a in m.assigns] == ["x + 8'd1"]
+        assert [a.rhs.text for a in m.assigns] == ["x + 8'd1"]
         assert all(n.name != "alias_w" for n in m.nets)
 
     def test_port_alias_not_collapsed(self):
@@ -180,6 +185,46 @@ class TestCollapseChains:
         netlist.add(child)
         assert collapse_chains(netlist).rewrites == 0
 
+    @staticmethod
+    def _alias_over_literal(alias: str, source: str, literal: str) -> Netlist:
+        m = _base_module()
+        m.input(source, 4)
+        m.wire(alias, 4)
+        m.output("y", 4)
+        m.assign(alias, source)
+        m.assign("y", f"{alias} + {literal}")
+        return _netlist(m)
+
+    def test_rename_leaves_literals_alone(self):
+        # The alias d1 also spells the digits of 4'd1, and its source d5
+        # those of 4'd5: only the identifier token may be renamed.
+        netlist = self._alias_over_literal("d1", "d5", "4'd1")
+        opt, _results = run_passes(netlist, 1)
+        assert [a.rhs.text for a in opt.top.assigns] == ["d5 + 4'd1"]
+        sim = RTLSimulator(opt)
+        sim.poke("d5", 5)
+        assert sim.peek("y") == 6
+
+    def test_rename_over_matching_literal_does_not_crash(self):
+        netlist = self._alias_over_literal("d3", "x", "4'd3")
+        opt, results = run_passes(netlist, 2)
+        assert [a.rhs.text for a in opt.top.assigns] == ["x + 4'd3"]
+        assert total_rewrites(results) >= 1
+
+    def test_only_rewritten_nodes_are_rebuilt(self):
+        m = _base_module()
+        m.input("x", 8)
+        m.wire("alias_w", 8)
+        m.output("p", 8)
+        m.output("q", 8)
+        m.assign("alias_w", "x")
+        m.assign("p", "x + 8'd2")
+        m.assign("q", "alias_w + 8'd1")
+        untouched = m.assigns[1]
+        collapse_chains(_netlist(m))
+        assert m.assigns[0].rhs is untouched.rhs
+        assert m.assigns[1].rhs.text == "x + 8'd1"
+
 
 # --- cse ------------------------------------------------------------------
 
@@ -197,7 +242,7 @@ class TestCSE:
         m.assign("q", "s1 & s2")
         result = cse(_netlist(m))
         assert result.rewrites == 1
-        assert m.assigns[1].rhs == "s1"
+        assert m.assigns[1].rhs.text == "s1"
 
     def test_narrower_source_never_substituted(self):
         m = _base_module()
@@ -328,7 +373,7 @@ class TestRunPasses:
         netlist = _netlist(m)
         opt, results = run_passes(netlist, 0)
         assert results == []
-        assert opt.top.assigns[0].rhs == "8'd1 + 8'd2"
+        assert opt.top.assigns[0].rhs.text == "8'd1 + 8'd2"
 
     def test_unknown_opt_level_rejected(self):
         with pytest.raises(ValueError, match="opt_level"):

@@ -12,7 +12,8 @@ from repro.core.dataflow import input_stationary, output_stationary
 from repro.core.sparsity import csr_b_matrix
 from repro.rtl.lowering import lower_design
 from repro.rtl.netlist import Module, Netlist, RTLError
-from repro.rtl.sim import RTLSimulator, parse_expression, parse_statement
+from repro.rtl.netlist import parse_expression, parse_statement
+from repro.rtl.sim import RTLSimulator
 
 
 def _single_module_netlist(module: Module) -> Netlist:

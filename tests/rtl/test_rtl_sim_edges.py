@@ -3,7 +3,8 @@
 import pytest
 
 from repro.rtl.netlist import Module, Netlist, RTLError
-from repro.rtl.sim import RTLSimulator, parse_expression, parse_statement
+from repro.rtl.netlist import parse_expression, parse_statement
+from repro.rtl.sim import RTLSimulator
 
 
 def _netlist(module: Module) -> Netlist:

@@ -1,27 +1,25 @@
 """Tests for Verilog emission and structural lint (repro.rtl)."""
 
-from repro.analysis.diagnostics import Severity
+from repro.analysis.diagnostics import errors_only
 from repro.analysis.netlist import check_module, check_netlist
 from repro.rtl.netlist import Instance, Module, Netlist
 from repro.rtl.verilog import emit_module, emit_netlist
 
 
-def lint_module(module: Module, netlist: Netlist) -> list:
-    """Error-severity module findings in the legacy string format."""
+def _errors(diagnostics) -> list:
+    """Error-severity findings as ``(code, location, message)`` tuples."""
     return [
-        d.legacy_text()
-        for d in check_module(module, netlist)
-        if d.severity >= Severity.ERROR
+        (d.code, d.location, d.message)
+        for d in errors_only(diagnostics)
     ]
+
+
+def lint_module(module: Module, netlist: Netlist) -> list:
+    return _errors(check_module(module, netlist))
 
 
 def lint_netlist(netlist: Netlist) -> list:
-    """Error-severity netlist findings in the legacy string format."""
-    return [
-        d.legacy_text()
-        for d in check_netlist(netlist)
-        if d.severity >= Severity.ERROR
-    ]
+    return _errors(check_netlist(netlist))
 
 
 def _counter_module() -> Module:
@@ -100,31 +98,35 @@ class TestLint:
         m.input("clk")
         m.output("q")
         m.assign("q", "ghost_signal")
-        problems = lint_module(m, self._netlist_with(m))
-        assert any("ghost_signal" in p for p in problems)
+        assert lint_module(m, self._netlist_with(m)) == [
+            ("STL-NL-001", "m", "undeclared identifier 'ghost_signal' in assign q")
+        ]
 
     def test_undriven_output_detected(self):
         m = Module("m")
         m.input("clk")
         m.output("q")
-        problems = lint_module(m, self._netlist_with(m))
-        assert any("never driven" in p for p in problems)
+        assert lint_module(m, self._netlist_with(m)) == [
+            ("STL-NL-005", "m", "output 'q' is never driven")
+        ]
 
     def test_assign_to_reg_detected(self):
         m = Module("m")
         m.input("clk")
         m.reg("r")
         m.assign("r", "1'b1")
-        problems = lint_module(m, self._netlist_with(m))
-        assert any("sync block" in p for p in problems)
+        assert lint_module(m, self._netlist_with(m)) == [
+            ("STL-NL-002", "m", "assign drives reg 'r' (must use a sync block)")
+        ]
 
     def test_sync_drive_of_wire_detected(self):
         m = Module("m")
         m.input("clk")
         m.wire("w")
         m.sync(["w <= 1'b1;"])
-        problems = lint_module(m, self._netlist_with(m))
-        assert any("non-reg" in p for p in problems)
+        assert lint_module(m, self._netlist_with(m)) == [
+            ("STL-NL-003", "m", "sync block drives non-reg 'w'")
+        ]
 
     def test_guarded_sync_statement_accepted(self):
         m = Module("m")
@@ -140,8 +142,9 @@ class TestLint:
         top.input("clk")
         top.instances.append(Instance("ghost", "g0", {}))
         nl.add(top)
-        problems = lint_netlist(nl)
-        assert any("unknown" in p for p in problems)
+        assert lint_netlist(nl) == [
+            ("STL-NL-007", "top", "instance 'g0' of unknown module 'ghost'")
+        ]
 
     def test_unconnected_input_detected(self):
         nl = Netlist("top")
@@ -152,8 +155,9 @@ class TestLint:
         top.wire("cnt", 8)
         top.instantiate(child, "c0", {"clk": "clk", "count": "cnt"})  # rst missing
         nl.add(top)
-        problems = lint_netlist(nl)
-        assert any("unconnected" in p and "rst" in p for p in problems)
+        assert lint_netlist(nl) == [
+            ("STL-NL-009", "top", "c0 leaves input 'rst' of counter unconnected")
+        ]
 
     def test_connection_to_missing_port_detected(self):
         nl = Netlist("top")
@@ -168,12 +172,15 @@ class TestLint:
             {"clk": "clk", "rst": "rst", "count": "cnt", "bogus": "clk"},
         )
         nl.add(top)
-        problems = lint_netlist(nl)
-        assert any("missing" in p and "bogus" in p for p in problems)
+        assert lint_netlist(nl) == [
+            ("STL-NL-008", "top", "c0 connects missing port 'bogus' of counter")
+        ]
 
     def test_missing_top_detected(self):
         nl = Netlist("nothing")
-        assert lint_netlist(nl) == ["top module 'nothing' is missing"]
+        assert lint_netlist(nl) == [
+            ("STL-NL-011", "", "top module 'nothing' is missing")
+        ]
 
     def test_cycle_detected(self):
         nl = Netlist("a")
@@ -185,5 +192,6 @@ class TestLint:
         b.instantiate(a, "a0", {"clk": "clk"})
         nl.add(a)
         nl.add(b)
-        problems = lint_netlist(nl)
-        assert any("cycle" in p for p in problems)
+        assert lint_netlist(nl) == [
+            ("STL-NL-010", "", "instantiation cycle: a -> b -> a")
+        ]

@@ -71,6 +71,37 @@ class TestCommands:
         assert "lint-clean" in capsys.readouterr().out
         assert "module matmul_pe (" in path.read_text()
 
+    def test_generate_lowers_once(self, capsys, monkeypatch):
+        import repro.rtl.lowering as lowering
+
+        calls = []
+        lower = lowering.lower_design
+        monkeypatch.setattr(
+            lowering,
+            "lower_design",
+            lambda *args, **kwargs: calls.append(args) or lower(*args, **kwargs),
+        )
+        assert main(["generate", "--size", "2"]) == 0
+        assert len(calls) == 1
+
+    def test_generate_reports_lint_errors(self, capsys, monkeypatch):
+        from repro.analysis import AnalysisError, Diagnostic, Severity
+        from repro.core.accelerator import GeneratedDesign
+
+        finding = Diagnostic(
+            "STL-NL-001", Severity.ERROR, "netlist",
+            "undeclared identifier 'ghost' in assign q", "matmul_pe",
+        )
+
+        def failing_lint(self):
+            raise AnalysisError([finding])
+
+        monkeypatch.setattr(GeneratedDesign, "to_netlist", failing_lint)
+        assert main(["generate", "--size", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert finding.render() in captured.err
+
     def test_area(self, capsys):
         assert main(["area", "--size", "4"]) == 0
         out = capsys.readouterr().out
