@@ -21,6 +21,7 @@ stages:
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .dataflow import SpaceTimeTransform
@@ -135,6 +136,13 @@ class IterationSpace:
 
     def io_count(self) -> int:
         return len(self.io_conns)
+
+    @cached_property
+    def io_direction_counts(self) -> Tuple[int, int]:
+        """``(inputs, outputs)`` among the IO requests -- the regfile
+        reads and writes every sparse run of a design charges."""
+        inputs = sum(1 for c in self.io_conns if c.direction is IODirection.INPUT)
+        return inputs, len(self.io_conns) - inputs
 
     # ------------------------------------------------------------------
     # Rewrites

@@ -14,8 +14,8 @@ threads through the stack.  It operates at two granularities:
   sparsity x balancing cross product elaborates the iteration space
   once per ``(spec, bounds)``, legality-checks the transform once per
   ``(spec, bounds, transform)``, prunes once per ``(spec, bounds,
-  sparsity, balancing)``, and compresses sparse workloads once per
-  ``(spec, bounds, sparsity, tensors)``.
+  sparsity, balancing)``, and computes a workload's reference outputs
+  once per ``(spec, bounds, tensors)``.
 
 Keys come from :func:`repro.exec.fingerprint.fingerprint` -- canonical
 content hashes, stable across processes -- with a per-object identity
@@ -43,13 +43,10 @@ _MISSING = object()
 
 #: The stages a later process reads back from the disk tier: ``check``
 #: reads ``analysis.spec``, ``verify`` reads ``compile`` and ``lower``,
-#: warm sweeps and ``serve`` read ``dse.point``, and a known spec meeting
-#: new bounds reads ``sim.kernel``.  Every other stage (elaboration,
-#: pruning, sparse compression, reference outputs) is an in-process
+#: and warm sweeps and ``serve`` read ``dse.point``.  Every other stage
+#: (elaboration, pruning, reference outputs) is an in-process
 #: intermediate: it hits in the memory tier and never touches the disk.
-PERSISTED_STAGES = frozenset(
-    {"analysis.spec", "compile", "lower", "dse.point", "sim.kernel"}
-)
+PERSISTED_STAGES = frozenset({"analysis.spec", "compile", "lower", "dse.point"})
 
 
 class CacheStats:
@@ -308,24 +305,6 @@ class CompileCache:
                 check=check,
                 opt_level=opt_level,
             ),
-        )
-
-    def kernel(self, spec):
-        """Memoized :func:`repro.sim.kernel.compile_kernel`.
-
-        The tracer's semantic version is a key axis (mirroring
-        ``PASS_PIPELINE_VERSION`` on :meth:`lower`), so kernels traced
-        by different generations of ``repro.sim.kernel`` never answer
-        for each other across the persistent store.  A ``None`` value
-        -- the spec fell back to the scalar interpreter -- is cached
-        too: re-deciding the fallback is as wasteful as re-tracing.
-        """
-        from ..sim.kernel import KERNEL_VERSION, compile_kernel
-
-        return self.memo(
-            "sim.kernel",
-            (spec, KERNEL_VERSION),
-            lambda: compile_kernel(spec),
         )
 
     # -- maintenance ----------------------------------------------------

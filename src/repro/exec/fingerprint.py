@@ -25,10 +25,9 @@ uncacheable rather than guessing at equality.
 Content keys identify *inputs*; when a cached value also depends on the
 generation of the code that produced it, the producing stage folds a
 semantic version constant into its key parts --
-``PASS_PIPELINE_VERSION`` for ``lower`` products and
-:data:`repro.sim.kernel.KERNEL_VERSION` for ``sim.kernel`` traces --
-so persisted entries from an older generation become unreachable
-instead of answering with stale behavior.
+``PASS_PIPELINE_VERSION`` for ``lower`` products -- so persisted
+entries from an older generation become unreachable instead of
+answering with stale behavior.
 """
 
 from __future__ import annotations

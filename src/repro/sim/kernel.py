@@ -40,12 +40,12 @@ The same evaluator computes the simulator's sparse skip masks
 batch raises :class:`KernelFallback`, and the simulator evaluates that
 condition point by point.
 
-Compiled kernels are pure data (step descriptors plus references into
-the spec's expression trees), so they fingerprint and pickle cleanly:
-:meth:`repro.exec.cache.CompileCache.kernel` memoizes them under the
-``sim.kernel`` stage with :data:`KERNEL_VERSION` folded into the key,
-mirroring how ``PASS_PIPELINE_VERSION`` guards the RTL pass pipeline's
-cache entries.
+Tracing a spec costs less than fingerprinting it, so compiled kernels
+are memoized per spec object (:func:`cached_kernel`), never under a
+content key; what a cache memoizes is the replayed outputs (the
+simulator's ``sim.reference`` stage).  Compiled kernels are pure data
+(step descriptors plus references into the spec's expression trees), so
+they pickle cleanly.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ from ..core.functionality import Assignment, AssignmentKind, FunctionalSpec
 from ..core.sparsity import row_operand
 from ..obs.profile import span
 from ..obs.trace import get_tracer
-
-#: Semantic version of the tracer/replay machinery.  Folded into the
-#: ``sim.kernel`` cache key (mirroring ``PASS_PIPELINE_VERSION`` for the
-#: RTL pass pipeline) so kernels compiled by a different generation of
-#: this module never answer for each other across the persistent store.
-KERNEL_VERSION = 1
 
 #: Elementwise ufuncs for value BinOps.  ``min``/``max`` map to the
 #: broadcasting numpy counterparts of the Python builtins the scalar
@@ -166,10 +160,7 @@ class CompiledKernel:
         self.steps = tuple(steps)
 
     def __repr__(self) -> str:
-        return (
-            f"CompiledKernel({self.spec.name!r},"
-            f" {len(self.steps)} steps, v{KERNEL_VERSION})"
-        )
+        return f"CompiledKernel({self.spec.name!r}, {len(self.steps)} steps)"
 
     # ------------------------------------------------------------------
 
@@ -634,7 +625,7 @@ def _assemble(
 
 
 # ---------------------------------------------------------------------------
-# Module-level kernel memo (for callers without a CompileCache)
+# The kernel memo
 # ---------------------------------------------------------------------------
 
 _MEMO_LIMIT = 64
@@ -646,9 +637,8 @@ def cached_kernel(spec: FunctionalSpec) -> Optional[CompiledKernel]:
 
     Holds a strong reference to each traced spec so a recycled ``id``
     can never alias a dead spec's kernel (the same discipline as
-    ``CompileCache.fingerprint_of``).  Callers holding a
-    :class:`~repro.exec.cache.CompileCache` should prefer its
-    content-addressed ``kernel`` stage instead.
+    ``CompileCache.fingerprint_of``).  ``None`` -- the spec falls back to
+    the scalar interpreter -- is memoized too.
     """
     cached = _kernel_memo.get(id(spec))
     if cached is not None and cached[0] is spec:
@@ -664,17 +654,15 @@ def replay_interpret(
     spec: FunctionalSpec,
     bounds: Bounds,
     tensors: Mapping[str, np.ndarray],
-    kernel: Optional[CompiledKernel] = None,
 ) -> Optional[Dict[str, np.ndarray]]:
     """Kernel-backed ``interpret``, or None when the scalar path must run.
 
-    ``kernel`` short-circuits compilation (e.g. a ``CompileCache`` hit);
-    otherwise the module memo supplies it.  Replay-time fallbacks --
-    a workload needing a boundary rule the spec lacks -- also return
-    None so the scalar interpreter can raise its precise diagnostic.
+    :func:`cached_kernel` supplies the compiled kernel.  Replay-time
+    fallbacks -- a workload needing a boundary rule the spec lacks --
+    also return None so the scalar interpreter can raise its precise
+    diagnostic.
     """
-    if kernel is None:
-        kernel = cached_kernel(spec)
+    kernel = cached_kernel(spec)
     if kernel is None:
         return None
     try:

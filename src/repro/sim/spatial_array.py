@@ -42,7 +42,6 @@ from ..core.expr import (
     WILDCARD,
 )
 from ..core.functionality import AssignmentKind, _dict_to_array, _Interpreter
-from ..core.iterspace import IODirection
 from ..core.sparsity import row_operand
 from ..obs.trace import get_tracer
 from .balancer import spatial_balanced_makespan
@@ -89,12 +88,12 @@ class SpatialArraySim:
         (Section VI-B); handwritten baselines set this to 0.
     memo:
         An optional :class:`repro.exec.cache.CompileCache`.  When given,
-        the sub-products shared across the balancing axis are memoized:
-        workload compression per ``(spec, bounds, sparsity, tensors)``,
-        the reference interpretation per ``(spec, bounds, tensors)`` and
-        compiled kernels per spec.  Whole runs are never memoized here;
-        the evaluation engine memoizes each design point's finished
-        figures (the ``dse.point`` stage).
+        the reference outputs are memoized per ``(spec, bounds,
+        tensors)`` under the ``sim.reference`` stage, so the dense and
+        sparse candidates of one workload, and its balancing variants,
+        compute them once.  Whole runs are never memoized here; the
+        evaluation engine memoizes each design point's finished figures
+        (the ``dse.point`` stage).
     vectorize:
         When ``False``, dense runs take the exact per-point loop (which
         steps the spec interpreter) instead of the closed form, and skip
@@ -104,8 +103,8 @@ class SpatialArraySim:
         every counter and the schedule length -- this knob exists so the
         differential test suite and the ``sim.scalar_vs_vectorized``
         fuzz oracle can prove it on the same workload.  Pass
-        ``memo=None`` alongside, or the content-keyed memos will answer
-        for the other path.
+        ``memo=None`` alongside, or the content-keyed reference memo
+        will answer for the other path.
     kernel:
         When ``True`` (the default), reference outputs -- which are the
         sparse path's outputs and the closed-form dense path's -- come
@@ -238,7 +237,7 @@ class SpatialArraySim:
                     cycle=step_index, live_pes=live, time=step,
                 )
         return self._finish_dense(
-            self._kernel_outputs(tensors), counters, schedule
+            self._reference_outputs(tensors), counters, schedule
         )
 
     def _run_dense_loop(
@@ -323,36 +322,22 @@ class SpatialArraySim:
     def _run_sparse(self, tensors: Mapping[str, np.ndarray]) -> SimResult:
         design = self.design
         spec = design.spec
-        bounds = design.bounds
         transform = design.transform
         counters = PerfCounters()
 
         tracer = get_tracer()
-
-        def _compress():
-            valid = self._valid_points(tensors)
-            return valid, self._compress_points(valid)
-
-        if self.memo is not None:
-            valid_points, compressed = self.memo.memo(
-                "sim.sparse.compress",
-                (spec, bounds, design.sparsity, tensors),
-                _compress,
-            )
-        else:
-            valid_points, compressed = _compress()
+        valid = self._valid_points(tensors)
         if tracer.enabled:
             tracer.instant(
                 "sparse_compress", component="sim.array", cycle=0,
-                valid_points=len(valid_points),
-                domain_points=bounds.point_count(spec.index_names),
+                valid_points=len(valid),
+                domain_points=design.bounds.point_count(spec.index_names),
             )
 
-        if not compressed:
+        if not len(valid):
             # No surviving work: outputs are still well-defined (all the
             # boundary initializations flow straight through).
-            outputs = self._reference_outputs(tensors)
-            return SimResult(outputs, counters, 0)
+            return SimResult(self._reference_outputs(tensors), counters, 0)
 
         # Schedule the compressed points through the transform -- one
         # matrix product for the whole workload; the first space
@@ -360,16 +345,15 @@ class SpatialArraySim:
         # coordinates linearize into one lexicographic cycle number
         # (a transform folding e.g. a batch axis into a second time
         # dimension schedules each batch after the previous one).
-        packed = np.array(list(compressed.values()), dtype=np.int64)
         tmat = np.array(transform.matrix, dtype=np.int64)
-        st = packed @ tmat.T
+        st = self._compress_points(valid) @ tmat.T
         rows = st[:, 0]
         times = _linearize_times(st[:, transform.space_dims:])
 
         schedule_length = int(times.max()) - int(times.min()) + 1
         pe_count = max(1, design.array.pe_count)
         macs_per_point = max(1, spec.macs_per_point())
-        work = len(compressed)
+        work = len(valid)
 
         if not design.balancing.is_disabled() and design.balancer is not None:
             # After pruning, rows drain independent work queues; balancing
@@ -399,15 +383,8 @@ class SpatialArraySim:
         counters.macs = work * macs_per_point
         counters.pe_busy_cycles = work
         counters.pe_idle_cycles = max(0, counters.cycles * pe_count - work)
-        counters.regfile_reads = sum(
-            1
-            for io in design.pruned_iterspace.io_conns
-            if io.direction is IODirection.INPUT
-        )
-        counters.regfile_writes = sum(
-            1
-            for io in design.pruned_iterspace.io_conns
-            if io.direction is IODirection.OUTPUT
+        counters.regfile_reads, counters.regfile_writes = (
+            design.pruned_iterspace.io_direction_counts
         )
 
         # Functional outputs: skipping zero-valued iterations never changes
@@ -422,46 +399,30 @@ class SpatialArraySim:
         return SimResult(outputs, counters, schedule_length)
 
     def _reference_outputs(self, tensors: Mapping[str, np.ndarray]):
-        """:meth:`_kernel_outputs`, memoized per workload under the
-        ``sim.reference`` stage.  The memo is keyed on content only --
-        the kernel and the scalar interpreter are required to produce
-        byte-identical arrays."""
-        if self.memo is not None:
-            design = self.design
-            return self.memo.memo(
-                "sim.reference", (design.spec, design.bounds, tensors),
-                lambda: self._kernel_outputs(tensors),
-            )
-        return self._kernel_outputs(tensors)
+        """Outputs from the reference semantics, memoized per workload
+        under the ``sim.reference`` stage.
 
-    def _kernel_outputs(self, tensors: Mapping[str, np.ndarray]):
-        """Outputs from the reference semantics.
-
-        The trace-compiled batched kernel answers when the spec is
-        traceable (compiled kernels memoized under the ``sim.kernel``
-        stage when a cache is threaded through); any compile- or
-        replay-time fallback lands on the scalar interpreter.
+        ``interpret`` replays the spec's trace-compiled kernel when the
+        spec is traceable (unless ``kernel=False``) and walks it point by
+        point otherwise; the two are byte-identical, so the memo is keyed
+        on content only.
         """
-        spec = self.design.spec
-        bounds = self.design.bounds
-        if self.kernel:
-            compiled = (
-                self.memo.kernel(spec)
-                if self.memo is not None
-                else _kernel.cached_kernel(spec)
-            )
-            if compiled is not None:
-                result = _kernel.replay_interpret(
-                    spec, bounds, tensors, kernel=compiled
-                )
-                if result is not None:
-                    return result
-        return spec.interpret(bounds, tensors, kernel=False)
+        design = self.design
 
-    def _valid_points(
-        self, tensors: Mapping[str, np.ndarray]
-    ) -> List[Tuple[int, ...]]:
-        """Iteration points that survive the pessimistic skip conditions.
+        def build():
+            return design.spec.interpret(
+                design.bounds, tensors, kernel=self.kernel
+            )
+
+        if self.memo is None:
+            return build()
+        return self.memo.memo(
+            "sim.reference", (design.spec, design.bounds, tensors), build
+        )
+
+    def _valid_points(self, tensors: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Iteration points that survive the pessimistic skip conditions,
+        as an ``(N, rank)`` array in lexicographic point order.
 
         With ``vectorize``, each condition is evaluated over the whole
         domain at once by the kernel's batched evaluator; a condition it
@@ -490,45 +451,40 @@ class SpatialArraySim:
                 ctx = EvalContext(dict(zip(spec.index_names, point)), bounds, read)
                 if any(_condition_holds(s.condition, ctx) for s in pointwise):
                     skipped[index] = True
-        return [tuple(row) for row in points[~skipped].tolist()]
+        return points[~skipped]
 
-    def _compress_points(
-        self, valid_points: Sequence[Tuple[int, ...]]
-    ) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
-        """Map each valid point to compressed coordinates: every skipped
-        iterator's value becomes its rank among valid values sharing the
-        same context (the expansion-function inverse of Section IV-B)."""
-        spec = self.design.spec
-        order = spec.index_names
+    def _compress_points(self, valid: np.ndarray) -> np.ndarray:
+        """The compressed coordinates of ``valid``, row for row.
+
+        Every skipped iterator's value becomes its rank among the
+        distinct valid values sharing its context -- the uncompressed
+        values of the iterators it depends on, i.e. the fiber it is
+        compressed within (the expansion-function inverse of Section
+        IV-B).  One sort ranks every fiber at once, as a CSR ``indptr``
+        does: each (context, value) pair is one linear key with the
+        value least significant, so the sorted distinct keys list each
+        fiber's values in ascending order.
+        """
+        order = self.design.spec.index_names
+        bounds = self.design.bounds
         expansion = self.design.sparsity.expansion_dependencies()
-        skipped = [name for name in order if name in expansion]
-        if not skipped:
-            return {p: p for p in valid_points}
-
         axis_of = {name: axis for axis, name in enumerate(order)}
-        # context for skipped iterator s: values of deps(s) --- the fiber it
-        # is compressed within.
-        rank_maps: Dict[str, Dict[Tuple, Dict[int, int]]] = {s: {} for s in skipped}
-        for s in skipped:
-            dep_axes = sorted(axis_of[d] for d in expansion[s] if d in axis_of)
-            fibers: Dict[Tuple, set] = {}
-            for point in valid_points:
-                context = tuple(point[a] for a in dep_axes)
-                fibers.setdefault(context, set()).add(point[axis_of[s]])
-            for context, coords in fibers.items():
-                rank_maps[s][context] = {
-                    coord: rank for rank, coord in enumerate(sorted(coords))
-                }
-
-        compressed: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for point in valid_points:
-            packed = list(point)
-            for s in skipped:
-                dep_axes = sorted(axis_of[d] for d in expansion[s] if d in axis_of)
-                context = tuple(point[a] for a in dep_axes)
-                packed[axis_of[s]] = rank_maps[s][context][point[axis_of[s]]]
-            compressed[point] = tuple(packed)
-        return compressed
+        packed = valid.copy()
+        for name in order:
+            if name not in expansion:
+                continue
+            columns = sorted(axis_of[d] for d in expansion[name] if d in axis_of)
+            columns.append(axis_of[name])
+            ranges = [bounds[order[column]] for column in columns]
+            lows = np.array([lo for lo, _hi in ranges], dtype=np.int64)
+            spans = tuple(hi - lo + 1 for lo, hi in ranges)
+            keys = np.ravel_multi_index(tuple((valid[:, columns] - lows).T), spans)
+            slots, slot_of = np.unique(keys, return_inverse=True)
+            # A fiber's first slot is the first key at or after its
+            # value-0 key.
+            first = np.searchsorted(slots, slots - slots % spans[-1])
+            packed[:, axis_of[name]] = (np.arange(len(slots)) - first)[slot_of]
+        return packed
 
 
 def _linearize_times(times_nd: np.ndarray) -> np.ndarray:
@@ -763,10 +719,10 @@ def differential_run(
     Differential comparisons of the simulator's redundant evaluation
     strategies (scalar vs vectorized skip evaluation, kernel vs scalar
     reference) are only meaningful when each invocation actually
-    exercises its own path; the content-keyed memos would otherwise
-    answer for both sides.  This helper pins ``memo=None`` so callers
-    (the ``repro.fuzz`` oracles, the differential test suite) cannot get
-    that wrong.
+    exercises its own path; the content-keyed ``sim.reference`` memo
+    would otherwise answer for both sides.  This helper pins
+    ``memo=None`` so callers (the ``repro.fuzz`` oracles, the
+    differential test suite) cannot get that wrong.
     """
     sim = SpatialArraySim(
         design, memo=None, vectorize=vectorize, kernel=kernel

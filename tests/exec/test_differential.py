@@ -451,7 +451,7 @@ def _assert_k_skip_parity(condition, batched):
     fast = SpatialArraySim(design, memo=None, vectorize=True)
     slow = SpatialArraySim(design, memo=None, vectorize=False)
     fast_points = fast._valid_points(tensors)
-    assert fast_points == slow._valid_points(tensors)
+    assert np.array_equal(fast_points, slow._valid_points(tensors))
     # Both masks actually bit: fewer points than the dense domain,
     # more than the supported condition alone would leave.
     assert 0 < len(fast_points) < i * j * k

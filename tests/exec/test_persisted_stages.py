@@ -9,6 +9,7 @@ from repro.exec.cache import PERSISTED_STAGES, CompileCache
 from repro.exec.halving import sweep_suite
 from repro.exec.store import DiskStore
 from repro.exec.suite import build_suite, evaluate_suite
+from repro.sim.spatial_array import SpatialArraySim
 
 EXAMPLE = os.path.join(
     os.path.dirname(__file__), "..", "..", "examples", "quickstart.py"
@@ -28,14 +29,27 @@ def test_cold_runs_write_only_persisted_stages(tmp_path, monkeypatch, capsys):
     stages = set(DiskStore(root).stage_summary())
     assert {"compile", "lower", "dse.point"} <= stages
     assert stages <= PERSISTED_STAGES
+    assert "sim.kernel" not in stages
 
 
-def test_cold_halving_hits_intermediates_in_memory(tmp_path):
+def test_cold_halving_hits_intermediates_in_memory(tmp_path, monkeypatch):
+    simulated = []
+    real_run = SpatialArraySim.run
+
+    def counting_run(self, tensors):
+        simulated.append(self._is_sparse())
+        return real_run(self, tensors)
+
+    monkeypatch.setattr(SpatialArraySim, "run", counting_run)
     cache = CompileCache(store=DiskStore(str(tmp_path)))
     sweep_suite(
         build_suite("alexnet", cap=4, seed=7), halving=True, jobs=1, cache=cache
     )
-    for stage in ("sim.sparse.compress", "compile.elaborate"):
+    # Every simulated run, dense or sparse, looks its outputs up once.
+    assert set(simulated) == {False, True}
+    hits, misses = cache.stats.by_stage["sim.reference"]
+    assert hits + misses == len(simulated)
+    for stage in ("sim.reference", "compile.elaborate"):
         hits, _misses = cache.stats.by_stage[stage]
         assert hits > 0, stage
     assert cache.stats.disk_hits == 0  # a fresh store answers nothing

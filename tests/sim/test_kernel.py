@@ -2,9 +2,8 @@
 
 The byte-identity sweep against the scalar interpreter lives in
 ``tests/exec/test_differential.py``; this file covers the tracer's
-classification, the fallback contract, cache memoization (including the
-``KERNEL_VERSION`` key axis), pickling for the disk store, and the obs
-instrumentation.
+classification, the fallback contract, the per-spec kernel memo,
+pickling, and the obs instrumentation.
 """
 
 import pickle
@@ -29,10 +28,8 @@ from repro.core.functionality import (
     conv1d_spec,
 )
 from repro.core.library import merge_sorted_spec, sort_network_spec
-from repro.exec.cache import CompileCache
 from repro.obs.profile import Profiler, set_profiler
 from repro.obs.trace import Tracer, set_tracer
-from repro.sim import kernel as kernel_mod
 from repro.sim.kernel import (
     CompiledKernel,
     KernelFallback,
@@ -241,34 +238,10 @@ class TestMemoization:
         assert cached_kernel(spec) is cached_kernel(spec)
         assert cached_kernel(spec) is not cached_kernel(matmul_spec())
 
-    def test_compile_cache_stage_and_hits(self):
-        cache = CompileCache()
-        spec = matmul_spec()
-        first = cache.kernel(spec)
-        second = cache.kernel(matmul_spec())  # same content, new object
-        assert first is second
-        hits, misses = cache.stats.by_stage["sim.kernel"]
-        assert (hits, misses) == (1, 1)
-
-    def test_fallback_none_is_cached_too(self):
-        cache = CompileCache()
-        assert cache.kernel(merge_sorted_spec()) is None
-        assert cache.kernel(merge_sorted_spec()) is None
-        hits, misses = cache.stats.by_stage["sim.kernel"]
-        assert (hits, misses) == (1, 1)
-
-    def test_kernel_version_is_a_key_axis(self, monkeypatch):
-        cache = CompileCache()
-        cache.kernel(matmul_spec())
-        monkeypatch.setattr(kernel_mod, "KERNEL_VERSION", kernel_mod.KERNEL_VERSION + 1)
-        cache.kernel(matmul_spec())
-        hits, misses = cache.stats.by_stage["sim.kernel"]
-        assert (hits, misses) == (0, 2)
-
 
 class TestPickling:
     def test_compiled_kernel_roundtrips(self):
-        """The disk store pickles non-array values; a kernel must survive
+        """A kernel is pure data: it must survive a pickle round-trip
         and replay byte-identically afterwards."""
         spec = matmul_spec()
         kernel = compile_kernel(spec)

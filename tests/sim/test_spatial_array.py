@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from repro.core import Bounds, compile_design, matmul_spec
 from repro.core.balancing import flexible_pe_scheme, row_shift_scheme
 from repro.core.dataflow import hexagonal, input_stationary, output_stationary
-from repro.core.sparsity import csr_b_matrix, csr_csc_both, diagonal_a_matrix
+from repro.core.sparsity import (
+    a100_two_four,
+    csr_b_matrix,
+    csr_csc_both,
+    diagonal_a_matrix,
+)
 from repro.sim.spatial_array import SpatialArraySim
 
 
@@ -165,6 +170,108 @@ class TestSparseExecution:
         assert np.array_equal(result.outputs["C"], A @ B)
         dense_schedule = 3 * (n - 1) + 1
         assert result.cycles <= dense_schedule
+
+
+def _sorted_rank_compression(design, valid):
+    """Point-by-point reference: each skipped iterator's value becomes its
+    index in the sorted set of valid values of its fiber (the points that
+    agree on the iterators it depends on)."""
+    names = design.spec.index_names
+    expansion = design.sparsity.expansion_dependencies()
+    packed = [list(point) for point in valid]
+    for axis, name in enumerate(names):
+        if name not in expansion:
+            continue
+        deps = sorted(names.index(d) for d in expansion[name])
+        fibers = {}
+        for point in valid:
+            context = tuple(point[d] for d in deps)
+            fibers.setdefault(context, set()).add(point[axis])
+        for row, point in zip(packed, valid):
+            fiber = sorted(fibers[tuple(point[d] for d in deps)])
+            row[axis] = fiber.index(point[axis])
+    return packed
+
+
+class TestCompression:
+    """Skip masks and fiber compression against a reference written
+    out point by point here, not against another path of the simulator."""
+
+    I, J, K = 3, 5, 4
+
+    def _check(self, sparsity, A, B, survives):
+        spec = matmul_spec()
+        design = compile_design(
+            spec,
+            Bounds({"i": self.I, "j": self.J, "k": self.K}),
+            output_stationary(),
+            sparsity=sparsity(spec),
+        )
+        sim = SpatialArraySim(design, memo=None)
+        valid = [
+            (i, j, k)
+            for i in range(self.I)
+            for j in range(self.J)
+            for k in range(self.K)
+            if survives(A, B, i, j, k)
+        ]
+        points = sim._valid_points({"A": A, "B": B})
+        assert points.tolist() == [list(p) for p in valid]
+        if valid:
+            assert sim._compress_points(points).tolist() == (
+                _sorted_rank_compression(design, valid)
+            )
+        return sim
+
+    def _operands(self, density):
+        rng = np.random.default_rng(11)
+        A = rng.integers(1, 5, (self.I, self.K)) * (
+            rng.random((self.I, self.K)) < density
+        )
+        B = rng.integers(1, 5, (self.K, self.J)) * (
+            rng.random((self.K, self.J)) < density
+        )
+        return A, B
+
+    def test_b_csr(self):
+        A, B = self._operands(0.5)
+        self._check(csr_b_matrix, A, B, lambda A, B, i, j, k: B[k, j] != 0)
+
+    def test_outer_product_compresses_two_iterators(self):
+        A, B = self._operands(0.6)
+        self._check(
+            csr_csc_both, A, B,
+            lambda A, B, i, j, k: A[i, k] != 0 and B[k, j] != 0,
+        )
+
+    def test_a100_two_four_keeps_every_point_in_place(self):
+        A, B = self._operands(0.5)
+        sim = self._check(a100_two_four, A, B, lambda *_: True)
+        points = sim._valid_points({"A": A, "B": B})
+        assert np.array_equal(sim._compress_points(points), points)
+
+    def test_fiber_with_one_survivor(self):
+        A, B = self._operands(1.0)
+        B[1] = 0
+        B[1, 3] = 7  # row k=1 keeps only j=3, which packs to slot 0
+        sim = self._check(csr_b_matrix, A, B, lambda A, B, i, j, k: B[k, j] != 0)
+        packed = sim._compress_points(sim._valid_points({"A": A, "B": B}))
+        assert set(packed[packed[:, 2] == 1, 1].tolist()) == {0}
+
+    def test_all_zero_b_returns_the_scalar_outputs(self):
+        A, _ = self._operands(1.0)
+        B = np.zeros((self.K, self.J), dtype=np.int64)
+        sim = self._check(csr_b_matrix, A, B, lambda *_: False)
+        result = sim.run({"A": A, "B": B})
+        assert result.schedule_length == 0 and result.counters.macs == 0
+        scalar = sim.design.spec.interpret(
+            sim.design.bounds, {"A": A, "B": B}, kernel=False
+        )
+        assert result.outputs.keys() == scalar.keys()
+        for name, array in scalar.items():
+            assert result.outputs[name].tobytes() == array.tobytes()
+            assert result.outputs[name].dtype == array.dtype
+            assert result.outputs[name].shape == array.shape
 
 
 class TestLoadBalancedExecution:

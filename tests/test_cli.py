@@ -142,6 +142,25 @@ class TestCommands:
         assert "custom.macs_skipped" not in report["counters"]  # dense run
         assert isinstance(report["counters"]["pe_utilization"], float)
 
+    def test_simulate_checks_against_the_scalar_interpreter(
+        self, capsys, monkeypatch
+    ):
+        """A kernel that is off by one must not be compared with itself."""
+        from repro.sim.kernel import CompiledKernel
+
+        real_replay = CompiledKernel.replay
+
+        def off_by_one(self, bounds, tensors):
+            return {
+                name: array + 1
+                for name, array in real_replay(self, bounds, tensors).items()
+            }
+
+        monkeypatch.setattr(CompiledKernel, "replay", off_by_one)
+        assert main(["simulate", "--size", "3", "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["outputs_match_reference"] is False
+
     def test_area_json(self, capsys):
         assert main(["area", "--size", "4", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
