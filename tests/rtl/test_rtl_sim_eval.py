@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.equiv import _evaluate
+from repro.obs.trace import tracing
 from repro.rtl.netlist import Module, Netlist, RTLError
 from repro.rtl.sim import RTLSimulator
 
@@ -95,6 +96,94 @@ class TestLazySettle:
         assert sim.peek("rst") == 0
         sim.step(2)
         assert sim.peek("count") == 2
+
+    def test_disagreeing_whole_signal_drivers_fail_to_settle(self):
+        sim = self._two_drivers()
+        sim.poke("a", 3)
+        sim.poke("b", 5)
+        with pytest.raises(RTLError, match="failed to settle"):
+            sim.peek("w")
+
+    def test_agreeing_whole_signal_drivers_settle(self):
+        sim = self._two_drivers()
+        sim.poke("a", 6)
+        sim.poke("b", 6)
+        assert sim.peek("w") == 6
+
+    def _two_drivers(self) -> RTLSimulator:
+        module = Module("two_drivers")
+        module.input("clk")
+        module.input("a", 4)
+        module.input("b", 4)
+        module.output("w", 4)
+        module.assign("w", "a")
+        module.assign("w", "b")
+        return RTLSimulator(_netlist(module))
+
+    def test_disjoint_literal_slice_drivers_concatenate(self):
+        module = Module("bus")
+        module.input("clk")
+        module.input("lo", 4)
+        module.input("hi", 4)
+        module.output("packed", 8)
+        module.output("top", 4)
+        module.assign("top", "packed[7:4]")
+        module.assign("packed[7:4]", "hi")
+        module.assign("packed[3:0]", "lo")
+        sim = RTLSimulator(_netlist(module))
+        sim.poke("lo", 0x5)
+        sim.poke("hi", 0xC)
+        assert sim.peek("packed") == 0xC5
+        assert sim.peek("top") == 0xC
+
+    def test_gated_loop_through_a_child_instance(self):
+        child = Module("follower")
+        child.input("in")
+        child.output("out")
+        child.assign("out", "in")
+        parent = Module("ring")
+        parent.input("clk")
+        parent.input("en")
+        parent.wire("fb")
+        parent.wire("o")
+        parent.assign("fb", "~(o & en)")
+        parent.instantiate(child, "f", {"in": "fb", "out": "o"})
+        netlist = Netlist("ring")
+        netlist.add(child)
+        netlist.add(parent)
+        sim = RTLSimulator(netlist)
+        assert sim.peek("o") == 1
+        sim.poke("en", 1)
+        with pytest.raises(RTLError, match="failed to settle"):
+            sim.peek("o")
+        with pytest.raises(RTLError, match="failed to settle"):
+            sim.peek("f.out")
+        sim.poke("en", 0)
+        assert sim.peek("o") == 1
+        assert sim.peek("f.in") == 1
+
+    def test_step_instant_counts_fired_sync_statements(self):
+        module = Module("guarded")
+        module.input("clk")
+        module.input("rst")
+        module.input("en")
+        module.reg("x", 4)
+        module.reg("y", 4)
+        module.sync(
+            ["x <= x + 4'd1;", "if (en) y <= x;", "if (!en) y <= 4'd9;"],
+            ["x <= 4'd0;"],
+        )
+        sim = RTLSimulator(_netlist(module))
+        with tracing() as tracer:
+            sim.poke("en", 1)
+            sim.step()
+            sim.reset()
+            sim.poke("en", 0)
+            sim.step(2)
+        steps = [e for e in tracer.events() if e.name == "step"]
+        assert [e.payload["writes"] for e in steps] == [2, 1, 2, 2]
+        assert [e.payload["reset"] for e in steps] == [False, True, False, False]
+        assert [e.cycle for e in steps] == [1, 2, 3, 4]
 
     def test_peek_memory_sees_settled_state(self):
         module = Module("scratchpad")
