@@ -145,6 +145,9 @@ def check_equivalence(
         # errors above already refute equivalence.
         return result
 
+    # Simulator code, generated and compiled once for every differential
+    # of this call.
+    code: Dict[object, object] = {}
     for name in sorted(set(before.modules) & set(after.modules)):
         mod_before, mod_after = before.modules[name], after.modules[name]
         result.stats["modules"] += 1
@@ -167,7 +170,7 @@ def check_equivalence(
         )
         _check_sequential(mod_before, mod_after, inliners, result)
         _check_differential(
-            before, after, name, result, f"{prefix}{name}", cycles, seed
+            before, after, name, result, f"{prefix}{name}", cycles, seed, code
         )
     return result
 
@@ -626,6 +629,7 @@ def _check_differential(
     location: str,
     cycles: int,
     seed: int,
+    code: Dict[object, object],
 ) -> None:
     module = before.modules[module_name]
     rng = random.Random(seed ^ zlib.crc32(module_name.encode("utf-8")))
@@ -644,10 +648,14 @@ def _check_differential(
             sim.poke(name, value)
 
     trace_before = capture_rtl_trace(
-        RTLSimulator(before, top=module_name), cycles=cycles, stimulus=stimulus
+        RTLSimulator(before, top=module_name, code=code),
+        cycles=cycles,
+        stimulus=stimulus,
     )
     trace_after = capture_rtl_trace(
-        RTLSimulator(after, top=module_name), cycles=cycles, stimulus=stimulus
+        RTLSimulator(after, top=module_name, code=code),
+        cycles=cycles,
+        stimulus=stimulus,
     )
     result.stats["differential_modules"] += 1
     result.stats["differential_cycles"] += cycles

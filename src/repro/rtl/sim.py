@@ -1,4 +1,4 @@
-"""An RTL interpreter for generated netlists.
+"""An RTL simulator for generated netlists.
 
 The paper validates its generated RTL with cycle-exact FPGA simulation
 (FireSim); offline, this module plays that role for the emitted designs:
@@ -21,58 +21,132 @@ parsed from its text when the node was built, and building a simulator
 raises the parser's :class:`~repro.rtl.netlist.RTLError` for a node
 whose text the grammar rejected.
 
-Two things keep the interpretation cheap:
+Three things keep the simulation cheap:
 
-* **Compiling once per instance.**  Each instance turns every
-  expression, lvalue and port connection into a closure over its own
-  signal dict when it is built; a sweep calls closures and walks no
-  syntax trees.  An expression error (an undefined signal, a memory read
-  without a subscript) raises when the closure runs, as it would in a
-  tree walk.
+* **A schedule fixed per module.**  A module's combinational nodes --
+  its assigns, each child input wiring, each child instance (one node)
+  and each child output wiring -- are sorted once into dependency order
+  by the signal names they read and write, ties kept in netlist order,
+  so one pass in that order settles the module.  Only nodes that can
+  need more than one pass -- a combinational loop (also one through a
+  child's ports), or the drivers of a signal whose writers can disagree
+  (two whole-signal writers, overlapping or computed slices) -- run as a
+  group to a fixpoint, bounded by ``MAX_SETTLE_ITERATIONS``.  Disjoint
+  literal slices of one bus are independent writers, not a group.
+* **Straight-line code, compiled once.**  Each module's settle pass and
+  its clock edge (sample every active statement, then commit them in
+  order) are emitted as Python source -- netlist names only as string
+  keys through ``repr``, constants only as ints, operators from a fixed
+  table -- and compiled in chunks of at most ``_CHUNK_NODES`` nodes, so
+  ``compile`` never holds one huge body.  Every instance of a module
+  runs the same code on its own signal dict; simulators handed one
+  ``code`` dict share the compiled chunks by source text.  An
+  expression error (an undefined signal, a memory read without a
+  subscript) raises when the code runs, as it would in a tree walk.
 * **Settling lazily.**  ``poke`` writes the value and marks the logic
-  unsettled; the combinational fixpoint runs before the next
-  observation -- ``peek``, ``peek_memory``, ``signal_values`` -- and in
-  ``step`` both before the edge is sampled and after it is committed.  A
-  settle that fails leaves the logic unsettled, so every later
-  observation raises the same error.
+  unsettled; the settle runs before the next observation -- ``peek``,
+  ``peek_memory``, ``signal_values`` -- and in ``step`` both before the
+  edge is sampled and after it is committed.  A settle that fails leaves
+  the logic unsettled, so every later observation raises the same error.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..obs.trace import get_tracer
-from .netlist import Module, Netlist, PortDir, RTLError, _mask
+from .netlist import Module, Netlist, PortDir, RTLError, _mask, lvalue_base, refs
 
-# ---------------------------------------------------------------------------
-# Compilation
-# ---------------------------------------------------------------------------
+#: Most combinational nodes compiled in one ``compile`` call.
+_CHUNK_NODES = 64
 
-
-#: Binary operator -> factory taking the compiled operands and returning
-#: the compiled operation; operands evaluate left to right.
-_BINOPS: Dict[str, Callable] = {
-    "+": lambda a, b: lambda: a() + b(),
-    "-": lambda a, b: lambda: a() - b(),
-    "*": lambda a, b: lambda: a() * b(),
-    "&": lambda a, b: lambda: a() & b(),
-    "|": lambda a, b: lambda: a() | b(),
-    "==": lambda a, b: lambda: 1 if a() == b() else 0,
-    "!=": lambda a, b: lambda: 1 if a() != b() else 0,
-    "<": lambda a, b: lambda: 1 if a() < b() else 0,
-    "<=": lambda a, b: lambda: 1 if a() <= b() else 0,
-    ">": lambda a, b: lambda: 1 if a() > b() else 0,
-    ">=": lambda a, b: lambda: 1 if a() >= b() else 0,
+#: Binary operators -> Python operators; comparisons yield 0 or 1.
+_ARITHMETIC = {"+": "+", "-": "-", "*": "*", "&": "&", "|": "|"}
+_COMPARISONS = {
+    "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
 }
 
 
-def _raiser(message: str) -> Callable:
-    """A compiled node that fails when evaluated, never when compiled."""
+# ---------------------------------------------------------------------------
+# Runtime helpers the generated code calls
+# ---------------------------------------------------------------------------
 
-    def fail(*_):
-        raise RTLError(message)
 
-    return fail
+def _fail(message: str):
+    raise RTLError(message)
+
+
+def _undefined(name: str, path: str):
+    raise RTLError(f"undefined signal {name!r} in {path}")
+
+
+def _bit(index: int, value: int) -> int:
+    """``value[index]`` with the index evaluated first."""
+    return (value >> index) & 1
+
+
+def _slice(value: int, hi: int, lo: int) -> int:
+    return (value >> lo) & ((1 << (hi - lo + 1)) - 1)
+
+
+def _concat(*parts: int) -> int:
+    """Pack ``width, value, width, value, ...``, most significant first."""
+    out = 0
+    for at in range(0, len(parts), 2):
+        bits = parts[at]
+        out = (out << bits) | (parts[at + 1] & ((1 << bits) - 1))
+    return out
+
+
+def _repl(count: int, bits: int, piece: int) -> int:
+    chunk = piece & ((1 << bits) - 1)
+    out = 0
+    for _ in range(count):
+        out = (out << bits) | chunk
+    return out
+
+
+_HELPERS = {
+    "_fail": _fail,
+    "_undefined": _undefined,
+    "_bit": _bit,
+    "_slice": _slice,
+    "_concat": _concat,
+    "_repl": _repl,
+}
+
+
+def _compile_function(source: str, code: Dict[object, object]) -> Callable:
+    """The function ``source`` defines, compiled once per ``code`` dict."""
+    function = code.get(source)
+    if function is None:
+        namespace = dict(_HELPERS)
+        exec(compile(source, "<rtl.sim>", "exec"), namespace)  # noqa: S102
+        function = code[source] = namespace["generated"]
+    return function
+
+
+def _fixpoint(chunks, *state) -> None:
+    """Run a loop group's chunks until a whole pass changes nothing."""
+    for _ in range(RTLSimulator.MAX_SETTLE_ITERATIONS):
+        changed = 0
+        for chunk in chunks:
+            changed |= chunk(*state)
+        if not changed:
+            return
+    raise RTLError("combinational logic failed to settle (loop?)")
+
+
+def _in_order(steps, *state) -> None:
+    for step in steps:
+        step(*state)
+
+
+# ---------------------------------------------------------------------------
+# Emission
+# ---------------------------------------------------------------------------
 
 
 def _literal_bounds(node) -> Optional[Tuple[int, int]]:
@@ -83,298 +157,574 @@ def _literal_bounds(node) -> Optional[Tuple[int, int]]:
     return (hi, lo) if hi >= lo - 1 else None
 
 
-class _ModuleState:
-    """Runtime state of one module instance.
+class _Emitter:
+    """Python source for one module's expressions and writes.
 
-    Every expression of the module is compiled, once, into a closure over
-    this instance's ``values`` and ``memories``; a compiled expression
-    takes no arguments and returns the value, a compiled lvalue (a
-    *writer*) takes the value and returns whether a visible value
-    changed.  Errors in an expression raise when it is evaluated.
+    The generated code sees the instance's signal dict as ``v``, its
+    memories as ``m`` and its path as ``p``.  Operands evaluate in the
+    order a tree walk reads them, so the first error raised is the same.
     """
 
-    def __init__(self, module: Module, netlist: Netlist, path: str):
-        self.path = path
-        self.widths: Dict[str, int] = {}
-        self.values: Dict[str, int] = {}
-        self.memories: Dict[str, Dict[int, int]] = {}
-        for port in module.ports:
-            self.widths[port.name] = port.width
-            self.values[port.name] = 0
-        for net in module.nets:
-            self.widths[net.name] = net.width
-            if net.depth:
-                self.memories[net.name] = {}
-            else:
-                self.values[net.name] = 0
-        self.assigns = [
-            (self._writer(a.lhs.tree), self._compile(a.rhs.tree))
-            for a in module.assigns
-        ]
-        self.sync_blocks = [
-            (
-                [self._statement(s.tree) for s in block.statements],
-                [self._statement(s.tree) for s in block.reset_statements],
-            )
-            for block in module.sync_blocks
-        ]
-        # Every instance's child and connection trees first, so the
-        # module's own errors raise before any child's.
-        wiring = [
-            (
-                inst.instance_name,
-                netlist.module(inst.module_name),
-                {port: expr.tree for port, expr in inst.connections.items()},
-            )
-            for inst in module.instances
-        ]
-        self.children: List[Tuple["_ModuleState", list, list]] = []
-        for name, child_module, conns in wiring:
-            child = _ModuleState(child_module, netlist, f"{path}.{name}")
-            # Inputs and outputs, each in child port order.
-            wired = [p for p in child_module.ports if p.name in conns]
-            self.children.append(
-                (
-                    child,
-                    [
-                        (p.name, self._compile(conns[p.name]), (1 << p.width) - 1)
-                        for p in wired
-                        if p.direction is PortDir.INPUT
-                    ],
-                    [
-                        (p.name, self._writer(conns[p.name]))
-                        for p in wired
-                        if p.direction is PortDir.OUTPUT
-                    ],
-                )
-            )
+    def __init__(self, widths: Dict[str, int], memories):
+        self.widths = widths
+        self.memories = memories
 
     # -- expressions -----------------------------------------------------
 
-    def _compile(self, node) -> Callable[[], int]:
+    def expr(self, node) -> str:
         kind = node[0]
-        compile_ = self._compile
+        expr = self.expr
         if kind == "literal":
-            value = _mask(node[1], node[2])
-            return lambda: value
+            return repr(_mask(node[1], node[2]))
         if kind == "ref":
-            return self._read(node[1])
+            name = node[1]
+            if name in self.memories:
+                return f"_fail({f'memory {name!r} used without a subscript'!r})"
+            if name in self.widths:
+                return f"v[{name!r}]"
+            return f"_undefined({name!r}, p)"
         if kind == "index":
             base = node[1]
-            index = compile_(node[2])
             if base[0] == "ref" and base[1] in self.memories:
-                memory = self.memories[base[1]]
-                return lambda: memory.get(index(), 0)
-            value = compile_(base)
-
-            def index_bit():
-                bit = index()
-                return (value() >> bit) & 1
-
-            return index_bit
+                return f"m[{base[1]!r}].get({expr(node[2])}, 0)"
+            if node[2][0] == "literal":
+                return f"(({expr(base)} >> {expr(node[2])}) & 1)"
+            return f"_bit({expr(node[2])}, {expr(base)})"
         if kind == "slice":
-            value = compile_(node[1])
             bounds = _literal_bounds(node)
-            if bounds is not None:
-                lo, field = bounds[1], (1 << (bounds[0] - bounds[1] + 1)) - 1
-                return lambda: (value() >> lo) & field
-            hi, lo_ = compile_(node[2]), compile_(node[3])
-
-            def slice_():
-                whole, top, bottom = value(), hi(), lo_()
-                return (whole >> bottom) & ((1 << (top - bottom + 1)) - 1)
-
-            return slice_
+            if bounds is None:
+                return f"_slice({expr(node[1])}, {expr(node[2])}, {expr(node[3])})"
+            field = (1 << (bounds[0] - bounds[1] + 1)) - 1
+            if bounds[1]:
+                return f"(({expr(node[1])} >> {bounds[1]}) & {field})"
+            return f"({expr(node[1])} & {field})"
         if kind == "concat":
-            parts = [(compile_(part), self._width(part)) for part in node[1]]
-
-            def concat():
-                out = 0
-                for part, width in parts:
-                    bits = width()
-                    out = (out << bits) | (part() & ((1 << bits) - 1))
-                return out
-
-            return concat
+            parts = [f"{self._width(part)}, {expr(part)}" for part in node[1]]
+            return f"_concat({', '.join(parts)})"
         if kind == "repl":
-            count, piece = compile_(node[1]), compile_(node[2])
-            width = self._width(node[2])
-
-            def repl():
-                times, bits = count(), width()
-                chunk = piece() & ((1 << bits) - 1)
-                out = 0
-                for _ in range(times):
-                    out = (out << bits) | chunk
-                return out
-
-            return repl
+            return (
+                f"_repl({expr(node[1])}, {self._width(node[2])}, {expr(node[2])})"
+            )
         if kind == "unop":
-            operand = compile_(node[2])
             if node[1] == "!":
-                return lambda: 0 if operand() else 1
-            if node[1] == "~":
-                return lambda: ~operand()
-            return lambda: -operand()
-        if kind == "binop":
-            return _BINOPS[node[1]](compile_(node[2]), compile_(node[3]))
-        return _raiser(f"unknown AST node {node!r}")
+                return f"(0 if {expr(node[2])} else 1)"
+            return f"({'~' if node[1] == '~' else '-'}{expr(node[2])})"
+        if kind == "binop" and node[1] in _ARITHMETIC:
+            return f"({expr(node[2])} {_ARITHMETIC[node[1]]} {expr(node[3])})"
+        if kind == "binop" and node[1] in _COMPARISONS:
+            return (
+                f"(1 if {expr(node[2])} {_COMPARISONS[node[1]]}"
+                f" {expr(node[3])} else 0)"
+            )
+        return f"_fail({f'unknown AST node {node!r}'!r})"
 
-    def _read(self, name: str) -> Callable[[], int]:
-        values = self.values
-        if name in self.memories:
-            return _raiser(f"memory {name!r} used without a subscript")
-        if name in values:
-            # Declared signals never leave ``values``.
-            return lambda: values[name]
-        message = f"undefined signal {name!r} in {self.path}"
-
-        def read_undeclared():
-            # An undeclared name exists once some lvalue has written it.
-            if name not in values:
-                raise RTLError(message)
-            return values[name]
-
-        return read_undeclared
-
-    def _width(self, node) -> Callable[[], int]:
+    def _width(self, node) -> str:
         """The packing width of a concat or replication operand."""
         if node[0] == "slice":
             bounds = _literal_bounds(node)
             if bounds is None:
-                hi, lo = self._compile(node[2]), self._compile(node[3])
-                return lambda: hi() - lo() + 1
-            width = bounds[0] - bounds[1] + 1
-        elif node[0] == "literal":
-            width = node[2]
-        elif node[0] == "ref":
-            width = self.widths.get(node[1], 32)
-        else:
-            width = 32
-        return lambda: width
+                return f"({self.expr(node[2])} - {self.expr(node[3])} + 1)"
+            return repr(bounds[0] - bounds[1] + 1)
+        if node[0] == "literal":
+            return repr(node[2])
+        if node[0] == "ref":
+            return repr(self.widths.get(node[1], 32))
+        return "32"
 
     # -- writes ----------------------------------------------------------
 
-    def _writer(self, lvalue) -> Callable[[int], bool]:
-        values = self.values
+    def write(self, lvalue, value: str, track: bool) -> List[str]:
+        """Lines writing ``value`` through ``lvalue``; with ``track``,
+        they set ``c`` when a stored value changes.  ``value`` is
+        evaluated before the lvalue's own index and bounds, as in a tree
+        walk."""
         kind = lvalue[0]
+        base = lvalue[1] if kind in ("index", "slice") else lvalue
+        if kind not in ("ref", "index", "slice") or base[0] != "ref":
+            return [f"x = {value}", f"_fail({f'unsupported lvalue {lvalue!r}'!r})"]
+        name = base[1]
+        mask = (1 << self.widths.get(name, 32)) - 1
         if kind == "ref":
-            name = lvalue[1]
-            mask = (1 << self.widths.get(name, 32)) - 1
-
-            def write_ref(value: int) -> bool:
-                new = value & mask
-                if values.get(name) != new:
-                    values[name] = new
-                    return True
-                return False
-
-            return write_ref
+            return _store(f"v[{name!r}]", f"v.get({name!r})", f"{value} & {mask}", track)
+        if kind == "index" and name in self.memories:
+            index = self.expr(lvalue[2])
+            if not track:
+                return [f"m[{name!r}][{index}] = {value} & {mask}"]
+            return [f"x = {value} & {mask}", f"a = {index}"] + _store(
+                f"m[{name!r}][a]", f"m[{name!r}].get(a)", "x", track
+            )
+        current = f"v[{name!r}]" if name in self.widths else f"v.get({name!r}, 0)"
+        bounds = _literal_bounds(lvalue) if kind == "slice" else None
+        if bounds is not None and not track:
+            field = (1 << (bounds[0] - bounds[1] + 1)) - 1
+            keep = ~(field << bounds[1]) & mask
+            return [
+                f"v[{name!r}] = ({current} & {keep})"
+                f" | ((({value} & {field}) << {bounds[1]}) & {mask})"
+            ]
         if kind == "index":
-            base, index = lvalue[1], self._compile(lvalue[2])
-            if base[0] == "ref" and base[1] in self.memories:
-                memory = self.memories[base[1]]
-                mask = (1 << self.widths[base[1]]) - 1
+            lines = [f"x = {value}", f"l = {self.expr(lvalue[2])}", "f = 1"]
+        else:
+            lines = [
+                f"x = {value}",
+                f"h = {self.expr(lvalue[2])}",
+                f"l = {self.expr(lvalue[3])}",
+                "f = (1 << (h - l + 1)) - 1",
+            ]
+        lines += [
+            f"y = {current}",
+            "u = (y & ~(f << l)) | ((x & f) << l)",
+            f"v[{name!r}] = u & {mask}",
+        ]
+        return lines + ["if u != y:", "    c = 1"] if track else lines
 
-                def write_memory(value: int) -> bool:
-                    address, new = index(), value & mask
-                    if memory.get(address) != new:
-                        memory[address] = new
-                        return True
-                    return False
 
-                return write_memory
-            # Single-bit write into a packed register.
-            name = base[1]
-            mask = (1 << self.widths.get(name, 32)) - 1
+def _store(target: str, current: str, value: str, track: bool) -> List[str]:
+    """Lines storing ``value`` at ``target``, with ``track`` setting ``c``
+    when it differs from ``current``."""
+    if not track:
+        return [f"{target} = {value}"]
+    return [f"x = {value}", f"if {current} != x:", f"    {target} = x", "    c = 1"]
 
-            def write_bit(value: int) -> bool:
-                bit = index()
-                current = values.get(name, 0)
-                updated = (current & ~(1 << bit)) | ((value & 1) << bit)
-                values[name] = updated & mask
-                return updated != current
 
-            return write_bit
-        if kind == "slice":
-            name = lvalue[1][1]
-            mask = (1 << self.widths.get(name, 32)) - 1
-            hi, lo = self._compile(lvalue[2]), self._compile(lvalue[3])
+# ---------------------------------------------------------------------------
+# Levelization
+# ---------------------------------------------------------------------------
 
-            def write_slice(value: int) -> bool:
-                top, bottom = hi(), lo()
-                field = (1 << (top - bottom + 1)) - 1
-                current = values.get(name, 0)
-                updated = (current & ~(field << bottom)) | ((value & field) << bottom)
-                values[name] = updated & mask
-                return updated != current
 
-            return write_slice
-        return _raiser(f"unsupported lvalue {lvalue!r}")
+class _CombNode:
+    """One combinational node of a module.
 
-    def _statement(self, statement):
-        cond, lvalue, rhs = statement
-        return (
-            None if cond is None else self._compile(cond),
-            self._writer(lvalue),
-            self._compile(rhs),
+    ``reads`` and ``writes`` hold signal names and, for child ports,
+    ``(child, port)`` pairs; a node writing through ``lvalue`` also
+    reads its index or slice bounds and writes its base.  ``span`` is
+    how the node covers what it writes (``None`` whole, ``(hi, lo)`` a
+    literal slice, ``"computed"``), ``lines(track)`` its code and
+    ``child`` the child whose ports it touches.
+    """
+
+    __slots__ = ("reads", "writes", "span", "lines", "child")
+
+    def __init__(self, reads, lines, lvalue=None, writes=(), child=None):
+        reads = list(reads)
+        self.span = None
+        if lvalue is not None:
+            if lvalue[0] in ("index", "slice"):
+                reads += [name for part in lvalue[2:] for name in refs(part)]
+            base = lvalue_base(lvalue)
+            writes = [base] if base else []
+            self.span = _span(lvalue)
+        self.reads = frozenset(reads)
+        self.writes = tuple(writes)
+        self.lines = lines
+        self.child = child
+
+
+def _span(lvalue):
+    kind = lvalue[0]
+    if kind == "ref":
+        return None
+    if kind == "slice":
+        bounds = _literal_bounds(lvalue)
+        if bounds is not None:
+            return bounds
+    if kind == "index" and lvalue[2][0] == "literal":
+        bit = _mask(*lvalue[2][1:])
+        return (bit, bit)
+    return "computed"
+
+
+def _conflicting(spans) -> bool:
+    """Whether writers covering ``spans`` of one signal can disagree."""
+    if len(spans) < 2:
+        return False
+    if any(span is None or span == "computed" for span in spans):
+        return True
+    ordered = sorted(spans, key=lambda span: span[1])
+    return any(
+        later[1] <= earlier[0] for earlier, later in zip(ordered, ordered[1:])
+    )
+
+
+def _components(nodes: List[_CombNode]) -> List[Tuple[List[_CombNode], bool]]:
+    """The nodes as ``(members, iterate)`` steps in dependency order.
+
+    Strongly connected nodes -- a loop, or the writers of one signal that
+    can disagree -- form one step that iterates; steps are topologically
+    sorted with ties broken by netlist order."""
+    writers: Dict[object, List[int]] = {}
+    for at, node in enumerate(nodes):
+        for name in node.writes:
+            writers.setdefault(name, []).append(at)
+    preds = [
+        {writer for name in node.reads for writer in writers.get(name, ())}
+        for node in nodes
+    ]
+    conflicts = [
+        ats for ats in writers.values()
+        if _conflicting([nodes[at].span for at in ats])
+    ]
+    if not conflicts and all(
+        not before or max(before) < at for at, before in enumerate(preds)
+    ):
+        # Netlist order already is the schedule (the common case).
+        return [([node], False) for node in nodes]
+
+    edges: List[set] = [set() for _ in nodes]
+    for at, before in enumerate(preds):
+        for writer in before:
+            edges[writer].add(at)
+    for ats in conflicts:
+        for writer, reader in zip(ats, ats[1:] + ats[:1]):
+            edges[writer].add(reader)
+    members = _strongly_connected(edges)
+    component = [0] * len(nodes)
+    for c, group in enumerate(members):
+        for at in group:
+            component[at] = c
+
+    # Kahn's algorithm over the components, earliest netlist order first.
+    waiting = [0] * len(members)
+    for at, targets in enumerate(edges):
+        for target in targets:
+            if component[at] != component[target]:
+                waiting[component[target]] += 1
+    ready = [(group[0], c) for c, group in enumerate(members) if not waiting[c]]
+    heapq.heapify(ready)
+    steps = []
+    while ready:
+        _, c = heapq.heappop(ready)
+        group = members[c]
+        iterate = len(group) > 1 or group[0] in edges[group[0]]
+        steps.append(([nodes[at] for at in group], iterate))
+        for at in group:
+            for target in edges[at]:
+                successor = component[target]
+                if successor != c:
+                    waiting[successor] -= 1
+                    if not waiting[successor]:
+                        heapq.heappush(ready, (members[successor][0], successor))
+    return steps
+
+
+def _strongly_connected(edges: List[set]) -> List[List[int]]:
+    """Tarjan's strongly connected components of a graph given as
+    successor sets, each component's members sorted."""
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack: List[int] = []
+    on_stack = set()
+    members: List[List[int]] = []
+    for root in range(len(edges)):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(edges[root]))]
+        while work:
+            at, successors = work[-1]
+            for successor in successors:
+                if successor not in index:
+                    index[successor] = low[successor] = len(index)
+                    stack.append(successor)
+                    on_stack.add(successor)
+                    work.append((successor, iter(edges[successor])))
+                    break
+                if successor in on_stack:
+                    low[at] = min(low[at], index[successor])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[at])
+                if low[at] == index[at]:
+                    group = []
+                    while group[-1:] != [at]:
+                        group.append(stack.pop())
+                        on_stack.discard(group[-1])
+                    members.append(sorted(group))
+    return members
+
+
+# ---------------------------------------------------------------------------
+# Per-module code
+# ---------------------------------------------------------------------------
+
+
+def _content(module: Module, netlist: Netlist) -> tuple:
+    """Everything a module's code is generated from: its declarations,
+    its texts and the ports of the children it instantiates."""
+
+    def ports(name: str):
+        child = netlist.modules.get(name)
+        if child is None:
+            return None
+        return tuple((p.name, p.direction, p.width) for p in child.ports)
+
+    return (
+        tuple((p.name, p.direction, p.width) for p in module.ports),
+        tuple((n.name, n.width, n.depth) for n in module.nets),
+        tuple((a.lhs.text, a.rhs.text) for a in module.assigns),
+        tuple(
+            (
+                tuple(s.text for s in block.statements),
+                tuple(s.text for s in block.reset_statements),
+            )
+            for block in module.sync_blocks
+        ),
+        tuple(
+            (
+                inst.module_name,
+                inst.instance_name,
+                tuple((port, e.text) for port, e in inst.connections.items()),
+                ports(inst.module_name),
+            )
+            for inst in module.instances
+        ),
+    )
+
+
+class _ModuleCode:
+    """One module's signals, children and compiled settle and edge."""
+
+    def __init__(self, module: Module, netlist: Netlist, code: Dict[object, object]):
+        self.widths: Dict[str, int] = {}
+        memories = set()
+        for port in module.ports:
+            self.widths[port.name] = port.width
+        for net in module.nets:
+            self.widths[net.name] = net.width
+            if net.depth:
+                memories.add(net.name)
+        self.memories = tuple(sorted(memories))
+        emitter = _Emitter(self.widths, memories)
+
+        # Every tree of the module first -- assigns, sync statements,
+        # instance connections -- so its own errors raise before any
+        # child's.
+        assigns = [(a.lhs.tree, a.rhs.tree) for a in module.assigns]
+        blocks = [
+            (
+                [s.tree for s in block.statements],
+                [s.tree for s in block.reset_statements],
+            )
+            for block in module.sync_blocks
+        ]
+        self.children: List[Tuple[str, str]] = []
+        wiring = []
+        for inst in module.instances:
+            child = netlist.module(inst.module_name)
+            conns = {port: expr.tree for port, expr in inst.connections.items()}
+            self.children.append((inst.instance_name, inst.module_name))
+            wiring.append((child, conns))
+
+        nodes: List[_CombNode] = []
+        for lhs, rhs in assigns:
+            nodes.append(_CombNode(
+                refs(rhs),
+                lambda track, lhs=lhs, rhs=rhs: emitter.write(
+                    lhs, emitter.expr(rhs), track
+                ),
+                lvalue=lhs,
+            ))
+        for at, (child, conns) in enumerate(wiring):
+            wired = [p for p in child.ports if p.name in conns]
+            inputs = [p for p in wired if p.direction is PortDir.INPUT]
+            outputs = [p for p in wired if p.direction is PortDir.OUTPUT]
+            for port in inputs:
+                rhs = conns[port.name]
+                nodes.append(_CombNode(
+                    refs(rhs),
+                    lambda track, target=f"k{at}[{port.name!r}]", rhs=rhs,
+                    mask=(1 << port.width) - 1: _store(
+                        target, target, f"{emitter.expr(rhs)} & {mask}", track
+                    ),
+                    writes=[(at, port.name)],
+                    child=at,
+                ))
+            nodes.append(_CombNode(
+                [(at, p.name) for p in inputs],
+                lambda track, at=at: [f"s[{at}]()"],
+                writes=[(at, p.name) for p in outputs],
+            ))
+            for port in outputs:
+                lvalue = conns[port.name]
+                nodes.append(_CombNode(
+                    [(at, port.name)],
+                    lambda track, lvalue=lvalue, port=f"k{at}[{port.name!r}]": (
+                        emitter.write(lvalue, port, track)
+                    ),
+                    lvalue=lvalue,
+                    child=at,
+                ))
+
+        self.settle = self._compile_settle(_components(nodes), code)
+        self.edge = self._compile_edge(emitter, blocks, code)
+
+    # -- settle ----------------------------------------------------------
+
+    @staticmethod
+    def _chunk_source(nodes: List[_CombNode], track: bool) -> str:
+        children = sorted({node.child for node in nodes if node.child is not None})
+        lines = ["def generated(v, m, k, s, p):"]
+        lines += [f"    k{at} = k[{at}]" for at in children]
+        if track:
+            lines.append("    c = 0")
+        for node in nodes:
+            lines += ["    " + line for line in node.lines(track)]
+        if track:
+            lines.append("    return c")
+        return "\n".join(lines) + "\n"
+
+    def _compile_settle(self, steps, code) -> Callable:
+        """One callable ``(v, m, k, s, p)`` settling an instance."""
+        compiled: List[Callable] = []
+        run: List[_CombNode] = []
+
+        def chunks(nodes, track):
+            return [
+                _compile_function(
+                    self._chunk_source(nodes[start:start + _CHUNK_NODES], track),
+                    code,
+                )
+                for start in range(0, len(nodes), _CHUNK_NODES)
+            ]
+
+        for group, iterate in steps:
+            if iterate:
+                compiled += chunks(run, False)
+                run = []
+                compiled.append(functools.partial(_fixpoint, chunks(group, True)))
+            else:
+                run += group
+        compiled += chunks(run, False)
+        if len(compiled) == 1:
+            return compiled[0]
+        return functools.partial(_in_order, compiled)
+
+    # -- clock edge ------------------------------------------------------
+
+    def _compile_edge(self, emitter: _Emitter, blocks, code) -> Optional[Callable]:
+        """``(v, m, p, reset) -> fired statements`` for one instance, or
+        ``None`` when the module has no synchronous statements."""
+        normal = [s for statements, _ in blocks for s in statements]
+        if not normal and not any(reset for _, reset in blocks):
+            return None
+        lines = ["def generated(v, m, p, r):"]
+        if any(reset for _, reset in blocks):
+            active = [s for statements, reset in blocks for s in reset or statements]
+            lines.append("    if r:")
+            lines += ["        " + line for line in self._edge_body(emitter, active)]
+        lines += ["    " + line for line in self._edge_body(emitter, normal)]
+        return _compile_function("\n".join(lines) + "\n", code)
+
+    @staticmethod
+    def _edge_body(emitter: _Emitter, statements) -> List[str]:
+        """Sample every statement against pre-edge state, then commit the
+        fired ones in order (non-blocking assignment semantics)."""
+        sample, commit = [], []
+        fired = 0
+        for at, (cond, lvalue, rhs) in enumerate(statements):
+            value = emitter.expr(rhs)
+            write = emitter.write(lvalue, f"t{at}", False)
+            if cond is None:
+                sample.append(f"t{at} = {value}")
+                commit += write
+                fired += 1
+            else:
+                sample.append(f"t{at} = {value} if {emitter.expr(cond)} else None")
+                commit.append(f"if t{at} is not None:")
+                commit += ["    " + line for line in write + ["n += 1"]]
+        return sample + [f"n = {fired}"] + commit + ["return n"]
+
+
+# ---------------------------------------------------------------------------
+# Instances
+# ---------------------------------------------------------------------------
+
+
+class _Instance:
+    """Runtime state of one module instance, bound to its module's code."""
+
+    def __init__(self, module: Module, netlist: Netlist, path: str,
+                 modules: Dict[str, _ModuleCode], code: Dict[object, object]):
+        shared = modules.get(module.name)
+        if shared is None:
+            key = _content(module, netlist)
+            shared = code.get(key)
+            if shared is None:
+                shared = code[key] = _ModuleCode(module, netlist, code)
+            modules[module.name] = shared
+        self.path = path
+        self.widths = shared.widths
+        self.memories: Dict[str, Dict[int, int]] = {
+            name: {} for name in shared.memories
+        }
+        self.values: Dict[str, int] = {
+            name: 0 for name in self.widths if name not in self.memories
+        }
+        self.children = [
+            _Instance(
+                netlist.module(child), netlist, f"{path}.{name}", modules, code
+            )
+            for name, child in shared.children
+        ]
+        self.settle = functools.partial(
+            shared.settle,
+            self.values,
+            self.memories,
+            [child.values for child in self.children],
+            [child.settle for child in self.children],
+            path,
         )
+        self.edge = None
+        if shared.edge is not None:
+            self.edge = functools.partial(
+                shared.edge, self.values, self.memories, path
+            )
 
-    # -- combinational settle --------------------------------------------
-
-    def settle(self) -> bool:
-        """One combinational sweep; returns True if anything changed."""
-        changed = False
-        for write, rhs in self.assigns:
-            if write(rhs()):
-                changed = True
-        for child, inputs, outputs in self.children:
-            ports = child.values
-            for name, rhs, mask in inputs:
-                new = rhs() & mask
-                if ports[name] != new:
-                    ports[name] = new
-                    changed = True
-            if child.settle():
-                changed = True
-            for name, write in outputs:
-                if write(ports[name]):
-                    changed = True
-        return changed
-
-    # -- introspection -----------------------------------------------------
-
-    def descendants(self) -> Iterator["_ModuleState"]:
+    def descendants(self) -> Iterator["_Instance"]:
         """This instance and every instance below it, preorder."""
         yield self
-        for child, _, _ in self.children:
+        for child in self.children:
             yield from child.descendants()
 
-    # -- clock edge --------------------------------------------------------
-
-    def sample_edge(self, reset: bool, writes: List[Tuple[Callable, int]]) -> None:
-        """Evaluate all sync blocks against pre-edge state, appending the
-        deferred ``(writer, value)`` pairs (non-blocking assignment
-        semantics) to ``writes``."""
-        for statements, reset_statements in self.sync_blocks:
-            active = reset_statements if reset and reset_statements else statements
-            for cond, write, rhs in active:
-                if cond is None or cond():
-                    writes.append((write, rhs()))
-        for child, _, _ in self.children:
-            child.sample_edge(reset, writes)
+    def expression(self, node) -> Callable[[], int]:
+        """One expression compiled against this instance's signals; it
+        raises its errors when called."""
+        source = _Emitter(self.widths, self.memories).expr(node)
+        function = _compile_function(
+            f"def generated(v, m, p):\n    return {source}\n", {}
+        )
+        return functools.partial(function, self.values, self.memories, self.path)
 
 
 class RTLSimulator:
     """Executes a netlist: ``poke`` inputs, ``step`` clocks, ``peek`` any
-    signal by hierarchical path."""
+    signal by hierarchical path.
+
+    ``code`` caches generated code: a module's content maps to its
+    code and each source text to its compiled function, so simulators
+    built with one dict generate and compile each distinct module once.
+    """
 
     MAX_SETTLE_ITERATIONS = 256
 
-    def __init__(self, netlist: Netlist, top: Optional[str] = None):
+    def __init__(self, netlist: Netlist, top: Optional[str] = None,
+                 code: Optional[Dict[object, object]] = None):
         self.netlist = netlist
         module = netlist.module(top or netlist.top_name)
-        self.top = _ModuleState(module, netlist, module.name)
+        self.top = _Instance(
+            module, netlist, module.name, {}, {} if code is None else code
+        )
+        instances = list(self.top.descendants())
+        self._edges = [inst.edge for inst in instances if inst.edge is not None]
+        self._probes = [
+            (f"{inst.path}.{name}", inst.values, name, width)
+            for inst in instances
+            for name, width in inst.widths.items()
+            if name not in inst.memories
+        ]
         self.cycle = 0
         self._dirty = True
         self._settle()
@@ -382,19 +732,15 @@ class RTLSimulator:
     def _settle(self) -> None:
         """Settle the combinational logic if a write since the last settle
         may have unsettled it; a failed settle leaves it pending."""
-        if not self._dirty:
-            return
-        for _ in range(self.MAX_SETTLE_ITERATIONS):
-            if not self.top.settle():
-                self._dirty = False
-                return
-        raise RTLError("combinational logic failed to settle (loop?)")
+        if self._dirty:
+            self.top.settle()
+            self._dirty = False
 
-    def _resolve(self, path: str) -> Tuple[_ModuleState, str]:
+    def _resolve(self, path: str) -> Tuple[_Instance, str]:
         parts = path.split(".")
         state = self.top
         for part in parts[:-1]:
-            for child, _, _ in state.children:
+            for child in state.children:
                 if child.path.endswith("." + part) or child.path == part:
                     state = child
                     break
@@ -429,13 +775,10 @@ class RTLSimulator:
         (:func:`repro.obs.export.dump_rtl_vcd`) samples each cycle.
         """
         self._settle()
-        out: Dict[str, Tuple[int, int]] = {}
-        for state in self.top.descendants():
-            for name, width in state.widths.items():
-                if name in state.memories:
-                    continue
-                out[f"{state.path}.{name}"] = (state.values.get(name, 0), width)
-        return out
+        return {
+            path: (values[name], width)
+            for path, values, name, width in self._probes
+        }
 
     def step(self, cycles: int = 1) -> None:
         """Advance the clock; synchronous reset follows the ``rst`` input."""
@@ -443,17 +786,16 @@ class RTLSimulator:
         for _ in range(cycles):
             self._settle()
             reset = bool(self.top.values.get("rst", 0))
-            writes: List[Tuple[Callable, int]] = []
-            self.top.sample_edge(reset, writes)
-            for write, value in writes:
-                if write(value):
-                    self._dirty = True
+            writes = 0
+            for edge in self._edges:
+                writes += edge(reset)
+            self._dirty = True
             self.cycle += 1
             self._settle()
             if tracer.enabled:
                 tracer.instant(
                     "step", component="rtl", cycle=self.cycle,
-                    reset=reset, writes=len(writes),
+                    reset=reset, writes=writes,
                 )
 
     def reset(self, cycles: int = 1) -> None:

@@ -185,6 +185,20 @@ class TestLazySettle:
         assert [e.payload["reset"] for e in steps] == [False, True, False, False]
         assert [e.cycle for e in steps] == [1, 2, 3, 4]
 
+    def test_undefined_read_raises_whatever_the_assign_order(self):
+        for assigns in (
+            [("y", "ghost + 4'd1"), ("ghost", "a")],
+            [("ghost", "a"), ("y", "ghost + 4'd1")],
+        ):
+            module = Module("m")
+            module.input("clk")
+            module.input("a", 4)
+            module.output("y", 4)
+            for lhs, rhs in assigns:
+                module.assign(lhs, rhs)
+            with pytest.raises(RTLError, match="undefined signal 'ghost' in m"):
+                RTLSimulator(_netlist(module))
+
     def test_peek_memory_sees_settled_state(self):
         module = Module("scratchpad")
         module.input("clk")
@@ -295,7 +309,7 @@ class TestCompiledEvaluation:
     def test_matches_equiv_evaluator(self, sim, node, env):
         for name, value in env.items():
             sim.poke(name, value)
-        compiled = sim.top._compile(node)
+        compiled = sim.top.expression(node)
         assert compiled() == _evaluate(node, env, _WIDTHS, set())
 
     @settings(max_examples=100, deadline=None)
@@ -309,7 +323,7 @@ class TestCompiledEvaluation:
             sim.poke(name, value)
         node = ("concat", [("slice", ("ref", "d"), *pair) for pair in bounds])
         node = ("repl", ("binop", "&", ("ref", "b"), _literal(3)), node)
-        compiled = sim.top._compile(node)
+        compiled = sim.top.expression(node)
         assert compiled() == _evaluate(node, env, _WIDTHS, set())
 
     def test_writes_at_computed_positions(self):
@@ -333,6 +347,6 @@ class TestCompiledEvaluation:
             assert sim.peek("flags") == flags
 
     def test_errors_raise_when_evaluated_not_when_compiled(self, sim):
-        undefined = sim.top._compile(("binop", "+", ("ref", "ghost"), _literal(1)))
+        undefined = sim.top.expression(("binop", "+", ("ref", "ghost"), _literal(1)))
         with pytest.raises(RTLError, match="undefined signal 'ghost' in leaves"):
             undefined()
