@@ -162,6 +162,42 @@ class TestLazySettle:
         assert sim.peek("o") == 1
         assert sim.peek("f.in") == 1
 
+    def test_assigns_listed_after_their_readers_settle(self):
+        module = Module("chain")
+        module.input("clk")
+        module.input("a", 8)
+        module.output("y", 8)
+        module.wire("m", 8)
+        module.assign("y", "m + 8'd1")
+        module.assign("m", "a * 8'd2")
+        sim = RTLSimulator(_netlist(module))
+        sim.poke("a", 20)
+        assert sim.peek("y") == 41
+
+    def test_shared_code_tells_apart_children_with_other_ports(self):
+        # Identical parent text over a child whose port widths differ:
+        # the parent's wiring masks differ, so its code must too.
+        def netlist(width):
+            child = Module("inner")
+            child.input("i", width)
+            child.output("o", 8)
+            child.assign("o", "i")
+            parent = Module("outer")
+            parent.input("clk")
+            parent.input("a", 8)
+            parent.output("y", 8)
+            parent.instantiate(child, "c", {"i": "a", "o": "y"})
+            out = Netlist("outer")
+            out.add(child)
+            out.add(parent)
+            return out
+
+        code = {}
+        for width, expected in ((8, 0xAB), (4, 0xB)):
+            sim = RTLSimulator(netlist(width), code=code)
+            sim.poke("a", 0xAB)
+            assert sim.peek("y") == expected
+
     def test_step_instant_counts_fired_sync_statements(self):
         module = Module("guarded")
         module.input("clk")
