@@ -145,9 +145,9 @@ def check_equivalence(
         # errors above already refute equivalence.
         return result
 
-    # Simulator code, generated and compiled once for every differential
-    # of this call.
-    code: Dict[object, object] = {}
+    # Simulator code, generated and compiled once per distinct module for
+    # every differential of this call.
+    code: Dict[tuple, object] = {}
     for name in sorted(set(before.modules) & set(after.modules)):
         mod_before, mod_after = before.modules[name], after.modules[name]
         result.stats["modules"] += 1
@@ -629,7 +629,7 @@ def _check_differential(
     location: str,
     cycles: int,
     seed: int,
-    code: Dict[object, object],
+    code: Dict[tuple, object],
 ) -> None:
     module = before.modules[module_name]
     rng = random.Random(seed ^ zlib.crc32(module_name.encode("utf-8")))

@@ -40,9 +40,10 @@ Three things keep the simulation cheap:
   table -- and compiled in chunks of at most ``_CHUNK_NODES`` nodes, so
   ``compile`` never holds one huge body.  Every instance of a module
   runs the same code on its own signal dict; simulators handed one
-  ``code`` dict share the compiled chunks by source text.  An
-  expression error (an undefined signal, a memory read without a
-  subscript) raises when the code runs, as it would in a tree walk.
+  ``code`` dict share it for every module built from the same immutable
+  IR nodes and declarations.  An expression error (an undefined signal,
+  a memory read without a subscript) raises when the code runs, as it
+  would in a tree walk.
 * **Settling lazily.**  ``poke`` writes the value and marks the logic
   unsettled; the settle runs before the next observation -- ``peek``,
   ``peek_memory``, ``signal_values`` -- and in ``step`` both before the
@@ -118,14 +119,11 @@ _HELPERS = {
 }
 
 
-def _compile_function(source: str, code: Dict[object, object]) -> Callable:
-    """The function ``source`` defines, compiled once per ``code`` dict."""
-    function = code.get(source)
-    if function is None:
-        namespace = dict(_HELPERS)
-        exec(compile(source, "<rtl.sim>", "exec"), namespace)  # noqa: S102
-        function = code[source] = namespace["generated"]
-    return function
+def _compile_function(source: str) -> Callable:
+    """The function ``source`` defines."""
+    namespace = dict(_HELPERS)
+    exec(compile(source, "<rtl.sim>", "exec"), namespace)  # noqa: S102
+    return namespace["generated"]
 
 
 def _fixpoint(chunks, *state) -> None:
@@ -356,27 +354,15 @@ def _components(nodes: List[_CombNode]) -> List[Tuple[List[_CombNode], bool]]:
     for at, node in enumerate(nodes):
         for name in node.writes:
             writers.setdefault(name, []).append(at)
-    preds = [
-        {writer for name in node.reads for writer in writers.get(name, ())}
-        for node in nodes
-    ]
-    conflicts = [
-        ats for ats in writers.values()
-        if _conflicting([nodes[at].span for at in ats])
-    ]
-    if not conflicts and all(
-        not before or max(before) < at for at, before in enumerate(preds)
-    ):
-        # Netlist order already is the schedule (the common case).
-        return [([node], False) for node in nodes]
-
     edges: List[set] = [set() for _ in nodes]
-    for at, before in enumerate(preds):
-        for writer in before:
-            edges[writer].add(at)
-    for ats in conflicts:
-        for writer, reader in zip(ats, ats[1:] + ats[:1]):
-            edges[writer].add(reader)
+    for at, node in enumerate(nodes):
+        for name in node.reads:
+            for writer in writers.get(name, ()):
+                edges[writer].add(at)
+    for ats in writers.values():
+        if _conflicting([nodes[at].span for at in ats]):
+            for writer, reader in zip(ats, ats[1:] + ats[:1]):
+                edges[writer].add(reader)
     members = _strongly_connected(edges)
     component = [0] * len(nodes)
     for c, group in enumerate(members):
@@ -451,33 +437,26 @@ def _strongly_connected(edges: List[set]) -> List[List[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _content(module: Module, netlist: Netlist) -> tuple:
-    """Everything a module's code is generated from: its declarations,
-    its texts and the ports of the children it instantiates."""
-
-    def ports(name: str):
-        child = netlist.modules.get(name)
-        if child is None:
-            return None
-        return tuple((p.name, p.direction, p.width) for p in child.ports)
-
+def _module_source(module: Module, netlist: Netlist) -> tuple:
+    """What a module's code is generated from: its port and net
+    declarations, its assign sides, sync statements and instance
+    connections (immutable IR nodes, each holding the tree of its text)
+    and the ports of each child.  :class:`_ModuleCode` reads nothing
+    else, so simulators share a module's code by this tuple."""
     return (
-        tuple((p.name, p.direction, p.width) for p in module.ports),
+        tuple((p.name, p.width) for p in module.ports),
         tuple((n.name, n.width, n.depth) for n in module.nets),
-        tuple((a.lhs.text, a.rhs.text) for a in module.assigns),
+        tuple((a.lhs, a.rhs) for a in module.assigns),
+        tuple((b.statements, b.reset_statements) for b in module.sync_blocks),
         tuple(
             (
-                tuple(s.text for s in block.statements),
-                tuple(s.text for s in block.reset_statements),
-            )
-            for block in module.sync_blocks
-        ),
-        tuple(
-            (
-                inst.module_name,
                 inst.instance_name,
-                tuple((port, e.text) for port, e in inst.connections.items()),
-                ports(inst.module_name),
+                inst.module_name,
+                tuple(
+                    (p.name, p.direction, p.width)
+                    for p in netlist.module(inst.module_name).ports
+                ),
+                tuple(inst.connections.items()),
             )
             for inst in module.instances
         ),
@@ -485,38 +464,32 @@ def _content(module: Module, netlist: Netlist) -> tuple:
 
 
 class _ModuleCode:
-    """One module's signals, children and compiled settle and edge."""
+    """One module's signals, children and compiled settle and edge, built
+    from its :func:`_module_source`."""
 
-    def __init__(self, module: Module, netlist: Netlist, code: Dict[object, object]):
-        self.widths: Dict[str, int] = {}
-        memories = set()
-        for port in module.ports:
-            self.widths[port.name] = port.width
-        for net in module.nets:
-            self.widths[net.name] = net.width
-            if net.depth:
-                memories.add(net.name)
-        self.memories = tuple(sorted(memories))
-        emitter = _Emitter(self.widths, memories)
-
+    def __init__(self, source: tuple):
+        ports, nets, assigns, blocks, instances = source
         # Every tree of the module first -- assigns, sync statements,
         # instance connections -- so its own errors raise before any
         # child's.
-        assigns = [(a.lhs.tree, a.rhs.tree) for a in module.assigns]
+        assigns = [(lhs.tree, rhs.tree) for lhs, rhs in assigns]
         blocks = [
-            (
-                [s.tree for s in block.statements],
-                [s.tree for s in block.reset_statements],
-            )
-            for block in module.sync_blocks
+            ([s.tree for s in statements], [s.tree for s in reset])
+            for statements, reset in blocks
         ]
-        self.children: List[Tuple[str, str]] = []
-        wiring = []
-        for inst in module.instances:
-            child = netlist.module(inst.module_name)
-            conns = {port: expr.tree for port, expr in inst.connections.items()}
-            self.children.append((inst.instance_name, inst.module_name))
-            wiring.append((child, conns))
+        wiring = [
+            (child_ports, {port: expr.tree for port, expr in conns})
+            for _, _, child_ports, conns in instances
+        ]
+        self.widths: Dict[str, int] = dict(ports)
+        memories = set()
+        for name, width, depth in nets:
+            self.widths[name] = width
+            if depth:
+                memories.add(name)
+        self.memories = tuple(sorted(memories))
+        emitter = _Emitter(self.widths, memories)
+        self.children = [(name, child) for name, child, _, _ in instances]
 
         nodes: List[_CombNode] = []
         for lhs, rhs in assigns:
@@ -527,39 +500,39 @@ class _ModuleCode:
                 ),
                 lvalue=lhs,
             ))
-        for at, (child, conns) in enumerate(wiring):
-            wired = [p for p in child.ports if p.name in conns]
-            inputs = [p for p in wired if p.direction is PortDir.INPUT]
-            outputs = [p for p in wired if p.direction is PortDir.OUTPUT]
-            for port in inputs:
-                rhs = conns[port.name]
+        for at, (child_ports, conns) in enumerate(wiring):
+            wired = [p for p in child_ports if p[0] in conns]
+            inputs = [(n, w) for n, d, w in wired if d is PortDir.INPUT]
+            outputs = [n for n, d, _ in wired if d is PortDir.OUTPUT]
+            for port, width in inputs:
+                rhs = conns[port]
                 nodes.append(_CombNode(
                     refs(rhs),
-                    lambda track, target=f"k{at}[{port.name!r}]", rhs=rhs,
-                    mask=(1 << port.width) - 1: _store(
+                    lambda track, target=f"k{at}[{port!r}]", rhs=rhs,
+                    mask=(1 << width) - 1: _store(
                         target, target, f"{emitter.expr(rhs)} & {mask}", track
                     ),
-                    writes=[(at, port.name)],
+                    writes=[(at, port)],
                     child=at,
                 ))
             nodes.append(_CombNode(
-                [(at, p.name) for p in inputs],
+                [(at, port) for port, _ in inputs],
                 lambda track, at=at: [f"s[{at}]()"],
-                writes=[(at, p.name) for p in outputs],
+                writes=[(at, port) for port in outputs],
             ))
             for port in outputs:
-                lvalue = conns[port.name]
+                lvalue = conns[port]
                 nodes.append(_CombNode(
-                    [(at, port.name)],
-                    lambda track, lvalue=lvalue, port=f"k{at}[{port.name!r}]": (
+                    [(at, port)],
+                    lambda track, lvalue=lvalue, port=f"k{at}[{port!r}]": (
                         emitter.write(lvalue, port, track)
                     ),
                     lvalue=lvalue,
                     child=at,
                 ))
 
-        self.settle = self._compile_settle(_components(nodes), code)
-        self.edge = self._compile_edge(emitter, blocks, code)
+        self.settle = self._compile_settle(_components(nodes))
+        self.edge = self._compile_edge(emitter, blocks)
 
     # -- settle ----------------------------------------------------------
 
@@ -576,7 +549,7 @@ class _ModuleCode:
             lines.append("    return c")
         return "\n".join(lines) + "\n"
 
-    def _compile_settle(self, steps, code) -> Callable:
+    def _compile_settle(self, steps) -> Callable:
         """One callable ``(v, m, k, s, p)`` settling an instance."""
         compiled: List[Callable] = []
         run: List[_CombNode] = []
@@ -584,8 +557,7 @@ class _ModuleCode:
         def chunks(nodes, track):
             return [
                 _compile_function(
-                    self._chunk_source(nodes[start:start + _CHUNK_NODES], track),
-                    code,
+                    self._chunk_source(nodes[start:start + _CHUNK_NODES], track)
                 )
                 for start in range(0, len(nodes), _CHUNK_NODES)
             ]
@@ -604,7 +576,7 @@ class _ModuleCode:
 
     # -- clock edge ------------------------------------------------------
 
-    def _compile_edge(self, emitter: _Emitter, blocks, code) -> Optional[Callable]:
+    def _compile_edge(self, emitter: _Emitter, blocks) -> Optional[Callable]:
         """``(v, m, p, reset) -> fired statements`` for one instance, or
         ``None`` when the module has no synchronous statements."""
         normal = [s for statements, _ in blocks for s in statements]
@@ -616,7 +588,7 @@ class _ModuleCode:
             lines.append("    if r:")
             lines += ["        " + line for line in self._edge_body(emitter, active)]
         lines += ["    " + line for line in self._edge_body(emitter, normal)]
-        return _compile_function("\n".join(lines) + "\n", code)
+        return _compile_function("\n".join(lines) + "\n")
 
     @staticmethod
     def _edge_body(emitter: _Emitter, statements) -> List[str]:
@@ -647,13 +619,13 @@ class _Instance:
     """Runtime state of one module instance, bound to its module's code."""
 
     def __init__(self, module: Module, netlist: Netlist, path: str,
-                 modules: Dict[str, _ModuleCode], code: Dict[object, object]):
+                 modules: Dict[str, _ModuleCode], code: Dict[tuple, _ModuleCode]):
         shared = modules.get(module.name)
         if shared is None:
-            key = _content(module, netlist)
-            shared = code.get(key)
+            source = _module_source(module, netlist)
+            shared = code.get(source)
             if shared is None:
-                shared = code[key] = _ModuleCode(module, netlist, code)
+                shared = code[source] = _ModuleCode(source)
             modules[module.name] = shared
         self.path = path
         self.widths = shared.widths
@@ -694,7 +666,7 @@ class _Instance:
         raises its errors when called."""
         source = _Emitter(self.widths, self.memories).expr(node)
         function = _compile_function(
-            f"def generated(v, m, p):\n    return {source}\n", {}
+            f"def generated(v, m, p):\n    return {source}\n"
         )
         return functools.partial(function, self.values, self.memories, self.path)
 
@@ -703,15 +675,15 @@ class RTLSimulator:
     """Executes a netlist: ``poke`` inputs, ``step`` clocks, ``peek`` any
     signal by hierarchical path.
 
-    ``code`` caches generated code: a module's content maps to its
-    code and each source text to its compiled function, so simulators
-    built with one dict generate and compile each distinct module once.
+    ``code`` maps each module's :func:`_module_source` to its compiled
+    code, so simulators built with one dict generate and compile each
+    distinct module once.
     """
 
     MAX_SETTLE_ITERATIONS = 256
 
     def __init__(self, netlist: Netlist, top: Optional[str] = None,
-                 code: Optional[Dict[object, object]] = None):
+                 code: Optional[Dict[tuple, _ModuleCode]] = None):
         self.netlist = netlist
         module = netlist.module(top or netlist.top_name)
         self.top = _Instance(

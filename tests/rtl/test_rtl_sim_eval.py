@@ -175,18 +175,20 @@ class TestLazySettle:
         assert sim.peek("y") == 41
 
     def test_shared_code_tells_apart_children_with_other_ports(self):
-        # Identical parent text over a child whose port widths differ:
-        # the parent's wiring masks differ, so its code must too.
+        # One parent module, the very same nodes, over a child whose
+        # port widths differ: the parent's wiring masks differ, so its
+        # code must too.
+        parent = Module("outer")
+        parent.input("clk")
+        parent.input("a", 8)
+        parent.output("y", 8)
+        parent.instantiate(Module("inner"), "c", {"i": "a", "o": "y"})
+
         def netlist(width):
             child = Module("inner")
             child.input("i", width)
             child.output("o", 8)
             child.assign("o", "i")
-            parent = Module("outer")
-            parent.input("clk")
-            parent.input("a", 8)
-            parent.output("y", 8)
-            parent.instantiate(child, "c", {"i": "a", "o": "y"})
             out = Netlist("outer")
             out.add(child)
             out.add(parent)
