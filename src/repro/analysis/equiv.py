@@ -20,13 +20,16 @@ against its input rather than trusted.  Three methods, cheapest first:
 3. **Random-stimulus differential backstop** -- every shared module is
    simulated pre/post in lockstep (:class:`repro.rtl.sim.RTLSimulator`)
    under one seeded stimulus that drives every bit of every input,
-   however wide; traces are captured with
-   :func:`repro.obs.export.capture_rtl_trace` and aligned with
-   :func:`repro.obs.export.first_trace_divergence`; the first divergent
-   signal and cycle become ``STL-EQ-003``.  The differential runs
-   per-module rather than only at the top because the lowered top ties
-   test inputs low -- a module-local bug may be unobservable from the
-   top's ports.
+   however wide.  Each cycle both simulators are stepped and the signals
+   present on both sides (passes legitimately delete internal nets) are
+   read through one :meth:`~repro.rtl.sim.RTLSimulator.sampler` per side
+   and compared as two lists; the first divergent cycle, ties broken by
+   signal path, becomes ``STL-EQ-003``.  No trace is kept.  Both sides
+   run all ``cycles`` even after a divergence, and an error from the
+   input netlist's simulator, at any cycle, wins over one from the
+   optimized netlist's.  The differential runs per-module rather than
+   only at the top because the lowered top ties test inputs low -- a
+   module-local bug may be unobservable from the top's ports.
 
 ``repro verify`` (:mod:`repro.analysis.verify`) drives this over every
 example design and suite layer.
@@ -37,9 +40,8 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..obs.export import capture_rtl_trace, first_trace_divergence
 from ..rtl.netlist import Module, Netlist, PortDir, lvalue_base, refs
 from ..rtl.passes import canonicalize
 from ..rtl.sim import RTLSimulator
@@ -617,7 +619,7 @@ def _check_sequential(
 
 
 # ---------------------------------------------------------------------------
-# Stage 3: random-stimulus differential with trace alignment
+# Stage 3: random-stimulus differential in lockstep
 # ---------------------------------------------------------------------------
 
 
@@ -638,39 +640,63 @@ def _check_differential(
         for p in module.ports
         if p.direction is PortDir.INPUT and p.name not in ("clk", "rst")
     ]
+    # Row 0 is drawn but never driven: cycle 0 is the pre-step state.
     schedule = [
-        {p.name: rng.getrandbits(p.width) for p in inputs}
-        for _ in range(cycles + 1)
+        [rng.getrandbits(p.width) for p in inputs] for _ in range(cycles + 1)
     ]
+    names = [p.name for p in inputs]
 
-    def stimulus(cycle: int, sim: RTLSimulator) -> None:
-        for name, value in schedule[min(cycle, cycles)].items():
-            sim.poke(name, value)
+    sim_before = RTLSimulator(before, top=module_name, code=code)
+    # An error of the optimized side waits until the input side has run
+    # every cycle: the input netlist's own error, if any, is reported.
+    failure: Optional[Exception] = None
+    try:
+        sim_after = RTLSimulator(after, top=module_name, code=code)
+    except Exception as error:  # noqa: BLE001 -- re-raised below
+        failure = error
+        paths: List[str] = []
+        run_after = None
+    else:
+        paths = sorted(
+            set(sim_before.signal_values()) & set(sim_after.signal_values())
+        )
+        run_after = _lockstep_samples(sim_after, names, paths, schedule)
 
-    trace_before = capture_rtl_trace(
-        RTLSimulator(before, top=module_name, code=code),
-        cycles=cycles,
-        stimulus=stimulus,
-    )
-    trace_after = capture_rtl_trace(
-        RTLSimulator(after, top=module_name, code=code),
-        cycles=cycles,
-        stimulus=stimulus,
-    )
+    divergence = None
+    for cycle, values_before in enumerate(
+        _lockstep_samples(sim_before, names, paths, schedule)
+    ):
+        if run_after is None:
+            continue
+        try:
+            values_after = next(run_after)
+        except Exception as error:  # noqa: BLE001 -- re-raised below
+            failure, run_after = error, None
+            continue
+        if divergence is None and values_before != values_after:
+            # The paths are sorted, so the first differing one is the
+            # smallest.
+            at = next(
+                i for i, (x, y) in enumerate(zip(values_before, values_after))
+                if x != y
+            )
+            divergence = cycle, paths[at], values_before[at], values_after[at]
+    if failure is not None:
+        raise failure
+
     result.stats["differential_modules"] += 1
     result.stats["differential_cycles"] += cycles
-    divergence = first_trace_divergence(trace_before, trace_after)
     if divergence is None:
         return
-    cycle, signal = divergence
+    cycle, signal, value_before, value_after = divergence
     result.diagnostics.append(
         Diagnostic(
             "STL-EQ-003",
             Severity.ERROR,
             "equiv",
             f"differential divergence at cycle {cycle} on signal"
-            f" {signal!r}: {trace_before[signal][cycle]} (input netlist)"
-            f" != {trace_after[signal][cycle]} (optimized netlist)"
+            f" {signal!r}: {value_before} (input netlist)"
+            f" != {value_after} (optimized netlist)"
             f" [seed {seed}]",
             f"{location}.{signal}",
             suggestion="replay with repro verify --seed"
@@ -678,6 +704,30 @@ def _check_differential(
             " localizes the broken pass rewrite",
         )
     )
+
+
+def _lockstep_samples(
+    sim: RTLSimulator,
+    inputs: Sequence[str],
+    paths: Sequence[str],
+    schedule: List[List[int]],
+) -> Iterator[List[int]]:
+    """The values at ``paths`` before the first clock edge and after each
+    edge, driving ``schedule[cycle]`` into ``inputs`` before edge
+    ``cycle`` and holding ``rst`` high for the first cycle when the module
+    has one -- the stepping of :func:`repro.obs.export.capture_rtl_trace`."""
+    drive = sim.driver(inputs)
+    sample = sim.sampler(paths)
+    has_reset = "rst" in sim.top.values
+    if has_reset:
+        sim.poke("rst", 1)
+    yield sample()
+    for cycle in range(1, len(schedule)):
+        drive(schedule[cycle])
+        sim.step(1)
+        if has_reset and cycle == 1:
+            sim.poke("rst", 0)
+        yield sample()
 
 
 __all__ = ["EquivResult", "check_equivalence"]

@@ -272,52 +272,24 @@ def capture_rtl_trace(
     design has one), but returning ``{signal_path: [v0, v1, ...]}`` --
     one value per cycle, index 0 being the pre-step state -- instead of
     writing a file.  ``stimulus`` is an optional ``(cycle, sim)``
-    callable invoked before each step to poke inputs; the equivalence
-    checker (:mod:`repro.analysis.equiv`) drives two simulators with one
-    shared stimulus and aligns the captures with
-    :func:`first_trace_divergence`.
+    callable invoked before each step to poke inputs.  Each cycle is read
+    as one list through :meth:`~repro.rtl.sim.RTLSimulator.sampler`, in
+    the probe order fixed by the first read.
     """
     has_reset = "rst" in sim.top.values
     if has_reset and reset_cycles > 0:
         sim.poke("rst", 1)
-    trace: Dict[str, List[int]] = {
-        path: [value] for path, (value, _) in sim.signal_values().items()
-    }
+    paths = list(sim.signal_values())
+    sample = sim.sampler(paths)
+    rows = [sample()]
     for cycle in range(1, cycles + 1):
         if stimulus is not None:
             stimulus(cycle, sim)
         sim.step(1)
         if has_reset and cycle == reset_cycles:
             sim.poke("rst", 0)
-        for path, (value, _) in sim.signal_values().items():
-            trace[path].append(value)
-    return trace
-
-
-def first_trace_divergence(
-    before: Mapping[str, Sequence[int]],
-    after: Mapping[str, Sequence[int]],
-) -> Optional[Tuple[int, str]]:
-    """Align two signal traces and locate the first divergence.
-
-    Compares the signals present in *both* traces (optimization passes
-    legitimately delete internal nets, so the comparison is over the
-    shared -- observable -- set) cycle by cycle, and returns
-    ``(cycle, signal_path)`` for the earliest cycle at which any shared
-    signal differs, ties broken by signal path.  Returns ``None`` when
-    the traces agree everywhere they overlap.
-    """
-    shared = sorted(set(before) & set(after))
-    horizon = min(
-        [len(before[path]) for path in shared]
-        + [len(after[path]) for path in shared],
-        default=0,
-    )
-    for cycle in range(horizon):
-        for path in shared:
-            if before[path][cycle] != after[path][cycle]:
-                return cycle, path
-    return None
+        rows.append(sample())
+    return dict(zip(paths, map(list, zip(*rows))))
 
 
 def _dump_rtl_vcd(sim, handle, cycles, reset_cycles, signals) -> int:

@@ -46,16 +46,18 @@ Three things keep the simulation cheap:
   would in a tree walk.
 * **Settling lazily.**  ``poke`` writes the value and marks the logic
   unsettled; the settle runs before the next observation -- ``peek``,
-  ``peek_memory``, ``signal_values`` -- and in ``step`` both before the
-  edge is sampled and after it is committed.  A settle that fails leaves
-  the logic unsettled, so every later observation raises the same error.
+  ``peek_memory``, ``signal_values``, a ``sampler`` call -- and in
+  ``step`` both before the edge is sampled and after it is committed.  A
+  settle that fails leaves the logic unsettled, so every later
+  observation raises the same error.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+import operator
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.trace import get_tracer
 from .netlist import Module, Netlist, PortDir, RTLError, _mask, lvalue_base, refs
@@ -671,6 +673,15 @@ class _Instance:
         return functools.partial(function, self.values, self.memories, self.path)
 
 
+def _tuple_getter(names: List[str]) -> Callable[[Dict[str, int]], tuple]:
+    """An :func:`operator.itemgetter` over ``names`` that returns a tuple
+    for a single name too."""
+    if len(names) > 1:
+        return operator.itemgetter(*names)
+    name = names[0]
+    return lambda values: (values[name],)
+
+
 class RTLSimulator:
     """Executes a netlist: ``poke`` inputs, ``step`` clocks, ``peek`` any
     signal by hierarchical path.
@@ -691,12 +702,12 @@ class RTLSimulator:
         )
         instances = list(self.top.descendants())
         self._edges = [inst.edge for inst in instances if inst.edge is not None]
-        self._probes = [
-            (f"{inst.path}.{name}", inst.values, name, width)
+        self._probes = {
+            f"{inst.path}.{name}": (inst.values, name, width)
             for inst in instances
             for name, width in inst.widths.items()
             if name not in inst.memories
-        ]
+        }
         self.cycle = 0
         self._dirty = True
         self._settle()
@@ -722,11 +733,25 @@ class RTLSimulator:
 
     def poke(self, path: str, value: int) -> None:
         """Drive a signal; the logic settles before the next observation."""
-        state, name = self._resolve(path)
-        new = _mask(value, state.widths.get(name, 32))
-        if state.values.get(name) != new:
-            state.values[name] = new
-            self._dirty = True
+        self.driver([path])([value])
+
+    def driver(self, paths: Sequence[str]) -> Callable[[Sequence[int]], None]:
+        """A callable that pokes its ``i``-th value into ``paths[i]``,
+        each path resolved once here rather than on every call."""
+        targets = []
+        for path in paths:
+            state, name = self._resolve(path)
+            mask = (1 << state.widths.get(name, 32)) - 1
+            targets.append((state.values, name, mask))
+
+        def drive(values: Sequence[int]) -> None:
+            for (signals, name, mask), value in zip(targets, values):
+                value &= mask
+                if signals.get(name) != value:
+                    signals[name] = value
+                    self._dirty = True
+
+        return drive
 
     def peek(self, path: str) -> int:
         state, name = self._resolve(path)
@@ -749,8 +774,38 @@ class RTLSimulator:
         self._settle()
         return {
             path: (values[name], width)
-            for path, values, name, width in self._probes
+            for path, (values, name, width) in self._probes.items()
         }
+
+    def sampler(self, paths: Sequence[str]) -> Callable[[], List[int]]:
+        """A callable that settles, then returns the values at ``paths`` as
+        one list in that order.
+
+        The paths are resolved once, here: each run of consecutive paths
+        in one instance is read by one :func:`operator.itemgetter` over
+        that instance's signal dict, so a sample builds no dict.
+        """
+        runs: List[Tuple[Dict[str, int], List[str]]] = []
+        for path in paths:
+            if path not in self._probes:
+                raise RTLError(f"no signal {path!r} under {self.top.path}")
+            values, name, _ = self._probes[path]
+            if runs and runs[-1][0] is values:
+                runs[-1][1].append(name)
+            else:
+                runs.append((values, [name]))
+        reads = [(_tuple_getter(names), values) for values, names in runs]
+        settle = self._settle
+
+        def sample() -> List[int]:
+            settle()
+            out: List[int] = []
+            extend = out.extend
+            for get, values in reads:
+                extend(get(values))
+            return out
+
+        return sample
 
     def step(self, cycles: int = 1) -> None:
         """Advance the clock; synchronous reset follows the ``rst`` input."""

@@ -8,7 +8,7 @@ from repro.analysis.equiv import check_equivalence
 from repro.core import Accelerator, Bounds, matmul_spec
 from repro.core.dataflow import output_stationary
 from repro.rtl.lowering import lower_design
-from repro.rtl.netlist import Assign, Module, Netlist, SyncBlock
+from repro.rtl.netlist import Assign, Module, Netlist, RTLError, SyncBlock
 from repro.rtl.passes import run_passes
 from repro.rtl.sim import RTLSimulator
 
@@ -214,3 +214,169 @@ class TestByteIdenticalSimulation:
                         str([after.peek(o) for o in outs]), "ascii"
                     )
                     assert got_before == got_after, (name, seed, pokes)
+
+
+def _single(name, ports, regs=(), assigns=(), sync=None) -> Netlist:
+    """A one-module netlist: ``ports`` as ``(name, width, is_output)``."""
+    module = Module(name)
+    for port, width, is_output in ports:
+        (module.output if is_output else module.input)(port, width)
+    for reg, width in regs:
+        module.reg(reg, width)
+    for lhs, rhs in assigns:
+        module.assign(lhs, rhs)
+    if sync is not None:
+        module.sync(*sync)
+    netlist = Netlist(name)
+    netlist.add(module)
+    return netlist
+
+
+def _divergences(result):
+    return [d for d in result.diagnostics if d.code == "STL-EQ-003"]
+
+
+class TestDifferentialDiagnostics:
+    """The exact ``STL-EQ-003`` text: earliest cycle, ties broken by the
+    smaller signal path, both values and the seed."""
+
+    def test_planted_sequential_mutant(self, lowered):
+        broken = lowered.clone()
+        TestMutationCatching()._mutate_first_guard(broken)
+        result = check_equivalence(lowered, broken, design_name="matmul")
+        # The PE's own differential and the array's (through pe_0_0).
+        assert [(d.location, d.message) for d in _divergences(result)] == [
+            (
+                "matmul.matmul_array.matmul_array.pe_0_0.c_hold",
+                "differential divergence at cycle 2 on signal"
+                " 'matmul_array.pe_0_0.c_hold': 0 (input netlist)"
+                " != 1631814489 (optimized netlist) [seed 0]",
+            ),
+            (
+                "matmul.matmul_pe.matmul_pe.c_hold",
+                "differential divergence at cycle 2 on signal"
+                " 'matmul_pe.c_hold': 0 (input netlist)"
+                " != 1775813289 (optimized netlist) [seed 0]",
+            ),
+        ]
+
+    def test_same_cycle_tie_names_the_smaller_path(self):
+        # ``zq`` is a port, so it comes first in declaration order; both
+        # it and ``a`` diverge at cycle 3, and ``tie.a`` sorts first.
+        def tie(step: int) -> Netlist:
+            return _single(
+                "tie",
+                [("clk", 1, False), ("rst", 1, False), ("en", 1, False),
+                 ("zq", 4, True)],
+                regs=[("a", 4)],
+                assigns=[("zq", "a")],
+                sync=([f"if (en) a <= a + 4'd{step};"], ["a <= 4'd0;"]),
+            )
+
+        result = check_equivalence(tie(1), tie(2), design_name="d")
+        (divergence,) = _divergences(result)
+        assert divergence.message == (
+            "differential divergence at cycle 3 on signal 'tie.a':"
+            " 1 (input netlist) != 2 (optimized netlist) [seed 0]"
+        )
+        assert divergence.location == "d.tie.tie.a"
+
+    def test_cycle_zero_combinational_divergence(self):
+        def comb(rhs: str) -> Netlist:
+            return _single(
+                "comb",
+                [("clk", 1, False), ("rst", 1, False), ("a", 4, False),
+                 ("y", 4, True)],
+                assigns=[("y", rhs)],
+            )
+
+        result = check_equivalence(comb("~a"), comb("a"), design_name="d")
+        (divergence,) = _divergences(result)
+        assert divergence.message == (
+            "differential divergence at cycle 0 on signal 'comb.y':"
+            " 15 (input netlist) != 0 (optimized netlist) [seed 0]"
+        )
+
+    def test_divergence_on_the_reset_release_cycle(self):
+        # rst is high for the first edge only: the reset arm writes at
+        # cycle 1, then the run arm counts.
+        def counter(reset_value: str) -> Netlist:
+            return _single(
+                "rel",
+                [("clk", 1, False), ("rst", 1, False), ("q", 4, True)],
+                regs=[("r", 4)],
+                assigns=[("q", "r")],
+                sync=(["r <= r + 4'd1;"], [f"r <= {reset_value};"]),
+            )
+
+        result = check_equivalence(
+            counter("4'd0"), counter("4'd3"), design_name="d"
+        )
+        (divergence,) = _divergences(result)
+        assert divergence.message == (
+            "differential divergence at cycle 1 on signal 'rel.q':"
+            " 0 (input netlist) != 3 (optimized netlist) [seed 0]"
+        )
+
+
+class TestDifferentialContracts:
+    def test_every_cycle_counts_after_a_divergence(self, lowered):
+        broken = lowered.clone()
+        TestMutationCatching()._mutate_first_guard(broken)
+        result = check_equivalence(lowered, broken, cycles=24)
+        assert _divergences(result)
+        stats = result.stats
+        assert stats["differential_modules"] == stats["modules"]
+        assert stats["differential_cycles"] == 24 * stats["differential_modules"]
+
+    @staticmethod
+    def _faulty(ghost: str, cycle: int, start: int = 0) -> Netlist:
+        """Reads the undeclared ``ghost`` -- an error -- on the clock edge
+        that ends ``cycle``; at cycle 0, when the simulator is built.
+        ``start`` is the counter's reset value."""
+        if cycle == 0:
+            return _single(
+                "faulty",
+                [("clk", 1, False), ("rst", 1, False), ("q", 4, True)],
+                assigns=[("q", ghost)],
+            )
+        return _single(
+            "faulty",
+            [("clk", 1, False), ("rst", 1, False), ("q", 4, True)],
+            regs=[("n", 4)],
+            assigns=[("q", "n")],
+            sync=(
+                ["n <= n + 4'd1;", f"if (n == 4'd{cycle - 2}) n <= {ghost};"],
+                [f"n <= 4'd{start};"],
+            ),
+        )
+
+    @pytest.mark.parametrize("after_cycle", [0, 3])
+    def test_input_netlist_error_wins(self, after_cycle):
+        """Both simulators raise, the optimized one first: the input
+        netlist's error is the one reported."""
+        with pytest.raises(RTLError, match="'before_ghost'"):
+            check_equivalence(
+                self._faulty("before_ghost", 6),
+                self._faulty("after_ghost", after_cycle),
+            )
+
+    def test_input_netlist_error_after_a_divergence_is_raised(self):
+        """The sides diverge at cycle 1; both keep stepping, so the input
+        netlist's error at cycle 6 still surfaces."""
+        with pytest.raises(RTLError, match="'before_ghost'"):
+            check_equivalence(
+                self._faulty("before_ghost", 6),
+                self._faulty("before_ghost", 6, start=9),
+            )
+
+    def test_optimized_netlist_error_is_raised(self):
+        clean = _single(
+            "faulty",
+            [("clk", 1, False), ("rst", 1, False), ("q", 4, True)],
+            regs=[("n", 4)],
+            assigns=[("q", "n")],
+            sync=(["n <= n + 4'd1;"], ["n <= 4'd0;"]),
+        )
+        with pytest.raises(RTLError, match="'after_ghost'"):
+            check_equivalence(clean, self._faulty("after_ghost", 3))

@@ -59,6 +59,49 @@ class TestLazySettle:
         assert values["datapath.total"] == (3, 9)
         assert values["datapath.out"] == (15, 16)
 
+    def test_sampler_reads_paths_in_the_given_order(self):
+        child = Module("child")
+        child.input("x", 4)
+        child.output("y", 4)
+        child.assign("y", "x + 4'd1")
+        top = Module("top")
+        top.input("a", 4)
+        top.output("b", 4)
+        top.wire("mid", 4)
+        top.instantiate(child, "u0", {"x": "a", "y": "mid"})
+        top.assign("b", "mid + 4'd1")
+        netlist = Netlist("top")
+        netlist.add(child)
+        netlist.add(top)
+        sim = RTLSimulator(netlist)
+        # Three runs of one instance each: two of top's paths, u0's two,
+        # then ``top.a`` alone.
+        paths = ["top.b", "top.mid", "top.u0.y", "top.u0.x", "top.a"]
+        sample = sim.sampler(paths)
+        sim.poke("a", 5)
+        assert sample() == [7, 6, 6, 5, 5]
+        values = sim.signal_values()
+        assert sample() == [values[path][0] for path in paths]
+        assert sim.sampler([])() == []
+        with pytest.raises(RTLError, match="no signal 'top.nope'"):
+            sim.sampler(["top.nope"])
+
+    def test_sampler_settles_first(self):
+        sim = self._gated_loop()
+        sample = sim.sampler(["gated_loop.a"])
+        sim.poke("en", 1)
+        with pytest.raises(RTLError, match="failed to settle"):
+            sample()
+        sim.poke("en", 0)
+        assert sample() == [0]
+
+    def test_driver_masks_to_the_declared_width(self):
+        sim = self._datapath()
+        drive = sim.driver(["a", "b", "c"])
+        drive([0x1FF, 2, 3])
+        assert sim.peek("a") == 0xFF
+        assert sim.peek("out") == (0xFF + 2) * 3
+
     def test_unobserved_pokes_do_not_settle(self):
         sim = self._gated_loop()
         sim.poke("en", 1)
