@@ -56,15 +56,20 @@ class BalancerPlan:
 
 
 class CompiledDesign:
-    """Everything the backends need about one compiled accelerator."""
+    """Everything the backends need about one compiled accelerator.
+
+    It carries hardware, not the compiler's IR: the physical array, the
+    regfile plans, the balancer and the analysis reports.  The functional
+    and pruned ``IterationSpace`` s stay inside :func:`compile_design`
+    (and its memo stages); what the backends need of them -- the point
+    and IO request counts -- lives on the :class:`PhysicalArray`.
+    """
 
     def __init__(
         self,
         spec: FunctionalSpec,
         bounds: Bounds,
         transform: SpaceTimeTransform,
-        functional_iterspace: IterationSpace,
-        pruned_iterspace: IterationSpace,
         array: PhysicalArray,
         regfile_plans: Dict[str, RegfilePlan],
         membufs: Dict[str, MemoryBufferSpec],
@@ -79,8 +84,6 @@ class CompiledDesign:
         self.spec = spec
         self.bounds = bounds
         self.transform = transform
-        self.functional_iterspace = functional_iterspace
-        self.pruned_iterspace = pruned_iterspace
         self.array = array
         self.regfile_plans = regfile_plans
         self.membufs = membufs
@@ -248,8 +251,6 @@ def compile_design(
         spec=spec,
         bounds=bounds,
         transform=transform,
-        functional_iterspace=functional,
-        pruned_iterspace=pruned,
         array=array,
         regfile_plans=regfile_plans,
         membufs=membufs,

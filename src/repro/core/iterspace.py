@@ -15,13 +15,15 @@ stages:
    replace them with IO connections (:mod:`repro.core.passes.prune`).
 3. *Physical* (Figure 9c) -- after the space-time transform maps points to
    PEs; multiple iteration points that share space coordinates fold into a
-   single PE with a time-varying role.
+   single PE with a time-varying role.  The :class:`PhysicalArray` is the
+   hardware, not a third point graph: it keeps the PE positions,
+   connections and port counts, and only counts of the points and IO
+   requests it was mapped from.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .dataflow import SpaceTimeTransform
@@ -110,7 +112,6 @@ class IterationSpace:
         self.points: List[Point] = list(points)
         self.p2p_conns: List[Point2PointConn] = list(p2p_conns)
         self.io_conns: List[IOConn] = list(io_conns)
-        self._point_set: Set[Point] = set(self.points)
 
     # ------------------------------------------------------------------
     # Queries
@@ -125,24 +126,8 @@ class IterationSpace:
     def connected_variables(self) -> FrozenSet[str]:
         return frozenset(c.variable for c in self.p2p_conns)
 
-    def io_variables(self) -> FrozenSet[str]:
-        return frozenset(c.variable for c in self.io_conns)
-
-    def has_point(self, point: Point) -> bool:
-        return point in self._point_set
-
     def conn_count(self) -> int:
         return len(self.p2p_conns)
-
-    def io_count(self) -> int:
-        return len(self.io_conns)
-
-    @cached_property
-    def io_direction_counts(self) -> Tuple[int, int]:
-        """``(inputs, outputs)`` among the IO requests -- the regfile
-        reads and writes every sparse run of a design charges."""
-        inputs = sum(1 for c in self.io_conns if c.direction is IODirection.INPUT)
-        return inputs, len(self.io_conns) - inputs
 
     # ------------------------------------------------------------------
     # Rewrites
@@ -320,49 +305,38 @@ class PhysicalConn:
         )
 
 
-class PhysicalPE:
-    """One processing element of the generated spatial array (Figure 11)."""
-
-    __slots__ = ("position", "iteration_points", "io_count")
-
-    def __init__(self, position: Tuple[int, ...]):
-        self.position = position
-        self.iteration_points: List[Tuple[Tuple[int, ...], int]] = []  # (coords, t)
-        self.io_count = 0
-
-    @property
-    def timestep_count(self) -> int:
-        return len(self.iteration_points)
-
-    def __repr__(self) -> str:
-        return f"PhysicalPE{self.position}"
-
-
 class PhysicalArray:
-    """The physical-stage IR of Figure 9c: PEs plus uniform connections."""
+    """The physical-stage IR of Figure 9c: the hardware the backends build.
+
+    It holds the PE positions (sorted), the uniform PE-to-PE connections,
+    the regfile ports per variable and the schedule length, plus two
+    counts taken from the pruned space it was mapped from: its iteration
+    points and its ``(inputs, outputs)`` IO requests.  The points
+    themselves are not kept.
+    """
 
     def __init__(
         self,
-        iterspace: IterationSpace,
-        transform: SpaceTimeTransform,
-        pes: Dict[Tuple[int, ...], PhysicalPE],
+        positions: List[Tuple[int, ...]],
+        point_count: int,
         conns: List[PhysicalConn],
         io_ports: Dict[str, int],
+        io_counts: Tuple[int, int],
         schedule_length: int,
     ):
-        self.iterspace = iterspace
-        self.transform = transform
-        self.pes = pes
+        self._positions = positions
+        self.point_count = point_count
         self.conns = conns
         self.io_ports = io_ports  # variable -> number of regfile ports needed
+        self.io_counts = io_counts  # (inputs, outputs): regfile reads, writes
         self.schedule_length = schedule_length
 
     @property
     def pe_count(self) -> int:
-        return len(self.pes)
+        return len(self._positions)
 
     def positions(self) -> List[Tuple[int, ...]]:
-        return sorted(self.pes)
+        return list(self._positions)
 
     def conns_for(self, variable: str) -> List[PhysicalConn]:
         return [c for c in self.conns if c.variable == variable]
@@ -380,8 +354,7 @@ class PhysicalArray:
     def utilization_bound(self) -> float:
         """Fraction of PE-timesteps holding real work (dense upper bound)."""
         total_slots = self.pe_count * self.schedule_length
-        work = sum(pe.timestep_count for pe in self.pes.values())
-        return work / total_slots if total_slots else 0.0
+        return self.point_count / total_slots if total_slots else 0.0
 
 
 def apply_transform(
@@ -395,17 +368,12 @@ def apply_transform(
             f" {iterspace.spec.index_names}"
         )
 
-    pes: Dict[Tuple[int, ...], PhysicalPE] = {}
+    positions: Set[Tuple[int, ...]] = set()
     times: List[int] = []
     for point in iterspace.points:
         st = transform.apply(point.coords)
-        space = st[: transform.space_dims]
-        t = st[transform.space_dims]
-        pe = pes.get(space)
-        if pe is None:
-            pe = pes[space] = PhysicalPE(space)
-        pe.iteration_points.append((point.coords, t))
-        times.append(t)
+        positions.add(st[: transform.space_dims])
+        times.append(st[transform.space_dims])
 
     # Uniform connections: every variable's connections share one offset by
     # construction (difference vectors are constant), so deduplicate before
@@ -431,18 +399,21 @@ def apply_transform(
         )
 
     io_ports: Dict[str, int] = {}
-    per_pe_io: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+    io_sites: Set[Tuple[str, Tuple[int, ...]]] = set()
+    inputs = 0
     for io in iterspace.io_conns:
-        st = transform.apply(io.point.coords)
-        space = st[: transform.space_dims]
-        key = (io.variable, space)
-        per_pe_io[key] = per_pe_io.get(key, 0) + 1
-        if space in pes:
-            pes[space].io_count += 1
-    for (variable, _), __ in per_pe_io.items():
-        io_ports[variable] = io_ports.get(variable, 0) + 1
+        space = transform.space(io.point.coords)
+        if (io.variable, space) not in io_sites:
+            io_sites.add((io.variable, space))
+            io_ports[io.variable] = io_ports.get(io.variable, 0) + 1
+        inputs += io.direction is IODirection.INPUT
 
     schedule_length = (max(times) - min(times) + 1) if times else 0
     return PhysicalArray(
-        iterspace, transform, pes, list(seen.values()), io_ports, schedule_length
+        sorted(positions),
+        len(iterspace.points),
+        list(seen.values()),
+        io_ports,
+        (inputs, len(iterspace.io_conns) - inputs),
+        schedule_length,
     )

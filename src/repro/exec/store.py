@@ -64,7 +64,7 @@ from .fingerprint import FINGERPRINT_VERSION
 #: Bump when the layout of cached products changes incompatibly --
 #: e.g. a new field on CompiledDesign that old pickles lack, a changed
 #: SimResult shape -- so stale entries become misses, not wrong answers.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: First bytes of every entry file.
 MAGIC = b"STLRSTORE1\n"

@@ -293,26 +293,29 @@ def capture_rtl_trace(
 
 
 def _dump_rtl_vcd(sim, handle, cycles, reset_cycles, signals) -> int:
-    values = sim.signal_values()
+    # Widths come from one whole-hierarchy read; each cycle then samples
+    # only the dumped paths, in probe order: the writer emits a cycle's
+    # value changes in the order it is given them.
+    widths = {path: width for path, (_, width) in sim.signal_values().items()}
     if signals is not None:
-        missing = sorted(set(signals) - set(values))
+        missing = sorted(set(signals) - set(widths))
         if missing:
             raise ValueError(f"no such signals in the design: {missing}")
-        values = {path: values[path] for path in signals}
+        chosen = set(signals)
+        widths = {path: w for path, w in widths.items() if path in chosen}
     writer = VCDWriter(handle, comment=f"repro.obs dump of {sim.netlist.top_name}")
-    for path in sorted(values):
-        writer.add_signal(path, values[path][1])
+    for path in sorted(widths):
+        writer.add_signal(path, widths[path])
 
     has_reset = "rst" in sim.top.values
     if has_reset and reset_cycles > 0:
         sim.poke("rst", 1)
-    writer.sample(0, {path: value for path, (value, _) in sim.signal_values().items()})
+    paths = list(widths)
+    sample = sim.sampler(paths)
+    writer.sample(0, dict(zip(paths, sample())))
     for cycle in range(1, cycles + 1):
         sim.step(1)
         if has_reset and cycle == reset_cycles:
             sim.poke("rst", 0)
-        writer.sample(
-            cycle,
-            {path: value for path, (value, _) in sim.signal_values().items()},
-        )
+        writer.sample(cycle, dict(zip(paths, sample())))
     return cycles

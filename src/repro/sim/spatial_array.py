@@ -383,9 +383,7 @@ class SpatialArraySim:
         counters.macs = work * macs_per_point
         counters.pe_busy_cycles = work
         counters.pe_idle_cycles = max(0, counters.cycles * pe_count - work)
-        counters.regfile_reads, counters.regfile_writes = (
-            design.pruned_iterspace.io_direction_counts
-        )
+        counters.regfile_reads, counters.regfile_writes = design.array.io_counts
 
         # Functional outputs: skipping zero-valued iterations never changes
         # results, so the reference interpreter provides them.

@@ -1,7 +1,12 @@
 """Integration tests for the full compilation pipeline (Section IV, Fig 7)."""
 
+import os
+import pickle
+import pickletools
+
 import pytest
 
+from repro.analysis.check import _compiled_of, discover_examples
 from repro.core import SpecError, compile_design
 from repro.core.balancing import flexible_pe_scheme, row_shift_scheme
 from repro.core.dataflow import (
@@ -156,3 +161,39 @@ class TestSeparationOfConcerns:
         )
         assert len(plain.array.conns) == len(balanced.array.conns)
         assert plain.balancer is None and balanced.balancer is not None
+
+
+EXAMPLES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "examples",
+)
+IR_CLASSES = {"IterationSpace", "Point", "Point2PointConn", "IOConn", "PhysicalPE"}
+
+
+class TestCompiledCarriesHardware:
+    """A compiled design holds the physical array, not the point graphs
+    of the functional and pruned iteration spaces it came from."""
+
+    @pytest.mark.parametrize(
+        "example", discover_examples([EXAMPLES]), ids=lambda e: e.name
+    )
+    def test_pickle_names_no_ir_class(self, example):
+        assert not example.error, example.error
+        blob = pickle.dumps(_compiled_of(example.build()), protocol=4)
+        names = {arg for _, arg, __ in pickletools.genops(blob)
+                 if isinstance(arg, str)}
+        assert names & IR_CLASSES == set()
+
+    @pytest.mark.parametrize(
+        "sparse, counts",
+        [(False, (32, 16)), (True, (80, 64))],
+        ids=["dense", "csr_b_matrix"],
+    )
+    def test_io_counts_of_pruned_space(self, spec, bounds4, sparse, counts):
+        """``(inputs, outputs)`` IO requests: pruning ``c`` under CSR adds
+        one regfile read and write per removed accumulation link."""
+        design = compile_design(
+            spec, bounds4, input_stationary(),
+            sparsity=csr_b_matrix(spec) if sparse else None,
+        )
+        assert design.array.io_counts == counts

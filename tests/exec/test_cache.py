@@ -129,7 +129,6 @@ class TestCompileFacade:
         assert dense is not sparse
         # Elaboration depends only on (spec, bounds): shared across axes.
         assert cache.stats.by_stage["compile.elaborate"] == (1, 1)
-        assert dense.functional_iterspace is sparse.functional_iterspace
 
     def test_matches_uncached_compile(self, design_axes):
         spec, bounds, transform = design_axes
