@@ -11,23 +11,23 @@ against its input rather than trusted.  Three methods, cheapest first:
    both sides still drive, the combinational cone is inlined through
    singly-driven wires and canonicalized
    (:func:`repro.rtl.passes.canonicalize`); identical canonical forms
-   prove the cone.  Cones that differ structurally are evaluated under
-   bit-precise integer semantics (the same value rules as
-   :mod:`repro.rtl.sim`) over every leaf assignment when the leaf bits
-   fit ``max_exhaustive_bits``, else over corner + random assignments; a
-   concrete counterexample is ``STL-EQ-001``.  Sequential behaviour is
-   compared as canonicalized guarded next-state statements.
+   prove the cone.  Cones that differ structurally are compiled by the
+   simulator's own code generator -- not a mirror of it -- and run over
+   every leaf assignment when the leaf bits fit
+   ``max_exhaustive_bits``, else over corner + random assignments, with
+   memory elements read as fixed pseudo-random values; a concrete
+   counterexample is ``STL-EQ-001``.  Sequential behaviour is compared
+   as canonicalized guarded next-state statements.
 3. **Random-stimulus differential backstop** -- every shared module is
-   simulated pre/post in lockstep (:class:`repro.rtl.sim.RTLSimulator`)
-   under one seeded stimulus that drives every bit of every input,
-   however wide.  Each cycle both simulators are stepped and the signals
-   present on both sides (passes legitimately delete internal nets) are
-   read through one :meth:`~repro.rtl.sim.RTLSimulator.sampler` per side
-   and compared as two lists; the first divergent cycle, ties broken by
-   signal path, becomes ``STL-EQ-003``.  No trace is kept.  Both sides
-   run all ``cycles`` even after a divergence, and an error from the
-   input netlist's simulator, at any cycle, wins over one from the
-   optimized netlist's.  The differential runs per-module rather than
+   simulated pre/post in lockstep, each side stepped by
+   :meth:`repro.rtl.sim.RTLSimulator.run` under one seeded stimulus that
+   drives every bit of every input, however wide.  Each cycle the
+   signals present on both sides (passes legitimately delete internal
+   nets) are compared as two lists; the first divergent cycle, ties
+   broken by signal path, becomes ``STL-EQ-003``.  No trace is kept.
+   Both sides run all ``cycles`` even after a divergence, and an error
+   from the input netlist's simulator, at any cycle, wins over one from
+   the optimized netlist's.  The differential runs per-module rather than
    only at the top because the lowered top ties test inputs low -- a
    module-local bug may be unobservable from the top's ports.
 
@@ -40,11 +40,11 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..rtl.netlist import Module, Netlist, PortDir, lvalue_base, refs
-from ..rtl.passes import canonicalize
-from ..rtl.sim import RTLSimulator
+from ..rtl.netlist import Module, Netlist, PortDir, refs
+from ..rtl.passes import _driver_counts, _module_widths, canonicalize
+from ..rtl.sim import RTLSimulator, _compile_function, _Emitter
 from .diagnostics import Diagnostic, Severity
 
 #: Node-count ceiling for cone inlining.  A cone that trips it is marked
@@ -165,7 +165,7 @@ def check_equivalence(
                 )
             )
             continue
-        inliners = (_Inliner(mod_before), _Inliner(mod_after))
+        inliners = (_Inliner(mod_before, before), _Inliner(mod_after, after))
         _check_combinational(
             mod_before, mod_after, inliners, result, f"{prefix}{name}",
             max_exhaustive_bits, seed,
@@ -206,37 +206,22 @@ class _Cone:
 
 
 class _Inliner:
-    """Inlines singly-assigned scalar wires into expression cones."""
+    """Inlines singly-driven scalar wires into expression cones."""
 
-    def __init__(self, module: Module):
-        self.widths = {p.name: p.width for p in module.ports}
-        self.widths.update({n.name: n.width for n in module.nets})
+    def __init__(self, module: Module, netlist: Netlist):
+        self.widths = _module_widths(module)
         self.memories = {n.name for n in module.nets if n.depth}
         regs = {n.name for n in module.nets if n.is_reg}
         ports = {p.name for p in module.ports}
-
-        written: Dict[str, int] = {}
-
-        def bump(name: Optional[str]) -> None:
-            if name:
-                written[name] = written.get(name, 0) + 1
-
-        assign_rhs: Dict[str, object] = {}
-        for assign in module.assigns:
-            lhs = assign.lhs.tree
-            bump(lvalue_base(lhs))
-            if lhs[0] == "ref":
-                assign_rhs[lhs[1]] = assign.rhs.tree
-        for block in module.sync_blocks:
-            for statement in block.statements + block.reset_statements:
-                bump(lvalue_base(statement.tree[1]))
-        # A wire is inlinable when its one and only driver is a plain
-        # whole-net assign; registers and ports hold externally visible
-        # state and stay as cone leaves.
+        drivers = _driver_counts(module, netlist)
+        # A wire is inlinable when its one and only driver -- of assigns,
+        # sync writes and child outputs -- is a plain whole-net assign;
+        # registers and ports hold externally visible state and stay as
+        # cone leaves.
         self.inlinable = {
             name: rhs
-            for name, rhs in assign_rhs.items()
-            if written.get(name) == 1
+            for name, rhs in _assign_targets(module).items()
+            if drivers.get(name) == 1
             and name not in regs
             and name not in ports
             and name not in self.memories
@@ -402,88 +387,20 @@ def _assign_targets(module: Module) -> Dict[str, object]:
     return targets
 
 
-# -- bounded bit-precise evaluation -----------------------------------------
+# -- bounded evaluation through the simulator's code -------------------------
 
 
-def _evaluate(node, env: Dict[str, int], widths: Dict[str, int], memories):
-    """Evaluate a cone under the simulator's exact value semantics."""
-    kind = node[0]
-    if kind == "literal":
-        return node[1] & ((1 << node[2]) - 1)
-    if kind == "ref":
-        return env.get(node[1], 0)
-    if kind == "index":
-        index = _evaluate(node[2], env, widths, memories)
-        base = node[1]
-        if base[0] == "ref" and base[1] in memories:
-            return _memory_value(base[1], index, widths.get(base[1], 32))
-        return (_evaluate(base, env, widths, memories) >> index) & 1
-    if kind == "slice":
-        value = _evaluate(node[1], env, widths, memories)
-        hi = _evaluate(node[2], env, widths, memories)
-        lo = _evaluate(node[3], env, widths, memories)
-        return (value >> lo) & ((1 << (hi - lo + 1)) - 1)
-    if kind == "concat":
-        out = 0
-        for part in node[1]:
-            width = _runtime_width(part, env, widths, memories)
-            out = (out << width) | (
-                _evaluate(part, env, widths, memories) & ((1 << width) - 1)
-            )
-        return out
-    if kind == "repl":
-        count = _evaluate(node[1], env, widths, memories)
-        width = _runtime_width(node[2], env, widths, memories)
-        piece = _evaluate(node[2], env, widths, memories) & ((1 << width) - 1)
-        out = 0
-        for _ in range(count):
-            out = (out << width) | piece
-        return out
-    if kind == "unop":
-        value = _evaluate(node[2], env, widths, memories)
-        if node[1] == "!":
-            return 0 if value else 1
-        if node[1] == "~":
-            return ~value
-        return -value
-    if kind == "binop":
-        op = node[1]
-        lhs = _evaluate(node[2], env, widths, memories)
-        rhs = _evaluate(node[3], env, widths, memories)
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "&":
-            return lhs & rhs
-        if op == "|":
-            return lhs | rhs
-        if op == "==":
-            return int(lhs == rhs)
-        if op == "!=":
-            return int(lhs != rhs)
-        if op == "<":
-            return int(lhs < rhs)
-        if op == "<=":
-            return int(lhs <= rhs)
-        if op == ">":
-            return int(lhs > rhs)
-        return int(lhs >= rhs)
-    raise ValueError(f"cannot evaluate AST node {node!r}")
+class _SymbolicMemory:
+    """A memory every element of which reads as :func:`_memory_value`."""
 
+    __slots__ = ("name", "width")
 
-def _runtime_width(node, env, widths, memories) -> int:
-    if node[0] == "literal":
-        return node[2]
-    if node[0] == "ref":
-        return widths.get(node[1], 32)
-    if node[0] == "slice":
-        hi = _evaluate(node[2], env, widths, memories)
-        lo = _evaluate(node[3], env, widths, memories)
-        return hi - lo + 1
-    return 32
+    def __init__(self, name: str, width: int):
+        self.name = name
+        self.width = width
+
+    def get(self, index: int, default: int) -> int:
+        return _memory_value(self.name, index, self.width)
 
 
 def _memory_value(name: str, index: int, width: int) -> int:
@@ -508,18 +425,31 @@ def _bounded_refute(
 ):
     """Search for a leaf assignment separating the two cones.
 
+    Both cones are compiled once, into one function, by the simulator's
+    own code generator, so they evaluate exactly as the simulator would.
     Returns ``(env, value_before, value_after)`` or ``None``.  Leaf
     values are drawn masked to their declared widths, exactly the range
-    a simulator write could have stored."""
+    a simulator write could have stored; an undeclared leaf is 32 bits
+    wide."""
     widths, memories = inliner.widths, inliner.memories
     leaves = sorted(
         _cone_leaves(node_before, memories) | _cone_leaves(node_after, memories)
     )
-    leaf_widths = [min(widths.get(name, 32), 32) for name in leaves]
+    declared = dict(widths)
+    for name in leaves:
+        declared.setdefault(name, 32)
+    leaf_widths = [min(declared[name], 32) for name in leaves]
+    emitter = _Emitter(declared, memories)
+    evaluate = _compile_function(
+        "def generated(v, m, p):\n"
+        f"    return {emitter.expr(node_before)}, {emitter.expr(node_after)}\n"
+    )
+    contents = {
+        name: _SymbolicMemory(name, widths.get(name, 32)) for name in memories
+    }
 
     def differs(env: Dict[str, int]):
-        value_before = _evaluate(node_before, env, widths, memories)
-        value_after = _evaluate(node_after, env, widths, memories)
+        value_before, value_after = evaluate(env, contents, "")
         if value_before != value_after:
             return env, value_before, value_after
         return None
@@ -660,11 +590,11 @@ def _check_differential(
         paths = sorted(
             set(sim_before.signal_values()) & set(sim_after.signal_values())
         )
-        run_after = _lockstep_samples(sim_after, names, paths, schedule)
+        run_after = sim_after.run(paths, cycles, inputs=names, schedule=schedule)
 
     divergence = None
     for cycle, values_before in enumerate(
-        _lockstep_samples(sim_before, names, paths, schedule)
+        sim_before.run(paths, cycles, inputs=names, schedule=schedule)
     ):
         if run_after is None:
             continue
@@ -704,30 +634,6 @@ def _check_differential(
             " localizes the broken pass rewrite",
         )
     )
-
-
-def _lockstep_samples(
-    sim: RTLSimulator,
-    inputs: Sequence[str],
-    paths: Sequence[str],
-    schedule: List[List[int]],
-) -> Iterator[List[int]]:
-    """The values at ``paths`` before the first clock edge and after each
-    edge, driving ``schedule[cycle]`` into ``inputs`` before edge
-    ``cycle`` and holding ``rst`` high for the first cycle when the module
-    has one -- the stepping of :func:`repro.obs.export.capture_rtl_trace`."""
-    drive = sim.driver(inputs)
-    sample = sim.sampler(paths)
-    has_reset = "rst" in sim.top.values
-    if has_reset:
-        sim.poke("rst", 1)
-    yield sample()
-    for cycle in range(1, len(schedule)):
-        drive(schedule[cycle])
-        sim.step(1)
-        if has_reset and cycle == 1:
-            sim.poke("rst", 0)
-        yield sample()
 
 
 __all__ = ["EquivResult", "check_equivalence"]

@@ -34,14 +34,20 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..rtl.netlist import Module, Netlist, PortDir, lvalue_base, refs, unparse
+from ..rtl.netlist import (
+    COMPARISONS,
+    Module,
+    Netlist,
+    PortDir,
+    lvalue_base,
+    refs,
+    unparse,
+)
 from .diagnostics import Diagnostic, Severity, suppress as _suppress
 
 # ---------------------------------------------------------------------------
 # Width inference
 # ---------------------------------------------------------------------------
-
-_COMPARISON_OPS = frozenset({"==", "!=", "<", ">", "<=", ">="})
 
 
 class WidthEnv:
@@ -89,7 +95,7 @@ def infer_width(
     if kind == "unop":
         return 1 if node[1] == "!" else widths[0]
     if kind == "binop":
-        if node[1] in _COMPARISON_OPS:
+        if node[1] in COMPARISONS:
             return 1
         known = [width for width in widths if width is not None]
         return max(known) if known else None

@@ -43,7 +43,6 @@ for the ratios that have no end-to-end workload yet).
 from .cache import (
     CacheStats,
     CompileCache,
-    get_compile_cache,
     persistent_compile_cache,
 )
 from .engine import EngineReport, ResidentPool, evaluate_sweep, resolve_jobs
@@ -84,7 +83,6 @@ __all__ = [
     "evaluate_sweep",
     "fingerprint",
     "format_rows",
-    "get_compile_cache",
     "load_workload_table",
     "persistent_compile_cache",
     "resolve_jobs",

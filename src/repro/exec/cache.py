@@ -324,29 +324,6 @@ class CompileCache:
         )
 
 
-# ---------------------------------------------------------------------------
-# The process-wide cache the CLI shares across commands
-# ---------------------------------------------------------------------------
-
-_global_cache: Optional[CompileCache] = None
-
-
-def get_compile_cache() -> CompileCache:
-    """The process-wide cache, created on first use."""
-    global _global_cache
-    if _global_cache is None:
-        _global_cache = CompileCache()
-    return _global_cache
-
-
-def set_compile_cache(cache: Optional[CompileCache]) -> Optional[CompileCache]:
-    """Install ``cache`` globally; returns the previous one for restore."""
-    global _global_cache
-    previous = _global_cache
-    _global_cache = cache
-    return previous
-
-
 def persistent_compile_cache(
     root: Optional[str] = None,
     max_entries: int = CompileCache.DEFAULT_MAX_ENTRIES,

@@ -247,11 +247,11 @@ def dump_rtl_vcd(
 ) -> int:
     """Run the RTL interpreter and dump every signal to a VCD file.
 
-    ``sim`` is a :class:`~repro.rtl.sim.RTLSimulator`; the clock is
-    stepped ``cycles`` times with ``rst`` held high for the first
-    ``reset_cycles`` (when the design has one).  ``signals`` optionally
-    restricts the dump to the named hierarchical paths.  Returns the
-    number of cycles dumped.
+    ``sim`` is a :class:`~repro.rtl.sim.RTLSimulator`, stepped by its
+    :meth:`~repro.rtl.sim.RTLSimulator.run`: ``cycles`` clock edges with
+    ``rst`` held high for the first ``reset_cycles`` (when the design has
+    one).  ``signals`` optionally restricts the dump to the named
+    hierarchical paths.  Returns the number of cycles dumped.
     """
     if hasattr(destination, "write"):
         return _dump_rtl_vcd(sim, destination, cycles, reset_cycles, signals)
@@ -262,33 +262,20 @@ def dump_rtl_vcd(
 def capture_rtl_trace(
     sim,
     cycles: int = 16,
-    stimulus=None,
     reset_cycles: int = 1,
+    inputs: Sequence[str] = (),
+    schedule: Optional[Sequence[Sequence[int]]] = None,
 ) -> Dict[str, List[int]]:
     """Run the RTL interpreter and capture every signal's cycle series.
 
-    The in-memory twin of :func:`dump_rtl_vcd`: the same stepping
-    discipline (``rst`` held high for the first ``reset_cycles`` when the
-    design has one), but returning ``{signal_path: [v0, v1, ...]}`` --
-    one value per cycle, index 0 being the pre-step state -- instead of
-    writing a file.  ``stimulus`` is an optional ``(cycle, sim)``
-    callable invoked before each step to poke inputs.  Each cycle is read
-    as one list through :meth:`~repro.rtl.sim.RTLSimulator.sampler`, in
-    the probe order fixed by the first read.
+    The in-memory twin of :func:`dump_rtl_vcd`, stepped by the same
+    :meth:`~repro.rtl.sim.RTLSimulator.run`, which drives
+    ``schedule[cycle]`` into ``inputs`` before edge ``cycle``.  Returns
+    ``{signal_path: [v0, v1, ...]}`` -- one value per cycle, index 0
+    being the pre-step state -- with the paths in probe order.
     """
-    has_reset = "rst" in sim.top.values
-    if has_reset and reset_cycles > 0:
-        sim.poke("rst", 1)
     paths = list(sim.signal_values())
-    sample = sim.sampler(paths)
-    rows = [sample()]
-    for cycle in range(1, cycles + 1):
-        if stimulus is not None:
-            stimulus(cycle, sim)
-        sim.step(1)
-        if has_reset and cycle == reset_cycles:
-            sim.poke("rst", 0)
-        rows.append(sample())
+    rows = list(sim.run(paths, cycles, reset_cycles, inputs, schedule))
     return dict(zip(paths, map(list, zip(*rows))))
 
 
@@ -306,16 +293,7 @@ def _dump_rtl_vcd(sim, handle, cycles, reset_cycles, signals) -> int:
     writer = VCDWriter(handle, comment=f"repro.obs dump of {sim.netlist.top_name}")
     for path in sorted(widths):
         writer.add_signal(path, widths[path])
-
-    has_reset = "rst" in sim.top.values
-    if has_reset and reset_cycles > 0:
-        sim.poke("rst", 1)
     paths = list(widths)
-    sample = sim.sampler(paths)
-    writer.sample(0, dict(zip(paths, sample())))
-    for cycle in range(1, cycles + 1):
-        sim.step(1)
-        if has_reset and cycle == reset_cycles:
-            sim.poke("rst", 0)
-        writer.sample(cycle, dict(zip(paths, sample())))
+    for cycle, values in enumerate(sim.run(paths, cycles, reset_cycles)):
+        writer.sample(cycle, dict(zip(paths, values)))
     return cycles

@@ -18,11 +18,17 @@ parse.  Text the grammar rejects keeps its :class:`RTLError` instead,
 which the lint reports and every other consumer raises.  A pass that
 rewrites a node builds a new one, so only rewritten text is parsed
 again.
+
+The IR also owns the two rules every consumer of a tree shares: the
+binary operators' values (:data:`BINARY_OPERATORS`, :data:`COMPARISONS`)
+and the width a concatenation packs an operand into
+(:func:`packing_width`).
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -73,6 +79,20 @@ def _literal_value(token: str) -> Tuple[int, int]:
         raise RTLError(f"malformed literal {token!r}") from None
 
 
+#: The binary operators, each with its value on its operands' values
+#: (Python ints, unmasked).  Every operator is spelled as in Python, so
+#: the simulator's code generator writes it unchanged.
+BINARY_OPERATORS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "&": operator.and_, "|": operator.or_,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+#: The comparisons: their value is 0 or 1, one bit wide.
+COMPARISONS = frozenset({"==", "!=", "<", "<=", ">", ">="})
+
+
 class _Parser:
     """Recursive-descent parser for the emitted expression subset."""
 
@@ -102,7 +122,7 @@ class _Parser:
 
     def comparison(self):
         node = self.sum()
-        while self.peek() in ("==", "!=", "<", "<=", ">", ">="):
+        while self.peek() in COMPARISONS:
             op = self.take()
             node = ("binop", op, node, self.sum())
         return node
@@ -212,6 +232,24 @@ def lvalue_base(node) -> Optional[str]:
     while node[0] in ("index", "slice"):
         node = node[1]
     return node[1] if node[0] == "ref" else None
+
+
+def packing_width(node, widths: Dict[str, int]) -> Optional[int]:
+    """The bits ``node`` packs into as a concatenation part or a
+    replication body: a literal's size, a name's declared width (32 when
+    undeclared), ``hi - lo + 1`` for a slice and 32 for anything else.
+    ``None`` for a slice with non-literal bounds, whose width is known
+    only once they are evaluated."""
+    kind = node[0]
+    if kind == "literal":
+        return node[2]
+    if kind == "ref":
+        return widths.get(node[1], 32)
+    if kind == "slice":
+        if node[2][0] != "literal" or node[3][0] != "literal":
+            return None
+        return _mask(*node[2][1:]) - _mask(*node[3][1:]) + 1
+    return 32
 
 
 def refs(node) -> Iterator[str]:

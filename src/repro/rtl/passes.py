@@ -45,6 +45,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 from ..obs.profile import span
 from .netlist import (
+    BINARY_OPERATORS,
+    COMPARISONS,
     Assign,
     Instance,
     Module,
@@ -55,6 +57,7 @@ from .netlist import (
     SyncBlock,
     _mask,
     lvalue_base,
+    packing_width,
     refs,
     rename,
     unparse,
@@ -104,7 +107,7 @@ class PassResult:
 
 
 # ---------------------------------------------------------------------------
-# AST utilities shared with the equivalence checker
+# Canonical forms (cse and the equivalence checker compare by them)
 # ---------------------------------------------------------------------------
 
 
@@ -118,25 +121,6 @@ def const_value(node) -> Optional[int]:
     if node[0] == "literal":
         return _mask(node[1], node[2])
     return None
-
-
-def width_of(node, widths: Dict[str, int]) -> Optional[int]:
-    """Static mirror of the simulator's ``_width_of`` context rule.
-
-    Returns ``None`` when the width depends on non-literal slice bounds
-    (the simulator would evaluate them; we refuse to guess).
-    """
-    kind = node[0]
-    if kind == "literal":
-        return node[2]
-    if kind == "ref":
-        return widths.get(node[1], 32)
-    if kind == "slice":
-        hi, lo = const_value(node[2]), const_value(node[3])
-        if hi is None or lo is None:
-            return None
-        return hi - lo + 1
-    return 32
 
 
 _COMMUTATIVE = frozenset({"+", "*", "&", "|", "==", "!="})
@@ -176,7 +160,7 @@ def _canon(node, widths: Dict[str, int]):
         return (
             "concat",
             tuple(
-                (_canon(part, widths), width_of(part, widths))
+                (_canon(part, widths), packing_width(part, widths))
                 for part in node[1]
             ),
         )
@@ -185,7 +169,7 @@ def _canon(node, widths: Dict[str, int]):
             "repl",
             _canon(node[1], widths),
             _canon(node[2], widths),
-            width_of(node[2], widths),
+            packing_width(node[2], widths),
         )
     if kind == "unop":
         return ("unop", node[1], _canon(node[2], widths))
@@ -202,23 +186,6 @@ def _canon(node, widths: Dict[str, int]):
 # Constant folding
 # ---------------------------------------------------------------------------
 
-_FOLD_BINOPS: Dict[str, Callable[[int, int], int]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "&": lambda a, b: a & b,
-    "|": lambda a, b: a | b,
-    "==": lambda a, b: int(a == b),
-    "!=": lambda a, b: int(a != b),
-    "<": lambda a, b: int(a < b),
-    "<=": lambda a, b: int(a <= b),
-    ">": lambda a, b: int(a > b),
-    ">=": lambda a, b: int(a >= b),
-}
-
-_BOOL_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
-
-
 def fold_expression(node, widths: Dict[str, int], sensitive: bool = False):
     """Fold constants in ``node``; returns ``(new_node, rewrite_count)``.
 
@@ -227,7 +194,7 @@ def fold_expression(node, widths: Dict[str, int], sensitive: bool = False):
     """
     folded, count = _fold(node, widths)
     if count and sensitive:
-        before, after = width_of(node, widths), width_of(folded, widths)
+        before, after = packing_width(node, widths), packing_width(folded, widths)
         if before is None or after is None or before != after:
             return node, 0
     return folded, count
@@ -266,7 +233,7 @@ def _fold(node, widths: Dict[str, int]):
             count += c
         node = ("concat", parts)
         values = [const_value(part) for part in parts]
-        part_widths = [width_of(part, widths) for part in parts]
+        part_widths = [packing_width(part, widths) for part in parts]
         if all(v is not None for v in values) and all(
             w is not None for w in part_widths
         ):
@@ -280,7 +247,7 @@ def _fold(node, widths: Dict[str, int]):
         inner, c2 = fold_expression(node[2], widths, sensitive=True)
         node = ("repl", times, inner)
         count = c1 + c2
-        tv, iv, iw = const_value(times), const_value(inner), width_of(inner, widths)
+        tv, iv, iw = const_value(times), const_value(inner), packing_width(inner, widths)
         if tv is not None and iv is not None and iw is not None:
             out = 0
             for _ in range(tv):
@@ -307,15 +274,15 @@ def _fold(node, widths: Dict[str, int]):
         count = c1 + c2
         lv, rv = const_value(left), const_value(right)
         if lv is not None and rv is not None:
-            value = _FOLD_BINOPS[op](lv, rv)
+            value = int(BINARY_OPERATORS[op](lv, rv))
             if value >= 0:
-                if op in _BOOL_OPS:
+                if op in COMPARISONS:
                     return ("literal", value, 1), count + 1
-                width = max(node_width(left), node_width(right))
+                width = max(left[2], right[2])
                 if op == "+":
                     width += 1
                 elif op == "*":
-                    width = node_width(left) + node_width(right)
+                    width = left[2] + right[2]
                 return literal_node(value, width), count + 1
             return node, count
         # Value-preserving identities (the simulator applies no masking
@@ -334,10 +301,6 @@ def _fold(node, widths: Dict[str, int]):
             return ("literal", 0, 1), count + 1
         return node, count
     raise RTLError(f"cannot fold AST node {node!r}")
-
-
-def node_width(node) -> int:
-    return node[2] if node[0] == "literal" else 32
 
 
 def _module_widths(module: Module) -> Dict[str, int]:
@@ -742,5 +705,4 @@ __all__ = [
     "fold_expression",
     "run_passes",
     "total_rewrites",
-    "width_of",
 ]

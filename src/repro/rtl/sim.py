@@ -36,8 +36,8 @@ Three things keep the simulation cheap:
 * **Straight-line code, compiled once.**  Each module's settle pass and
   its clock edge (sample every active statement, then commit them in
   order) are emitted as Python source -- netlist names only as string
-  keys through ``repr``, constants only as ints, operators from a fixed
-  table -- and compiled in chunks of at most ``_CHUNK_NODES`` nodes, so
+  keys through ``repr``, constants only as ints, operators from the
+  IR's table -- and compiled in chunks of at most ``_CHUNK_NODES`` nodes, so
   ``compile`` never holds one huge body.  Every instance of a module
   runs the same code on its own signal dict; simulators handed one
   ``code`` dict share it for every module built from the same immutable
@@ -60,16 +60,21 @@ import operator
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.trace import get_tracer
-from .netlist import Module, Netlist, PortDir, RTLError, _mask, lvalue_base, refs
+from .netlist import (
+    BINARY_OPERATORS,
+    COMPARISONS,
+    Module,
+    Netlist,
+    PortDir,
+    RTLError,
+    _mask,
+    lvalue_base,
+    packing_width,
+    refs,
+)
 
 #: Most combinational nodes compiled in one ``compile`` call.
 _CHUNK_NODES = 64
-
-#: Binary operators -> Python operators; comparisons yield 0 or 1.
-_ARITHMETIC = {"+": "+", "-": "-", "*": "*", "&": "&", "|": "|"}
-_COMPARISONS = {
-    "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -209,27 +214,18 @@ class _Emitter:
             if node[1] == "!":
                 return f"(0 if {expr(node[2])} else 1)"
             return f"({'~' if node[1] == '~' else '-'}{expr(node[2])})"
-        if kind == "binop" and node[1] in _ARITHMETIC:
-            return f"({expr(node[2])} {_ARITHMETIC[node[1]]} {expr(node[3])})"
-        if kind == "binop" and node[1] in _COMPARISONS:
-            return (
-                f"(1 if {expr(node[2])} {_COMPARISONS[node[1]]}"
-                f" {expr(node[3])} else 0)"
-            )
+        if kind == "binop" and node[1] in BINARY_OPERATORS:
+            code = f"{expr(node[2])} {node[1]} {expr(node[3])}"
+            return f"(1 if {code} else 0)" if node[1] in COMPARISONS else f"({code})"
         return f"_fail({f'unknown AST node {node!r}'!r})"
 
     def _width(self, node) -> str:
-        """The packing width of a concat or replication operand."""
-        if node[0] == "slice":
-            bounds = _literal_bounds(node)
-            if bounds is None:
-                return f"({self.expr(node[2])} - {self.expr(node[3])} + 1)"
-            return repr(bounds[0] - bounds[1] + 1)
-        if node[0] == "literal":
-            return repr(node[2])
-        if node[0] == "ref":
-            return repr(self.widths.get(node[1], 32))
-        return "32"
+        """The packing width of a concat or replication operand, computed
+        when the code runs only for a slice with non-literal bounds."""
+        width = packing_width(node, self.widths)
+        if width is None:
+            return f"({self.expr(node[2])} - {self.expr(node[3])} + 1)"
+        return repr(width)
 
     # -- writes ----------------------------------------------------------
 
@@ -824,6 +820,37 @@ class RTLSimulator:
                     "step", component="rtl", cycle=self.cycle,
                     reset=reset, writes=writes,
                 )
+
+    def run(
+        self,
+        paths: Sequence[str],
+        cycles: int,
+        reset_cycles: int = 1,
+        inputs: Sequence[str] = (),
+        schedule: Optional[Sequence[Sequence[int]]] = None,
+    ) -> Iterator[List[int]]:
+        """Step the clock ``cycles`` times, yielding the values at
+        ``paths`` (one list, in that order) before the first edge and
+        after each edge.
+
+        Before edge ``cycle`` (numbered from 1) ``schedule[cycle]`` is
+        driven into ``inputs``; ``schedule[0]`` is never driven.  When the
+        design has ``rst``, it is held high for the first
+        ``reset_cycles`` edges.
+        """
+        drive = self.driver(inputs)
+        sample = self.sampler(paths)
+        has_reset = reset_cycles > 0 and "rst" in self.top.values
+        if has_reset:
+            self.poke("rst", 1)
+        yield sample()
+        for cycle in range(1, cycles + 1):
+            if schedule is not None:
+                drive(schedule[cycle])
+            self.step(1)
+            if has_reset and cycle == reset_cycles:
+                self.poke("rst", 0)
+            yield sample()
 
     def reset(self, cycles: int = 1) -> None:
         """Pulse ``rst`` for the given number of cycles."""

@@ -1,6 +1,7 @@
 """Level 4 tests: netlist equivalence checking (STL-EQ-*)."""
 
 import re
+from typing import Tuple
 
 import pytest
 
@@ -157,6 +158,96 @@ class TestMutationCatching:
         assert result.stats["sequential_deferred"] == 1
         assert not result.ok
         assert {d.code for d in result.diagnostics} == {"STL-EQ-003"}
+
+
+class TestBoundedStage:
+    """The exact ``STL-EQ-001`` of the bounded stage: ``y``'s cone reads
+    a memory element and packs a slice whose bounds are computed, and
+    the first leaf assignment separating the two sides is not all
+    zeros.  ``z`` is rewritten to an equal value (checked, not refuted)
+    and ``w`` reads other leaves on each side (deferred)."""
+
+    @staticmethod
+    def _pair(width: int, select: int, mutant: str) -> Tuple[Netlist, Netlist]:
+        def build(y: str, z: str, w: str) -> Netlist:
+            module = Module("bnd")
+            module.input("clk")
+            module.input("a", width)
+            module.input("b", width)
+            module.input("s", select)
+            module.output("y", 16)
+            module.output("z", width + 1)
+            module.output("w", width)
+            module.reg("mem", 8, depth=4)
+            module.assign("y", y)
+            module.assign("z", z)
+            module.assign("w", w)
+            netlist = Netlist("bnd")
+            netlist.add(module)
+            return netlist
+
+        packed = f"{{mem[s], a[s + {select}'d1:s]}}"
+        return (
+            build(f"{packed} + b", "a + b", "b - b"),
+            build(f"{packed} + {mutant}", "(a | b) + (a & b)", "a - a"),
+        )
+
+    def _refutations(self, before: Netlist, after: Netlist):
+        result = check_equivalence(before, after, design_name="d")
+        assert result.stats["checked_bounded"] == 1
+        assert result.stats["deferred_to_differential"] == 1
+        return [
+            (d.location, d.message)
+            for d in result.diagnostics
+            if d.code == "STL-EQ-001"
+        ]
+
+    def test_exhaustive_witness(self):
+        # 10 leaf bits: every assignment, in order, until b is odd.
+        assert self._refutations(*self._pair(4, 2, "(b & 4'd14)")) == [(
+            "d.bnd.y",
+            "combinational cone of 'y' changed value: 189 != 188"
+            " under {a=0, b=1, s=0}",
+        )]
+
+    def test_random_witness(self):
+        # 19 leaf bits: no corner has b & 3 == 1, a seeded draw does.
+        mutant = "b + ((b & 8'd3) == 8'd1)"
+        assert self._refutations(*self._pair(8, 3, mutant)) == [(
+            "d.bnd.y",
+            "combinational cone of 'y' changed value: 1018 != 1019"
+            " under {a=131, b=89, s=7}",
+        )]
+
+
+class TestInlining:
+    def test_wire_with_a_child_driver_stays_a_leaf(self):
+        """``w`` is driven by an assign and by a child's output: inlining
+        its assign would prove ``y`` from one of two drivers."""
+
+        def build(y: str) -> Netlist:
+            buf = Module("buf")
+            buf.input("i", 4)
+            buf.output("o", 4)
+            buf.assign("o", "i")
+            top = Module("top")
+            top.input("clk")
+            top.input("a", 4)
+            top.output("y", 5)
+            top.wire("w", 4)
+            top.assign("w", "a")
+            top.instantiate(buf, "u", {"i": "a", "o": "w"})
+            top.assign("y", y)
+            netlist = Netlist("top")
+            netlist.add(buf)
+            netlist.add(top)
+            return netlist
+
+        result = check_equivalence(build("w + 4'd1"), build("a + 4'd1"))
+        assert result.ok
+        assert result.stats["cones"] == 3
+        assert result.stats["proved_structural"] == 2
+        assert result.stats["deferred_to_differential"] == 1
 
 
 class TestByteIdenticalSimulation:

@@ -6,12 +6,7 @@ from repro.core import Bounds, matmul_spec
 from repro.core.compiler import compile_design
 from repro.core.dataflow import output_stationary
 from repro.core.sparsity import csr_b_matrix
-from repro.exec.cache import (
-    CompileCache,
-    get_compile_cache,
-    persistent_compile_cache,
-    set_compile_cache,
-)
+from repro.exec.cache import CompileCache, persistent_compile_cache
 from repro.exec.store import DiskStore
 
 
@@ -240,19 +235,6 @@ class TestDiskTier:
         assert cache.store.root == str(tmp_path / "env-root")
         monkeypatch.setenv("STELLAR_CACHE_DIR", "off")
         assert persistent_compile_cache().store is None
-
-
-class TestGlobalCache:
-    def test_get_and_set(self):
-        previous = set_compile_cache(None)
-        try:
-            cache = get_compile_cache()
-            assert get_compile_cache() is cache
-            mine = CompileCache()
-            assert set_compile_cache(mine) is cache
-            assert get_compile_cache() is mine
-        finally:
-            set_compile_cache(previous)
 
 
 def test_stats_dict_shape():

@@ -1,12 +1,10 @@
 """Tests for the RTL interpreter's evaluation path: lazy settling and
-compiled expressions, checked against the equivalence checker's
-independent evaluator."""
+compiled expressions, checked against a direct walk of the tree."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.equiv import _evaluate
 from repro.obs.trace import tracing
 from repro.rtl.netlist import Module, Netlist, RTLError
 from repro.rtl.sim import RTLSimulator
@@ -294,10 +292,59 @@ class TestLazySettle:
 
 
 # ---------------------------------------------------------------------------
-# Compiled expressions against repro.analysis.equiv._evaluate
+# Compiled expressions against a direct walk of the tree
 # ---------------------------------------------------------------------------
 
 _WIDTHS = {"a": 1, "b": 8, "c": 16, "d": 64}
+
+
+def _tree_walk(node, env):
+    """The value of a memory-free ``node`` by a direct walk of its tree,
+    the reference the compiled code is held to.  A concat part or repl
+    body packs into a literal's size, a name's declared width,
+    ``hi - lo + 1`` of a slice (its bounds evaluated), else 32 bits."""
+    kind = node[0]
+
+    def walk(child):
+        return _tree_walk(child, env)
+
+    def packed(part):
+        value = walk(part)
+        if part[0] == "literal":
+            width = part[2]
+        elif part[0] == "ref":
+            width = _WIDTHS[part[1]]
+        elif part[0] == "slice":
+            width = walk(part[2]) - walk(part[3]) + 1
+        else:
+            width = 32
+        return width, value & ((1 << width) - 1)
+
+    if kind == "literal":
+        return node[1] & ((1 << node[2]) - 1)
+    if kind == "ref":
+        return env[node[1]]
+    if kind == "index":
+        index = walk(node[2])
+        return (walk(node[1]) >> index) & 1
+    if kind == "slice":
+        value, hi, lo = walk(node[1]), walk(node[2]), walk(node[3])
+        return (value >> lo) & ((1 << (hi - lo + 1)) - 1)
+    if kind in ("concat", "repl"):
+        parts = node[1] if kind == "concat" else [node[2]] * walk(node[1])
+        out = 0
+        for width, value in map(packed, parts):
+            out = (out << width) | value
+        return out
+    if kind == "unop":
+        value = walk(node[2])
+        return {"!": int(not value), "~": ~value, "-": -value}[node[1]]
+    lhs, rhs = walk(node[2]), walk(node[3])
+    return int({
+        "+": lhs + rhs, "-": lhs - rhs, "*": lhs * rhs, "&": lhs & rhs,
+        "|": lhs | rhs, "==": lhs == rhs, "!=": lhs != rhs, "<": lhs < rhs,
+        "<=": lhs <= rhs, ">": lhs > rhs, ">=": lhs >= rhs,
+    }[node[1]])
 
 
 def _literal(value: int, width: int = 32):
@@ -387,11 +434,11 @@ def sim() -> RTLSimulator:
 class TestCompiledEvaluation:
     @settings(max_examples=300, deadline=None)
     @given(node=_expressions, env=_environments)
-    def test_matches_equiv_evaluator(self, sim, node, env):
+    def test_matches_tree_walk(self, sim, node, env):
         for name, value in env.items():
             sim.poke(name, value)
         compiled = sim.top.expression(node)
-        assert compiled() == _evaluate(node, env, _WIDTHS, set())
+        assert compiled() == _tree_walk(node, env)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -405,7 +452,7 @@ class TestCompiledEvaluation:
         node = ("concat", [("slice", ("ref", "d"), *pair) for pair in bounds])
         node = ("repl", ("binop", "&", ("ref", "b"), _literal(3)), node)
         compiled = sim.top.expression(node)
-        assert compiled() == _evaluate(node, env, _WIDTHS, set())
+        assert compiled() == _tree_walk(node, env)
 
     def test_writes_at_computed_positions(self):
         module = Module("scatter")

@@ -52,19 +52,14 @@ def trace_digest(netlist, module_name: str) -> str:
         if p.direction is PortDir.INPUT and p.name not in ("clk", "rst")
     ]
     schedule = [
-        {p.name: rng.getrandbits(p.width) for p in inputs}
-        for _ in range(CYCLES + 1)
+        [rng.getrandbits(p.width) for p in inputs] for _ in range(CYCLES + 1)
     ]
-
-    def stimulus(cycle, sim):
-        for name, value in schedule[cycle].items():
-            sim.poke(name, value)
-
     trace = capture_rtl_trace(
         RTLSimulator(netlist, top=module_name),
         cycles=CYCLES,
-        stimulus=stimulus,
         reset_cycles=RESET_CYCLES,
+        inputs=[p.name for p in inputs],
+        schedule=schedule,
     )
     assert all(type(v) is int for series in trace.values() for v in series)
     text = json.dumps(trace, sort_keys=True, separators=(",", ":"))
