@@ -16,10 +16,12 @@ on first failure, so ``repro check`` can report everything at once.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..core.balancing import LoadBalancingScheme
-from ..core.dataflow import SpaceTimeTransform
+from ..core.dataflow import SpaceTimeTransform, lex_order, run_starts
 from ..core.expr import Bounds
 from ..core.functionality import FunctionalSpec
 from ..core.sparsity import SparsityStructure
@@ -29,8 +31,8 @@ from .diagnostics import Diagnostic, Severity, suppress as _suppress
 #: ``repro.rtl.lowering._lower_pe``); space coordinates must fit.
 _COORD_BITS = 16
 
-#: Injectivity is checked by exhaustive enumeration up to this many
-#: iteration points; larger domains are sampled per-axis instead.
+#: Injectivity and the PE grid are checked over the whole domain's
+#: space-time image up to this many iteration points.
 _MAX_ENUMERATED_POINTS = 1 << 16
 
 
@@ -148,9 +150,18 @@ def check_spec_transform(
             )
         )
 
-    diagnostics.extend(_check_injectivity(spec, bounds, transform))
+    # Linear maps collide on a full domain iff they collide on a difference
+    # vector; an invertible matrix never does, so for big domains the
+    # constructor's invertibility check already covers injectivity.  The
+    # grid checks are skipped there too.
+    image = None
+    if bounds.point_count(order) <= _MAX_ENUMERATED_POINTS:
+        points = bounds.grid(order)
+        image = transform.image(points)
+        diagnostics.extend(_check_injectivity(spec, points, image))
     diagnostics.extend(_check_causality(spec, transform))
-    diagnostics.extend(_check_grid(spec, bounds, transform))
+    if image is not None:
+        diagnostics.extend(_check_grid(spec, image, transform.space_dims))
     return diagnostics
 
 
@@ -174,34 +185,35 @@ def check_spec_annotations(
 
 
 def _check_injectivity(
-    spec: FunctionalSpec, bounds: Bounds, transform: SpaceTimeTransform
+    spec: FunctionalSpec, points: np.ndarray, image: np.ndarray
 ) -> List[Diagnostic]:
     """Two iteration points mapped to the same (space, time) coordinate
-    would execute in the same PE at the same cycle."""
-    order = spec.index_names
-    if bounds.point_count(order) > _MAX_ENUMERATED_POINTS:
-        # Linear maps collide on a full domain iff they collide on a
-        # difference vector; an invertible matrix never does, so for big
-        # domains the constructor's invertibility check already covers us.
+    would execute in the same PE at the same cycle.  Reports the first
+    collision in point order: the earliest point whose image an earlier
+    point already has, and the first point with that image."""
+    order = lex_order(image)
+    starts = run_starts(image[order])
+    if starts.all():
         return []
-    seen: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    for point in bounds.domain(order):
-        image = transform.apply(point)
-        other = seen.get(image)
-        if other is not None:
-            return [
-                Diagnostic(
-                    "STL-SP-003",
-                    Severity.ERROR,
-                    "spec",
-                    f"transform is not injective: iterations {other} and"
-                    f" {point} both map to space-time {image}",
-                    location=spec.name,
-                    suggestion="use an invertible space-time matrix",
-                )
-            ]
-        seen[image] = point
-    return []
+    # Each run of equal images lists its points in point order (the sort
+    # is stable), so a run's start is its first point.
+    run_first = order[starts][np.cumsum(starts) - 1]
+    later = np.flatnonzero(~starts)
+    at = later[np.argmin(order[later])]
+    point = tuple(points[order[at]].tolist())
+    other = tuple(points[run_first[at]].tolist())
+    mapped = tuple(image[order[at]].tolist())
+    return [
+        Diagnostic(
+            "STL-SP-003",
+            Severity.ERROR,
+            "spec",
+            f"transform is not injective: iterations {other} and"
+            f" {point} both map to space-time {mapped}",
+            location=spec.name,
+            suggestion="use an invertible space-time matrix",
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +261,12 @@ def _check_causality(
 
 
 def _check_grid(
-    spec: FunctionalSpec, bounds: Bounds, transform: SpaceTimeTransform
+    spec: FunctionalSpec, image: np.ndarray, space_dims: int
 ) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
-    order = spec.index_names
-    if bounds.point_count(order) > _MAX_ENUMERATED_POINTS:
-        return diagnostics
-    footprint = transform.footprint(bounds, order)
-    box = footprint.bounding_box()
+    # The PE footprint's bounding box: each space column's extent.
+    space = image[:, :space_dims]
+    box = tuple(zip(space.min(axis=0).tolist(), space.max(axis=0).tolist()))
     if any(hi >= (1 << _COORD_BITS) for _, hi in box):
         diagnostics.append(
             Diagnostic(

@@ -16,7 +16,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..exec.cache import CompileCache
 
 from .balancing import LoadBalancingScheme
-from .dataflow import SpaceTimeTransform, classify_dataflow, validate_schedule
+from .dataflow import (
+    SpaceTimeTransform,
+    classify_dataflow,
+    distinct_rows,
+    validate_schedule,
+)
 from .expr import Bounds
 from .functionality import FunctionalSpec
 from .iterspace import (
@@ -277,23 +282,18 @@ def _plan_regfiles(
     data_dependent = spec.has_data_dependent_accesses()
     sparse_iters = sparsity.skipped_iterators()
 
-    for variable in sorted(
-        {io.variable for io in pruned.io_conns}
-        | set(spec.difference_vectors())
-    ):
-        inputs = [
-            io for io in pruned.io_for(variable) if io.direction is IODirection.INPUT
-        ]
-        outputs = [
-            io for io in pruned.io_for(variable) if io.direction is IODirection.OUTPUT
-        ]
-        if not inputs and not outputs:
+    io = pruned.io
+    # The PE position of each IO request.
+    sites = transform.image(pruned.points[io.point])[:, : transform.space_dims]
+
+    for variable in sorted(set(io.variables()) | set(spec.difference_vectors())):
+        inputs = io.rows(variable, IODirection.INPUT)
+        outputs = io.rows(variable, IODirection.OUTPUT)
+        if not len(inputs) and not len(outputs):
             continue
 
         consumer = consumption_order(pruned, transform, variable, IODirection.INPUT)
-        tensor = next((io.tensor for io in inputs if io.tensor), None) or next(
-            (io.tensor for io in outputs if io.tensor), None
-        )
+        tensor = io.tensor_of(inputs) or io.tensor_of(outputs)
         producer = None
         if tensor is not None and tensor in membufs:
             producer = _producer_order_for(membufs[tensor], consumer)
@@ -305,19 +305,13 @@ def _plan_regfiles(
         # Port counts: one regfile port per distinct PE position touching
         # this variable (after pruning, IO may reach interior PEs -- the
         # "more ports to outer register files" cost of Figure 4).
-        in_positions = {
-            transform.space(io.point.coords) for io in inputs
-        }
-        out_positions = {
-            transform.space(io.point.coords) for io in outputs
-        }
         plans[variable] = choose_regfile(
             variable,
             producer,
             consumer,
             entries=entries,
-            in_ports=max(1, len(in_positions)),
-            out_ports=max(1, len(out_positions)),
+            in_ports=max(1, len(distinct_rows(sites[inputs]))),
+            out_ports=max(1, len(distinct_rows(sites[outputs]))),
             element_bits=element_bits,
             data_dependent=data_dependent or dep_sparse,
         )

@@ -20,6 +20,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .expr import Bounds, SpecError, exact_inverse
 from .functionality import FunctionalSpec
 
@@ -150,15 +152,28 @@ class SpaceTimeTransform:
         matrix = [list(r) for r in self.matrix[:-1]] + [list(row)]
         return SpaceTimeTransform(matrix, self.space_dims)
 
+    def image(self, points: np.ndarray) -> np.ndarray:
+        """Map an ``(N, rank)`` array of iteration points to their
+        ``(N, rank)`` space-time coordinates: ``points @ T.T``, each row
+        ``apply`` of the matching point."""
+        if points.shape[1] != self.rank:
+            raise SpecError(
+                f"point has {points.shape[1]} coordinates, transform expects"
+                f" {self.rank}"
+            )
+        return points @ np.array(self.matrix, dtype=np.int64).T
+
     def footprint(self, bounds: Bounds, order: Sequence[str]) -> "ArrayFootprint":
-        """Enumerate the physical PEs and schedule length for a domain."""
-        spaces = set()
-        times = set()
-        for point in bounds.domain(order):
-            st = self.apply(point)
-            spaces.add(st[: self.space_dims])
-            times.add(st[self.space_dims:])
-        return ArrayFootprint(frozenset(spaces), min(times), max(times))
+        """The physical PEs and schedule length for a domain."""
+        image = self.image(bounds.grid(order))
+        positions = distinct_rows(image[:, : self.space_dims]).tolist()
+        times = image[:, self.space_dims:]
+        by_time = lex_order(times)
+        return ArrayFootprint(
+            frozenset(tuple(p) for p in positions),
+            tuple(times[by_time[0]].tolist()),
+            tuple(times[by_time[-1]].tolist()),
+        )
 
     def __repr__(self) -> str:
         rows = "; ".join(" ".join(str(v) for v in row) for row in self.matrix)
@@ -194,6 +209,29 @@ class ArrayFootprint:
         for lo, hi in box:
             expected *= hi - lo + 1
         return expected == self.pe_count
+
+
+def lex_order(rows: np.ndarray) -> np.ndarray:
+    """A stable argsort of the rows of a 2-D int array in lexicographic
+    (tuple) order: equal rows keep their relative order."""
+    if rows.shape[1] == 0:
+        return np.arange(len(rows))
+    return np.lexsort(rows.T[::-1])
+
+
+def run_starts(sorted_rows: np.ndarray) -> np.ndarray:
+    """Which rows of a lexicographically sorted array begin a run of
+    equal rows: with :func:`lex_order`, the first occurrence of each
+    distinct row."""
+    starts = np.ones(len(sorted_rows), dtype=bool)
+    starts[1:] = (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1)
+    return starts
+
+
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D int array, in lexicographic order."""
+    ordered = rows[lex_order(rows)]
+    return ordered[run_starts(ordered)]
 
 
 # ---------------------------------------------------------------------------

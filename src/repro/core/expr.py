@@ -20,6 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 
 class SpecError(ValueError):
     """Raised when a specification is malformed or inconsistent."""
@@ -245,21 +247,27 @@ class Bounds:
         lo, hi = self._ranges[name]
         return hi - lo + 1
 
+    def grid(self, order: Sequence[str]) -> np.ndarray:
+        """The iteration domain as an ``(N, rank)`` int64 array, one row
+        per point in lexicographic order (the last index varies fastest).
+
+        This is the one enumeration of the domain: the compiler's
+        iteration space, the spec checks and the simulators all start
+        from it, and :meth:`domain` iterates its rows."""
+        axes = [
+            np.arange(self._ranges[n][0], self._ranges[n][1] + 1, dtype=np.int64)
+            for n in order
+        ]
+        if not axes:
+            return np.zeros((1, 0), dtype=np.int64)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
     def domain(self, order: Sequence[str]) -> Iterable[Tuple[int, ...]]:
-        """Yield every point of the iteration domain in lexicographic order."""
-        ranges = [range(self._ranges[n][0], self._ranges[n][1] + 1) for n in order]
-
-        def rec(prefix, remaining):
-            if not remaining:
-                yield tuple(prefix)
-                return
-            head, rest = remaining[0], remaining[1:]
-            for value in head:
-                prefix.append(value)
-                yield from rec(prefix, rest)
-                prefix.pop()
-
-        yield from rec([], ranges)
+        """Yield every point of the iteration domain in lexicographic
+        order, as a tuple of ints per row of :meth:`grid`."""
+        for row in self.grid(order).tolist():
+            yield tuple(row)
 
     def point_count(self, order: Sequence[str]) -> int:
         total = 1

@@ -1,34 +1,51 @@
 """The ``IterationSpace`` intermediate representation (paper Section IV-B).
 
-The compiler's central IR mirrors Figure 9: an :class:`IterationSpace` is a
-set of :class:`Point` s, each corresponding to one assignment of values to
-the tensor iterators; :class:`Point2PointConn` s describing data
-dependencies between points; and :class:`IOConn` s representing input or
-output requests to external register files.  The IR evolves in three
-stages:
+The compiler's central IR mirrors Figure 9 -- iteration points, the data
+dependencies between them, and input or output requests to external
+register files -- stored as columns over one domain grid, so that every
+compiler stage is an array operation:
 
-1. *Functional* (Figure 9a) -- built purely from the functional spec; one
-   point per iteration-domain element, connections along each variable's
-   difference vector, IO connections at domain boundaries.
+* the points are one ``(N, rank)`` int64 array, one row per assignment of
+  values to the tensor iterators, in lexicographic order (at elaboration,
+  exactly :meth:`Bounds.grid <repro.core.expr.Bounds.grid>`);
+* each variable's point-to-point connections are two row-index arrays
+  ``(src, dst)`` into the points, plus the one offset (its difference
+  vector) and bundle width they all share (:class:`VariableConns`);
+* the IO requests are columns, one row per request in request order:
+  the point's row index, the direction, the variable and the tensor
+  (:class:`IORequests`).
+
+The IR evolves in three stages:
+
+1. *Functional* (Figure 9a) -- built purely from the functional spec by
+   :func:`elaborate`: the whole grid; each variable's connections are the
+   grid shifted by its difference vector and masked to the bounds; IO
+   requests sit where column masks pick out the boundary planes on which
+   assignments load inputs or store outputs.
 2. *Pruned* (Figure 9b) -- after sparsity and load-balancing analyses
    remove connections no longer guaranteed to carry useful values and
-   replace them with IO connections (:mod:`repro.core.passes.prune`).
+   replace them with IO requests (:mod:`repro.core.passes.prune`).  A
+   rewrite re-indexes the columns; the points array is shared or masked,
+   never rebuilt point by point.
 3. *Physical* (Figure 9c) -- after the space-time transform maps points to
-   PEs; multiple iteration points that share space coordinates fold into a
+   PEs with one product ``points @ T.T`` (:func:`apply_transform`);
+   multiple iteration points that share space coordinates fold into a
    single PE with a time-varying role.  The :class:`PhysicalArray` is the
-   hardware, not a third point graph: it keeps the PE positions,
+   hardware, not a third iteration space: it keeps the PE positions,
    connections and port counts, and only counts of the points and IO
-   requests it was mapped from.
+   requests it was mapped from.  Every value on it is a plain Python int.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .dataflow import SpaceTimeTransform
-from .expr import Bounds, SpecError
-from .functionality import Assignment, AssignmentKind, FunctionalSpec
+import numpy as np
+
+from .dataflow import SpaceTimeTransform, distinct_rows
+from .expr import BoundMarker, Bounds, SpecError
+from .functionality import AssignmentKind, FunctionalSpec
 
 
 class IODirection(enum.Enum):
@@ -36,98 +53,127 @@ class IODirection(enum.Enum):
     OUTPUT = "output"
 
 
-class Point:
-    """One element of the tensor iteration space."""
+class VariableConns:
+    """One variable's point-to-point connections.
 
-    __slots__ = ("coords",)
+    Every connection of a variable runs along its difference vector, so
+    connection ``n`` is the row pair ``src[n] -> dst[n]`` into the space's
+    points, and all of them share ``offset`` (``dst - src``) and
+    ``bundle`` (>1 for OptimisticSkip widened connections, Figure 5).
+    """
 
-    def __init__(self, coords: Sequence[int]):
-        self.coords = tuple(coords)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Point) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return f"Point{self.coords}"
-
-
-class Point2PointConn:
-    """A data dependency between two iteration points for one variable."""
-
-    __slots__ = ("variable", "src", "dst", "bundle")
-
-    def __init__(self, variable: str, src: Point, dst: Point, bundle: int = 1):
-        self.variable = variable
-        self.src = src
-        self.dst = dst
-        self.bundle = bundle  # >1 for OptimisticSkip widened connections
-
-    def offset(self) -> Tuple[int, ...]:
-        return tuple(d - s for s, d in zip(self.src.coords, self.dst.coords))
-
-    def __repr__(self) -> str:
-        wide = f" x{self.bundle}" if self.bundle > 1 else ""
-        return f"P2P({self.variable}: {self.src!r} -> {self.dst!r}{wide})"
-
-
-class IOConn:
-    """An input- or output-request to an external register file."""
-
-    __slots__ = ("variable", "point", "direction", "tensor")
+    __slots__ = ("offset", "bundle", "src", "dst")
 
     def __init__(
         self,
-        variable: str,
-        point: Point,
-        direction: IODirection,
-        tensor: Optional[str] = None,
+        offset: Sequence[int],
+        src: np.ndarray,
+        dst: np.ndarray,
+        bundle: int = 1,
     ):
-        self.variable = variable
+        self.offset = tuple(offset)
+        self.src = src
+        self.dst = dst
+        self.bundle = bundle
+
+    def __len__(self) -> int:
+        return len(self.dst)
+
+
+class IORequests:
+    """Requests to external register files, as columns in request order.
+
+    Row ``n`` is a request of variable ``variable[n]`` at point row
+    ``point[n]``, an input when ``is_input[n]``; ``tensor[n]`` names the
+    backing tensor, or is None for a request to the variable's own
+    regfile (one that pruning added).  The name columns are object arrays
+    holding the spec's own ``str`` objects, so every name the compiler
+    reads back from them is the object the spec holds.
+    """
+
+    __slots__ = ("point", "is_input", "variable", "tensor")
+
+    def __init__(
+        self,
+        point: np.ndarray,
+        is_input: np.ndarray,
+        variable: np.ndarray,
+        tensor: np.ndarray,
+    ):
         self.point = point
-        self.direction = direction
+        self.is_input = is_input
+        self.variable = variable
         self.tensor = tensor
 
-    def __repr__(self) -> str:
-        arrow = "<-" if self.direction is IODirection.INPUT else "->"
-        target = self.tensor or "regfile"
-        return f"IO({self.variable} @ {self.point!r} {arrow} {target})"
+    @classmethod
+    def concat(cls, parts: Sequence["IORequests"]) -> "IORequests":
+        if not parts:
+            return cls(
+                np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=bool),
+                np.zeros(0, dtype=object),
+                np.zeros(0, dtype=object),
+            )
+        return cls(*(
+            np.concatenate([getattr(part, column) for part in parts])
+            for column in cls.__slots__
+        ))
+
+    def __len__(self) -> int:
+        return len(self.point)
+
+    def variables(self) -> List[str]:
+        """The variables with requests, in order of their first request."""
+        _, first = np.unique(self.variable, return_index=True)
+        return [self.variable[i] for i in np.sort(first)]
+
+    def rows(
+        self, variable: str, direction: Optional[IODirection] = None
+    ) -> np.ndarray:
+        """The indices of ``variable``'s requests (in ``direction`` only,
+        when given), in request order."""
+        mask = self.variable == variable
+        if direction is not None:
+            mask &= self.is_input == (direction is IODirection.INPUT)
+        return np.flatnonzero(mask)
+
+    def tensor_of(self, rows: np.ndarray) -> Optional[str]:
+        """The tensor of the first of ``rows`` that names one."""
+        return next((t for t in self.tensor[rows] if t), None)
 
 
 class IterationSpace:
-    """The compiler IR: points, connections, IO requests (Figure 9)."""
+    """The compiler IR: points, connections, IO requests (Figure 9).
+
+    ``conns`` maps each variable with at least one connection to its
+    :class:`VariableConns`, in the spec's difference-vector order.
+    Instances are never mutated; rewrites return new spaces that share
+    the columns they do not change.
+    """
 
     def __init__(
         self,
         spec: FunctionalSpec,
         bounds: Bounds,
-        points: Iterable[Point],
-        p2p_conns: Iterable[Point2PointConn],
-        io_conns: Iterable[IOConn],
+        points: np.ndarray,
+        conns: Mapping[str, VariableConns],
+        io: IORequests,
     ):
         self.spec = spec
         self.bounds = bounds
-        self.points: List[Point] = list(points)
-        self.p2p_conns: List[Point2PointConn] = list(p2p_conns)
-        self.io_conns: List[IOConn] = list(io_conns)
+        self.points = points
+        self.conns: Dict[str, VariableConns] = dict(conns)
+        self.io = io
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
-    def conns_for(self, variable: str) -> List[Point2PointConn]:
-        return [c for c in self.p2p_conns if c.variable == variable]
-
-    def io_for(self, variable: str) -> List[IOConn]:
-        return [c for c in self.io_conns if c.variable == variable]
-
     def connected_variables(self) -> FrozenSet[str]:
-        return frozenset(c.variable for c in self.p2p_conns)
+        return frozenset(self.conns)
 
     def conn_count(self) -> int:
-        return len(self.p2p_conns)
+        return sum(len(conns) for conns in self.conns.values())
 
     # ------------------------------------------------------------------
     # Rewrites
@@ -138,44 +184,72 @@ class IterationSpace:
     ) -> "IterationSpace":
         """Remove every connection of the given variables, optionally
         replacing each removed connection with regfile IO at its endpoints
-        (the Figure 2a -> Figure 4 rewrite)."""
+        (the Figure 2a -> Figure 4 rewrite): an input at its destination
+        and an output at its source, each added once per point."""
         doomed = set(variables)
-        kept = [c for c in self.p2p_conns if c.variable not in doomed]
-        new_io = list(self.io_conns)
+        kept = {v: c for v, c in self.conns.items() if v not in doomed}
+        parts = [self.io]
         if replace_with_io:
-            existing = {
-                (c.variable, c.point, c.direction) for c in self.io_conns
-            }
-            for conn in self.p2p_conns:
-                if conn.variable not in doomed:
-                    continue
-                for point, direction in (
-                    (conn.dst, IODirection.INPUT),
-                    (conn.src, IODirection.OUTPUT),
-                ):
-                    key = (conn.variable, point, direction)
-                    if key not in existing:
-                        existing.add(key)
-                        new_io.append(IOConn(conn.variable, point, direction))
-        return IterationSpace(self.spec, self.bounds, self.points, kept, new_io)
+            for variable, conns in self.conns.items():
+                if variable in doomed:
+                    parts.append(self._endpoint_io(variable, conns))
+        return IterationSpace(
+            self.spec, self.bounds, self.points, kept, IORequests.concat(parts)
+        )
+
+    def _endpoint_io(self, variable: str, conns: VariableConns) -> IORequests:
+        # Connection by connection: (dst, input), then (src, output).
+        point = np.stack([conns.dst, conns.src], axis=1).reshape(-1)
+        is_input = np.tile([True, False], len(conns))
+        keys = point * 2 + is_input
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        existing = self.io.rows(variable)
+        taken = self.io.point[existing] * 2 + self.io.is_input[existing]
+        first = first[~np.isin(keys[first], taken)]
+        return IORequests(
+            point[first],
+            is_input[first],
+            _repeated(variable, len(first)),
+            _repeated(None, len(first)),
+        )
 
     def widened(self, variable: str, bundle: int) -> "IterationSpace":
         """Widen a variable's connections to carry value bundles
         (OptimisticSkip, Figure 5)."""
-        conns = [
-            Point2PointConn(c.variable, c.src, c.dst, bundle)
-            if c.variable == variable
-            else c
-            for c in self.p2p_conns
-        ]
-        return IterationSpace(self.spec, self.bounds, self.points, conns, self.io_conns)
+        conns = dict(self.conns)
+        if variable in conns:
+            old = conns[variable]
+            conns[variable] = VariableConns(old.offset, old.src, old.dst, bundle)
+        return IterationSpace(self.spec, self.bounds, self.points, conns, self.io)
+
+    def restricted(self, keep: np.ndarray) -> "IterationSpace":
+        """The space on the points where the bool mask ``keep`` holds:
+        connections with both endpoints kept and requests at kept points
+        survive, re-indexed to the kept rows."""
+        row_of = np.cumsum(keep) - 1
+        conns = {}
+        for variable, old in self.conns.items():
+            both = keep[old.src] & keep[old.dst]
+            if both.any():
+                conns[variable] = VariableConns(
+                    old.offset, row_of[old.src[both]], row_of[old.dst[both]],
+                    old.bundle,
+                )
+        io = self.io
+        rows = np.flatnonzero(keep[io.point])
+        io = IORequests(
+            row_of[io.point[rows]], io.is_input[rows], io.variable[rows],
+            io.tensor[rows],
+        )
+        return IterationSpace(self.spec, self.bounds, self.points[keep], conns, io)
 
 
 def elaborate(spec: FunctionalSpec, bounds: Bounds) -> IterationSpace:
     """Build the functional-stage IR of Figure 9a.
 
     One point per element of the iteration domain; per-variable connections
-    along the variable's difference vector; IO connections where boundary
+    along the variable's difference vector; IO requests where boundary
     assignments load inputs or store outputs.
     """
     order = spec.index_names
@@ -183,88 +257,98 @@ def elaborate(spec: FunctionalSpec, bounds: Bounds) -> IterationSpace:
         if name not in bounds:
             raise SpecError(f"bounds missing index {name!r}")
 
-    points = [Point(coords) for coords in bounds.domain(order)]
-    point_set = set(points)
+    points = bounds.grid(order)
+    lows = np.array([bounds[name][0] for name in order], dtype=np.int64)
+    highs = np.array([bounds[name][1] for name in order], dtype=np.int64)
+    # Row-major strides: the row of a point is ``(point - lows) @ strides``.
+    sizes = highs - lows + 1
+    strides = np.ones(len(order), dtype=np.int64)
+    for axis in range(len(order) - 2, -1, -1):
+        strides[axis] = strides[axis + 1] * sizes[axis + 1]
 
-    p2p: List[Point2PointConn] = []
+    conns: Dict[str, VariableConns] = {}
     for variable, d in spec.difference_vectors().items():
         if all(v == 0 for v in d):
             continue
-        for point in points:
-            src = Point(tuple(c - delta for c, delta in zip(point.coords, d)))
-            if src in point_set:
-                p2p.append(Point2PointConn(variable, src, point))
+        delta = np.array(d, dtype=np.int64)
+        src = points - delta
+        dst = np.flatnonzero(((src >= lows) & (src <= highs)).all(axis=1))
+        if len(dst):
+            conns[variable] = VariableConns(d, dst - int(delta @ strides), dst)
 
-    io: List[IOConn] = []
+    local_names = {v.name for v in spec.locals()}
+    parts: List[IORequests] = []
     for assignment in spec.assignments:
         if assignment.kind is AssignmentKind.INPUT:
             tensor = next(
                 (
                     access.target.name
                     for access in assignment.rhs.references()
-                    if access.target.name not in {v.name for v in spec.locals()}
+                    if access.target.name not in local_names
                 ),
                 None,
             )
-            for point in _boundary_points(assignment, spec, bounds, points):
-                io.append(
-                    IOConn(assignment.variable.name, point, IODirection.INPUT, tensor)
-                )
+            rows = _plane_rows(
+                points, order, bounds, assignment.boundary_conditions().items()
+            )
+            parts.append(IORequests(
+                rows,
+                np.ones(len(rows), dtype=bool),
+                _repeated(assignment.variable.name, len(rows)),
+                _repeated(tensor, len(rows)),
+            ))
         elif assignment.kind is AssignmentKind.OUTPUT:
-            source_locals = {
-                access.target.name
+            # Requests run point by point, each point's locals in the
+            # set's iteration order.
+            source_locals = list({
+                access.target.name for access in assignment.rhs.references()
+            })
+            # Outputs fire where the RHS's bound markers hold (e.g.
+            # k == k.upperBound).
+            rows = _plane_rows(points, order, bounds, [
+                (sub.index.name, sub.which)
                 for access in assignment.rhs.references()
-            }
-            for point in _output_points(assignment, spec, bounds, points):
-                for local_name in source_locals:
-                    io.append(
-                        IOConn(
-                            local_name,
-                            point,
-                            IODirection.OUTPUT,
-                            assignment.lhs.target.name,
-                        )
-                    )
+                for sub in access.subscripts
+                if isinstance(sub, BoundMarker)
+            ])
+            parts.append(IORequests(
+                np.repeat(rows, len(source_locals)),
+                np.zeros(len(rows) * len(source_locals), dtype=bool),
+                np.tile(np.array(source_locals, dtype=object), len(rows)),
+                _repeated(
+                    assignment.lhs.target.name, len(rows) * len(source_locals)
+                ),
+            ))
 
-    return IterationSpace(spec, bounds, points, p2p, io)
+    return IterationSpace(spec, bounds, points, conns, IORequests.concat(parts))
 
 
-def _boundary_points(
-    assignment: Assignment,
-    spec: FunctionalSpec,
+def _repeated(name: Optional[str], count: int) -> np.ndarray:
+    """An object column holding ``name`` itself ``count`` times.  ``np.full``
+    would store converted copies; names read back from the columns reach
+    the compiled design, and its pickle writes one shared string once but
+    each equal copy in full."""
+    column = np.empty(count, dtype=object)
+    column.fill(name)
+    return column
+
+
+def _plane_rows(
+    points: np.ndarray,
+    order: Sequence[str],
     bounds: Bounds,
-    points: Sequence[Point],
-) -> Iterable[Point]:
-    conditions = assignment.boundary_conditions()
+    markers: Iterable[Tuple[str, str]],
+) -> np.ndarray:
+    """The rows of ``points`` on the boundary plane the ``(index, "lb" |
+    "ub")`` markers pin (a later marker of one index wins)."""
     targets = {}
-    for name, which in conditions.items():
+    for name, which in markers:
         lo, hi = bounds[name]
-        targets[spec.index_names.index(name)] = lo if which == "lb" else hi
-    for point in points:
-        if all(point.coords[axis] == val for axis, val in targets.items()):
-            yield point
-
-
-def _output_points(
-    assignment: Assignment,
-    spec: FunctionalSpec,
-    bounds: Bounds,
-    points: Sequence[Point],
-) -> Iterable[Point]:
-    # Outputs fire where the RHS's bound markers hold (e.g. k == k.upperBound).
-    from .expr import BoundMarker
-
-    targets = {}
-    for access in assignment.rhs.references():
-        for sub in access.subscripts:
-            if isinstance(sub, BoundMarker):
-                lo, hi = bounds[sub.index.name]
-                targets[spec.index_names.index(sub.index.name)] = (
-                    lo if sub.which == "lb" else hi
-                )
-    for point in points:
-        if all(point.coords[axis] == val for axis, val in targets.items()):
-            yield point
+        targets[order.index(name)] = lo if which == "lb" else hi
+    mask = np.ones(len(points), dtype=bool)
+    for axis, value in targets.items():
+        mask &= points[:, axis] == value
+    return np.flatnonzero(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -368,52 +452,42 @@ def apply_transform(
             f" {iterspace.spec.index_names}"
         )
 
-    positions: Set[Tuple[int, ...]] = set()
-    times: List[int] = []
-    for point in iterspace.points:
-        st = transform.apply(point.coords)
-        positions.add(st[: transform.space_dims])
-        times.append(st[transform.space_dims])
+    space_dims = transform.space_dims
+    image = transform.image(iterspace.points)
+    positions = [tuple(p) for p in distinct_rows(image[:, :space_dims]).tolist()]
+    times = image[:, space_dims]
+    schedule_length = int(times.max() - times.min() + 1) if len(times) else 0
 
-    # Uniform connections: every variable's connections share one offset by
-    # construction (difference vectors are constant), so deduplicate before
-    # mapping -- an invertible T keeps distinct offsets distinct.
-    seen: Dict[Tuple[str, Tuple[int, ...], int], PhysicalConn] = {}
-    for conn in iterspace.p2p_conns:
-        offset = conn.offset()
-        key = (conn.variable, offset, conn.bundle)
-        if key in seen:
-            continue
+    # Uniform connections: all of a variable's connections share one
+    # offset, and an invertible T keeps distinct offsets distinct, so each
+    # connected variable maps to one physical connection.
+    conns: List[PhysicalConn] = []
+    for variable, variable_conns in iterspace.conns.items():
+        offset = variable_conns.offset
         dt = transform.time_delta(offset)
         if dt < 0:
             raise SpecError(
-                f"transform violates causality for {conn.variable!r}"
+                f"transform violates causality for {variable!r}"
                 f" (time delta {dt})"
             )
         disp = transform.apply(offset)
-        seen[key] = PhysicalConn(
-            conn.variable,
-            disp[: transform.space_dims],
-            disp[transform.space_dims],
-            conn.bundle,
-        )
+        conns.append(PhysicalConn(
+            variable, disp[:space_dims], disp[space_dims], variable_conns.bundle
+        ))
 
-    io_ports: Dict[str, int] = {}
-    io_sites: Set[Tuple[str, Tuple[int, ...]]] = set()
-    inputs = 0
-    for io in iterspace.io_conns:
-        space = transform.space(io.point.coords)
-        if (io.variable, space) not in io_sites:
-            io_sites.add((io.variable, space))
-            io_ports[io.variable] = io_ports.get(io.variable, 0) + 1
-        inputs += io.direction is IODirection.INPUT
-
-    schedule_length = (max(times) - min(times) + 1) if times else 0
+    # One regfile port per distinct PE position a variable's requests reach.
+    io = iterspace.io
+    sites = image[io.point, :space_dims]
+    io_ports = {
+        variable: len(distinct_rows(sites[io.rows(variable)]))
+        for variable in io.variables()
+    }
+    inputs = int(io.is_input.sum())
     return PhysicalArray(
-        sorted(positions),
+        positions,
         len(iterspace.points),
-        list(seen.values()),
+        conns,
         io_ports,
-        (inputs, len(iterspace.io_conns) - inputs),
+        (inputs, len(io) - inputs),
         schedule_length,
     )

@@ -24,7 +24,8 @@ have ``Dep(c) = {i, j}`` and ``d = (0, 0, 1)``.  Since ``j in Dep(c)`` and
 Figure 2a -> Figure 4 rewrite.
 
 Structured skips (conditions over indices only, e.g. ``i != k``) are
-evaluated at elaboration time and restrict the point set itself.
+evaluated at elaboration time, over the whole domain grid at once, and
+restrict the point set itself.
 
 Load-balancing rule
 -------------------
@@ -37,10 +38,12 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
+import numpy as np
+
 from ...obs.trace import get_tracer
 from ..balancing import LoadBalancingScheme
-from ..expr import EvalContext, SpecError
-from ..iterspace import IterationSpace, Point
+from ..expr import SpecError
+from ..iterspace import IterationSpace
 from ..sparsity import SparsityStructure
 
 
@@ -99,7 +102,7 @@ def prune_for_sparsity(
     if expansion_deps:
         doomed: List[str] = []
         for variable, d in spec.difference_vectors().items():
-            if not result.conns_for(variable):
+            if variable not in result.conns:
                 continue
             dep_set = spec.dependence_set(variable)
             if not connection_survives(d, dep_set, expansion_deps, order):
@@ -152,22 +155,26 @@ def _optimistic_targets(
 def _restrict_points(
     iterspace: IterationSpace, structured_skips, report: PruneReport
 ) -> IterationSpace:
+    """Drop the points where any structured skip holds, evaluated over
+    the whole domain grid at once where the kernel's batched evaluator
+    takes the condition (:func:`repro.sim.kernel.skipped_mask`)."""
+    # Imported here: the simulator package imports the compiler.
+    from ...sim.kernel import skipped_mask
+
     spec = iterspace.spec
     bounds = iterspace.bounds
-
-    def keep(point: Point) -> bool:
-        env = dict(zip(spec.index_names, point.coords))
-        ctx = EvalContext(env, bounds, _no_tensor_reads)
-        return not any(skip.condition.evaluate(ctx) for skip in structured_skips)
-
-    kept_points = [p for p in iterspace.points if keep(p)]
-    kept_set = set(kept_points)
-    report.removed_points = len(iterspace.points) - len(kept_points)
-    conns = [
-        c for c in iterspace.p2p_conns if c.src in kept_set and c.dst in kept_set
+    order = spec.index_names
+    on_grid = skipped_mask(
+        spec, bounds, {}, [skip.condition for skip in structured_skips],
+        _no_tensor_reads,
+    )
+    lows = np.array([bounds[name][0] for name in order], dtype=np.int64)
+    shape = tuple(bounds.size(name) for name in order)
+    skipped = on_grid[
+        np.ravel_multi_index(tuple((iterspace.points - lows).T), shape)
     ]
-    io = [c for c in iterspace.io_conns if c.point in kept_set]
-    return IterationSpace(spec, bounds, kept_points, conns, io)
+    report.removed_points = int(skipped.sum())
+    return iterspace.restricted(~skipped)
 
 
 def _no_tensor_reads(symbol, coords):
@@ -195,7 +202,7 @@ def prune_for_balancing(
     index_of = {name: axis for axis, name in enumerate(order)}
     doomed: List[str] = []
     for variable, d in spec.difference_vectors().items():
-        if not iterspace.conns_for(variable):
+        if variable not in iterspace.conns:
             continue
         if any(d[index_of[name]] != 0 for name in axes if name in index_of):
             doomed.append(variable)

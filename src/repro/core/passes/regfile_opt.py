@@ -19,7 +19,7 @@ regfile variant whose access pattern can be *proven* at elaboration time:
 
 Producer orders come from memory buffers with hardcoded read parameters
 (Listing 6 / Figure 13a); consumer orders come from the spatial array's
-``IOConn`` schedule under its space-time transform (Figure 13b).
+IO requests under its space-time transform (Figure 13b).
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ...obs.trace import get_tracer
-from ..dataflow import SpaceTimeTransform
+from ..dataflow import SpaceTimeTransform, lex_order, run_starts
 from ..iterspace import IODirection, IterationSpace
 
 
@@ -95,12 +97,15 @@ def consumption_order(
     direction: IODirection = IODirection.INPUT,
 ) -> Optional[List[Tuple[int, ...]]]:
     """The order in which a spatial array consumes (or produces) a
-    variable's elements, derived from its IOConns under the transform.
+    variable's elements, derived from its IO requests under the transform.
 
     Elements are identified by their dependence-set coordinates (e.g. B's
-    elements by ``(k, j)``); the order is by time step, then by physical
-    position, reproducing Figure 13b.  Returns None when the variable's
-    element identity cannot be statically determined (data-dependent specs).
+    elements by ``(k, j)``); each element counts once, at its first
+    request, and the order is by time step, then by physical position,
+    reproducing Figure 13b (an invertible transform gives every point its
+    own pair, so the order is total).  Returns None when the variable's
+    element identity cannot be statically determined (data-dependent
+    specs).
     """
     spec = iterspace.spec
     if spec.has_data_dependent_accesses():
@@ -109,25 +114,36 @@ def consumption_order(
     if subscripts is None:
         return None
 
-    events: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
-    seen = set()
-    for io in iterspace.io_conns:
-        if io.variable != variable or io.direction is not direction:
-            continue
-        st = transform.apply(io.point.coords)
-        t = st[transform.space_dims :]  # full time tuple (lexicographic)
-        pos = st[: transform.space_dims]
-        env = dict(zip(spec.index_names, io.point.coords))
-        element = tuple(
-            int(sub.evaluate(env, iterspace.bounds)) for sub in subscripts
-        )
-        if element not in seen:
-            seen.add(element)
-            events.append((t, pos, element))
-    if not events:
+    io = iterspace.io
+    points = iterspace.points[io.point[io.rows(variable, direction)]]
+    if not len(points):
         return None
-    events.sort(key=lambda e: (e[0], e[1]))
-    return [element for _, __, element in events]
+    elements = _element_columns(spec, iterspace.bounds, subscripts, points)
+    by_element = lex_order(elements)
+    first = by_element[run_starts(elements[by_element])]
+    image = transform.image(points[first])
+    space_dims = transform.space_dims
+    # Full time tuple (lexicographic) first, then the position.
+    keys = np.concatenate([image[:, space_dims:], image[:, :space_dims]], axis=1)
+    return [tuple(e) for e in elements[first[lex_order(keys)]].tolist()]
+
+
+def _element_columns(spec, bounds, subscripts, points: np.ndarray) -> np.ndarray:
+    """Each point's element coordinates, one column per subscript:
+    batched, or point by point where the batched evaluator declines."""
+    # Imported here: the simulator package imports the compiler.
+    from ...sim.kernel import KernelFallback, index_columns
+
+    try:
+        return index_columns(subscripts, spec.index_names, points, bounds)
+    except KernelFallback:
+        pass
+    rows = [
+        [int(sub.evaluate(dict(zip(spec.index_names, coords)), bounds))
+         for sub in subscripts]
+        for coords in points.tolist()
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(points), len(subscripts))
 
 
 def _element_subscripts(spec, variable: str, direction: IODirection):

@@ -259,26 +259,6 @@ def dump_rtl_vcd(
         return _dump_rtl_vcd(sim, handle, cycles, reset_cycles, signals)
 
 
-def capture_rtl_trace(
-    sim,
-    cycles: int = 16,
-    reset_cycles: int = 1,
-    inputs: Sequence[str] = (),
-    schedule: Optional[Sequence[Sequence[int]]] = None,
-) -> Dict[str, List[int]]:
-    """Run the RTL interpreter and capture every signal's cycle series.
-
-    The in-memory twin of :func:`dump_rtl_vcd`, stepped by the same
-    :meth:`~repro.rtl.sim.RTLSimulator.run`, which drives
-    ``schedule[cycle]`` into ``inputs`` before edge ``cycle``.  Returns
-    ``{signal_path: [v0, v1, ...]}`` -- one value per cycle, index 0
-    being the pre-step state -- with the paths in probe order.
-    """
-    paths = list(sim.signal_values())
-    rows = list(sim.run(paths, cycles, reset_cycles, inputs, schedule))
-    return dict(zip(paths, map(list, zip(*rows))))
-
-
 def _dump_rtl_vcd(sim, handle, cycles, reset_cycles, signals) -> int:
     # Widths come from one whole-hierarchy read; each cycle then samples
     # only the dumped paths, in probe order: the writer emits a cycle's

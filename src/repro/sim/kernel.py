@@ -60,7 +60,9 @@ from ..core.expr import (
     Bounds,
     Comparison,
     Const,
+    EvalContext,
     Expr,
+    IndexExpr,
     IndexValue,
     Local,
     Select,
@@ -671,6 +673,29 @@ def replay_interpret(
         return None
 
 
+def index_columns(
+    subscripts: Sequence,
+    names: Sequence[str],
+    points: np.ndarray,
+    bounds: Bounds,
+) -> np.ndarray:
+    """Every subscript evaluated at every row of the ``(N, rank)`` point
+    array ``points`` (columns named by ``names``), as an ``(N,
+    len(subscripts))`` int64 array.
+
+    Raises :class:`KernelFallback` for a subscript that is not an index
+    expression -- a wildcard or a data-dependent one -- which the caller
+    must evaluate point by point.
+    """
+    env = {name: points[:, axis] for axis, name in enumerate(names)}
+    out = np.empty((len(points), len(subscripts)), dtype=np.int64)
+    for column, sub in enumerate(subscripts):
+        if not isinstance(sub, IndexExpr):
+            raise KernelFallback(f"subscript {sub!r} is not an index expression")
+        out[:, column] = sub.evaluate(env, bounds)
+    return out
+
+
 def skip_mask(
     spec: FunctionalSpec,
     bounds: Bounds,
@@ -717,3 +742,54 @@ def skip_mask(
         raise KernelFallback(f"skip condition read out of range: {err}") from err
     mask = np.broadcast_to(np.asarray(value, dtype=bool), replayer.shape)
     return mask.reshape(-1)
+
+
+def condition_holds(condition: Expr, ctx: EvalContext) -> bool:
+    """Evaluate a skip condition at one point; a whole-row test
+    (:func:`~repro.core.sparsity.row_operand`) reads its row through
+    ``ctx.read`` and compares the row's any-nonzero flag."""
+    row = row_operand(condition)
+    if row is None:
+        return bool(condition.evaluate(ctx))
+    coords = tuple(
+        slice(None) if s is WILDCARD else int(s.evaluate(ctx.env, ctx.bounds))
+        for s in row.subscripts
+    )
+    value = 1 if np.asarray(ctx.read(row.target, coords)).any() else 0
+    return Comparison._OPS[condition.op](value, condition.rhs.evaluate(ctx))
+
+
+def skipped_mask(
+    spec: FunctionalSpec,
+    bounds: Bounds,
+    tensors: Mapping[str, np.ndarray],
+    conditions: Sequence[Expr],
+    read,
+    batched: bool = True,
+) -> np.ndarray:
+    """Where any of ``conditions`` holds, as a flat bool mask over the
+    rows of ``bounds.grid(spec.index_names)``.
+
+    With ``batched``, each condition is evaluated over the whole grid at
+    once (:func:`skip_mask`); a condition that raises
+    :class:`KernelFallback` is evaluated point at a time *on its own*,
+    reading tensors through ``read`` (:func:`condition_holds`), and OR-ed
+    into the batched mask -- one unsupported condition never discards the
+    batched work of its supported siblings.
+    """
+    order = spec.index_names
+    skipped = np.zeros(bounds.point_count(order), dtype=bool)
+    pointwise = list(conditions)
+    if batched:
+        pointwise = []
+        for condition in conditions:
+            try:
+                skipped |= skip_mask(spec, bounds, tensors, condition)
+            except KernelFallback:
+                pointwise.append(condition)
+    if pointwise:
+        for index, point in enumerate(bounds.grid(order).tolist()):
+            ctx = EvalContext(dict(zip(order, point)), bounds, read)
+            if any(condition_holds(c, ctx) for c in pointwise):
+                skipped[index] = True
+    return skipped

@@ -28,21 +28,13 @@ redistributes that work and shortens the schedule.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..core.compiler import CompiledDesign
-from ..core.expr import (
-    Comparison,
-    EvalContext,
-    Local,
-    Select,
-    SpecError,
-    WILDCARD,
-)
+from ..core.expr import Local, Select, SpecError
 from ..core.functionality import AssignmentKind, _dict_to_array, _Interpreter
-from ..core.sparsity import row_operand
 from ..obs.trace import get_tracer
 from .balancer import spatial_balanced_makespan
 from .counters import PerfCounters
@@ -155,9 +147,8 @@ class SpatialArraySim:
         # the PE-side ``T^-1`` round-trip (each PE's IO request generator)
         # is one more product against the integer numerator matrix --
         # exact, no per-point Fractions.
-        points = _domain_grid(design.bounds, spec.index_names)
-        tmat = np.array(transform.matrix, dtype=np.int64)
-        st = points @ tmat.T
+        points = design.bounds.grid(spec.index_names)
+        st = transform.image(points)
         numerators, denominator = transform.integer_inverse()
         scaled = st @ np.array(numerators, dtype=np.int64).T
         bad = (scaled % denominator != 0).any(axis=1) | (
@@ -345,8 +336,7 @@ class SpatialArraySim:
         # coordinates linearize into one lexicographic cycle number
         # (a transform folding e.g. a batch axis into a second time
         # dimension schedules each batch after the previous one).
-        tmat = np.array(transform.matrix, dtype=np.int64)
-        st = self._compress_points(valid) @ tmat.T
+        st = transform.image(self._compress_points(valid))
         rows = st[:, 0]
         times = _linearize_times(st[:, transform.space_dims:])
 
@@ -422,34 +412,19 @@ class SpatialArraySim:
         """Iteration points that survive the pessimistic skip conditions,
         as an ``(N, rank)`` array in lexicographic point order.
 
-        With ``vectorize``, each condition is evaluated over the whole
-        domain at once by the kernel's batched evaluator; a condition it
-        cannot take is evaluated point-at-a-time *on its own* and OR-ed
-        into the batched mask -- one unsupported condition never discards
-        the batched work of its supported siblings.
+        With ``vectorize``, each condition the kernel's batched evaluator
+        takes is evaluated over the whole domain at once, and any other
+        point at a time (:func:`repro.sim.kernel.skipped_mask`).
         """
         spec = self.design.spec
         bounds = self.design.bounds
-        skips = [s for s in self.design.sparsity if not s.optimistic]
-        points = _domain_grid(bounds, spec.index_names)
-        skipped = np.zeros(len(points), dtype=bool)
-        pointwise = skips
-        if self.vectorize:
-            pointwise = []
-            for skip in skips:
-                try:
-                    skipped |= _kernel.skip_mask(
-                        spec, bounds, tensors, skip.condition
-                    )
-                except _kernel.KernelFallback:
-                    pointwise.append(skip)
-        if pointwise:
-            read = _skip_reader(tensors)
-            for index, point in enumerate(bounds.domain(spec.index_names)):
-                ctx = EvalContext(dict(zip(spec.index_names, point)), bounds, read)
-                if any(_condition_holds(s.condition, ctx) for s in pointwise):
-                    skipped[index] = True
-        return points[~skipped]
+        skipped = _kernel.skipped_mask(
+            spec, bounds, tensors,
+            [s.condition for s in self.design.sparsity if not s.optimistic],
+            _skip_reader(tensors),
+            batched=self.vectorize,
+        )
+        return bounds.grid(spec.index_names)[~skipped]
 
     def _compress_points(self, valid: np.ndarray) -> np.ndarray:
         """The compressed coordinates of ``valid``, row for row.
@@ -502,19 +477,6 @@ def _linearize_times(times_nd: np.ndarray) -> np.ndarray:
     for axis in range(len(spans) - 2, -1, -1):
         strides[axis] = strides[axis + 1] * spans[axis + 1]
     return ((times_nd - mins) * strides).sum(axis=1)
-
-
-def _domain_grid(bounds, order: Sequence[str]) -> np.ndarray:
-    """The iteration domain as an ``(N, rank)`` int array, rows ordered
-    exactly like ``bounds.domain(order)`` (lexicographic)."""
-    axes = []
-    for name in order:
-        lo, hi = bounds[name]
-        axes.append(np.arange(lo, hi + 1, dtype=np.int64))
-    if not axes:
-        return np.zeros((1, 0), dtype=np.int64)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
 def _has_select(expr) -> bool:
@@ -689,21 +651,6 @@ def _skip_reader(tensors: Mapping[str, np.ndarray]):
             ) from err
 
     return read
-
-
-def _condition_holds(condition, ctx: EvalContext) -> bool:
-    """Evaluate a skip condition at one point; a whole-row test
-    (:func:`~repro.core.sparsity.row_operand`) reads its row through
-    ``ctx.read`` and compares the row's any-nonzero flag."""
-    row = row_operand(condition)
-    if row is None:
-        return bool(condition.evaluate(ctx))
-    coords = tuple(
-        slice(None) if s is WILDCARD else int(s.evaluate(ctx.env, ctx.bounds))
-        for s in row.subscripts
-    )
-    value = 1 if np.asarray(ctx.read(row.target, coords)).any() else 0
-    return Comparison._OPS[condition.op](value, condition.rhs.evaluate(ctx))
 
 
 def differential_run(

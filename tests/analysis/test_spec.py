@@ -40,6 +40,75 @@ def test_acausal_transform_exact_diagnostic(spec, bounds):
     )
 
 
+def _singular(matrix):
+    """A singular transform.  ``SpaceTimeTransform.__init__`` rejects
+    these, so STL-SP-003 is reachable only by bypassing it."""
+    transform = SpaceTimeTransform.__new__(SpaceTimeTransform)
+    transform.matrix = tuple(tuple(row) for row in matrix)
+    transform.rank = len(matrix)
+    transform.space_dims = transform.rank - 1
+    transform.time_dims = 1
+    transform._inverse = None
+    return transform
+
+
+@pytest.mark.parametrize(
+    "matrix, sizes, expected",
+    [
+        (
+            [[1, 0, 0], [0, 1, 1], [1, 1, 1]],
+            {"i": 3, "j": 3, "k": 3},
+            [(
+                "STL-SP-003",
+                "transform is not injective: iterations (0, 0, 1) and"
+                " (0, 1, 0) both map to space-time (0, 1, 1)",
+            )],
+        ),
+        (
+            [[0, 0, 0], [0, 1, 0], [1, 1, 1]],
+            {"i": (1, 3), "j": 2, "k": (2, 4)},
+            [(
+                "STL-SP-003",
+                "transform is not injective: iterations (1, 0, 3) and"
+                " (2, 0, 2) both map to space-time (0, 0, 4)",
+            )],
+        ),
+        (
+            [[1, -1, 0], [0, 0, 1], [1, -1, 1]],
+            {"i": (-2, 1), "j": 3, "k": 2},
+            [
+                (
+                    "STL-SP-003",
+                    "transform is not injective: iterations (-2, 0, 0) and"
+                    " (-1, 1, 0) both map to space-time (-2, 0, -2)",
+                ),
+                (
+                    "STL-SP-004",
+                    "transform violates causality for 'a': time delta -1 < 0"
+                    " along difference vector (0, 1, 0)",
+                ),
+                (
+                    "STL-SP-007",
+                    "transform image includes negative PE coordinates"
+                    " ((-4, 1), (0, 1)); the RTL backend folds them by"
+                    " absolute value",
+                ),
+            ],
+        ),
+    ],
+    ids=["adjacent-pair", "offset-bounds", "negative-coords"],
+)
+def test_non_injective_transform_exact_diagnostic(spec, matrix, sizes, expected):
+    """STL-SP-003 names the first collision in point order: the earliest
+    point whose image an earlier point already has, and the first point
+    with that image."""
+    findings = check_spec(spec, Bounds(sizes), _singular(matrix))
+    assert [(d.code, d.message) for d in findings] == expected
+    assert findings[0].severity is Severity.ERROR
+    assert findings[0].location == "matmul"
+    assert findings[0].suggestion == "use an invertible space-time matrix"
+
+
 def test_rank_mismatch_reported_before_anything_else(spec):
     findings = check_spec(
         spec, Bounds({"i": 4, "j": 4, "k": 4}), SpaceTimeTransform([[1, 0], [0, 1]])

@@ -167,7 +167,7 @@ EXAMPLES = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
     "examples",
 )
-IR_CLASSES = {"IterationSpace", "Point", "Point2PointConn", "IOConn", "PhysicalPE"}
+IR_CLASSES = {"IterationSpace", "VariableConns", "IORequests", "PhysicalPE"}
 
 
 class TestCompiledCarriesHardware:

@@ -10,7 +10,6 @@ from repro.core.dataflow import (
 )
 from repro.core.iterspace import (
     IODirection,
-    Point,
     apply_transform,
     elaborate,
 )
@@ -31,32 +30,28 @@ class TestElaborate:
     def test_connection_counts(self, itsp):
         # Each variable flows along one axis: 4*4*3 in-domain links.
         for variable in ("a", "b", "c"):
-            assert len(itsp.conns_for(variable)) == 48
+            assert len(itsp.conns[variable]) == 48
 
     def test_connection_offsets_match_difference_vectors(self, itsp, spec):
         for variable, d in spec.difference_vectors().items():
-            offsets = {c.offset() for c in itsp.conns_for(variable)}
-            assert offsets == {d}
+            conns = itsp.conns[variable]
+            assert conns.offset == d
+            steps = itsp.points[conns.dst] - itsp.points[conns.src]
+            assert {tuple(step) for step in steps.tolist()} == {d}
 
     def test_input_io_at_boundaries(self, itsp):
-        a_inputs = [
-            io
-            for io in itsp.io_for("a")
-            if io.direction is IODirection.INPUT
-        ]
+        a_inputs = itsp.io.rows("a", IODirection.INPUT)
         # a is loaded on the j = lb plane: 16 points.
         assert len(a_inputs) == 16
-        assert all(io.point.coords[1] == 0 for io in a_inputs)
-        assert all(io.tensor == "A" for io in a_inputs)
+        assert (itsp.points[itsp.io.point[a_inputs], 1] == 0).all()
+        assert all(tensor == "A" for tensor in itsp.io.tensor[a_inputs])
 
     def test_output_io_at_upper_boundary(self, itsp):
-        c_outputs = [
-            io for io in itsp.io_for("c") if io.direction is IODirection.OUTPUT
-        ]
+        c_outputs = itsp.io.rows("c", IODirection.OUTPUT)
         # C is emitted on the k = ub plane: 16 points.
         assert len(c_outputs) == 16
-        assert all(io.point.coords[2] == 3 for io in c_outputs)
-        assert all(io.tensor == "C" for io in c_outputs)
+        assert (itsp.points[itsp.io.point[c_outputs], 2] == 3).all()
+        assert all(tensor == "C" for tensor in itsp.io.tensor[c_outputs])
 
     def test_missing_bounds_rejected(self, spec):
         with pytest.raises(SpecError):
@@ -66,21 +61,21 @@ class TestElaborate:
 class TestRewrites:
     def test_without_conns_removes_and_replaces(self, itsp):
         rewritten = itsp.without_conns(["c"])
-        assert rewritten.conns_for("c") == []
-        assert len(rewritten.conns_for("a")) == 48
+        assert "c" not in rewritten.conns
+        assert len(rewritten.conns["a"]) == 48
         # Endpoints gained IO connections.
-        c_io = rewritten.io_for("c")
-        assert len(c_io) > len(itsp.io_for("c"))
+        c_io = rewritten.io.rows("c")
+        assert len(c_io) > len(itsp.io.rows("c"))
 
     def test_without_conns_no_io_replacement(self, itsp):
         rewritten = itsp.without_conns(["c"], replace_with_io=False)
-        assert rewritten.conns_for("c") == []
-        assert len(rewritten.io_for("c")) == len(itsp.io_for("c"))
+        assert "c" not in rewritten.conns
+        assert len(rewritten.io.rows("c")) == len(itsp.io.rows("c"))
 
     def test_widened_sets_bundle(self, itsp):
         widened = itsp.widened("a", 4)
-        assert all(c.bundle == 4 for c in widened.conns_for("a"))
-        assert all(c.bundle == 1 for c in widened.conns_for("b"))
+        assert widened.conns["a"].bundle == 4
+        assert widened.conns["b"].bundle == 1
 
 
 class TestApplyTransform:
@@ -138,10 +133,22 @@ class TestApplyTransform:
         assert array.total_wire_length() > 0
 
 
-class TestPoint:
-    def test_equality_and_hash(self):
-        assert Point((1, 2)) == Point((1, 2))
-        assert len({Point((1, 2)), Point((1, 2))}) == 1
+class TestColumns:
+    def test_points_are_the_domain_grid(self, itsp, bounds4, spec):
+        assert [tuple(p) for p in itsp.points.tolist()] == list(
+            bounds4.domain(spec.index_names)
+        )
 
-    def test_inequality(self):
-        assert Point((1, 2)) != Point((2, 1))
+    def test_without_conns_adds_each_endpoint_once(self, itsp):
+        rewritten = itsp.without_conns(["c"])
+        rows = rewritten.io.rows("c")
+        keys = list(zip(
+            rewritten.io.point[rows].tolist(),
+            rewritten.io.is_input[rows].tolist(),
+        ))
+        assert len(keys) == len(set(keys))
+        # Every k plane but the last sends, every k plane but the first
+        # receives: 48 added inputs, plus 48 outputs beside the 16 stores.
+        added = rows[len(itsp.io.rows("c")):]
+        assert rewritten.io.is_input[added].sum() == 48
+        assert (~rewritten.io.is_input[rows]).sum() == 16 + 48

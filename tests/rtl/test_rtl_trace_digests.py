@@ -2,12 +2,12 @@
 
 Every module of every example netlist, at opt-levels 0, 1 and 2, is
 simulated under a seeded random stimulus on its non-clock, non-reset
-inputs for 40 cycles with ``rst`` held for the first two, and the sha256
-of its full :func:`~repro.obs.export.capture_rtl_trace` (every signal of
-every instance below the module, every cycle) must match the digest
-pinned in ``tests/data/rtl_trace_digests.json``.  The digests were
-recorded once; a simulator change that alters any value, width type or
-signal set of any trace fails here.
+inputs for 40 cycles with ``rst`` held for the first two, stepped by
+:meth:`~repro.rtl.sim.RTLSimulator.run`, and the sha256 of its full trace
+(every signal of every instance below the module, every cycle) must
+match the digest pinned in ``tests/data/rtl_trace_digests.json``.  The
+digests were recorded once; a simulator change that alters any value,
+width type or signal set of any trace fails here.
 """
 
 import hashlib
@@ -19,7 +19,6 @@ import zlib
 import pytest
 
 from repro.analysis.check import _compiled_of, discover_examples
-from repro.obs.export import capture_rtl_trace
 from repro.rtl.lowering import lower_design
 from repro.rtl.netlist import PortDir
 from repro.rtl.passes import run_passes
@@ -43,6 +42,14 @@ def _netlists():
     return out
 
 
+def capture_trace(sim, inputs, schedule):
+    """``{signal_path: [v0, v1, ...]}``: every signal's value before the
+    first edge and after each of ``CYCLES`` edges, paths in probe order."""
+    paths = list(sim.signal_values())
+    rows = list(sim.run(paths, CYCLES, RESET_CYCLES, inputs, schedule))
+    return dict(zip(paths, map(list, zip(*rows))))
+
+
 def trace_digest(netlist, module_name: str) -> str:
     """sha256 of the module's trace under its seeded stimulus."""
     module = netlist.modules[module_name]
@@ -54,12 +61,10 @@ def trace_digest(netlist, module_name: str) -> str:
     schedule = [
         [rng.getrandbits(p.width) for p in inputs] for _ in range(CYCLES + 1)
     ]
-    trace = capture_rtl_trace(
+    trace = capture_trace(
         RTLSimulator(netlist, top=module_name),
-        cycles=CYCLES,
-        reset_cycles=RESET_CYCLES,
-        inputs=[p.name for p in inputs],
-        schedule=schedule,
+        [p.name for p in inputs],
+        schedule,
     )
     assert all(type(v) is int for series in trace.values() for v in series)
     text = json.dumps(trace, sort_keys=True, separators=(",", ":"))
