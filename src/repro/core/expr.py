@@ -17,6 +17,7 @@ space-time coordinates to every operation (Section III-B).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -216,6 +217,10 @@ def _as_affine(value) -> AffineIndexExpr:
     raise SpecError(f"cannot convert {value!r} to an index expression")
 
 
+# Points per chunk that Bounds.domain converts to Python ints at once.
+_DOMAIN_CHUNK = 4096
+
+
 class Bounds:
     """Inclusive per-index bounds of the tensor iteration space.
 
@@ -258,16 +263,24 @@ class Bounds:
             np.arange(self._ranges[n][0], self._ranges[n][1] + 1, dtype=np.int64)
             for n in order
         ]
-        if not axes:
-            return np.zeros((1, 0), dtype=np.int64)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        sizes = [len(a) for a in axes]
+        grid = np.empty(sizes + [len(axes)], dtype=np.int64)
+        for axis, values in enumerate(axes):
+            shape = [1] * len(axes)
+            shape[axis] = -1
+            grid[..., axis] = values.reshape(shape)
+        return grid.reshape(math.prod(sizes), len(axes))
 
     def domain(self, order: Sequence[str]) -> Iterable[Tuple[int, ...]]:
         """Yield every point of the iteration domain in lexicographic
-        order, as a tuple of ints per row of :meth:`grid`."""
-        for row in self.grid(order).tolist():
-            yield tuple(row)
+        order, as a tuple of ints per row of :meth:`grid`.
+
+        Rows are converted a chunk at a time, so no list of every point
+        is ever held."""
+        grid = self.grid(order)
+        for start in range(0, len(grid), _DOMAIN_CHUNK):
+            for row in grid[start:start + _DOMAIN_CHUNK].tolist():
+                yield tuple(row)
 
     def point_count(self, order: Sequence[str]) -> int:
         total = 1

@@ -118,7 +118,10 @@ def consumption_order(
     points = iterspace.points[io.point[io.rows(variable, direction)]]
     if not len(points):
         return None
-    elements = _element_columns(spec, iterspace.bounds, subscripts, points)
+    env = {name: points[:, axis] for axis, name in enumerate(spec.index_names)}
+    elements = np.empty((len(points), len(subscripts)), dtype=np.int64)
+    for column, sub in enumerate(subscripts):
+        elements[:, column] = sub.evaluate(env, iterspace.bounds)
     by_element = lex_order(elements)
     first = by_element[run_starts(elements[by_element])]
     image = transform.image(points[first])
@@ -126,24 +129,6 @@ def consumption_order(
     # Full time tuple (lexicographic) first, then the position.
     keys = np.concatenate([image[:, space_dims:], image[:, :space_dims]], axis=1)
     return [tuple(e) for e in elements[first[lex_order(keys)]].tolist()]
-
-
-def _element_columns(spec, bounds, subscripts, points: np.ndarray) -> np.ndarray:
-    """Each point's element coordinates, one column per subscript:
-    batched, or point by point where the batched evaluator declines."""
-    # Imported here: the simulator package imports the compiler.
-    from ...sim.kernel import KernelFallback, index_columns
-
-    try:
-        return index_columns(subscripts, spec.index_names, points, bounds)
-    except KernelFallback:
-        pass
-    rows = [
-        [int(sub.evaluate(dict(zip(spec.index_names, coords)), bounds))
-         for sub in subscripts]
-        for coords in points.tolist()
-    ]
-    return np.array(rows, dtype=np.int64).reshape(len(points), len(subscripts))
 
 
 def _element_subscripts(spec, variable: str, direction: IODirection):

@@ -62,7 +62,6 @@ from ..core.expr import (
     Const,
     EvalContext,
     Expr,
-    IndexExpr,
     IndexValue,
     Local,
     Select,
@@ -671,29 +670,6 @@ def replay_interpret(
         return kernel.replay(bounds, tensors)
     except KernelFallback:
         return None
-
-
-def index_columns(
-    subscripts: Sequence,
-    names: Sequence[str],
-    points: np.ndarray,
-    bounds: Bounds,
-) -> np.ndarray:
-    """Every subscript evaluated at every row of the ``(N, rank)`` point
-    array ``points`` (columns named by ``names``), as an ``(N,
-    len(subscripts))`` int64 array.
-
-    Raises :class:`KernelFallback` for a subscript that is not an index
-    expression -- a wildcard or a data-dependent one -- which the caller
-    must evaluate point by point.
-    """
-    env = {name: points[:, axis] for axis, name in enumerate(names)}
-    out = np.empty((len(points), len(subscripts)), dtype=np.int64)
-    for column, sub in enumerate(subscripts):
-        if not isinstance(sub, IndexExpr):
-            raise KernelFallback(f"subscript {sub!r} is not an index expression")
-        out[:, column] = sub.evaluate(env, bounds)
-    return out
 
 
 def skip_mask(
