@@ -44,8 +44,10 @@ _MISSING = object()
 #: The stages a later process reads back from the disk tier: ``check``
 #: reads ``analysis.spec``, ``verify`` reads ``compile`` and ``lower``,
 #: and warm sweeps and ``serve`` read ``dse.point``.  Every other stage
-#: (elaboration, pruning, reference outputs) is an in-process
-#: intermediate: it hits in the memory tier and never touches the disk.
+#: is an in-process intermediate that hits in the memory tier and never
+#: touches the disk: ``compile.elaborate``, ``compile.prune``,
+#: ``sim.dense`` (a dense design's schedule), ``sim.reference`` (a
+#: workload's outputs) and ``area.model`` (a compiled design's area).
 PERSISTED_STAGES = frozenset({"analysis.spec", "compile", "lower", "dse.point"})
 
 

@@ -172,7 +172,11 @@ def _evaluate_point(
     transform, sparsity, balancing, element width, operand set and the
     two ``want_*`` flags.  A warm or duplicate point then costs one
     lookup.  Names never enter the memo, so two content-identical
-    transforms keep their own ``transform_name``.
+    transforms keep their own ``transform_name``.  A missed point still
+    estimates its area once per compiled design: the memory-only
+    ``area.model`` stage is keyed on the design axes the ``compile``
+    stage keys on, as the compiled design holds them (a shared
+    ``compile`` hit is then keyed from the identity memo alone).
 
     A candidate may also override the sweep-wide ``skip_illegal``: the
     autotuner sweeps exploration combos permissively (an illegal
@@ -207,7 +211,17 @@ def _evaluate_point(
         with span("dse.simulate"):
             result = SpatialArraySim(design.compiled, memo=cache).run(tensors)
         with span("dse.area"):
-            area = estimate_design_area(design.compiled)
+            compiled = design.compiled
+            if cache is None:
+                area = estimate_design_area(compiled)
+            else:
+                area = cache.memo(
+                    "area.model",
+                    (compiled.spec, compiled.bounds, compiled.transform,
+                     compiled.sparsity, compiled.balancing,
+                     compiled.membufs, compiled.element_bits),
+                    lambda: estimate_design_area(compiled),
+                )
         figures = {
             "cycles": int(result.cycles),
             "utilization": float(result.utilization),

@@ -12,7 +12,9 @@ schedule is one ``points @ T.T`` product, busy/idle cycles, regfile
 traffic and MACs follow from it and the spec's boundary rules, the
 dependences the per-point loop would honour implicitly are checked
 explicitly (same :class:`SpecError`), and the outputs come from the
-reference kernel (:mod:`repro.sim.kernel`).  The per-point loop stays as
+reference kernel (:mod:`repro.sim.kernel`).  All but the outputs depend
+on the design alone, so a memo schedules each design once however many
+workloads run on it.  The per-point loop stays as
 the ``vectorize=False`` reference, and answers for the spec shapes the
 closed form cannot see, such as data-dependent subscripts or a ``Select``;
 it steps the spec interpreter one point at a time in schedule order.
@@ -80,12 +82,15 @@ class SpatialArraySim:
         (Section VI-B); handwritten baselines set this to 0.
     memo:
         An optional :class:`repro.exec.cache.CompileCache`.  When given,
-        the reference outputs are memoized per ``(spec, bounds,
-        tensors)`` under the ``sim.reference`` stage, so the dense and
-        sparse candidates of one workload, and its balancing variants,
-        compute them once.  Whole runs are never memoized here; the
-        evaluation engine memoizes each design point's finished figures
-        (the ``dse.point`` stage).
+        it answers two memory-only stages.  ``sim.dense`` holds a dense
+        design's closed-form schedule per ``(spec, bounds, transform)``
+        (:func:`_dense_schedule`), so the layers of a workload that share
+        a design schedule it once; only ``vectorize=True`` runs read it.
+        ``sim.reference`` holds the reference outputs per ``(spec,
+        bounds, tensors)``, so the dense and sparse candidates of one
+        workload, and its balancing variants, compute them once.  Whole
+        runs are never memoized here; the evaluation engine memoizes
+        each design point's finished figures (the ``dse.point`` stage).
     vectorize:
         When ``False``, dense runs take the exact per-point loop (which
         steps the spec interpreter) instead of the closed form, and skip
@@ -140,77 +145,33 @@ class SpatialArraySim:
 
     def _run_dense(self, tensors: Mapping[str, np.ndarray]) -> SimResult:
         design = self.design
-        spec = design.spec
-        transform = design.transform
-
-        # The whole domain maps through ``T`` in one matrix product, and
-        # the PE-side ``T^-1`` round-trip (each PE's IO request generator)
-        # is one more product against the integer numerator matrix --
-        # exact, no per-point Fractions.
-        points = design.bounds.grid(spec.index_names)
-        st = transform.image(points)
-        numerators, denominator = transform.integer_inverse()
-        scaled = st @ np.array(numerators, dtype=np.int64).T
-        bad = (scaled % denominator != 0).any(axis=1) | (
-            scaled // denominator != points
-        ).any(axis=1)
-        if bad.any():
-            point = tuple(int(v) for v in points[int(np.argmax(bad))])
-            raise SpecError(
-                f"space-time transform is not invertible on point {point}"
-            )
-        times = st[:, transform.space_dims :]
-        if self.vectorize and _batchable(spec):
-            result = self._run_dense_batched(tensors, points, times)
-            if result is not None:
-                return result
-        return self._run_dense_loop(tensors, points, times)
+        schedule = None
+        if self.vectorize:
+            if self.memo is None:
+                schedule = _dense_schedule(design)
+            else:
+                schedule = self.memo.memo(
+                    "sim.dense",
+                    (design.spec, design.bounds, design.transform),
+                    lambda: _dense_schedule(design),
+                )
+        if schedule is None:
+            return self._run_dense_loop(tensors)
+        return self._run_dense_batched(tensors, schedule)
 
     def _run_dense_batched(
-        self,
-        tensors: Mapping[str, np.ndarray],
-        points: np.ndarray,
-        times: np.ndarray,
-    ) -> Optional[SimResult]:
-        """The dense run in closed form, or None when the loop must answer.
-
-        Counters follow from the spec and the schedule alone: every point
-        is one busy PE-cycle, and regfile traffic is the number of points
-        where each boundary rule applies.  Outputs come from the reference
-        kernel, which the loop is required to match once the schedule is
-        causal -- so causality, which the loop enforces implicitly by
-        failing on a read of a value not yet produced, is checked
-        explicitly first (:func:`_dense_accesses`).
-        """
+        self, tensors: Mapping[str, np.ndarray], schedule: DenseSchedule
+    ) -> SimResult:
+        """The dense run in closed form, from the design's
+        :func:`_dense_schedule`; only the outputs depend on ``tensors``."""
         design = self.design
         spec = design.spec
         pe_count = design.array.pe_count
-        n = len(points)
-
-        # Multi-dimensional time (e.g. a batched matmul folding the batch
-        # axis into a second time dimension) orders timesteps
-        # lexicographically; each occupied time tuple is one cycle.  With
-        # one time dimension every cycle of the span counts, idle or not.
-        if times.shape[1] == 1:
-            t_min = int(times.min())
-            occupancy = np.bincount(times[:, 0] - t_min)
-            steps = t_min + np.arange(len(occupancy))[:, None]
-        else:
-            steps, occupancy = np.unique(times, axis=0, return_counts=True)
-        schedule = len(occupancy)
-        # The loop visits points by (time tuple, point); grid rows are
-        # already in point order, so a stable sort by time gives the rank.
-        rank = np.empty(n, dtype=np.int64)
-        rank[np.lexsort(times.T[::-1])] = np.arange(n)
-
-        accesses = _dense_accesses(spec, design.bounds, points, rank)
-        if accesses is None:
-            return None
-        reads, writes = accesses
+        n, length, steps, occupancy, reads, writes = schedule
 
         counters = PerfCounters()
         counters.pe_busy_cycles = n
-        counters.pe_idle_cycles = schedule * pe_count - n
+        counters.pe_idle_cycles = length * pe_count - n
         counters.macs = n * max(1, spec.macs_per_point())
         counters.regfile_reads = reads
         counters.regfile_writes = writes
@@ -218,7 +179,7 @@ class SpatialArraySim:
         if tracer.enabled:
             tracer.begin(
                 "dense_run", component="sim.array",
-                cycle=0, pes=pe_count, timesteps=schedule,
+                cycle=0, pes=pe_count, timesteps=length,
             )
             for step_index, (step, live) in enumerate(
                 zip(steps.tolist(), occupancy.tolist())
@@ -228,21 +189,17 @@ class SpatialArraySim:
                     cycle=step_index, live_pes=live, time=step,
                 )
         return self._finish_dense(
-            self._reference_outputs(tensors), counters, schedule
+            self._reference_outputs(tensors), counters, length
         )
 
-    def _run_dense_loop(
-        self,
-        tensors: Mapping[str, np.ndarray],
-        points: np.ndarray,
-        times: np.ndarray,
-    ) -> SimResult:
+    def _run_dense_loop(self, tensors: Mapping[str, np.ndarray]) -> SimResult:
         """The exact per-point reference: every timestep, each live PE
         performs its assignments, pulling operands produced earlier."""
         design = self.design
         spec = design.spec
         bounds = design.bounds
         counters = PerfCounters()
+        points, times = _dense_image(design)
 
         by_time: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
         for key, row in zip(times.tolist(), points.tolist()):
@@ -477,6 +434,78 @@ def _linearize_times(times_nd: np.ndarray) -> np.ndarray:
     for axis in range(len(spans) - 2, -1, -1):
         strides[axis] = strides[axis + 1] * spans[axis + 1]
     return ((times_nd - mins) * strides).sum(axis=1)
+
+
+#: ``(point_count, schedule_length, steps, occupancy, regfile_reads,
+#: regfile_writes)`` of a dense run: ``steps`` holds each timestep's
+#: time tuple and ``occupancy`` its live PE count, one row per cycle.
+DenseSchedule = Tuple[int, int, np.ndarray, np.ndarray, int, int]
+
+
+def _dense_image(design: CompiledDesign) -> Tuple[np.ndarray, np.ndarray]:
+    """The domain grid in point order and each point's time coordinates.
+
+    The whole domain maps through ``T`` in one matrix product, and the
+    PE-side ``T^-1`` round-trip (each PE's IO request generator) is one
+    more product against the integer numerator matrix -- exact, no
+    per-point Fractions.  A point that does not come back raises.
+    """
+    transform = design.transform
+    points = design.bounds.grid(design.spec.index_names)
+    st = transform.image(points)
+    numerators, denominator = transform.integer_inverse()
+    scaled = st @ np.array(numerators, dtype=np.int64).T
+    bad = (scaled % denominator != 0).any(axis=1) | (
+        scaled // denominator != points
+    ).any(axis=1)
+    if bad.any():
+        point = tuple(int(v) for v in points[int(np.argmax(bad))])
+        raise SpecError(
+            f"space-time transform is not invertible on point {point}"
+        )
+    return points, st[:, transform.space_dims :]
+
+
+def _dense_schedule(design: CompiledDesign) -> Optional[DenseSchedule]:
+    """The closed-form schedule of a dense run, or None when the loop
+    must answer.
+
+    Everything but the outputs follows from ``(spec, bounds,
+    transform)`` alone: every point is one busy PE-cycle, and regfile
+    traffic is the number of points where each boundary rule applies.
+    Outputs come from the reference kernel, which the loop is required
+    to match once the schedule is causal -- so causality, which the
+    loop enforces implicitly by failing on a read of a value not yet
+    produced, is checked explicitly here (:func:`_dense_accesses`) and
+    its :class:`SpecError` raised.  The value holds no per-point array,
+    so memoizing it per design costs a few schedule-length rows.
+    """
+    spec = design.spec
+    if not _batchable(spec):
+        return None
+    points, times = _dense_image(design)
+    n = len(points)
+
+    # Multi-dimensional time (e.g. a batched matmul folding the batch
+    # axis into a second time dimension) orders timesteps
+    # lexicographically; each occupied time tuple is one cycle.  With
+    # one time dimension every cycle of the span counts, idle or not.
+    if times.shape[1] == 1:
+        t_min = int(times.min())
+        occupancy = np.bincount(times[:, 0] - t_min)
+        steps = t_min + np.arange(len(occupancy))[:, None]
+    else:
+        steps, occupancy = np.unique(times, axis=0, return_counts=True)
+    # The loop visits points by (time tuple, point); grid rows are
+    # already in point order, so a stable sort by time gives the rank.
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort(times.T[::-1])] = np.arange(n)
+
+    accesses = _dense_accesses(spec, design.bounds, points, rank)
+    if accesses is None:
+        return None
+    reads, writes = accesses
+    return n, len(occupancy), steps, occupancy, reads, writes
 
 
 def _has_select(expr) -> bool:

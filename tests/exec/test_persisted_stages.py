@@ -32,6 +32,18 @@ def test_cold_runs_write_only_persisted_stages(tmp_path, monkeypatch, capsys):
     assert "sim.kernel" not in stages
 
 
+def test_dense_schedule_and_area_stay_in_memory(tmp_path):
+    cache = CompileCache(store=DiskStore(str(tmp_path)))
+    evaluate_suite(build_suite("resnet50", cap=4, seed=7), jobs=1, cache=cache)
+    for stage in ("sim.dense", "area.model"):
+        hits, misses = cache.stats.by_stage[stage]
+        assert hits > 0 and misses > 0, stage
+        assert stage not in PERSISTED_STAGES
+    stages = set(DiskStore(str(tmp_path)).stage_summary())
+    assert "dse.point" in stages
+    assert stages <= PERSISTED_STAGES
+
+
 def test_cold_halving_hits_intermediates_in_memory(tmp_path, monkeypatch):
     simulated = []
     real_run = SpatialArraySim.run
