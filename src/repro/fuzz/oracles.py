@@ -15,7 +15,8 @@ oracle                            paths compared
                                  closed form, batched skip conditions):
                                  outputs, every counter, schedule length
 ``sim.interpreter_vs_kernel``    scalar spec interpreter vs the
-                                 trace-compiled batched kernel
+                                 trace-compiled batched kernel, replayed
+                                 twice (cold, then on its warm plan)
 ``exec.serial_vs_parallel``      ``jobs=1`` inline sweep vs process-pool
                                  fan-out over the same candidates
 ``exec.cold_vs_warm``            fresh evaluation vs one answered from a
@@ -245,13 +246,15 @@ def _oracle_interpreter_vs_kernel(case: FuzzCase, _ctx: OracleContext):
     kernel = compile_kernel(spec)
     if kernel is None:
         return None  # untraceable spec: the fallback contract is the answer
-    try:
-        got = kernel.replay(bounds, tensors)
-    except KernelFallback:
-        return None  # replay-time fallback: the scalar path owns this shape
-    diff = _diff_outputs(got, want)
-    if diff:
-        return f"kernel vs scalar interpreter: {diff}"
+    # The second replay runs against the plan the first one built.
+    for replay in ("cold", "warm"):
+        try:
+            got = kernel.replay(bounds, tensors)
+        except KernelFallback:
+            return None  # replay-time fallback: the scalar path owns this shape
+        diff = _diff_outputs(got, want)
+        if diff:
+            return f"{replay} kernel vs scalar interpreter: {diff}"
     return None
 
 

@@ -168,6 +168,8 @@ class _Emitter:
     The generated code sees the instance's signal dict as ``v``, its
     memories as ``m`` and its path as ``p``.  Operands evaluate in the
     order a tree walk reads them, so the first error raised is the same.
+    Literals and masks are written in hex: Python refuses to write an
+    int of more than 4,300 decimal digits, a ~14,280-bit bus.
     """
 
     def __init__(self, widths: Dict[str, int], memories):
@@ -180,7 +182,7 @@ class _Emitter:
         kind = node[0]
         expr = self.expr
         if kind == "literal":
-            return repr(_mask(node[1], node[2]))
+            return hex(_mask(node[1], node[2]))
         if kind == "ref":
             name = node[1]
             if name in self.memories:
@@ -199,7 +201,7 @@ class _Emitter:
             bounds = _literal_bounds(node)
             if bounds is None:
                 return f"_slice({expr(node[1])}, {expr(node[2])}, {expr(node[3])})"
-            field = (1 << (bounds[0] - bounds[1] + 1)) - 1
+            field = hex((1 << (bounds[0] - bounds[1] + 1)) - 1)
             if bounds[1]:
                 return f"(({expr(node[1])} >> {bounds[1]}) & {field})"
             return f"({expr(node[1])} & {field})"
@@ -239,7 +241,8 @@ class _Emitter:
         if kind not in ("ref", "index", "slice") or base[0] != "ref":
             return [f"x = {value}", f"_fail({f'unsupported lvalue {lvalue!r}'!r})"]
         name = base[1]
-        mask = (1 << self.widths.get(name, 32)) - 1
+        ones = (1 << self.widths.get(name, 32)) - 1
+        mask = hex(ones)
         if kind == "ref":
             return _store(f"v[{name!r}]", f"v.get({name!r})", f"{value} & {mask}", track)
         if kind == "index" and name in self.memories:
@@ -253,10 +256,10 @@ class _Emitter:
         bounds = _literal_bounds(lvalue) if kind == "slice" else None
         if bounds is not None and not track:
             field = (1 << (bounds[0] - bounds[1] + 1)) - 1
-            keep = ~(field << bounds[1]) & mask
+            keep = ~(field << bounds[1]) & ones
             return [
-                f"v[{name!r}] = ({current} & {keep})"
-                f" | ((({value} & {field}) << {bounds[1]}) & {mask})"
+                f"v[{name!r}] = ({current} & {hex(keep)})"
+                f" | ((({value} & {hex(field)}) << {bounds[1]}) & {mask})"
             ]
         if kind == "index":
             lines = [f"x = {value}", f"l = {self.expr(lvalue[2])}", "f = 1"]
@@ -507,7 +510,7 @@ class _ModuleCode:
                 nodes.append(_CombNode(
                     refs(rhs),
                     lambda track, target=f"k{at}[{port!r}]", rhs=rhs,
-                    mask=(1 << width) - 1: _store(
+                    mask=hex((1 << width) - 1): _store(
                         target, target, f"{emitter.expr(rhs)} & {mask}", track
                     ),
                     writes=[(at, port)],

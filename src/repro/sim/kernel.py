@@ -43,20 +43,29 @@ condition point by point.
 Tracing a spec costs less than fingerprinting it, so compiled kernels
 are memoized per spec object (:func:`cached_kernel`), never under a
 content key; what a cache memoizes is the replayed outputs (the
-simulator's ``sim.reference`` stage).  Compiled kernels are pure data
-(step descriptors plus references into the spec's expression trees), so
-they pickle cleanly.
+simulator's ``sim.reference`` stage).  A replay is an index pass and a
+value pass.  The index pass -- coordinates, out-of-range masks, the
+innermost-axis selector, clipped gathers, boundary lanes -- depends
+only on the bounds, so the kernel keeps its result as a plan keyed on
+the ``(lo, hi)`` of each spec index, at most eight per kernel.  A plan
+holds index data only (per-axis gather vectors, compressed lane
+indices), never a value, dtype or tensor shape; every replay runs the
+value pass against it, and a fallback the plan recorded raises where
+the value pass reaches it, warm or cold.  Compiled kernels are pure
+data (step descriptors plus references into the spec's expression
+trees), so they pickle cleanly, without their plans.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.expr import (
     Access,
     BinOp,
+    BoundMarker,
     Bounds,
     Comparison,
     Const,
@@ -153,15 +162,29 @@ class CompiledKernel:
     """A batched numpy program equivalent to ``spec.interpret``.
 
     Built once per spec by :func:`compile_kernel`; replayed for any
-    (bounds, tensors) workload without per-point Python dispatch.
+    (bounds, tensors) workload without per-point Python dispatch.  The
+    index work of a replay depends only on the bounds, so each distinct
+    bounds gets a :class:`_Plan`, built on its first replay and kept for
+    the next (at most :data:`_PLAN_LIMIT`, least recently used first
+    out); every replay then runs only the value pass against it.
     """
 
     def __init__(self, spec: FunctionalSpec, steps: Sequence[_LocalStep]):
         self.spec = spec
         self.steps = tuple(steps)
+        self._plans: Dict[Tuple[Tuple[int, int], ...], _Plan] = {}
 
     def __repr__(self) -> str:
         return f"CompiledKernel({self.spec.name!r}, {len(self.steps)} steps)"
+
+    def __getstate__(self):
+        # Plans are a per-process memo: they never ride along in IPC.
+        return {"spec": self.spec, "steps": self.steps}
+
+    def __setstate__(self, state) -> None:
+        self.spec = state["spec"]
+        self.steps = state["steps"]
+        self._plans = {}
 
     # ------------------------------------------------------------------
 
@@ -180,10 +203,11 @@ class CompiledKernel:
                 raise SpecError(f"bounds missing index {name!r}")
         tracer = get_tracer()
         with span("sim.kernel.replay"):
-            replayer = _Replay(self.spec, bounds, tensors)
-            for step in self.steps:
-                replayer.run_step(step)
-            outputs = replayer.outputs()
+            plan = self._plan(bounds)
+            values = _Values(tensors)
+            for step, step_plan in zip(self.steps, plan.steps):
+                values.run_step(step, step_plan, plan.shape)
+            outputs = values.outputs(self.spec, plan.outputs)
         if tracer.enabled:
             tracer.instant(
                 "kernel_replay",
@@ -193,6 +217,21 @@ class CompiledKernel:
                 steps=len(self.steps),
             )
         return outputs
+
+    def _plan(self, bounds: Bounds) -> "_Plan":
+        key = tuple(bounds[name] for name in self.spec.index_names)
+        plan = self._plans.pop(key, None)
+        if plan is None:
+            planner = _Planner(self.spec, bounds)
+            plan = _Plan(
+                planner.shape,
+                [planner.step(step) for step in self.steps],
+                planner.outputs(),
+            )
+        self._plans[key] = plan
+        if len(self._plans) > _PLAN_LIMIT:
+            del self._plans[next(iter(self._plans))]
+        return plan
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +250,15 @@ def _check_traceable_accesses(spec: FunctionalSpec) -> None:
                 raise KernelFallback(
                     f"wildcard subscript on {access.target.name!r}"
                 )
+            # Plans are keyed on the spec's own index ranges only.
+            for sub in access.subscripts:
+                if (
+                    isinstance(sub, BoundMarker)
+                    and sub.index.name not in spec.index_names
+                ):
+                    raise KernelFallback(
+                        f"bound marker on {sub.index.name!r}, not a spec index"
+                    )
 
 
 def _classify_local(spec: FunctionalSpec, local: Local) -> _LocalStep:
@@ -339,17 +387,140 @@ def _compile(spec: FunctionalSpec) -> CompiledKernel:
 
 
 # ---------------------------------------------------------------------------
-# Replay: evaluate the lowered program over a concrete domain
+# Plan: the index work of one replay domain, done once per bounds
 # ---------------------------------------------------------------------------
 
+#: Plans kept per kernel.  A sweep replays a kernel over a handful of
+#: distinct layer shapes; eight covers them without letting a long-lived
+#: process hold one plan per shape it has ever seen.
+_PLAN_LIMIT = 8
 
-class _Replay:
-    """Replay state: the domain grid plus each local's full-domain array."""
 
-    def __init__(self, spec, bounds: Bounds, tensors: Mapping[str, np.ndarray]):
+class _Known(NamedTuple):
+    """A value the plan already holds: a constant, or the coordinates an
+    :class:`~repro.core.expr.IndexValue` evaluates to."""
+
+    value: object
+
+    def run(self, values: "_Values"):
+        return self.value
+
+
+class _Fail(NamedTuple):
+    """A replay-time fallback, raised where the value pass reaches it so
+    that it keeps its place among the value pass's own errors."""
+
+    reason: str
+
+    def run(self, values: "_Values"):
+        raise KernelFallback(self.reason)
+
+
+class _TensorRead(NamedTuple):
+    """A tensor gather at coordinates the plan evaluated."""
+
+    name: str
+    coords: Tuple
+
+    def run(self, values: "_Values"):
+        return values.tensor(self.name)[self.coords]
+
+
+class _Apply(NamedTuple):
+    """A :class:`BinOp` or :class:`Comparison`: a ufunc of two operands."""
+
+    ufunc: object
+    lhs: object
+    rhs: object
+
+    def run(self, values: "_Values"):
+        return self.ufunc(self.lhs.run(values), self.rhs.run(values))
+
+
+class _Where(NamedTuple):
+    """A :class:`Select`."""
+
+    cond: object
+    if_true: object
+    if_false: object
+
+    def run(self, values: "_Values"):
+        # Both branches evaluate over every lane (the scalar path
+        # evaluates one per point).  A branch that only raises on lanes
+        # the condition discards must not fail the whole replay -- fall
+        # back so the lazily-evaluating scalar path decides whether the
+        # error is real.
+        cond = self.cond.run(values)
+        try:
+            if_true = self.if_true.run(values)
+            if_false = self.if_false.run(values)
+        except (IndexError, SpecError) as err:
+            raise KernelFallback(f"Select branch not lane-safe: {err}") from err
+        return np.where(cond, if_true, if_false)
+
+
+class _LocalRead(NamedTuple):
+    """A batched read of a local, the interpreter's ``read``.
+
+    ``gather`` holds the clipped per-axis indices of the in-domain
+    gather, broadcastable to ``shape`` (None when the read precedes the
+    local's definition).  Each of ``fills`` pairs the flat indices of
+    the lanes one boundary rule resolves with the plan of that rule's
+    right-hand side over just those lanes.
+    """
+
+    name: str
+    gather: Optional[Tuple]
+    shape: Tuple[int, ...]
+    fills: Tuple
+
+    def run(self, values: "_Values"):
+        if self.gather is None:
+            result = np.zeros(self.shape, dtype=np.int64)
+        else:
+            result = np.asarray(values.locals[self.name][self.gather])
+            if not self.fills:
+                return result
+            result = result.copy()
+        for lanes, rule in self.fills:
+            value = np.broadcast_to(np.asarray(rule.run(values)), lanes.shape)
+            promoted = np.result_type(result.dtype, value.dtype)
+            if promoted != result.dtype:
+                result = result.astype(promoted)
+            np.put(result, lanes, value)
+        return result
+
+
+class _Output(NamedTuple):
+    """One firing output rule: its cells' coordinates, flattened over
+    ``shape`` (the broadcast of ``coord_shapes``), and its value's plan."""
+
+    target: str
+    coord_shapes: Tuple
+    shape: Tuple[int, ...]
+    flat: List[np.ndarray]
+    value: object
+
+
+class _Plan(NamedTuple):
+    """The index-only half of a replay over one domain: per lowered step
+    an ``(init, term)`` pair of plans (the phantom-slot read and the
+    pointwise or fold operand), and the firing output rules.  It holds
+    no tensor value, dtype or shape, so any tensors replay against it."""
+
+    shape: Tuple[int, ...]
+    steps: List[Tuple]
+    outputs: List[_Output]
+
+
+class _Planner:
+    """The index pass: walks the lowered program over one domain the way
+    the value pass will, and records what every index expression,
+    boundary clamp and out-of-range lane resolves to."""
+
+    def __init__(self, spec: FunctionalSpec, bounds: Bounds):
         self.spec = spec
         self.bounds = bounds
-        self.tensors = tensors
         self.names = spec.index_names
         self.ranges = [bounds[name] for name in self.names]
         self.shape = tuple(hi - lo + 1 for lo, hi in self.ranges)
@@ -363,109 +534,64 @@ class _Replay:
             self.env[name] = vec.reshape(
                 (1,) * axis + (-1,) + (1,) * (rank - axis - 1)
             )
-        self.locals: Dict[str, np.ndarray] = {}
+        self.defined: set = set()
 
-    # -- step execution --------------------------------------------------
-
-    def run_step(self, step: _LocalStep) -> None:
+    def step(self, step: _LocalStep) -> Tuple:
+        init = term = None
         if step.mode == "pointwise":
-            value = np.broadcast_to(
-                np.asarray(self.eval(step.rhs, self.env)), self.shape
+            term = self.expr(step.rhs, self.env)
+        else:
+            # The phantom slot one step outside the domain (the paper's
+            # ``k.lowerBound`` initialization), resolved through the same
+            # boundary clamping an out-of-domain scalar read performs.
+            axis = step.flow_axis
+            init_coords = [self.env[name] for name in self.names]
+            init_coords[axis] = np.full(
+                (1,) * len(self.shape), self.ranges[axis][0] - 1, dtype=np.int64
             )
-            self.locals[step.name] = np.ascontiguousarray(value)
-            return
-        axis = step.flow_axis
-        lo = self.ranges[axis][0]
-        # The phantom slot one step outside the domain (the paper's
-        # ``k.lowerBound`` initialization), resolved through the same
-        # boundary clamping an out-of-domain scalar read performs.
-        init_coords = [self.env[name] for name in self.names]
-        init_coords[axis] = np.full((1,) * len(self.shape), lo - 1, dtype=np.int64)
-        init = self.read_local(step.name, init_coords)
-        init = np.broadcast_to(
-            np.asarray(init),
-            self.shape[:axis] + (1,) + self.shape[axis + 1:],
-        )
-        if step.mode == "propagate":
-            value = np.broadcast_to(init, self.shape)
-            self.locals[step.name] = np.ascontiguousarray(value)
-            return
-        term = np.broadcast_to(
-            np.asarray(self.eval(step.operand, self.env)), self.shape
-        )
-        # Seed the accumulate with the boundary value so the fold is
-        # exactly the interpreter's left-associated order:
-        # ((init op g0) op g1) op ... -- bit-identical for floats too.
-        stacked = np.concatenate(
-            [init.astype(np.result_type(init, term), copy=False), term],
-            axis=axis,
-        )
-        acc = _UFUNCS[step.op].accumulate(stacked, axis=axis)
-        slices = [slice(None)] * len(self.shape)
-        slices[axis] = slice(1, None)
-        self.locals[step.name] = np.ascontiguousarray(acc[tuple(slices)])
+            init = self.read(step.name, init_coords)
+            if step.mode == "scan":
+                term = self.expr(step.operand, self.env)
+        self.defined.add(step.name)
+        return init, term
 
-    # -- expression evaluation -------------------------------------------
-
-    def eval(self, expr: Expr, env: Mapping[str, np.ndarray]):
+    def expr(self, expr: Expr, env: Mapping[str, np.ndarray]):
         if isinstance(expr, Const):
-            return expr.value
+            return _Known(expr.value)
         if isinstance(expr, IndexValue):
-            return expr.expr.evaluate(env, self.bounds)
+            return _Known(expr.expr.evaluate(env, self.bounds))
         if isinstance(expr, Access):
             if expr.is_data_dependent:
-                raise KernelFallback(
-                    f"data-dependent subscript on {expr.target.name!r}"
-                )
+                return _Fail(f"data-dependent subscript on {expr.target.name!r}")
             if any(sub is WILDCARD for sub in expr.subscripts):
-                raise KernelFallback(
-                    f"wildcard subscript on {expr.target.name!r}"
-                )
+                return _Fail(f"wildcard subscript on {expr.target.name!r}")
             coords = [sub.evaluate(env, self.bounds) for sub in expr.subscripts]
             if isinstance(expr.target, Tensor):
-                return self.tensor(expr.target.name)[tuple(coords)]
-            return self.read_local(expr.target.name, coords)
-        if isinstance(expr, BinOp):
-            return _UFUNCS[expr.op](
-                self.eval(expr.lhs, env), self.eval(expr.rhs, env)
-            )
-        if isinstance(expr, Comparison):
-            return _COMPARES[expr.op](
-                self.eval(expr.lhs, env), self.eval(expr.rhs, env)
+                return _TensorRead(expr.target.name, tuple(coords))
+            return self.read(expr.target.name, coords)
+        if isinstance(expr, (BinOp, Comparison)):
+            ufuncs = _UFUNCS if isinstance(expr, BinOp) else _COMPARES
+            return _Apply(
+                ufuncs[expr.op], self.expr(expr.lhs, env), self.expr(expr.rhs, env)
             )
         if isinstance(expr, Select):
-            # Both branches evaluate over every lane (the scalar path
-            # evaluates one per point).  A branch that only raises on
-            # lanes the condition discards must not fail the whole
-            # replay -- fall back so the lazily-evaluating scalar path
-            # decides whether the error is real.
-            cond = self.eval(expr.cond, env)
-            try:
-                if_true = self.eval(expr.if_true, env)
-                if_false = self.eval(expr.if_false, env)
-            except (IndexError, SpecError) as err:
-                raise KernelFallback(
-                    f"Select branch not lane-safe: {err}"
-                ) from err
-            return np.where(cond, if_true, if_false)
-        raise KernelFallback(f"untraceable expression {type(expr).__name__}")
-
-    def tensor(self, name: str) -> np.ndarray:
-        array = self.tensors.get(name)
-        if array is None:
-            raise SpecError(f"no data provided for tensor {name!r}")
-        return np.asarray(array)
+            return _Where(
+                self.expr(expr.cond, env),
+                self.expr(expr.if_true, env),
+                self.expr(expr.if_false, env),
+            )
+        return _Fail(f"untraceable expression {type(expr).__name__}")
 
     # -- local reads with boundary clamping ------------------------------
 
-    def read_local(self, name: str, coord_exprs: Sequence) -> np.ndarray:
-        """Batched counterpart of the interpreter's ``read``.
+    def read(self, name: str, coord_exprs: Sequence):
+        """Plan a batched counterpart of the interpreter's ``read``.
 
         In-domain lanes gather from the local's array; out-of-domain
         lanes resolve through the boundary rule of their *innermost*
         out-of-range axis (matching the scalar clamping order), with
-        the rule's right-hand side evaluated only on the lanes that
-        need it.
+        the rule's right-hand side planned only on the lanes that need
+        it.
         """
         shape = np.broadcast_shapes(*(np.shape(c) for c in coord_exprs))
         coords = [
@@ -484,22 +610,19 @@ class _Replay:
             if out.any():
                 out_anywhere = True
                 selector = np.where(out, axis, selector)
-        array = self.locals.get(name)
-        if array is not None:
+        gather = None
+        if name in self.defined:
             gather = tuple(
-                np.clip(c - lo, 0, max(hi - lo, 0))
-                for c, (lo, hi) in zip(coords, self.ranges)
+                np.clip(np.asarray(c, dtype=np.int64) - lo, 0, max(hi - lo, 0))
+                for c, (lo, hi) in zip(coord_exprs, self.ranges)
             )
-            result = np.asarray(array[gather])
             if not out_anywhere:
-                return result
-            result = result.copy()
-        else:
-            # A recurrence step reading its own phantom boundary slot:
+                return _LocalRead(name, gather, shape, ())
+        elif bool((selector < 0).any()):
+            # A recurrence step reading its own phantom boundary slot is
             # legal only when every lane resolves via a boundary rule.
-            if bool((selector < 0).any()):
-                raise KernelFallback(f"read of {name!r} before definition")
-            result = np.zeros(shape, dtype=np.int64)
+            return _Fail(f"read of {name!r} before definition")
+        fills = []
         for axis, axis_name in enumerate(self.names):
             lo, hi = self.ranges[axis]
             for side, side_mask, clamped in (
@@ -509,28 +632,23 @@ class _Replay:
                 mask = side_mask & (selector == axis)
                 if not mask.any():
                     continue
+                lanes = np.flatnonzero(mask)
                 rule = self._boundary_rule(name, axis_name, side)
                 if rule is None:
-                    raise KernelFallback(
+                    fills.append((lanes, _Fail(
                         f"read of {name!r} beyond axis {axis_name!r} has no"
                         f" {side!r} boundary rule"
-                    )
+                    )))
+                    return _LocalRead(name, gather, shape, tuple(fills))
                 # Lane-compress: outer axes keep their (possibly still
                 # out-of-range) coordinates for recursive resolution,
                 # exactly like the scalar read re-entering itself.
                 lane_env = {
                     n: coords[a][mask] for a, n in enumerate(self.names)
                 }
-                lane_env[axis_name] = np.full(
-                    int(mask.sum()), clamped, dtype=np.int64
-                )
-                value = np.asarray(self.eval(rule.rhs, lane_env))
-                value = np.broadcast_to(value, lane_env[axis_name].shape)
-                promoted = np.result_type(result.dtype, value.dtype)
-                if promoted != result.dtype:
-                    result = result.astype(promoted)
-                result[mask] = value
-        return result
+                lane_env[axis_name] = np.full(lanes.size, clamped, dtype=np.int64)
+                fills.append((lanes, self.expr(rule.rhs, lane_env)))
+        return _LocalRead(name, gather, shape, tuple(fills))
 
     def _boundary_rule(
         self, name: str, axis_name: str, side: str
@@ -542,44 +660,36 @@ class _Replay:
                 return assignment
         return None
 
-    # -- output assembly -------------------------------------------------
+    # -- output rules ----------------------------------------------------
 
-    def outputs(self) -> Dict[str, np.ndarray]:
-        cells: Dict[str, List[Tuple[List[np.ndarray], np.ndarray]]] = {
-            t.name: [] for t in self.spec.output_tensors()
-        }
+    def outputs(self) -> List[_Output]:
+        plans = []
         for assignment in self.spec.assignments:
             if assignment.kind is not AssignmentKind.OUTPUT:
                 continue
-            fired = self._output_env(assignment)
-            if fired is None:
+            env = self._output_env(assignment)
+            if env is None:
                 continue
-            env = fired
             coords = [
-                sub.evaluate(env, self.bounds)
+                np.asarray(sub.evaluate(env, self.bounds), dtype=np.int64)
                 for sub in assignment.lhs.subscripts
             ]
-            value = self.eval(assignment.rhs, env)
-            sub_shape = np.broadcast_shapes(
-                *(np.shape(c) for c in coords), np.shape(value)
-            )
-            coords = [
-                np.broadcast_to(np.asarray(c, dtype=np.int64), sub_shape).reshape(-1)
-                for c in coords
-            ]
-            value = np.broadcast_to(np.asarray(value), sub_shape).reshape(-1)
-            cells[assignment.lhs.target.name].append((coords, value))
-        return {
-            name: _assemble(pieces) for name, pieces in cells.items()
-        }
+            coord_shapes = tuple(c.shape for c in coords)
+            shape = np.broadcast_shapes(*coord_shapes)
+            plans.append(_Output(
+                assignment.lhs.target.name,
+                coord_shapes,
+                shape,
+                [np.broadcast_to(c, shape).reshape(-1) for c in coords],
+                self.expr(assignment.rhs, env),
+            ))
+        return plans
 
     def _output_env(
         self, assignment: Assignment
     ) -> Optional[Dict[str, np.ndarray]]:
         """The firing sub-domain of an output rule, or None when its
         bound-marker pins are jointly unsatisfiable (never fires)."""
-        from ..core.expr import BoundMarker
-
         pins: Dict[str, int] = {}
         for access in assignment.rhs.references():
             for sub in access.subscripts:
@@ -591,12 +701,77 @@ class _Replay:
                     pins[sub.index.name] = want
         env = dict(self.env)
         rank = len(self.names)
-        for axis, name in enumerate(self.names):
+        for name in self.names:
             if name in pins:
-                env[name] = np.full(
-                    (1,) * rank, pins[name], dtype=np.int64
-                )
+                env[name] = np.full((1,) * rank, pins[name], dtype=np.int64)
         return env
+
+
+# ---------------------------------------------------------------------------
+# Values: run a plan against one set of tensors
+# ---------------------------------------------------------------------------
+
+
+class _Values:
+    """The value pass: the tensors plus each local's full-domain array."""
+
+    def __init__(self, tensors: Mapping[str, np.ndarray]):
+        self.tensors = tensors
+        self.locals: Dict[str, np.ndarray] = {}
+
+    def tensor(self, name: str) -> np.ndarray:
+        array = self.tensors.get(name)
+        if array is None:
+            raise SpecError(f"no data provided for tensor {name!r}")
+        return np.asarray(array)
+
+    def run_step(self, step: _LocalStep, plan: Tuple, shape: Tuple) -> None:
+        init, term = plan
+        if step.mode == "pointwise":
+            value = np.broadcast_to(np.asarray(term.run(self)), shape)
+            self.locals[step.name] = np.ascontiguousarray(value)
+            return
+        axis = step.flow_axis
+        init = np.broadcast_to(
+            np.asarray(init.run(self)), shape[:axis] + (1,) + shape[axis + 1:]
+        )
+        if step.mode == "propagate":
+            value = np.broadcast_to(init, shape)
+            self.locals[step.name] = np.ascontiguousarray(value)
+            return
+        term = np.broadcast_to(np.asarray(term.run(self)), shape)
+        # Seed the accumulate with the boundary value so the fold is
+        # exactly the interpreter's left-associated order:
+        # ((init op g0) op g1) op ... -- bit-identical for floats too.
+        stacked = np.concatenate(
+            [init.astype(np.result_type(init, term), copy=False), term],
+            axis=axis,
+        )
+        acc = _UFUNCS[step.op].accumulate(stacked, axis=axis)
+        slices = [slice(None)] * len(shape)
+        slices[axis] = slice(1, None)
+        self.locals[step.name] = np.ascontiguousarray(acc[tuple(slices)])
+
+    def outputs(
+        self, spec: FunctionalSpec, plans: Sequence[_Output]
+    ) -> Dict[str, np.ndarray]:
+        cells: Dict[str, List[Tuple[List[np.ndarray], np.ndarray]]] = {
+            t.name: [] for t in spec.output_tensors()
+        }
+        for out in plans:
+            value = out.value.run(self)
+            sub_shape = np.broadcast_shapes(*out.coord_shapes, np.shape(value))
+            coords = out.flat
+            if sub_shape != out.shape:
+                coords = [
+                    np.broadcast_to(c.reshape(out.shape), sub_shape).reshape(-1)
+                    for c in coords
+                ]
+            value = np.broadcast_to(np.asarray(value), sub_shape).reshape(-1)
+            cells[out.target].append((coords, value))
+        return {
+            name: _assemble(pieces) for name, pieces in cells.items()
+        }
 
 
 def _assemble(
@@ -692,19 +867,20 @@ def skip_mask(
     for access in condition.references():
         if isinstance(access.target, Local):
             raise KernelFallback(f"skip condition reads {access.target.name!r}")
-    replayer = _Replay(spec, bounds, tensors)
-    env = replayer.env
+    planner = _Planner(spec, bounds)
+    values = _Values(tensors)
+    env = planner.env
     row = row_operand(condition)
     try:
         if row is None:
-            value = replayer.eval(condition, env)
+            value = planner.expr(condition, env).run(values)
         else:
             if row.is_data_dependent:
                 raise KernelFallback(
                     f"data-dependent subscript on {row.target.name!r}"
                 )
             wild = [axis for axis, s in enumerate(row.subscripts) if s is WILDCARD]
-            flags = replayer.tensor(row.target.name).astype(bool).any(
+            flags = values.tensor(row.target.name).astype(bool).any(
                 axis=tuple(wild)
             )
             coords = [
@@ -712,11 +888,11 @@ def skip_mask(
             ]
             value = _COMPARES[condition.op](
                 flags[tuple(coords)].astype(np.int64),
-                replayer.eval(condition.rhs, env),
+                planner.expr(condition.rhs, env).run(values),
             )
     except IndexError as err:
         raise KernelFallback(f"skip condition read out of range: {err}") from err
-    mask = np.broadcast_to(np.asarray(value, dtype=bool), replayer.shape)
+    mask = np.broadcast_to(np.asarray(value, dtype=bool), planner.shape)
     return mask.reshape(-1)
 
 

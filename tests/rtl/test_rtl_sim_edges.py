@@ -169,3 +169,25 @@ class TestParserErrors:
             parse_expression("a < <")
         with pytest.raises(RTLError, match="expected an identifier, found \"8'd1\""):
             parse_statement("8'd1 <= a;")
+
+
+class TestWideBuses:
+    """Buses wider than Python's 4,300-digit decimal limit (~14,280 bits)
+    compile: the generated code writes literals and masks in hex."""
+
+    def test_slice_write_into_a_wide_output(self):
+        module = Module("wide")
+        module.input("a", 32)
+        module.output("y", 16384)
+        module.assign("y[63:32]", "a")
+        sim = RTLSimulator(_netlist(module))
+        sim.poke("a", 0xDEADBEEF)
+        assert sim.peek("y") >> 32 == 0xDEADBEEF
+
+    def test_wide_literal(self):
+        module = Module("wide_literal")
+        module.input("a", 1)
+        module.output("y", 16384)
+        module.assign("y", "16384'h" + "f" * 4096)
+        sim = RTLSimulator(_netlist(module))
+        assert sim.peek("y") == (1 << 16384) - 1

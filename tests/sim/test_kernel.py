@@ -106,6 +106,21 @@ class TestTracing:
         spec.let(Y[i], acc[i, k.upper_bound])
         assert compile_kernel(spec) is None
 
+    def test_bound_marker_on_a_foreign_index_falls_back(self):
+        """Plans are keyed on the spec's own index ranges, so a bound
+        marker on any other index must take the scalar path."""
+        i, z = Index("i"), Index("z")
+        X, Y = Tensor("X", 1), Tensor("Y", 1)
+        a = Local("a", 1)
+        spec = FunctionalSpec("foreign", [i])
+        spec.let(a[i], X[z.upper_bound])
+        spec.let(Y[i], a[i])
+        assert compile_kernel(spec) is None
+        tensors = {"X": np.arange(5)}
+        for hi in (1, 3):
+            got = spec.interpret(Bounds({"i": 2, "z": (0, hi)}), tensors)
+            assert got["Y"].tolist() == [hi, hi]
+
     def test_commutative_right_recurrence_traces(self):
         i, k = Index("i"), Index("k")
         X, Y = Tensor("X", 2), Tensor("Y", 1)
@@ -239,7 +254,181 @@ class TestMemoization:
         assert cached_kernel(spec) is not cached_kernel(matmul_spec())
 
 
+def _scan_before_input() -> FunctionalSpec:
+    """``_scan_without_init`` whose fold term reads ``X`` through a
+    pointwise local, so the tensor read runs before the phantom read."""
+    i, k = Index("i"), Index("k")
+    X, Y = Tensor("X", 2), Tensor("Y", 1)
+    p, acc = Local("p", 2), Local("acc", 2)
+    spec = FunctionalSpec("inputfirst", [i, k])
+    spec.let(p[i, k], X[i, k])
+    spec.let(acc[i, k], acc[i, k - 1] + p[i, k])
+    spec.let(Y[i], acc[i, k.upper_bound])
+    return spec
+
+
+def _init_reads_itself() -> FunctionalSpec:
+    """A phantom slot whose boundary rule reads the unfilled scan."""
+    i, k = Index("i"), Index("k")
+    X, Y = Tensor("X", 2), Tensor("Y", 1)
+    acc = Local("acc", 2)
+    spec = FunctionalSpec("selfinit", [i, k])
+    spec.let(acc[i, k.lower_bound], acc[i, k] + X[i, k])
+    spec.let(acc[i, k], acc[i, k - 1] + X[i, k])
+    spec.let(Y[i], acc[i, k.upper_bound])
+    return spec
+
+
+def _plan_bytes(plan) -> int:
+    """Bytes retained by a plan, counted once per base array."""
+    bases: dict = {}
+    seen: set = set()
+    stack = [plan]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj.nbytes
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+    return sum(bases.values())
+
+
+class TestWarmPlans:
+    """Each distinct bounds gets one index-only plan; every later replay
+    of those bounds runs only the value pass against it."""
+
+    def test_warm_replays_equal_cold_and_scalar(self):
+        spec = matmul_spec()
+        kernel = compile_kernel(spec)
+        bounds = Bounds({"i": 4, "j": 3, "k": 5})
+        rng = np.random.default_rng(5)
+        for tensors in (
+            _matmul_tensors(rng, 4, 3, 5),
+            {"A": rng.standard_normal((4, 5)), "B": rng.standard_normal((5, 3))},
+            _matmul_tensors(rng, 4, 3, 5),
+        ):
+            got = kernel.replay(bounds, tensors)["C"]
+            for want in (
+                spec.interpret(bounds, tensors, kernel=False)["C"],
+                compile_kernel(spec).replay(bounds, tensors)["C"],
+            ):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        assert len(kernel._plans) == 1
+
+    @pytest.mark.parametrize(
+        "factory, tensors, error",
+        [
+            (_scan_without_init, {"X": np.ones((2, 3), dtype=np.int64)},
+             KernelFallback),
+            (_scan_without_init, {}, KernelFallback),
+            (_scan_before_input, {}, SpecError),
+            (_scan_before_input, {"X": np.ones((2, 3), dtype=np.int64)},
+             KernelFallback),
+            (_init_reads_itself, {"X": np.ones((2, 3), dtype=np.int64)},
+             KernelFallback),
+            (matmul_spec, {"A": np.ones((2, 3), dtype=np.int64)}, SpecError),
+            (matmul_spec,
+             {"A": np.ones((2, 3), dtype=np.int64),
+              "B": np.ones((2, 3), dtype=np.int64)},
+             IndexError),
+        ],
+    )
+    def test_errors_repeat_on_a_warm_plan(self, factory, tensors, error):
+        spec = factory()
+        bounds = Bounds({name: (0, 2 if name == "k" else 1)
+                         for name in spec.index_names})
+        kernel = compile_kernel(spec)
+        raised = []
+        for replayer in (kernel, kernel, compile_kernel(spec)):
+            with pytest.raises(error) as info:
+                replayer.replay(bounds, tensors)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1] == raised[2]
+
+    def test_output_over_an_unpinned_axis(self):
+        """``Y(i) := acc(i, k)`` fires at every k: its value is wider
+        than its cells, so the later k overwrite the earlier ones."""
+        i, k = Index("i"), Index("k")
+        X, Y = Tensor("X", 2), Tensor("Y", 1)
+        acc = Local("acc", 2)
+        spec = FunctionalSpec("unpinned", [i, k])
+        spec.let(acc[i, k.lower_bound], 0)
+        spec.let(acc[i, k], acc[i, k - 1] + X[i, k])
+        spec.let(Y[i], acc[i, k])
+        kernel = compile_kernel(spec)
+        bounds = Bounds({"i": 3, "k": 4})
+        tensors = {"X": np.arange(12).reshape(3, 4)}
+        want = spec.interpret(bounds, tensors, kernel=False)["Y"]
+        for _replay in range(2):
+            assert kernel.replay(bounds, tensors)["Y"].tobytes() == want.tobytes()
+
+    def test_read_before_definition_falls_back(self):
+        kernel = compile_kernel(_init_reads_itself())
+        bounds = Bounds({"i": 2, "k": 3})
+        with pytest.raises(KernelFallback, match="'acc' before definition"):
+            kernel.replay(bounds, {"X": np.ones((2, 3), dtype=np.int64)})
+
+    def test_each_suite_bounds_gets_its_own_plan(self):
+        from repro.exec.suite import build_resnet50
+
+        suite = build_resnet50(cap=12)
+        kernel = compile_kernel(suite.spec)
+        for case in suite.cases:
+            got = kernel.replay(case.bounds, case.tensors)["C"]
+            want = suite.spec.interpret(case.bounds, case.tensors, kernel=False)
+            assert got.tobytes() == want["C"].tobytes()
+        assert sorted(kernel._plans) == [
+            ((0, 0), (0, 11), (0, 11)),
+            ((0, 11), (0, 11), (0, 11)),
+        ]
+
+    def test_equal_bounds_objects_share_a_plan(self):
+        kernel = compile_kernel(matmul_spec())
+        tensors = _matmul_tensors(np.random.default_rng(2), 2, 2, 2)
+        kernel.replay(Bounds({"i": 2, "j": 2, "k": 2}), tensors)
+        plan = next(iter(kernel._plans.values()))
+        kernel.replay(Bounds({"i": 2, "j": 2, "k": 2}), tensors)
+        assert list(kernel._plans.values()) == [plan]
+
+    def test_plans_per_kernel_are_bounded(self):
+        kernel = compile_kernel(matmul_spec())
+        rng = np.random.default_rng(6)
+        for size in range(1, 10):
+            kernel.replay(
+                Bounds({"i": size, "j": 2, "k": 2}),
+                _matmul_tensors(rng, size, 2, 2),
+            )
+        assert len(kernel._plans) == 8
+        assert ((0, 0), (0, 1), (0, 1)) not in kernel._plans
+
+    def test_plan_is_compact(self):
+        """A 64^3 plan holds less than one int64 domain array: gathers
+        stay per-axis vectors and boundary lanes stay compressed."""
+        kernel = compile_kernel(matmul_spec())
+        rng = np.random.default_rng(8)
+        kernel.replay(
+            Bounds({"i": 64, "j": 64, "k": 64}), _matmul_tensors(rng, 64, 64, 64)
+        )
+        (plan,) = kernel._plans.values()
+        assert _plan_bytes(plan) < 64 ** 3 * 8
+
+
 class TestPickling:
+    def test_pickle_drops_plans(self):
+        kernel = compile_kernel(matmul_spec())
+        before = pickle.dumps(kernel, protocol=4)
+        tensors = _matmul_tensors(np.random.default_rng(1), 3, 4, 2)
+        kernel.replay(Bounds({"i": 3, "j": 4, "k": 2}), tensors)
+        assert kernel._plans
+        assert pickle.dumps(kernel, protocol=4) == before
+        assert pickle.loads(before)._plans == {}
+
     def test_compiled_kernel_roundtrips(self):
         """A kernel is pure data: it must survive a pickle round-trip
         and replay byte-identically afterwards."""
