@@ -93,9 +93,6 @@ class VerifyReport:
     def max_severity(self) -> Optional[Severity]:
         return max_severity(self.diagnostics)
 
-    def has_build_errors(self) -> bool:
-        return any(target.error for target in self.targets)
-
     def total_rewrites(self) -> int:
         return sum(sum(t.rewrites.values()) for t in self.targets)
 

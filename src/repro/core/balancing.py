@@ -116,13 +116,6 @@ class Shift:
                 bias.append(0)
         return tuple(bias)
 
-    def target_region(self, order: Sequence[str]) -> Dict[str, Range]:
-        return {
-            name: clause
-            for name, clause in self.dst.items()
-            if isinstance(clause, Range) and name in order
-        }
-
     def constrained_axes(self) -> FrozenSet[str]:
         """Axes along which the target region is a *proper* sub-range.
 

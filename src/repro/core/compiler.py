@@ -105,6 +105,16 @@ class CompiledDesign:
         return self.spec.name
 
     @property
+    def axes(self) -> Tuple[object, ...]:
+        """The inputs ``compile_design`` built this design from, the
+        key parts of the memo stages derived from it (``lower``,
+        ``area.model``)."""
+        return (
+            self.spec, self.bounds, self.transform, self.sparsity,
+            self.balancing, self.membufs, self.element_bits,
+        )
+
+    @property
     def pe_count(self) -> int:
         return self.array.pe_count
 

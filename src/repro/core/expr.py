@@ -700,9 +700,6 @@ class EvalContext:
         self.bounds = bounds
         self.read = read
 
-    def with_env(self, env: Mapping[str, int]) -> "EvalContext":
-        return EvalContext(env, self.bounds, self.read)
-
 
 def exact_inverse(matrix: Sequence[Sequence[int]]) -> Tuple[Tuple[Fraction, ...], ...]:
     """Exact inverse of a small integer matrix via Gauss-Jordan on Fractions.

@@ -154,6 +154,15 @@ class FunctionalSpec:
                                 f"unknown index {name!r} in {access!r}; spec indices"
                                 f" are {self.index_names}"
                             )
+        # A pin says at which points of the domain a rule fires, so it
+        # must name an iterated index; elsewhere a bound marker is a value.
+        for name, which in assignment.pinned_bounds():
+            if name not in self.index_names:
+                marker = "lowerBound" if which == "lb" else "upperBound"
+                raise SpecError(
+                    f"{assignment!r} is pinned to {name}.{marker}, but the"
+                    f" spec iterates only {self.index_names}"
+                )
         if isinstance(assignment.lhs.target, Local):
             if assignment.lhs.target.rank != len(self.index_names):
                 raise SpecError(

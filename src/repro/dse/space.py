@@ -39,11 +39,10 @@ class DesignCombo(NamedTuple):
 
     The three architectural axes (transform, sparsity, balancing) decide
     what gets compiled and simulated; the three microarchitecture axes
-    (membuf, dma, regfile) are analytic overlays applied to the
-    simulated outcome (see :mod:`repro.dse.uarch`), so combos differing
-    only in microarchitecture share one compile + simulation cache
-    entry.  All six default to the neutral configuration, keeping every
-    pre-widening call site byte-identical.
+    (membuf, dma, regfile) are analytic overlays (:mod:`repro.dse.uarch`)
+    that the autotuner adds to the outcome of the combo's base point,
+    the combo with the same :attr:`names` (:mod:`repro.exec.halving`).
+    The uarch axes default to the neutral configuration.
     """
 
     transform_name: str
@@ -94,14 +93,13 @@ class DesignCombo(NamedTuple):
         return base
 
     def candidate(self, **extra: object) -> Dict[str, object]:
-        """The evaluation-engine candidate dict for this combo.
+        """The evaluation-engine candidate dict for this combo's base
+        point: the three architectural axes, which are all the engine
+        evaluates.
 
         ``extra`` adds (or overrides) engine fields -- per-case
         ``bounds``/``tensors_key``, the ``want_*`` flags, a distinct
         ``name`` when one combo appears once per workload layer.
-        Microarchitecture fields are only added when non-default, so
-        neutral combos produce the exact candidate dicts they always
-        have.
         """
         fields: Dict[str, object] = {
             "name": self.label,
@@ -112,15 +110,6 @@ class DesignCombo(NamedTuple):
             "balancing_name": self.balancing_name,
             "balancing": self.balancing,
         }
-        if self.membuf is not None:
-            fields["membuf_name"] = self.membuf_name
-            fields["membuf"] = self.membuf
-        if self.dma is not None:
-            fields["dma_name"] = self.dma_name
-            fields["dma"] = self.dma
-        if self.regfile is not None:
-            fields["regfile_name"] = self.regfile_name
-            fields["regfile"] = self.regfile
         fields.update(extra)
         return fields
 

@@ -12,9 +12,9 @@ MemBufSim` pipeline timing, :class:`~repro.sim.dma.DMASim` pointer-chase
 stalls, :class:`~repro.sim.regfile.RegfileSim` access latencies,
 :mod:`repro.area.model` SRAM/DMA constants).
 
-Because the overlay is applied *after* the cached simulation, every
-variant of one (transform, sparsity, balancing) point shares a single
-compile + simulate cache entry: widening the space 8x costs almost
+The autotuner (:mod:`repro.exec.halving`) evaluates each (transform,
+sparsity, balancing) base point once and adds the overlay of every
+variant to that one outcome: widening the space 8x costs almost
 nothing beyond the overlay arithmetic.  Variants are monotone --
 ``extra_cycles >= 0`` always -- so the suite's fixed baseline (the
 neutral ``default`` configuration on every axis) remains the

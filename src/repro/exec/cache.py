@@ -120,8 +120,8 @@ class CompileCache:
     """Two-tier LRU memo store for compile/lower/evaluate products.
 
     ``max_entries`` bounds the number of memoized values (least recently
-    used evicted first); the identity->fingerprint and digests->key
-    memos are bounded by the same limit.  ``stats`` (and the store's
+    used evicted first); the identity->fingerprint memo is bounded by
+    the same limit.  ``stats`` (and the store's
     ``stats``) are the only tallies of cache traffic; :attr:`registry`
     presents them as metrics.
 
@@ -146,7 +146,6 @@ class CompileCache:
         self.stats = CacheStats()
         self._entries: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
         self._fp_memo: "OrderedDict[int, Tuple[object, str]]" = OrderedDict()
-        self._key_memo: "OrderedDict[Tuple[str, ...], str]" = OrderedDict()
         self.store = store
 
     @property
@@ -186,18 +185,8 @@ class CompileCache:
 
     def key(self, parts: Tuple[object, ...]) -> str:
         """The memo key of ``parts``: the fingerprint of its members'
-        fingerprints, remembered per tuple of those, so the uarch
-        variants of one design point, which share every part, are
-        keyed once."""
-        digests = tuple(self.fingerprint_of(part) for part in parts)
-        key = self._key_memo.get(digests)
-        if key is None:
-            key = self._key_memo[digests] = fingerprint(digests)
-            while len(self._key_memo) > self.max_entries:
-                self._key_memo.popitem(last=False)
-        else:
-            self._key_memo.move_to_end(digests)
-        return key
+        fingerprints."""
+        return fingerprint(tuple(self.fingerprint_of(part) for part in parts))
 
     # -- the generic memo -----------------------------------------------
 
@@ -297,10 +286,10 @@ class CompileCache:
 
         return self.memo(
             "lower",
-            (design.spec, design.bounds, design.transform, design.sparsity,
-             design.balancing, design.membufs, design.element_bits,
-             max_inflight_dma, check, opt_level,
-             PASS_PIPELINE_VERSION if opt_level else 0),
+            design.axes + (
+                max_inflight_dma, check, opt_level,
+                PASS_PIPELINE_VERSION if opt_level else 0,
+            ),
             lambda: lower_design(
                 design,
                 max_inflight_dma=max_inflight_dma,
@@ -314,7 +303,6 @@ class CompileCache:
     def clear(self) -> None:
         self._entries.clear()
         self._fp_memo.clear()
-        self._key_memo.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -34,8 +34,7 @@ own with that type's ``merge``.
 
 With a cache, each design point's finished figures are memoized whole
 under the ``dse.point`` stage (:func:`_evaluate_point`), so a warm or
-duplicate point costs one lookup; the membuf/DMA/regfile overlays of
-:mod:`repro.dse.uarch` are applied afterwards, per candidate.
+duplicate point costs one lookup.
 
 Suites ride on the same sweep: a candidate may carry its own
 ``bounds``, a ``tensors_key`` naming an operand set in the sweep-wide
@@ -154,8 +153,7 @@ def _evaluate_point(
     skip_illegal: bool,
 ) -> Dict[str, object]:
     """Compile + simulate + area for one candidate on its own operand
-    set ``tensors`` (already resolved by :func:`_operands`), before any
-    uarch overlay (:func:`_apply_overlay`).
+    set ``tensors`` (already resolved by :func:`_operands`).
 
     Runs against whatever profiler/tracer are currently installed, so the
     same code serves the inline path (parent observability) and the
@@ -174,8 +172,8 @@ def _evaluate_point(
     lookup.  Names never enter the memo, so two content-identical
     transforms keep their own ``transform_name``.  A missed point still
     estimates its area once per compiled design: the memory-only
-    ``area.model`` stage is keyed on the design axes the ``compile``
-    stage keys on, as the compiled design holds them (a shared
+    ``area.model`` stage is keyed on the design's
+    :attr:`~repro.core.compiler.CompiledDesign.axes` (a shared
     ``compile`` hit is then keyed from the identity memo alone).
 
     A candidate may also override the sweep-wide ``skip_illegal``: the
@@ -216,10 +214,7 @@ def _evaluate_point(
                 area = estimate_design_area(compiled)
             else:
                 area = cache.memo(
-                    "area.model",
-                    (compiled.spec, compiled.bounds, compiled.transform,
-                     compiled.sparsity, compiled.balancing,
-                     compiled.membufs, compiled.element_bits),
+                    "area.model", compiled.axes,
                     lambda: estimate_design_area(compiled),
                 )
         figures = {
@@ -273,41 +268,6 @@ def _evaluate_point(
     return outcome
 
 
-def _apply_overlay(
-    outcome: Dict[str, object],
-    candidate: Mapping[str, object],
-    bounds,
-    element_bits: int,
-    overlays: Dict[tuple, Tuple[int, float]],
-) -> Dict[str, object]:
-    """Adjust an ``ok`` outcome by the candidate's membuf/DMA/regfile
-    variants (:mod:`repro.dse.uarch`), in place.
-
-    The overlay is applied after the point memo, so every variant of one
-    base shares its ``dse.point`` entry.  ``overlays`` is the sweep's
-    table of computed ``(extra_cycles, area_delta)`` pairs: each distinct
-    (variants, bounds, element_bits) is computed once per sweep.
-    """
-    variants = tuple(candidate.get(axis) for axis in ("membuf", "dma", "regfile"))
-    if outcome["status"] != "ok" or variants == (None, None, None):
-        return outcome
-    bounds = candidate.get("bounds", bounds)
-    key = (variants, tuple((n, bounds[n]) for n in bounds.names()), element_bits)
-    if key not in overlays:
-        from ..dse.uarch import uarch_overlay
-
-        overlays[key] = uarch_overlay(*variants, bounds, element_bits)
-    extra_cycles, area_delta = overlays[key]
-    outcome["cycles"] += extra_cycles
-    outcome["area_um2"] += area_delta
-    outcome["membuf_name"] = candidate.get("membuf_name", "default")
-    outcome["dma_name"] = candidate.get("dma_name", "default")
-    outcome["regfile_name"] = candidate.get("regfile_name", "default")
-    outcome["uarch_extra_cycles"] = extra_cycles
-    outcome["uarch_area_delta_um2"] = round(area_delta, 3)
-    return outcome
-
-
 def evaluate_point(
     spec,
     bounds,
@@ -328,11 +288,10 @@ def evaluate_point(
     single named point that fails to compile is the caller's bug, not a
     pruned sweep entry.
     """
-    outcome = _evaluate_point(
+    return _evaluate_point(
         spec, bounds, _operands(candidate, tensors, tensor_table),
         element_bits, candidate, cache, skip_illegal,
     )
-    return _apply_overlay(outcome, candidate, bounds, element_bits, {})
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +452,10 @@ def evaluate_sweep(
     ``transform``, ``sparsity_name`` / ``sparsity`` and
     ``balancing_name`` / ``balancing``; suite candidates may add
     ``bounds``, ``tensors_key`` (an entry of ``tensor_table``), the
-    ``want_energy`` / ``want_digest`` flags, a per-candidate
-    ``skip_illegal`` override, and the uarch overlay fields
-    ``membuf`` / ``dma`` / ``regfile`` (with their ``*_name``).  Outcomes
-    are plain dicts with ``status`` either ``"ok"`` (plus the measured
-    figures) or ``"illegal"`` (plus the compile error text).  Overlays
-    are applied in this process after each point's evaluation, from a
-    table local to this sweep (:func:`_apply_overlay`).
+    ``want_energy`` / ``want_digest`` flags, and a per-candidate
+    ``skip_illegal`` override.  Outcomes are plain dicts with ``status``
+    either ``"ok"`` (plus the measured figures) or ``"illegal"`` (plus
+    the compile error text).
 
     ``on_outcome(index, outcome)`` -- when given -- is invoked once per
     candidate *in candidate order* as each outcome is finalized (worker
@@ -523,16 +479,12 @@ def evaluate_sweep(
     else:
         workers = min(resolve_jobs(jobs), max(1, len(candidates)))
 
-    overlays: Dict[tuple, Tuple[int, float]] = {}
     if workers <= 1:
         outcomes = []
         for index, candidate in enumerate(candidates):
-            outcome = _apply_overlay(
-                _evaluate_point(
-                    spec, bounds, _operands(candidate, tensors, tensor_table),
-                    element_bits, candidate, cache, skip_illegal,
-                ),
-                candidate, bounds, element_bits, overlays,
+            outcome = _evaluate_point(
+                spec, bounds, _operands(candidate, tensors, tensor_table),
+                element_bits, candidate, cache, skip_illegal,
             )
             outcomes.append(outcome)
             if on_outcome is not None:
@@ -592,9 +544,7 @@ def evaluate_sweep(
                 cache.stats.merge(cache_stats)
                 if cache.store is not None and store_stats is not None:
                     cache.store.stats.merge(store_stats)
-            outcomes[index] = _apply_overlay(
-                outcome, candidates[index], bounds, element_bits, overlays
-            )
+            outcomes[index] = outcome
             if on_outcome is not None:
                 on_outcome(index, outcome)
     finally:

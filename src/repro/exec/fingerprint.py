@@ -36,7 +36,6 @@ import enum
 import hashlib
 import types
 from fractions import Fraction
-from typing import Tuple
 
 import numpy as np
 
@@ -197,11 +196,3 @@ def _digest(value: object, visiting: dict) -> bytes:
     _feed(sub, value, visiting)
     return sub.digest()
 
-
-def tensor_signature(tensors) -> Tuple[Tuple[str, str, Tuple[int, ...]], ...]:
-    """A cheap human-readable shape summary (name, dtype, shape) used in
-    benchmark reports; the cache itself keys on full array contents."""
-    return tuple(
-        (name, str(np.asarray(arr).dtype), tuple(np.asarray(arr).shape))
-        for name, arr in sorted(tensors.items())
-    )

@@ -35,7 +35,15 @@ suite space (:func:`sweep_suite` holds the mode mapping).
 
 Every rung routes through one
 :func:`~repro.exec.engine.evaluate_sweep` call, so the ResidentPool,
-DiskStore, and compile-cache sharing all apply per rung.  Per layer, the final rung's points are ranked by the Pareto
+DiskStore, and compile-cache sharing all apply per rung.  The sweep
+holds one candidate per layer and *base point* -- a surviving combo's
+(transform, sparsity, balancing) -- and each combo's outcome is its
+base's plus the combo's membuf/DMA/regfile overlay
+(:func:`~repro.dse.uarch.uarch_overlay`, see :func:`_combo_outcome`),
+so the uarch variants of one base are evaluated once.  Rung tallies,
+rows and frontiers still count combos.
+
+Per layer, the final rung's points are ranked by the Pareto
 frontier over (cycles, area, energy); the frontier is optionally
 filtered by declarative suite-level constraints (``area<=N,power<=N``
 -- TeAAL-style) and the winner is the point minimizing the objective
@@ -497,6 +505,36 @@ class HalvingResult:
         return text_table(headers, body)
 
 
+def _combo_outcome(
+    base: Mapping[str, object],
+    combo: DesignCombo,
+    bounds: Bounds,
+    element_bits: int,
+    overlays: Dict[tuple, Tuple[int, float]],
+) -> Mapping[str, object]:
+    """``combo``'s outcome: its base point's ``ok`` outcome ``base`` plus
+    the combo's membuf/DMA/regfile overlay on ``bounds``.
+
+    A neutral combo, or an illegal base, shares ``base`` itself.
+    ``overlays`` holds the ``(extra_cycles, area_delta)`` pair of each
+    variants tuple computed so far on ``bounds`` and ``element_bits``;
+    the rung shares one table among its cases of equal bounds, so each
+    distinct (variants, bounds) is computed once per rung.
+    """
+    variants = (combo.membuf, combo.dma, combo.regfile)
+    if base["status"] != "ok" or variants == (None, None, None):
+        return base
+    if variants not in overlays:
+        from ..dse.uarch import uarch_overlay
+
+        overlays[variants] = uarch_overlay(*variants, bounds, element_bits)
+    extra_cycles, area_delta = overlays[variants]
+    outcome = dict(base)
+    outcome["cycles"] += extra_cycles
+    outcome["area_um2"] += area_delta
+    return outcome
+
+
 def _layer_points(
     combos: Sequence[DesignCombo], outcomes: Sequence[Mapping[str, object]]
 ) -> List[Tuple[DesignCombo, DesignPoint, Mapping[str, object]]]:
@@ -630,23 +668,36 @@ def halving_autotune_suite(
         final = cap is None
         stats = RungStats(rung_index, cap)
 
-        # One flat candidate list across all layers -> one
+        # One flat list of base points across all layers -> one
         # evaluate_sweep call per rung (pool/store/dedup all apply).
-        entries: List[Tuple[int, DesignCombo]] = []
+        bases: List[Tuple[int, Tuple[str, str, str]]] = []
         candidates: List[Dict[str, object]] = []
         tensor_table: Dict[str, Mapping[str, np.ndarray]] = {}
+        rung_bounds: List[Bounds] = []
+        overlays: List[Dict[tuple, Tuple[int, float]]] = []
+        tables: Dict[tuple, Dict[tuple, Tuple[int, float]]] = {}
         for case_index, case in enumerate(suite.cases):
             if final:
                 bounds, tensors, clipped = case.bounds, case.tensors, False
             else:
                 bounds, tensors, clipped = _clip_case(case, cap)
+            rung_bounds.append(bounds)
+            overlays.append(
+                tables.setdefault(
+                    tuple((n, bounds[n]) for n in bounds.names()), {}
+                )
+            )
             tensors_key = f"{case.name}@cap{cap}" if clipped else case.name
             tensor_table.setdefault(tensors_key, tensors)
+            seen = set()
             for combo in survivors[case_index]:
-                entries.append((case_index, combo))
+                if combo.names in seen:
+                    continue
+                seen.add(combo.names)
+                bases.append((case_index, combo.names))
                 candidates.append(
                     combo.candidate(
-                        name=f"{case.name} @ {combo.label}"
+                        name=f"{case.name} @ {' / '.join(combo.names)}"
                         + ("" if not clipped else f" @ rung{rung_index}"),
                         bounds=bounds,
                         tensors_key=tensors_key,
@@ -655,10 +706,10 @@ def halving_autotune_suite(
                         # The baseline must compile; exploration combos
                         # may be illegal and are pruned (or, at reduced
                         # fidelity, carried) per layer.
-                        skip_illegal=combo.key != baseline_combo.key,
+                        skip_illegal=combo.names != baseline_names,
                     )
                 )
-        stats.candidates = len(candidates)
+        stats.candidates = sum(len(layer) for layer in survivors)
         emit(
             {
                 "event": "rung_start",
@@ -682,15 +733,27 @@ def halving_autotune_suite(
             pool=pool,
         )
 
+        by_base = dict(zip(bases, outcomes))
         per_layer: List[List[Tuple[DesignCombo, Mapping[str, object]]]] = [
-            [] for _ in suite.cases
+            [
+                (
+                    combo,
+                    _combo_outcome(
+                        by_base[case_index, combo.names], combo,
+                        rung_bounds[case_index], suite.element_bits,
+                        overlays[case_index],
+                    ),
+                )
+                for combo in layer
+            ]
+            for case_index, layer in enumerate(survivors)
         ]
-        for (case_index, combo), outcome in zip(entries, outcomes):
-            per_layer[case_index].append((combo, outcome))
-            if outcome["status"] == "ok":
-                stats.evaluated += 1
-            else:
-                stats.illegal += 1
+        for layer in per_layer:
+            for _combo, outcome in layer:
+                if outcome["status"] == "ok":
+                    stats.evaluated += 1
+                else:
+                    stats.illegal += 1
 
         if final:
             final_outcomes = per_layer

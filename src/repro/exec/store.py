@@ -21,11 +21,9 @@ Design constraints, in order:
   :data:`~repro.exec.fingerprint.FINGERPRINT_VERSION`; bumping either
   orphans every old entry (collected by GC) instead of deserializing
   stale IR into a newer pipeline;
-* **numpy products are pickle-free** -- arrays and str->array mappings
-  (simulator outputs, reference interpretations) serialize through the
-  ``.npy``/``.npz`` formats with ``allow_pickle=False``; only composite
-  compiler products (compiled designs, netlists, diagnostics) use
-  pickle;
+* **one payload format** -- every entry is a pickle: the persisted
+  stages hold composite products (compiled designs, netlists,
+  diagnostics, a design point's figures), never bare arrays;
 * **size-bounded** -- a byte budget (``STELLAR_CACHE_MAX_BYTES``,
   default 256 MiB; a malformed or non-positive value is a
   :class:`StoreConfigError`) is enforced by one least-recently-*used*
@@ -43,7 +41,6 @@ computation still happened, it just is not persisted.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import pickle
@@ -56,15 +53,13 @@ try:  # pragma: no cover - present on every POSIX platform
 except ImportError:  # pragma: no cover - Windows
     fcntl = None
 
-import numpy as np
-
 from ..obs.profile import span
 from .fingerprint import FINGERPRINT_VERSION
 
 #: Bump when the layout of cached products changes incompatibly --
 #: e.g. a new field on CompiledDesign that old pickles lack, a changed
 #: SimResult shape -- so stale entries become misses, not wrong answers.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: First bytes of every entry file.
 MAGIC = b"STLRSTORE1\n"
@@ -160,52 +155,6 @@ class DiskStoreStats:
             f"DiskStoreStats(hits={self.hits}, misses={self.misses},"
             f" corrupt={self.corrupt}, writes={self.writes})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Payload codecs
-# ---------------------------------------------------------------------------
-
-
-def _is_array_mapping(value: object) -> bool:
-    return (
-        isinstance(value, dict)
-        and len(value) > 0
-        and all(
-            isinstance(k, str) and isinstance(v, np.ndarray)
-            for k, v in value.items()
-        )
-        and all(v.dtype != object for v in value.values())
-    )
-
-
-def _encode(value: object) -> Tuple[str, bytes]:
-    """``(format, payload)`` for a cacheable value.
-
-    numpy products get the pickle-free ``npy``/``npz`` formats; anything
-    else falls back to pickle.  Raises whatever the serializer raises --
-    the caller turns that into a skipped write.
-    """
-    if isinstance(value, np.ndarray) and value.dtype != object:
-        buffer = io.BytesIO()
-        np.save(buffer, value, allow_pickle=False)
-        return "npy", buffer.getvalue()
-    if _is_array_mapping(value):
-        buffer = io.BytesIO()
-        np.savez(buffer, **value)
-        return "npz", buffer.getvalue()
-    return "pickle", pickle.dumps(value, protocol=4)
-
-
-def _decode(fmt: str, payload: bytes) -> object:
-    if fmt == "npy":
-        return np.load(io.BytesIO(payload), allow_pickle=False)
-    if fmt == "npz":
-        with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
-            return {name: archive[name] for name in archive.files}
-    if fmt == "pickle":
-        return pickle.loads(payload)
-    raise ValueError(f"unknown payload format {fmt!r}")
 
 
 class StoreCorruption(Exception):
@@ -316,7 +265,7 @@ class DiskStore:
             raise StoreCorruption("payload length mismatch")
         if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
             raise StoreCorruption("payload checksum mismatch")
-        return _decode(header["format"], payload), len(payload)
+        return pickle.loads(payload), len(payload)
 
     # -- writes ---------------------------------------------------------
 
@@ -325,7 +274,7 @@ class DiskStore:
         serialization or filesystem failure."""
         with span("store.put"):
             try:
-                fmt, payload = _encode(value)
+                payload = pickle.dumps(value, protocol=4)
             except Exception:  # noqa: BLE001 -- unpicklable: skip disk
                 self.stats.write_failures += 1
                 return False
@@ -334,7 +283,6 @@ class DiskStore:
                     "schema": SCHEMA_VERSION,
                     "fingerprint": FINGERPRINT_VERSION,
                     "stage": stage,
-                    "format": fmt,
                     "size": len(payload),
                     "sha256": hashlib.sha256(payload).hexdigest(),
                 },

@@ -347,7 +347,9 @@ def brute_force_autotune(suite, space):
     :mod:`repro.exec.halving` as the reference for the
     ``exec.halving_eta1_vs_exhaustive`` oracle.
 
-    One full-fidelity sweep over every (layer x combo); per layer, the
+    One full-fidelity sweep over every (layer x combo) of a space
+    without microarchitecture axes (the engine evaluates base points
+    only; the uarch overlays are the autotuner's); per layer, the
     points no other point Pareto-dominates on (cycles, area, energy);
     the winner minimizes (cycles, area, label).  Returns ``(winners,
     fixed_total_cycles)``, one ``(layer, transform, sparsity, balancing,

@@ -3,8 +3,7 @@
 Four cooperating pieces (see DESIGN.md's system inventory):
 
 * :mod:`repro.obs.metrics` -- a metrics registry (counters, gauges,
-  fixed-bucket histograms with labels); the simulator's
-  :class:`~repro.sim.counters.PerfCounters` is built on top of it;
+  fixed-bucket histograms with labels);
 * :mod:`repro.obs.trace` -- a ring-buffered structured event tracer
   wired into the cycle-level simulator, the RTL interpreter, the
   compiler pass pipeline, and the DSE explorer; a no-op when disabled;

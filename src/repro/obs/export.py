@@ -233,10 +233,6 @@ class VCDWriter:
             self._write_value(path, value)
         return len(changes)
 
-    @property
-    def signal_count(self) -> int:
-        return len(self._ids)
-
 
 def dump_rtl_vcd(
     sim,

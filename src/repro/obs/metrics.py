@@ -4,9 +4,8 @@ The registry is the single naming authority for quantitative
 instrumentation: every metric has a dotted name (``sim.cycles``,
 ``dse.points``) plus optional labels, and the registry hands out
 *get-or-create* handles so independent components accumulate into the
-same series.  :class:`~repro.sim.counters.PerfCounters` is implemented
-on top of this registry, and the ``--json`` CLI modes serialize reports
-through :meth:`MetricsRegistry.as_dict`.
+same series.  The ``--json`` CLI modes serialize reports through
+:meth:`MetricsRegistry.as_dict`.
 
 Three metric kinds, mirroring the usual monitoring vocabulary:
 

@@ -1,17 +1,13 @@
 """Performance counters shared by all simulator components.
 
-Implemented on top of the :mod:`repro.obs.metrics` registry: every
-built-in counter is a named ``sim.<name>`` :class:`~repro.obs.metrics.Counter`
-and every custom counter a ``custom.<name>`` one, so simulator reports
-serialize through the same machinery as the rest of the observability
-subsystem.  The attribute API (``counters.macs += 1``) is unchanged.
+A :class:`PerfCounters` is a fixed set of named ints, one per
+:data:`BUILTIN_COUNTERS` entry, plus the metrics derived from them.
+The attribute API is the whole interface (``counters.macs += 1``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Union
-
-from ..obs.metrics import Counter, MetricsRegistry
 
 #: The built-in counters every simulator component may touch.
 BUILTIN_COUNTERS = (
@@ -34,31 +30,20 @@ class PerfCounters:
     """A bag of monotonically increasing counters plus derived metrics.
 
     Every simulator component increments counters here; experiment
-    harnesses read utilization/throughput from one place.  Custom
-    counters (:meth:`bump`) are namespaced as ``custom.<name>`` in
-    :meth:`as_dict` so they can never shadow a built-in key.
+    harnesses read utilization/throughput from one place.  Each counter
+    holds an ``int``: assignments are coerced, so numpy scalars never
+    leak into reports, and a name outside :data:`BUILTIN_COUNTERS` is an
+    ``AttributeError``.
     """
 
-    __slots__ = ("registry", "_custom") + tuple(
-        f"_c_{name}" for name in BUILTIN_COUNTERS
-    )
+    __slots__ = BUILTIN_COUNTERS
 
     def __init__(self):
-        self.registry = MetricsRegistry()
         for name in BUILTIN_COUNTERS:
-            setattr(self, f"_c_{name}", self.registry.counter(f"sim.{name}"))
-        self._custom: Dict[str, Counter] = {}
+            object.__setattr__(self, name, 0)
 
-    def bump(self, name: str, amount: int = 1) -> None:
-        counter = self._custom.get(name)
-        if counter is None:
-            counter = self._custom[name] = self.registry.counter(f"custom.{name}")
-        counter.value += amount
-
-    @property
-    def custom(self) -> Dict[str, int]:
-        """Custom counter values by bare name (a snapshot, not a live view)."""
-        return {name: counter.value for name, counter in self._custom.items()}
+    def __setattr__(self, name: str, value: int) -> None:
+        object.__setattr__(self, name, int(value))
 
     @property
     def pe_utilization(self) -> float:
@@ -73,8 +58,6 @@ class PerfCounters:
             name: getattr(self, name) for name in BUILTIN_COUNTERS
         }
         out["pe_utilization"] = self.pe_utilization
-        for name in sorted(self._custom):
-            out[f"custom.{name}"] = self._custom[name].value
         return out
 
     def __repr__(self) -> str:
@@ -82,21 +65,3 @@ class PerfCounters:
             f"PerfCounters(cycles={self.cycles}, macs={self.macs},"
             f" util={self.pe_utilization:.3f})"
         )
-
-
-def _registry_backed(name: str):
-    """An int attribute stored in the instance's registry counter."""
-    slot = f"_c_{name}"
-
-    def fget(self) -> int:
-        return getattr(self, slot).value
-
-    def fset(self, value: int) -> None:
-        getattr(self, slot).value = int(value)
-
-    return property(fget, fset, doc=f"the sim.{name} counter value")
-
-
-for _name in BUILTIN_COUNTERS:
-    setattr(PerfCounters, _name, _registry_backed(_name))
-del _name

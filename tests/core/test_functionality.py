@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Bounds, Index, Local, SpecError
+from repro.core import Bounds, Index, Local, SpecError, Tensor
 from repro.core.functionality import (
     AssignmentKind,
     FunctionalSpec,
@@ -54,6 +54,23 @@ class TestSpecConstruction:
         spec = FunctionalSpec("s", [i])
         with pytest.raises(SpecError):
             spec.let(a[z], 0)
+
+    def test_pin_on_an_unknown_index_rejected(self):
+        """An output fires where its right-hand side's bound markers
+        pin the domain, so a marker on an index the spec does not
+        iterate pins nothing and is refused when the rule is added."""
+        i, z = Index("i"), Index("z")
+        X, Y = Tensor("X", 1), Tensor("Y", 1)
+        spec = FunctionalSpec("s", [i])
+        with pytest.raises(SpecError, match="z.upperBound"):
+            spec.let(Y[i], X[z.upper_bound])
+        assert spec.assignments == []
+        # Off a pin, the marker is the bound's value and stays legal.
+        a = Local("a", 1)
+        spec.let(a[i], X[z.lower_bound])
+        spec.let(Y[i], a[i])
+        got = spec.interpret(Bounds({"i": 2, "z": (1, 3)}), {"X": np.arange(4)})
+        assert got["Y"].tolist() == [1, 1]
 
     def test_wrong_local_rank_rejected(self):
         i, j = Index("i"), Index("j")

@@ -315,7 +315,7 @@ def _candidate(name, transform, **extra):
 
 class TestPointMemo:
     """Each design point is evaluated once and its figures stored under
-    one ``dse.point`` key; names and uarch overlays come per candidate."""
+    one ``dse.point`` key; names come per candidate."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_identical_transforms_keep_their_own_names(self, workload, jobs):
@@ -337,54 +337,6 @@ class TestPointMemo:
         assert figures[0] == figures[1]
         if jobs == 1:
             assert cache.stats.by_stage["dse.point"] == (1, 1)
-
-    def test_uarch_variants_of_one_base_compile_and_simulate_once(
-        self, monkeypatch
-    ):
-        import repro.dse.uarch as uarch
-        from repro.dse.space import DesignSpace
-        from repro.exec.halving import halving_autotune_suite
-        from repro.exec.suite import build_suite
-
-        membufs, dmas, regfiles = uarch.standard_uarch_axes()
-        suite = build_suite("alexnet", cap=4, seed=7)
-        space = DesignSpace(
-            {suite.transform_name: output_stationary()},
-            {suite.sparsity_name: suite.sparsity},
-            {suite.balancing_name: LoadBalancingScheme()},
-            membufs, dmas, regfiles,
-        )
-        overlay_calls = []
-        original = uarch.uarch_overlay
-
-        def counting(*args):
-            overlay_calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(uarch, "uarch_overlay", counting)
-        cache = CompileCache()
-        profiler = Profiler(enabled=True)
-        previous = set_profiler(profiler)
-        try:
-            result = halving_autotune_suite(
-                suite, eta=2, jobs=1, cache=cache, space=space
-            )
-        finally:
-            set_profiler(previous)
-        labels = {r.label: r.calls for r in profiler.records()}
-        candidates = sum(stats.candidates for stats in result.rungs)
-        bases = len(suite.cases) * len(result.rungs)
-        assert len(result.combos) == 8
-        assert labels["dse.point"] == candidates > bases
-        # One compile and one simulation per distinct base, never one
-        # per uarch variant.
-        assert cache.stats.by_stage["dse.point"][1] == bases
-        assert labels["dse.compile"] == labels["dse.simulate"] == bases
-        # Each (variants, bounds) pair is computed once per rung.
-        assert len(overlay_calls) == len(
-            {(args[:3], repr(args[3])) for args in overlay_calls}
-        )
-        assert len(overlay_calls) <= 7 * bases
 
     def test_store_without_point_entries_gives_identical_rows(self, tmp_path):
         import json
@@ -428,27 +380,3 @@ class TestPointMemo:
                 )
             assert str(raised.value) == str(direct.value)
         assert "dse.point" not in cache.stats.by_stage
-
-    def test_overlay_on_a_shared_base_matches_the_direct_overlay(self, workload):
-        from repro.dse.space import DesignSpace
-        from repro.dse.uarch import standard_uarch_axes, uarch_overlay
-
-        bounds, tensors = workload
-        space = DesignSpace(
-            {"os": output_stationary()}, None, None, *standard_uarch_axes()
-        )
-        candidates = [combo.candidate() for combo in space.combos()]
-        cache = CompileCache()
-        outcomes, _ = evaluate_sweep(
-            matmul_spec(), bounds, tensors, candidates, cache=cache
-        )
-        assert cache.stats.by_stage["dse.point"] == (len(candidates) - 1, 1)
-        base = outcomes[0]
-        assert "uarch_extra_cycles" not in base
-        for candidate, outcome in zip(candidates, outcomes):
-            extra, delta = uarch_overlay(
-                candidate.get("membuf"), candidate.get("dma"),
-                candidate.get("regfile"), bounds, 32,
-            )
-            assert outcome["cycles"] == base["cycles"] + extra
-            assert outcome["area_um2"] == base["area_um2"] + delta

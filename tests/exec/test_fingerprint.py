@@ -11,7 +11,7 @@ from repro.core import Bounds, matmul_spec
 from repro.core.balancing import row_shift_scheme
 from repro.core.dataflow import hexagonal, output_stationary
 from repro.core.sparsity import csr_b_matrix
-from repro.exec.fingerprint import FingerprintError, fingerprint, tensor_signature
+from repro.exec.fingerprint import FingerprintError, fingerprint
 
 
 class TestPrimitives:
@@ -164,8 +164,3 @@ class TestBehaviorRejection:
         with pytest.raises(FingerprintError):
             fingerprint(Bounds)
 
-
-def test_tensor_signature():
-    sig = tensor_signature({"B": np.zeros((2, 3)), "A": np.ones(4, dtype=int)})
-    assert [name for name, _, _ in sig] == ["A", "B"]
-    assert sig[1][2] == (2, 3)

@@ -17,8 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.balancing import LoadBalancingScheme
+from repro.core.dataflow import output_stationary
 from repro.core.expr import Bounds
-from repro.dse.space import budgeted_combos, suite_design_space
+from repro.dse.space import (
+    DesignCombo,
+    DesignSpace,
+    budgeted_combos,
+    suite_design_space,
+)
 from repro.dse.uarch import (
     DmaVariant,
     MembufVariant,
@@ -27,17 +34,18 @@ from repro.dse.uarch import (
     uarch_overlay,
 )
 from repro.exec.cache import CompileCache, persistent_compile_cache
-from repro.exec.engine import _apply_overlay
 from repro.exec.halving import (
     MIN_RUNG_CAP,
     Constraint,
     HalvingResult,
+    _combo_outcome,
     fidelity_ladder,
     halving_autotune_suite,
     parse_constraints,
 )
 from repro.exec.suite import SuiteError, build_suite, evaluate_suite
 from repro.fuzz.oracles import brute_force_autotune
+from repro.obs.profile import Profiler, set_profiler
 
 
 def _suite(name="alexnet", cap=4, seed=7):
@@ -345,9 +353,9 @@ class TestUarchOverlay:
         )
         assert area < 0
 
-    #: One overlay table shared by every example, as one sweep shares it
-    #: across its candidates.
-    shared_table = {}
+    #: One overlay table per (bounds, element_bits), shared by every
+    #: example, as one rung shares it across its combos.
+    shared_tables = {}
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -369,15 +377,104 @@ class TestUarchOverlay:
         if variants == (None, None, None):
             assert (extra, delta) == (0, 0.0)
         base = {"status": "ok", "cycles": 1000, "area_um2": 5000.0}
-        candidate = dict(zip(("membuf", "dma", "regfile"), variants))
-        outcome = _apply_overlay(
-            dict(base), candidate, bounds, element_bits, self.shared_table
+        combo = DesignCombo(
+            "t", None, "s", None, "b", None,
+            *(field for pair in zip(names, variants) for field in pair),
+        )
+        outcome = _combo_outcome(
+            base, combo, bounds, element_bits,
+            self.shared_tables.setdefault((sizes, element_bits), {}),
         )
         assert outcome["cycles"] == base["cycles"] + extra
         assert outcome["area_um2"] == base["area_um2"] + delta
-        assert ("uarch_extra_cycles" in outcome) == any(
-            variant is not None for variant in variants
+        # A neutral combo shares its base; no combo changes it.
+        assert (outcome is base) == (variants == (None, None, None))
+        assert base == {"status": "ok", "cycles": 1000, "area_um2": 5000.0}
+
+    def test_an_illegal_base_is_illegal_for_every_variant(self):
+        base = {"status": "illegal", "name": "x", "error": "no"}
+        membufs, dmas, regfiles = standard_uarch_axes()
+        combo = DesignCombo(
+            "t", None, "s", None, "b", None,
+            "stage4x4", membufs["stage4x4"], "shallow1", dmas["shallow1"],
         )
+        bounds = Bounds({"i": 4, "j": 4, "k": 4})
+        assert _combo_outcome(base, combo, bounds, 32, {}) is base
+
+    @staticmethod
+    def _one_base_space(suite):
+        """The suite's fixed design widened by the standard uarch axes:
+        one base point per layer, eight combos on it."""
+        return DesignSpace(
+            {suite.transform_name: output_stationary()},
+            {suite.sparsity_name: suite.sparsity},
+            {suite.balancing_name: LoadBalancingScheme()},
+            *standard_uarch_axes(),
+        )
+
+    def test_uarch_variants_of_one_base_compile_and_simulate_once(
+        self, monkeypatch
+    ):
+        import repro.dse.uarch as uarch
+
+        suite = _suite()
+        overlay_calls = []
+
+        def counting(*args):
+            overlay_calls.append(args)
+            return uarch_overlay(*args)
+
+        monkeypatch.setattr(uarch, "uarch_overlay", counting)
+        cache = CompileCache()
+        profiler = Profiler(enabled=True)
+        previous = set_profiler(profiler)
+        try:
+            result = halving_autotune_suite(
+                suite, eta=2, jobs=1, cache=cache,
+                space=self._one_base_space(suite),
+            )
+        finally:
+            set_profiler(previous)
+        labels = {r.label: r.calls for r in profiler.records()}
+        candidates = sum(stats.candidates for stats in result.rungs)
+        bases = len(suite.cases) * len(result.rungs)
+        assert len(result.combos) == 8
+        # One point, compile and simulation per base, never one per
+        # uarch variant.
+        assert labels["dse.point"] == bases < candidates
+        assert cache.stats.by_stage["dse.point"][1] == bases
+        assert labels["dse.compile"] == labels["dse.simulate"] == bases
+        assert result.report.evaluated + result.report.skipped == len(
+            suite.cases
+        )
+        # Each (variants, bounds) pair is computed once per rung.
+        assert len(overlay_calls) == len(
+            {(args[:3], repr(args[3])) for args in overlay_calls}
+        )
+        assert len(overlay_calls) <= 7 * bases
+
+    def test_overlay_on_a_shared_base_matches_the_direct_overlay(self):
+        suite = _suite()
+        cache = CompileCache()
+        result = halving_autotune_suite(
+            suite, eta=1, jobs=1, cache=cache,
+            space=self._one_base_space(suite),
+        )
+        assert sum(cache.stats.by_stage["dse.point"]) == len(suite.cases)
+        axes = standard_uarch_axes()
+        for decision in result.decisions:
+            base = decision.fixed_outcome
+            assert len(decision.frontier_points) > 1
+            for point in decision.frontier_points:
+                variants = tuple(
+                    axis[point[name]]
+                    for axis, name in zip(axes, ("membuf", "dma", "regfile"))
+                )
+                extra, delta = uarch_overlay(
+                    *variants, decision.case.bounds, suite.element_bits
+                )
+                assert point["cycles"] == base["cycles"] + extra
+                assert point["area_um2"] == base["area_um2"] + delta
 
     def test_standard_axes_lead_with_default(self):
         for axis in standard_uarch_axes():

@@ -34,28 +34,10 @@ class TestRoundTrip:
         hit, value = store.get("stage", KEY)
         assert hit and value == {"cycles": 42, "name": "x"}
         assert store.stats.hits == 1 and store.stats.writes == 1
-
-    def test_ndarray_uses_npy_not_pickle(self, store):
-        array = np.arange(12, dtype=np.float32).reshape(3, 4)
-        store.put("sim", KEY, array)
-        header = _header_of(store, "sim", KEY)
-        assert header["format"] == "npy"
-        hit, value = store.get("sim", KEY)
-        assert hit
-        np.testing.assert_array_equal(value, array)
-        assert value.dtype == array.dtype
-
-    def test_array_mapping_uses_npz_not_pickle(self, store):
-        tensors = {
-            "A": np.arange(4, dtype=np.int64),
-            "B": np.ones((2, 2)),
-        }
-        store.put("sim", KEY, tensors)
-        assert _header_of(store, "sim", KEY)["format"] == "npz"
-        hit, value = store.get("sim", KEY)
-        assert hit and set(value) == {"A", "B"}
-        np.testing.assert_array_equal(value["A"], tensors["A"])
-        np.testing.assert_array_equal(value["B"], tensors["B"])
+        # Every entry is a pickle, so the header names no format.
+        assert sorted(_header_of(store, "stage", KEY)) == [
+            "fingerprint", "schema", "sha256", "size", "stage",
+        ]
 
     def test_stages_do_not_collide(self, store):
         store.put("s1", KEY, "one")
@@ -128,15 +110,15 @@ class TestFailureModes:
         assert store.put("stage", KEY, 1) is False
         assert store.stats.write_failures == 1
 
-    def test_torn_npz_with_consistent_header_is_a_miss(self, store):
-        """A truncated ``.npz`` payload whose header still checks out.
+    def test_torn_pickle_with_consistent_header_is_a_miss(self, store):
+        """A truncated pickle payload whose header still checks out.
 
         The checksum guards the bytes on disk, not their decodability:
         a torn write that lands a *self-consistent* header over a
-        truncated archive (header rewritten during GC-era compaction,
+        truncated payload (header rewritten during GC-era compaction,
         payload cut mid-copy) passes every ``_validate`` check and only
-        fails inside ``np.load``.  That decode failure must be a plain
-        corrupt-miss, never an exception out of ``get``.
+        fails inside ``pickle.loads``.  That decode failure must be a
+        plain corrupt-miss, never an exception out of ``get``.
         """
         import hashlib
 
@@ -149,7 +131,7 @@ class TestFailureModes:
         header = json.loads(rest[:newline].decode())
         torn = rest[newline + 1:][: header["size"] // 2]
         # Re-seal the header over the truncated payload so size and
-        # sha256 both validate -- only the npz decode can now fail.
+        # sha256 both validate -- only the unpickling can now fail.
         header["size"] = len(torn)
         header["sha256"] = hashlib.sha256(torn).hexdigest()
         blob = MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + torn
@@ -168,7 +150,7 @@ class TestFailureModes:
         np.testing.assert_array_equal(value["A"], tensors["A"])
         assert store.gc() == 0
 
-    def test_torn_npz_mid_gc_stays_collectable(self, store):
+    def test_torn_pickle_mid_gc_stays_collectable(self, store):
         """A torn entry left on disk never wedges the byte-budget GC."""
         import hashlib
 
