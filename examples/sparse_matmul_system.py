@@ -30,7 +30,7 @@ from repro.baselines.mergers import (
     sparch_partial_matrices,
 )
 from repro.core.memspec import csr_buffer, dense_matrix_buffer
-from repro.formats import CSRMatrix, spgemm_reference
+from repro.formats import spgemm_reference
 from repro.isa import Machine, StellarDriver
 from repro.workloads import synthesize
 

@@ -172,7 +172,12 @@ def check_design(
             name or "program", _suppress(found, suppress), levels=["program"]
         )
 
-    axes = _axes_of(design)
+    axes = getattr(design, "compiled", design)  # unwrap a GeneratedDesign
+    if not hasattr(axes, "spec") or not hasattr(axes, "transform"):
+        raise TypeError(
+            f"cannot check {type(design).__name__}: expected an Accelerator,"
+            " GeneratedDesign, or CompiledDesign"
+        )
     label = name or axes.spec.name
     diagnostics: List[Diagnostic] = []
     levels = ["spec"]
@@ -191,13 +196,10 @@ def check_design(
 
     if not any(d.severity >= Severity.ERROR for d in diagnostics):
         try:
-            compiled = _compiled_of(design, cache=cache)
-            if cache is not None:
-                netlist = cache.lower(compiled, check=False)
-            else:
-                from ..rtl.lowering import lower_design
+            from ..rtl.lowering import lower_design
 
-                netlist = lower_design(compiled, check=False)
+            compiled = _compiled_of(design, cache=cache)
+            netlist = lower_design(compiled, check=False, cache=cache)
         except SpecError as error:
             diagnostics.append(
                 Diagnostic(
@@ -231,62 +233,12 @@ def _is_stream(design) -> bool:
     )
 
 
-class _Axes:
-    """The five design axes, however the caller's object packages them."""
-
-    def __init__(self, spec, bounds, transform, sparsity, balancing):
-        self.spec = spec
-        self.bounds = bounds
-        self.transform = transform
-        self.sparsity = sparsity
-        self.balancing = balancing
-
-
-def _axes_of(design) -> _Axes:
-    if hasattr(design, "compiled"):  # GeneratedDesign
-        design = design.compiled
-    if not hasattr(design, "spec") or not hasattr(design, "transform"):
-        raise TypeError(
-            f"cannot check {type(design).__name__}: expected an Accelerator,"
-            " GeneratedDesign, or CompiledDesign"
-        )
-    return _Axes(
-        design.spec,
-        design.bounds,
-        design.transform,
-        getattr(design, "sparsity", None),
-        getattr(design, "balancing", None),
-    )
-
-
 def _compiled_of(design, cache=None):
-    if hasattr(design, "compiled"):  # GeneratedDesign
-        return design.compiled
-    if hasattr(design, "array"):  # CompiledDesign
-        return design
-    if cache is not None:
-        return cache.compile(
-            design.spec,
-            design.bounds,
-            design.transform,
-            sparsity=design.sparsity,
-            balancing=design.balancing,
-            membufs=design.membufs,
-            element_bits=getattr(design, "element_bits", 32),
-            check=False,
-        )
-    from ..core.compiler import compile_design
-
-    return compile_design(
-        design.spec,
-        design.bounds,
-        design.transform,
-        sparsity=design.sparsity,
-        balancing=design.balancing,
-        membufs=design.membufs,
-        element_bits=getattr(design, "element_bits", 32),
-        check=False,
-    )
+    """The compiled design of an Accelerator (built without the analysis
+    gate), a GeneratedDesign or a CompiledDesign."""
+    if hasattr(design, "build"):  # Accelerator
+        return design.build(check=False, cache=cache).compiled
+    return getattr(design, "compiled", design)
 
 
 # ---------------------------------------------------------------------------

@@ -58,14 +58,14 @@ def check_spec(
     key the compiler's gate uses, so ``repro check`` shares entries with
     compiles -- including persisted ones when the cache has a disk tier.
     """
-    if cache is not None:
-        transform_findings = cache.memo(
-            "analysis.spec",
-            (spec, bounds, transform),
-            lambda: check_spec_transform(spec, bounds, transform),
-        )
-    else:
-        transform_findings = check_spec_transform(spec, bounds, transform)
+    from ..exec.cache import memo
+
+    transform_findings = memo(
+        cache,
+        "analysis.spec",
+        (spec, bounds, transform),
+        lambda: check_spec_transform(spec, bounds, transform),
+    )
     return compose_spec_findings(
         transform_findings, spec, sparsity, balancing, suppress
     )

@@ -161,10 +161,7 @@ def verify_design(
     from ..rtl.lowering import lower_design
     from ..rtl.passes import run_passes
 
-    if cache is not None:
-        base = cache.lower(compiled, check=False)
-    else:
-        base = lower_design(compiled, check=False)
+    base = lower_design(compiled, check=False, cache=cache)
     optimized, results = run_passes(base, opt_level)
     with span("analysis.equiv"):
         result = check_equivalence(
@@ -263,28 +260,18 @@ def run_verify(
         for case in cases:
             label = f"{suite_name}:{case.name}"
             try:
-                if cache is not None:
-                    compiled = cache.compile(
-                        suite.spec,
-                        case.bounds,
-                        suite.transform,
-                        sparsity=suite.sparsity,
-                        balancing=suite.balancing,
-                        element_bits=suite.element_bits,
-                        check=False,
-                    )
-                else:
-                    from ..core.compiler import compile_design
+                from ..core.compiler import compile_design
 
-                    compiled = compile_design(
-                        suite.spec,
-                        case.bounds,
-                        suite.transform,
-                        sparsity=suite.sparsity,
-                        balancing=suite.balancing,
-                        element_bits=suite.element_bits,
-                        check=False,
-                    )
+                compiled = compile_design(
+                    suite.spec,
+                    case.bounds,
+                    suite.transform,
+                    sparsity=suite.sparsity,
+                    balancing=suite.balancing,
+                    element_bits=suite.element_bits,
+                    check=False,
+                    cache=cache,
+                )
             except Exception as error:  # noqa: BLE001 -- report, don't crash
                 targets.append(
                     VerifyTarget(

@@ -91,28 +91,17 @@ class Accelerator:
         compile on the design's content key and shares pipeline stages
         with other designs built through the same cache.
         """
-        if cache is not None:
-            compiled = cache.compile(
-                self.spec,
-                self.bounds,
-                self.transform,
-                sparsity=self.sparsity,
-                balancing=self.balancing,
-                membufs=self.membufs,
-                element_bits=self.element_bits,
-                check=check,
-            )
-        else:
-            compiled = compile_design(
-                self.spec,
-                self.bounds,
-                self.transform,
-                sparsity=self.sparsity,
-                balancing=self.balancing,
-                membufs=self.membufs,
-                element_bits=self.element_bits,
-                check=check,
-            )
+        compiled = compile_design(
+            self.spec,
+            self.bounds,
+            self.transform,
+            sparsity=self.sparsity,
+            balancing=self.balancing,
+            membufs=self.membufs,
+            element_bits=self.element_bits,
+            check=check,
+            cache=cache,
+        )
         return GeneratedDesign(self, compiled)
 
 

@@ -165,15 +165,44 @@ def compile_design(
     diagnostics yourself via :func:`repro.analysis.check_spec`.
 
     ``cache`` (a :class:`repro.exec.cache.CompileCache`) memoizes the
-    stages that are shared between designs differing in only some axes:
-    elaboration per ``(spec, bounds)``, the transform-legality analysis
-    per ``(spec, bounds, transform)``, and pruning per ``(spec, bounds,
-    sparsity, balancing)``.  Memoized intermediates are shared objects;
-    the pipeline never mutates them after construction.
+    finished design on all of these arguments (stage ``compile``): a hit
+    returns the shared design without running any stage or analysis
+    gate.  A miss memoizes the stages that are shared between designs
+    differing in only some axes: elaboration per ``(spec, bounds)``, the
+    transform-legality analysis per ``(spec, bounds, transform)``, and
+    pruning per ``(spec, bounds, sparsity, balancing)``.  Memoized
+    products are shared objects; the pipeline never mutates them after
+    construction.
     """
-    sparsity = sparsity or SparsityStructure()
-    balancing = balancing or LoadBalancingScheme()
+    from ..exec.cache import memo
+
     membufs = dict(membufs or {})
+    return memo(
+        cache,
+        "compile",
+        (spec, bounds, transform, sparsity, balancing, membufs,
+         element_bits, check),
+        lambda: _compile(
+            spec, bounds, transform, sparsity or SparsityStructure(),
+            balancing or LoadBalancingScheme(), membufs, element_bits, check,
+            cache,
+        ),
+    )
+
+
+def _compile(
+    spec: FunctionalSpec,
+    bounds: Bounds,
+    transform: SpaceTimeTransform,
+    sparsity: SparsityStructure,
+    balancing: LoadBalancingScheme,
+    membufs: Dict[str, MemoryBufferSpec],
+    element_bits: int,
+    check: bool,
+    cache: Optional["CompileCache"],
+) -> CompiledDesign:
+    """The pipeline behind :func:`compile_design`, on normalized axes."""
+    from ..exec.cache import memo
 
     # The analysis gate runs before validate_schedule so its richer
     # multi-finding diagnostics win over the legacy first-failure error.
@@ -185,14 +214,12 @@ def compile_design(
             "analysis.spec", "check_spec", component="compiler",
             design=spec.name,
         ):
-            if cache is not None:
-                transform_findings = cache.memo(
-                    "analysis.spec",
-                    (spec, bounds, transform),
-                    lambda: check_spec_transform(spec, bounds, transform),
-                )
-            else:
-                transform_findings = check_spec_transform(spec, bounds, transform)
+            transform_findings = memo(
+                cache,
+                "analysis.spec",
+                (spec, bounds, transform),
+                lambda: check_spec_transform(spec, bounds, transform),
+            )
             findings = errors_only(
                 list(transform_findings)
                 + check_spec_annotations(spec, sparsity, balancing)
@@ -211,14 +238,10 @@ def compile_design(
         "compile.elaborate", "elaborate", component="compiler",
         design=spec.name,
     ):
-        if cache is not None:
-            functional = cache.memo(
-                "compile.elaborate",
-                (spec, bounds),
-                lambda: elaborate(spec, bounds),
-            )
-        else:
-            functional = elaborate(spec, bounds)
+        functional = memo(
+            cache, "compile.elaborate", (spec, bounds),
+            lambda: elaborate(spec, bounds),
+        )
 
     # Stage 2: prune connections for sparsity and balancing (Figure 9b).
     with span(
@@ -230,12 +253,9 @@ def compile_design(
             step2, balancing_report = prune_for_balancing(step1, balancing)
             return step2, (sparsity_report, balancing_report)
 
-        if cache is not None:
-            pruned, report_pair = cache.memo(
-                "compile.prune", (spec, bounds, sparsity, balancing), _prune
-            )
-        else:
-            pruned, report_pair = _prune()
+        pruned, report_pair = memo(
+            cache, "compile.prune", (spec, bounds, sparsity, balancing), _prune
+        )
         reports: List[PruneReport] = list(report_pair)
 
     # Stage 3: map to physical space-time (Figure 9c).

@@ -1,15 +1,20 @@
 """Content-addressed memoization of compilation and evaluation products.
 
 A :class:`CompileCache` is the single memo store the evaluation engine
-threads through the stack.  It operates at two granularities:
+threads through the stack, and :func:`memo` is the one way a stage
+consults it: ``memo(cache, stage, parts, build)`` builds directly when
+``cache`` is ``None``, so no stage branches on whether it is memoized.
+Stages are memoized at two granularities:
 
-* **whole products** -- :meth:`compile` and :meth:`lower` memoize
-  finished :class:`~repro.core.compiler.CompiledDesign` objects and RTL
-  netlists on the full design key ``(spec, bounds, transform, sparsity,
-  balancing, membufs, element_bits)``; a hit skips the entire pipeline,
-  including the static-analysis gates, which already passed when the
-  product was first built;
-* **stages** -- :meth:`memo` memoizes intermediate results on the exact
+* **whole products** -- :func:`~repro.core.compiler.compile_design` and
+  :func:`~repro.rtl.lowering.lower_design` memoize finished
+  :class:`~repro.core.compiler.CompiledDesign` objects (stage
+  ``compile``) and RTL netlists (stage ``lower``) when given a cache,
+  on the full design key ``(spec, bounds, transform, sparsity,
+  balancing, membufs, element_bits)``; a hit skips the entire
+  pipeline, including the static-analysis gates, which already passed
+  when the product was first built;
+* **intermediates** -- the inner stages are memoized on the exact
   subset of axes they depend on, so a sweep over the transform x
   sparsity x balancing cross product elaborates the iteration space
   once per ``(spec, bounds)``, legality-checks the transform once per
@@ -228,76 +233,6 @@ class CompileCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
 
-    # -- whole-product façades ------------------------------------------
-
-    def compile(
-        self,
-        spec,
-        bounds,
-        transform,
-        sparsity=None,
-        balancing=None,
-        membufs=None,
-        element_bits: int = 32,
-        check: bool = True,
-    ):
-        """Memoized :func:`repro.core.compiler.compile_design`.
-
-        A hit returns the shared compiled design without re-running any
-        pipeline stage or analysis gate; a miss compiles with this cache
-        threaded through, so the stage memos fill in too.
-        """
-        from ..core.compiler import compile_design
-
-        return self.memo(
-            "compile",
-            (spec, bounds, transform, sparsity, balancing,
-             dict(membufs or {}), element_bits, check),
-            lambda: compile_design(
-                spec,
-                bounds,
-                transform,
-                sparsity=sparsity,
-                balancing=balancing,
-                membufs=membufs,
-                element_bits=element_bits,
-                check=check,
-                cache=self,
-            ),
-        )
-
-    def lower(
-        self,
-        design,
-        max_inflight_dma: int = 1,
-        check: bool = True,
-        opt_level: int = 0,
-    ):
-        """Memoized :func:`repro.rtl.lowering.lower_design`.
-
-        Keyed on the design axes rather than the compiled object's
-        identity, so recompiling an identical design still hits.  The
-        optimization rung and the pass pipeline's semantic version are
-        both key axes: netlists optimized at different rungs -- or by a
-        different pipeline generation -- never answer for each other.
-        """
-        from ..rtl.lowering import lower_design
-        from ..rtl.passes import PASS_PIPELINE_VERSION
-
-        return self.memo(
-            "lower",
-            design.axes + (
-                max_inflight_dma, check, opt_level,
-                PASS_PIPELINE_VERSION if opt_level else 0,
-            ),
-            lambda: lower_design(
-                design,
-                max_inflight_dma=max_inflight_dma,
-                check=check,
-                opt_level=opt_level,
-            ),
-        )
-
     # -- maintenance ----------------------------------------------------
 
     def clear(self) -> None:
@@ -312,6 +247,20 @@ class CompileCache:
             f"CompileCache({len(self._entries)}/{self.max_entries} entries,"
             f" {self.stats!r})"
         )
+
+
+def memo(
+    cache: Optional[CompileCache],
+    stage: str,
+    parts: Tuple[object, ...],
+    build: Callable[[], T],
+) -> T:
+    """``build()``, memoized under ``(stage, parts)`` in ``cache`` when
+    there is one.  ``cache.memo`` is looked up on each call, so a
+    wrapper installed on :meth:`CompileCache.memo` sees every lookup."""
+    if cache is None:
+        return build()
+    return cache.memo(stage, parts, build)
 
 
 def persistent_compile_cache(

@@ -60,7 +60,7 @@ from ..core.expr import SpecError
 from ..obs.profile import get_profiler, profiling, span
 from ..obs.trace import get_tracer, tracing
 from ..sim.spatial_array import SpatialArraySim
-from .cache import CacheStats, CompileCache
+from .cache import CacheStats, CompileCache, memo
 from .fingerprint import fingerprint
 from .store import DiskStore, DiskStoreStats
 
@@ -210,13 +210,10 @@ def _evaluate_point(
             result = SpatialArraySim(design.compiled, memo=cache).run(tensors)
         with span("dse.area"):
             compiled = design.compiled
-            if cache is None:
-                area = estimate_design_area(compiled)
-            else:
-                area = cache.memo(
-                    "area.model", compiled.axes,
-                    lambda: estimate_design_area(compiled),
-                )
+            area = memo(
+                cache, "area.model", compiled.axes,
+                lambda: estimate_design_area(compiled),
+            )
         figures = {
             "cycles": int(result.cycles),
             "utilization": float(result.utilization),
@@ -241,16 +238,14 @@ def _evaluate_point(
         balancing=candidate["balancing_name"],
     ):
         try:
-            if cache is None:
-                figures = measure()
-            else:
-                figures = cache.memo(
-                    "dse.point",
-                    (spec, bounds, candidate["transform"],
-                     candidate["sparsity"], candidate["balancing"],
-                     element_bits, tensors, want_energy, want_digest),
-                    measure,
-                )
+            figures = memo(
+                cache,
+                "dse.point",
+                (spec, bounds, candidate["transform"],
+                 candidate["sparsity"], candidate["balancing"],
+                 element_bits, tensors, want_energy, want_digest),
+                measure,
+            )
         except _Illegal as illegal:
             if not skip_illegal:
                 raise illegal.__cause__ from None

@@ -19,7 +19,7 @@ and the artifact says so.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from .generate import FuzzCase
 from .oracles import OracleContext, run_oracle

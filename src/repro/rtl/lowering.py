@@ -19,12 +19,15 @@ Mirrors Stellar's mapping of the optimized IR onto Chisel templates:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..core.compiler import CompiledDesign
 from ..core.memspec import AxisType, MemoryBufferSpec
 from ..core.passes.regfile_opt import RegfileKind, RegfilePlan
 from .netlist import Module, Netlist, PortDir
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..exec.cache import CompileCache
 
 
 def lower_design(
@@ -32,6 +35,7 @@ def lower_design(
     max_inflight_dma: int = 1,
     check: bool = True,
     opt_level: int = 0,
+    cache: Optional["CompileCache"] = None,
 ) -> Netlist:
     """Lower a compiled design to a full accelerator netlist.
 
@@ -45,7 +49,34 @@ def lower_design(
     the returned netlist carries ``opt_level`` and per-pass
     ``pass_results``.  Every rung is equivalence-checked against rung 0
     by :mod:`repro.analysis.equiv` (``repro verify``).
+
+    ``cache`` (a :class:`repro.exec.cache.CompileCache`) memoizes the
+    netlist (stage ``lower``) on the design's axes rather than the
+    compiled object's identity, so recompiling an identical design still
+    hits.  The optimization rung and, for optimized rungs, the pass
+    pipeline's semantic version are key axes too: netlists optimized at
+    different rungs -- or by a different pipeline generation -- never
+    answer for each other.  A memoized netlist is shared; treat it as
+    immutable.
     """
+    from ..exec.cache import memo
+    from .passes import PASS_PIPELINE_VERSION
+
+    return memo(
+        cache,
+        "lower",
+        design.axes + (
+            max_inflight_dma, check, opt_level,
+            PASS_PIPELINE_VERSION if opt_level else 0,
+        ),
+        lambda: _lower(design, max_inflight_dma, check, opt_level),
+    )
+
+
+def _lower(
+    design: CompiledDesign, max_inflight_dma: int, check: bool, opt_level: int
+) -> Netlist:
+    """The lowering behind :func:`lower_design`."""
     name = _sanitize(design.name)
     netlist = Netlist(f"{name}_top")
 

@@ -65,7 +65,7 @@ from .netlist import (
 )
 
 #: Version of the pass pipeline's semantics.  Any change to what a rung
-#: rewrites MUST bump this: :meth:`repro.exec.cache.CompileCache.lower`
+#: rewrites MUST bump this: :func:`repro.rtl.lowering.lower_design`
 #: folds it into the ``lower`` stage key so persisted netlists built by
 #: an older pipeline become unreachable instead of silently mixing rungs.
 PASS_PIPELINE_VERSION = 2

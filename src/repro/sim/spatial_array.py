@@ -147,14 +147,14 @@ class SpatialArraySim:
         design = self.design
         schedule = None
         if self.vectorize:
-            if self.memo is None:
-                schedule = _dense_schedule(design)
-            else:
-                schedule = self.memo.memo(
-                    "sim.dense",
-                    (design.spec, design.bounds, design.transform),
-                    lambda: _dense_schedule(design),
-                )
+            from ..exec.cache import memo
+
+            schedule = memo(
+                self.memo,
+                "sim.dense",
+                (design.spec, design.bounds, design.transform),
+                lambda: _dense_schedule(design),
+            )
         if schedule is None:
             return self._run_dense_loop(tensors)
         return self._run_dense_batched(tensors, schedule)
@@ -359,10 +359,10 @@ class SpatialArraySim:
                 design.bounds, tensors, kernel=self.kernel
             )
 
-        if self.memo is None:
-            return build()
-        return self.memo.memo(
-            "sim.reference", (design.spec, design.bounds, tensors), build
+        from ..exec.cache import memo
+
+        return memo(
+            self.memo, "sim.reference", (design.spec, design.bounds, tensors), build
         )
 
     def _valid_points(self, tensors: Mapping[str, np.ndarray]) -> np.ndarray:

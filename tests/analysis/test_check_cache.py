@@ -5,7 +5,7 @@ import pytest
 
 import repro.analysis.spec as spec_module
 from repro.analysis import check_design
-from repro.core import Accelerator, Bounds, matmul_spec
+from repro.core import Accelerator, Bounds, compile_design, matmul_spec
 from repro.core.dataflow import output_stationary
 from repro.exec.cache import CompileCache
 from repro.exec.store import DiskStore
@@ -47,8 +47,8 @@ def test_check_reuses_compile_gate_entries(accelerator, transform_check_calls):
     """The compiler's legality gate and ``repro check`` share the
     ``analysis.spec`` stage key, so either warms the other."""
     cache = CompileCache()
-    cache.compile(
-        accelerator.spec, accelerator.bounds, accelerator.transform
+    compile_design(
+        accelerator.spec, accelerator.bounds, accelerator.transform, cache=cache
     )
     enumerations_after_compile = len(transform_check_calls)
     assert check_design(accelerator, cache=cache).clean

@@ -1,13 +1,16 @@
 """Tests for the content-addressed compile cache."""
 
+import os
+
 import pytest
 
-from repro.core import Bounds, matmul_spec
+from repro.core import Accelerator, Bounds, matmul_spec
 from repro.core.compiler import compile_design
 from repro.core.dataflow import output_stationary
 from repro.core.sparsity import csr_b_matrix
 from repro.exec.cache import CompileCache, persistent_compile_cache
 from repro.exec.store import DiskStore
+from repro.rtl.lowering import lower_design
 
 
 @pytest.fixture
@@ -85,31 +88,53 @@ class TestMemo:
 
 
 class TestCompileFacade:
+    """The whole-product memos: ``compile_design`` and ``lower_design``
+    given a cache (stages ``compile`` and ``lower``)."""
+
     def test_hit_returns_shared_design(self, design_axes):
         spec, bounds, transform = design_axes
         cache = CompileCache()
-        first = cache.compile(spec, bounds, transform)
-        second = cache.compile(spec, bounds, transform)
+        first = compile_design(spec, bounds, transform, cache=cache)
+        second = compile_design(spec, bounds, transform, cache=cache)
         assert first is second
+        assert cache.stats.by_stage["compile"] == (1, 1)
+
+    def test_build_shares_the_entry_of_its_axes(self, design_axes):
+        """The key is built from the arguments as passed: a build shares
+        its entry with a ``compile_design`` given the accelerator's
+        (defaulted) axes."""
+        spec, bounds, transform = design_axes
+        cache = CompileCache()
+        accelerator = Accelerator(spec=spec, bounds=bounds, transform=transform)
+        built = accelerator.build(cache=cache).compiled
+        same = compile_design(
+            spec, bounds, transform, sparsity=accelerator.sparsity,
+            balancing=accelerator.balancing, cache=cache,
+        )
+        assert same is built
         assert cache.stats.by_stage["compile"] == (1, 1)
 
     def test_structurally_equal_keys_hit(self, design_axes):
         spec, bounds, transform = design_axes
         cache = CompileCache()
-        first = cache.compile(spec, bounds, transform)
-        second = cache.compile(matmul_spec(), Bounds({"i": 4, "j": 4, "k": 4}),
-                               output_stationary())
+        first = compile_design(spec, bounds, transform, cache=cache)
+        second = compile_design(
+            matmul_spec(), Bounds({"i": 4, "j": 4, "k": 4}), output_stationary(),
+            cache=cache,
+        )
         assert first is second
 
     def test_axis_mutation_misses(self, design_axes):
         """Changing bounds or element_bits must invalidate the key."""
         spec, bounds, transform = design_axes
         cache = CompileCache()
-        base = cache.compile(spec, bounds, transform)
-        other_bounds = cache.compile(
-            spec, Bounds({"i": 8, "j": 8, "k": 8}), transform
+        base = compile_design(spec, bounds, transform, cache=cache)
+        other_bounds = compile_design(
+            spec, Bounds({"i": 8, "j": 8, "k": 8}), transform, cache=cache
         )
-        other_bits = cache.compile(spec, bounds, transform, element_bits=16)
+        other_bits = compile_design(
+            spec, bounds, transform, element_bits=16, cache=cache
+        )
         assert base is not other_bounds
         assert base is not other_bits
         assert other_bits.element_bits == 16
@@ -119,15 +144,17 @@ class TestCompileFacade:
     def test_sparsity_axis_changes_key(self, design_axes):
         spec, bounds, transform = design_axes
         cache = CompileCache()
-        dense = cache.compile(spec, bounds, transform)
-        sparse = cache.compile(spec, bounds, transform, sparsity=csr_b_matrix(spec))
+        dense = compile_design(spec, bounds, transform, cache=cache)
+        sparse = compile_design(
+            spec, bounds, transform, sparsity=csr_b_matrix(spec), cache=cache
+        )
         assert dense is not sparse
         # Elaboration depends only on (spec, bounds): shared across axes.
         assert cache.stats.by_stage["compile.elaborate"] == (1, 1)
 
     def test_matches_uncached_compile(self, design_axes):
         spec, bounds, transform = design_axes
-        cached = CompileCache().compile(spec, bounds, transform)
+        cached = compile_design(spec, bounds, transform, cache=CompileCache())
         plain = compile_design(spec, bounds, transform)
         assert cached.pe_count == plain.pe_count
         assert cached.array.schedule_length == plain.array.schedule_length
@@ -136,23 +163,24 @@ class TestCompileFacade:
     def test_lower_facade_hits(self, design_axes):
         spec, bounds, transform = design_axes
         cache = CompileCache()
-        design = cache.compile(spec, bounds, transform)
-        first = cache.lower(design)
-        second = cache.lower(design)
+        design = compile_design(spec, bounds, transform, cache=cache)
+        first = lower_design(design, cache=cache)
+        second = lower_design(design, cache=cache)
         assert first is second
+        assert cache.stats.by_stage["lower"] == (1, 1)
 
     def test_lower_opt_levels_never_share_entries(self, design_axes):
         spec, bounds, transform = design_axes
         cache = CompileCache()
-        design = cache.compile(spec, bounds, transform)
-        plain = cache.lower(design)
-        optimized = cache.lower(design, opt_level=2)
+        design = compile_design(spec, bounds, transform, cache=cache)
+        plain = lower_design(design, cache=cache)
+        optimized = lower_design(design, opt_level=2, cache=cache)
         assert plain is not optimized
         assert plain.opt_level == 0
         assert optimized.opt_level == 2
         # Each rung hits its own entry on repeat.
-        assert cache.lower(design) is plain
-        assert cache.lower(design, opt_level=2) is optimized
+        assert lower_design(design, cache=cache) is plain
+        assert lower_design(design, opt_level=2, cache=cache) is optimized
 
     def test_lower_key_tracks_pass_pipeline_version(self, design_axes):
         # The fingerprint axis exists only for optimized rungs: opt_level 0
@@ -162,14 +190,14 @@ class TestCompileFacade:
 
         spec, bounds, transform = design_axes
         cache = CompileCache()
-        design = cache.compile(spec, bounds, transform)
-        plain = cache.lower(design)
-        optimized = cache.lower(design, opt_level=2)
+        design = compile_design(spec, bounds, transform, cache=cache)
+        plain = lower_design(design, cache=cache)
+        optimized = lower_design(design, opt_level=2, cache=cache)
         original = passes_mod.PASS_PIPELINE_VERSION
         passes_mod.PASS_PIPELINE_VERSION = original + 1
         try:
-            assert cache.lower(design) is plain
-            assert cache.lower(design, opt_level=2) is not optimized
+            assert lower_design(design, cache=cache) is plain
+            assert lower_design(design, opt_level=2, cache=cache) is not optimized
         finally:
             passes_mod.PASS_PIPELINE_VERSION = original
 
@@ -219,14 +247,44 @@ class TestDiskTier:
         spec, bounds, transform = design_axes
         root = str(tmp_path / "store")
         cold = CompileCache(store=DiskStore(root))
-        first = cold.compile(spec, bounds, transform)
+        first = compile_design(spec, bounds, transform, cache=cold)
 
         warm = CompileCache(store=DiskStore(root))
-        second = warm.compile(matmul_spec(), Bounds({"i": 4, "j": 4, "k": 4}),
-                              output_stationary())
-        assert warm.stats.disk_hits >= 1
+        second = compile_design(
+            matmul_spec(), Bounds({"i": 4, "j": 4, "k": 4}), output_stationary(),
+            cache=warm,
+        )
+        assert warm.stats.by_stage["compile"] == (1, 0)
+        assert warm.stats.disk_hits == 1
         assert second.pe_count == first.pe_count
         assert second.array.schedule_length == first.array.schedule_length
+
+    def test_store_keys_are_pinned(self, tmp_path, design_axes):
+        """The digests a store holds for one design and its netlists.
+        They are content keys read back by later processes (and by
+        older stores), so any change to how a stage keys its parts must
+        show up here."""
+        spec, bounds, transform = design_axes
+        store = DiskStore(str(tmp_path / "store"))
+        cache = CompileCache(store=store)
+        design = compile_design(spec, bounds, transform, cache=cache)
+        lower_design(design, cache=cache)
+        lower_design(design, check=False, opt_level=2, cache=cache)
+        held = sorted(
+            tuple(os.path.relpath(path, store.version_dir).split(os.sep))
+            for path, _size, _mtime in store._entries()
+        )
+        assert [(stage, shard + name[: -len(".entry")])
+                for stage, shard, name in held] == [
+            ("analysis.spec",
+             "338650213b13097ed7cdc7af393bf5d1f2eca00e2f07112af0d4ebf887cbb87c"),
+            ("compile",
+             "f0c831462b08875ecb4891fe6950abcd23c476cfed7501ced1dd6b1f156b5bdd"),
+            ("lower",
+             "089767da5ae232083cb4d5a018893a733bceaa51e1a685872b8227345443ed37"),
+            ("lower",
+             "1ff77a7d8f2bc84a342c6ad595a6fdc9ce66f9410b4e9282126e8670da18a34f"),
+        ]
 
     def test_persistent_compile_cache_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STELLAR_CACHE_DIR", str(tmp_path / "env-root"))

@@ -4,6 +4,7 @@ reach the disk store; every other stage lives in the memory tier."""
 import json
 import os
 
+from repro.analysis.verify import run_verify
 from repro.cli import main as cli_main
 from repro.exec.cache import PERSISTED_STAGES, CompileCache
 from repro.exec.halving import sweep_suite
@@ -30,6 +31,24 @@ def test_cold_runs_write_only_persisted_stages(tmp_path, monkeypatch, capsys):
     assert {"compile", "lower", "dse.point"} <= stages
     assert stages <= PERSISTED_STAGES
     assert "sim.kernel" not in stages
+
+
+def test_warm_verify_prints_what_cold_printed(tmp_path, monkeypatch, capsys):
+    root = str(tmp_path / "store")
+    monkeypatch.setenv("STELLAR_CACHE_DIR", root)
+    printed = []
+    for _ in range(2):
+        assert cli_main(["verify", EXAMPLE, "--json"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+    warm = CompileCache(store=DiskStore(root))
+    assert all(target.ok for target in run_verify([EXAMPLE], cache=warm).targets)
+    assert set(warm.stats.by_stage) == {"compile", "lower"}
+    for stage in ("compile", "lower"):
+        hits, misses = warm.stats.by_stage[stage]
+        assert hits >= 1 and misses == 0, stage
+    assert warm.stats.disk_hits == warm.stats.hits
 
 
 def test_dense_schedule_and_area_stay_in_memory(tmp_path):
