@@ -292,11 +292,29 @@ def jsonable(value: object) -> object:
     return value
 
 
+def _numpy_plain(value: object) -> object:
+    """``json.dumps`` fallback for the numpy values a message may still
+    carry: scalars become Python numbers, arrays nested lists."""
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def encode(message: Dict[str, object]) -> bytes:
-    """One reply message as a wire line."""
-    return (json.dumps(jsonable(message), separators=(",", ":")) + "\n").encode(
-        "utf-8"
-    )
+    """One reply message as a wire line.
+
+    Messages arrive as plain JSON -- the server passes rows, traces,
+    results and metrics through :func:`jsonable` when it builds them --
+    so this is one ``json.dumps`` walk; its ``default`` hook converts
+    only numpy scalars and arrays, giving the bytes ``jsonable`` would.
+    """
+    return (
+        json.dumps(message, separators=(",", ":"), default=_numpy_plain) + "\n"
+    ).encode("utf-8")
 
 
 def error_message(code: str, message: str) -> Dict[str, object]:

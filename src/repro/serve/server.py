@@ -27,6 +27,16 @@ existing entry -- it first replays the rows already streamed, then
 rides the live stream; exactly one evaluation runs.  The terminal
 message carries ``dedup: true`` for the riders, and the
 ``serve.dedup_hits`` counter makes coalescing observable.
+
+Built suites stay resident: the evaluator thread keeps the last
+:data:`SUITE_MEMO_SIZE` suites it built, least recently used evicted
+first, keyed on the fields that decide a suite (``suite``, ``table``,
+``cap``, ``seed``).  A stored suite's operand arrays are read-only, so
+a repeat request hands the very same objects to the sweep and the
+compile cache keys every design point from its identity memo instead
+of re-hashing fresh operands.  The memo is evaluator-thread state
+(evaluations are serialized), so it takes no lock; a suite whose build
+fails is never stored.
 """
 
 from __future__ import annotations
@@ -35,13 +45,15 @@ import asyncio
 import contextlib
 import os
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional
 
 from ..exec.cache import CompileCache, persistent_compile_cache
 from ..exec.engine import ResidentPool, resolve_jobs
+from ..exec.fingerprint import fingerprint
 from ..exec.halving import sweep_suite
-from ..exec.suite import SuiteError, build_suite, build_table_suite
+from ..exec.suite import Suite, SuiteError, build_suite, build_table_suite
 from ..obs.metrics import MetricsRegistry
 from .protocol import (
     PROTOCOL_VERSION,
@@ -59,6 +71,9 @@ LATENCY_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
+
+#: Built suites the evaluator keeps resident.
+SUITE_MEMO_SIZE = 32
 
 #: Terminal message types -- exactly one ends every request stream.
 TERMINAL_TYPES = ("result", "error", "pong", "metrics", "shutting-down")
@@ -126,6 +141,7 @@ class EvalServer:
             max_workers=1, thread_name_prefix="serve-eval"
         )
         self._inflight: Dict[str, _InFlight] = {}
+        self._suites: "OrderedDict[str, Suite]" = OrderedDict()
         self._connections: set = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown: Optional[asyncio.Event] = None
@@ -407,17 +423,34 @@ class EvalServer:
             return self._evaluate_explore(request, emit_row)
         return self._evaluate_sweep(request, emit_row, emit_trace)
 
-    def _build_suite(self, request):
-        if request.get("table") is not None:
-            return build_table_suite(
+    def _build_suite(self, request) -> Suite:
+        """The request's suite, built once per ``(suite, table, cap,
+        seed)`` and kept with read-only operands."""
+        key = fingerprint(
+            tuple(request[field] for field in ("suite", "table", "cap", "seed"))
+        )
+        suite = self._suites.get(key)
+        if suite is not None:
+            self._suites.move_to_end(key)
+            return suite
+        if request["table"] is not None:
+            suite = build_table_suite(
                 request["table"],
                 cap=request["cap"],
                 seed=request["seed"],
                 source="request table",
             )
-        return build_suite(
-            request["suite"], cap=request["cap"], seed=request["seed"]
-        )
+        else:
+            suite = build_suite(
+                request["suite"], cap=request["cap"], seed=request["seed"]
+            )
+        for case in suite.cases:
+            for array in case.tensors.values():
+                array.flags.writeable = False
+        self._suites[key] = suite
+        if len(self._suites) > SUITE_MEMO_SIZE:
+            self._suites.popitem(last=False)
+        return suite
 
     def _evaluate_sweep(self, request, emit_row, emit_trace) -> Dict[str, object]:
         from ..obs.trace import Tracer, set_tracer

@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.serve import ServeError
+from repro.serve import server as server_module
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     RequestError,
@@ -14,6 +17,8 @@ from repro.serve.protocol import (
     request_key,
     validate_request,
 )
+
+from .test_server import TABLE, harness  # noqa: F401 - shared server fixture
 
 
 def err(obj):
@@ -213,6 +218,48 @@ class TestEncoding:
             "cycles": 7, "util": 0.5, "shape": [4, 4], "grid": [0, 1]
         }
         json.dumps(out)  # round-trips
+
+    @staticmethod
+    def two_walks(message):
+        """The wire line as ``jsonable`` then ``json.dumps`` gave it."""
+        return (json.dumps(jsonable(message), separators=(",", ":")) + "\n").encode(
+            "utf-8"
+        )
+
+    def test_every_served_message_encodes_as_before(self, harness, monkeypatch):
+        sent = []
+
+        def recording(message):
+            sent.append(message)
+            return encode(message)
+
+        monkeypatch.setattr(server_module, "encode", recording)
+        h = harness()
+        h.client.sweep(table=TABLE, cap=8, seed=7)
+        h.client.sweep(table=TABLE, cap=8, seed=7, halving=True)
+        h.client.ping()
+        h.client.metrics()
+        with pytest.raises(ServeError):
+            h.client.sweep(table=TABLE, cap=0)
+        assert {message["type"] for message in sent} == {
+            "row", "trace", "result", "pong", "metrics", "error"
+        }
+        for message in sent:
+            assert encode(message) == self.two_walks(message)
+
+    def test_numpy_values_encode_as_jsonable_makes_them(self):
+        message = {
+            "type": "row",
+            "cycles": np.int64(7),
+            "util": np.float32(0.1),
+            "area": np.float64(0.1),
+            "ok": np.bool_(True),
+            "grid": np.arange(6).reshape(2, 3),
+        }
+        assert encode(message) == self.two_walks(message)
+        assert json.loads(encode(message))["grid"] == [[0, 1, 2], [3, 4, 5]]
+        with pytest.raises(TypeError):
+            encode({"type": "row", "names": {"l0"}})
 
     def test_error_message_shape(self):
         message = error_message("bad-json", "nope")

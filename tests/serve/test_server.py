@@ -15,9 +15,17 @@ import time
 import pytest
 
 from repro.exec.cache import CompileCache
-from repro.exec.suite import SuiteError, build_table_suite, evaluate_suite
+from repro.exec.halving import sweep_suite
+from repro.exec.store import SCHEMA_VERSION
+from repro.exec.suite import (
+    SuiteError,
+    build_suite,
+    build_table_suite,
+    evaluate_suite,
+)
 from repro.serve import EvalServer, ServeClient, ServeError
-from repro.serve.protocol import jsonable
+from repro.serve import server as server_module
+from repro.serve.protocol import jsonable, validate_request
 
 TABLE = [
     {"name": "l0", "m": 4, "k": 4, "n": 4},
@@ -26,12 +34,12 @@ TABLE = [
 
 
 class ServerHarness:
-    def __init__(self, tmp_path, **kwargs):
+    def __init__(self, tmp_path, socket_name, **kwargs):
         kwargs.setdefault("use_disk_cache", False)
         kwargs.setdefault("jobs", 1)
         kwargs.setdefault("drain_timeout", 5.0)
         self.server = EvalServer(**kwargs)
-        self.socket_path = str(tmp_path / "serve.sock")
+        self.socket_path = str(tmp_path / socket_name)
         ready = threading.Event()
         self.thread = threading.Thread(
             target=self.server.run,
@@ -66,7 +74,8 @@ def harness(tmp_path):
     harnesses = []
 
     def start(**kwargs):
-        h = ServerHarness(tmp_path, **kwargs)
+        # Each daemon of a test listens on its own socket.
+        h = ServerHarness(tmp_path, f"serve{len(harnesses)}.sock", **kwargs)
         harnesses.append(h)
         return h
 
@@ -97,6 +106,12 @@ class TestControlRequests:
         assert reply["type"] == "shutting-down"
         h.thread.join(timeout=15)
         assert not h.thread.is_alive()
+
+
+def batch_rows(suite, **flags):
+    """The rows the batch engine gives ``suite``, as the wire sends them."""
+    result = sweep_suite(suite, jobs=1, cache=CompileCache(), **flags)
+    return json.dumps(jsonable(result.rows))
 
 
 class TestNegativePaths:
@@ -201,6 +216,202 @@ class TestNegativePaths:
         with pytest.raises(ServeError) as excinfo:
             h.client.sweep(suite="alexnet")
         assert excinfo.value.code == "suite-error"
+
+    def test_non_utf8_line_is_bad_json_and_the_connection_serves_on(
+        self, harness
+    ):
+        h = harness()
+        sock, stream = self.raw_connection(h)
+        try:
+            reply = self.roundtrip(stream, b"\xff\xfe")
+            assert reply["type"] == "error"
+            assert reply["code"] == "bad-json"
+            stream.write(
+                json.dumps(
+                    {"type": "sweep", "table": TABLE, "cap": 8, "seed": 7}
+                ).encode()
+                + b"\n"
+            )
+            stream.flush()
+            rows = []
+            while True:
+                message = json.loads(stream.readline())
+                if message["type"] == "row":
+                    rows.append(message["row"])
+                elif message["type"] != "trace":
+                    break
+            assert message["type"] == "result"
+        finally:
+            stream.close()
+            sock.close()
+        assert json.dumps(rows) == batch_rows(
+            build_table_suite(TABLE, cap=8, seed=7)
+        )
+
+    def test_client_gone_after_the_first_row_leaves_the_daemon_up(
+        self, harness
+    ):
+        h = harness()
+        request = {"type": "sweep", "suite": "alexnet", "cap": 4}
+        sock, stream = self.raw_connection(h)
+        try:
+            stream.write(json.dumps(request).encode() + b"\n")
+            stream.flush()
+            while json.loads(stream.readline())["type"] != "row":
+                pass
+        finally:
+            stream.close()
+            sock.close()
+        result = h.client.sweep(suite="alexnet", cap=4)
+        assert json.dumps(result["rows"]) == batch_rows(
+            build_suite("alexnet", cap=4)
+        )
+        assert h.client.metrics()["server"]["errors"] == 0
+
+
+class TestSuiteMemo:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Every suite the daemon builds, and every suite it sweeps."""
+        built, swept = [], []
+
+        def recording(builder):
+            def build(*args, **kwargs):
+                built.append(builder(*args, **kwargs))
+                return built[-1]
+
+            return build
+
+        def sweep(suite, **kwargs):
+            swept.append(suite)
+            return sweep_suite(suite, **kwargs)
+
+        for name in ("build_suite", "build_table_suite"):
+            monkeypatch.setattr(
+                server_module, name, recording(getattr(server_module, name))
+            )
+        monkeypatch.setattr(server_module, "sweep_suite", sweep)
+        return built, swept
+
+    def test_identical_requests_evaluate_one_suite(self, harness, builds):
+        built, swept = builds
+        h = harness()
+        first = h.client.sweep(suite="alexnet", cap=4)
+        second = h.client.sweep(suite="alexnet", cap=4)
+        assert len(built) == 1
+        assert swept[0] is swept[1] is built[0]
+        assert json.dumps(first["rows"]) == json.dumps(second["rows"])
+
+    def test_resident_operands_are_read_only(self, harness, builds):
+        built, _swept = builds
+        harness().client.sweep(suite="alexnet", cap=4)
+        arrays = [
+            array for case in built[0].cases for array in case.tensors.values()
+        ]
+        assert arrays and not any(array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError):
+            built[0].cases[0].tensors["A"][0, 0] = 1
+
+    @pytest.mark.parametrize(
+        "flags", [{}, {"halving": True}, {"autotune": True}],
+        ids=["plain", "halving", "autotune"],
+    )
+    def test_warm_rows_match_a_fresh_daemon_and_the_batch_engine(
+        self, harness, flags
+    ):
+        warm = harness()
+        for _ in range(2):
+            rows = warm.client.sweep(table=TABLE, cap=4, seed=7, **flags)["rows"]
+        fresh = harness().client.sweep(table=TABLE, cap=4, seed=7, **flags)
+        assert json.dumps(rows) == json.dumps(fresh["rows"])
+        assert json.dumps(rows) == batch_rows(
+            build_table_suite(TABLE, cap=4, seed=7), **flags
+        )
+
+    def test_the_least_recently_used_suite_is_rebuilt(
+        self, harness, builds, monkeypatch
+    ):
+        built, _swept = builds
+
+        class Empty:
+            def to_dict(self):
+                return {"rows": []}
+
+        monkeypatch.setattr(server_module, "sweep_suite", lambda suite, **_: Empty())
+        h = harness()
+        bound = server_module.SUITE_MEMO_SIZE
+        for seed in range(bound + 1):
+            h.client.sweep(table=TABLE, cap=4, seed=seed)
+        assert len(built) == bound + 1
+        h.client.sweep(table=TABLE, cap=4, seed=bound)
+        assert len(built) == bound + 1
+        h.client.sweep(table=TABLE, cap=4, seed=0)
+        assert len(built) == bound + 2
+        assert len(h.server._suites) == bound
+
+    def test_a_bad_table_is_never_memoized(self, harness, builds):
+        built, _swept = builds
+        h = harness()
+        with pytest.raises(ServeError) as excinfo:
+            h.client.sweep(table=[{"name": "l0", "m": 0, "k": 4, "n": 4}])
+        assert excinfo.value.code == "suite-error"
+        assert built == [] and len(h.server._suites) == 0
+
+    def test_identical_inline_tables_share_one_suite(self, harness, builds):
+        built, swept = builds
+        h = harness()
+        h.client.sweep(table=TABLE, cap=4)
+        # Key order inside a row does not make a different table.
+        h.client.sweep(table=[dict(reversed(row.items())) for row in TABLE], cap=4)
+        assert len(built) == 1
+        assert swept[0] is swept[1]
+        h.client.sweep(table=TABLE, cap=8)
+        assert len(built) == 2
+
+
+class TestContentKeys:
+    def test_a_suite_built_twice_keys_every_point_alike(self):
+        class Recording(CompileCache):
+            def __init__(self):
+                super().__init__()
+                self.point_keys = []
+
+            def memo(self, stage, parts, build):
+                if stage == "dse.point":
+                    self.point_keys.append(self.key(parts))
+                return super().memo(stage, parts, build)
+
+        server = EvalServer(jobs=1, use_disk_cache=False)
+        try:
+            resident = server._build_suite(
+                validate_request({"type": "sweep", "suite": "alexnet", "cap": 4})
+            )
+        finally:
+            server._work.shutdown()
+        keys = []
+        for suite in (resident, build_suite("alexnet", cap=4)):
+            cache = Recording()
+            evaluate_suite(suite, jobs=1, cache=cache)
+            keys.append(cache.point_keys)
+        assert len(keys[0]) == len(resident.cases)
+        assert keys[0] == keys[1]
+
+    def test_a_fresh_daemon_answers_from_the_first_ones_store(
+        self, harness, tmp_path
+    ):
+        store = str(tmp_path / "store")
+        first = harness(use_disk_cache=True, cache_dir=store)
+        rows = first.client.sweep(suite="alexnet", cap=4)["rows"]
+        first.stop()
+        second = harness(use_disk_cache=True, cache_dir=store)
+        again = second.client.sweep(suite="alexnet", cap=4)["rows"]
+        assert json.dumps(again) == json.dumps(rows)
+        cache = second.server.cache
+        assert cache.stats.by_stage["dse.point"] == (len(rows), 0)
+        assert cache.store.stats.writes == 0
+
+    def test_store_schema_version_stays_4(self):
+        assert SCHEMA_VERSION == 4
 
 
 class TestStreaming:
