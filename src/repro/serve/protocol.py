@@ -293,15 +293,13 @@ def jsonable(value: object) -> object:
 
 
 def _numpy_plain(value: object) -> object:
-    """``json.dumps`` fallback for the numpy values a message may still
-    carry: scalars become Python numbers, arrays nested lists."""
-    import numpy as np
-
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    """``json.dumps`` fallback: what :func:`jsonable` makes of a value
+    plain JSON cannot hold (a numpy scalar or array); anything
+    ``jsonable`` leaves as it is stays unserializable."""
+    plain = jsonable(value)
+    if plain is value:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return plain
 
 
 def encode(message: Dict[str, object]) -> bytes:
@@ -309,8 +307,9 @@ def encode(message: Dict[str, object]) -> bytes:
 
     Messages arrive as plain JSON -- the server passes rows, traces,
     results and metrics through :func:`jsonable` when it builds them --
-    so this is one ``json.dumps`` walk; its ``default`` hook converts
-    only numpy scalars and arrays, giving the bytes ``jsonable`` would.
+    so this is one ``json.dumps`` walk; its ``default`` hook hands the
+    numpy scalars and arrays a message may still carry to ``jsonable``,
+    giving the bytes a second ``jsonable`` walk would.
     """
     return (
         json.dumps(message, separators=(",", ":"), default=_numpy_plain) + "\n"

@@ -29,12 +29,13 @@ message carries ``dedup: true`` for the riders, and the
 ``serve.dedup_hits`` counter makes coalescing observable.
 
 Built suites stay resident: the evaluator thread keeps the last
-:data:`SUITE_MEMO_SIZE` suites it built, least recently used evicted
-first, keyed on the fields that decide a suite (``suite``, ``table``,
-``cap``, ``seed``).  A stored suite's operand arrays are read-only, so
-a repeat request hands the very same objects to the sweep and the
-compile cache keys every design point from its identity memo instead
-of re-hashing fresh operands.  The memo is evaluator-thread state
+:data:`SUITE_MEMO_SIZE` suites it built, holding at most
+:data:`SUITE_MEMO_BYTES` of operands between them, least recently used
+evicted first, keyed on the fields that decide a suite (``suite``,
+``table``, ``cap``, ``seed``).  A stored suite's operand arrays are
+read-only, so a repeat request hands the very same objects to the
+sweep and the compile cache keys every design point from its identity
+memo instead of re-hashing fresh operands.  The memo is evaluator-thread state
 (evaluations are serialized), so it takes no lock; a suite whose build
 fails is never stored.
 """
@@ -47,7 +48,7 @@ import os
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..exec.cache import CompileCache, persistent_compile_cache
 from ..exec.engine import ResidentPool, resolve_jobs
@@ -72,8 +73,19 @@ LATENCY_BUCKETS = (
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
-#: Built suites the evaluator keeps resident.
-SUITE_MEMO_SIZE = 32
+#: Built suites the evaluator keeps resident, least recently used
+#: evicted first.  ``serve-warm`` cycles six distinct ``(suite, cap,
+#: seed)`` keys (three suites on each of two connections); a cyclic
+#: working set larger than the bound never hits, so the bound holds it
+#: with two to spare.
+SUITE_MEMO_SIZE = 8
+
+#: Operand bytes the resident suites may hold together: room for
+#: :data:`SUITE_MEMO_SIZE` copies of the largest named suite at
+#: ``MAX_SWEEP_CAP`` (``suitesparse``, 1.2 MB), so only a large inline
+#: table reaches it.  A suite larger than this alone is evaluated but
+#: never kept.
+SUITE_MEMO_BYTES = 10 << 20
 
 #: Terminal message types -- exactly one ends every request stream.
 TERMINAL_TYPES = ("result", "error", "pong", "metrics", "shutting-down")
@@ -141,7 +153,8 @@ class EvalServer:
             max_workers=1, thread_name_prefix="serve-eval"
         )
         self._inflight: Dict[str, _InFlight] = {}
-        self._suites: "OrderedDict[str, Suite]" = OrderedDict()
+        self._suites: "OrderedDict[str, Tuple[Suite, int]]" = OrderedDict()
+        self._suite_bytes = 0
         self._connections: set = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown: Optional[asyncio.Event] = None
@@ -425,14 +438,15 @@ class EvalServer:
 
     def _build_suite(self, request) -> Suite:
         """The request's suite, built once per ``(suite, table, cap,
-        seed)`` and kept with read-only operands."""
+        seed)`` and kept with read-only operands while it fits the
+        memo's bounds."""
         key = fingerprint(
             tuple(request[field] for field in ("suite", "table", "cap", "seed"))
         )
-        suite = self._suites.get(key)
-        if suite is not None:
+        held = self._suites.get(key)
+        if held is not None:
             self._suites.move_to_end(key)
-            return suite
+            return held[0]
         if request["table"] is not None:
             suite = build_table_suite(
                 request["table"],
@@ -444,12 +458,21 @@ class EvalServer:
             suite = build_suite(
                 request["suite"], cap=request["cap"], seed=request["seed"]
             )
+        size = 0
         for case in suite.cases:
             for array in case.tensors.values():
                 array.flags.writeable = False
-        self._suites[key] = suite
-        if len(self._suites) > SUITE_MEMO_SIZE:
-            self._suites.popitem(last=False)
+                size += array.nbytes
+        if size > SUITE_MEMO_BYTES:
+            return suite
+        self._suites[key] = (suite, size)
+        self._suite_bytes += size
+        while (
+            len(self._suites) > SUITE_MEMO_SIZE
+            or self._suite_bytes > SUITE_MEMO_BYTES
+        ):
+            _key, (_suite, evicted) = self._suites.popitem(last=False)
+            self._suite_bytes -= evicted
         return suite
 
     def _evaluate_sweep(self, request, emit_row, emit_trace) -> Dict[str, object]:

@@ -328,16 +328,19 @@ class TestSuiteMemo:
             build_table_suite(TABLE, cap=4, seed=7), **flags
         )
 
-    def test_the_least_recently_used_suite_is_rebuilt(
-        self, harness, builds, monkeypatch
-    ):
-        built, _swept = builds
+    @pytest.fixture
+    def unswept(self, builds, monkeypatch):
+        """Requests build (and record) their suite but sweep nothing."""
 
         class Empty:
             def to_dict(self):
                 return {"rows": []}
 
         monkeypatch.setattr(server_module, "sweep_suite", lambda suite, **_: Empty())
+        return builds
+
+    def test_the_least_recently_used_suite_is_rebuilt(self, harness, unswept):
+        built, _swept = unswept
         h = harness()
         bound = server_module.SUITE_MEMO_SIZE
         for seed in range(bound + 1):
@@ -348,6 +351,44 @@ class TestSuiteMemo:
         h.client.sweep(table=TABLE, cap=4, seed=0)
         assert len(built) == bound + 2
         assert len(h.server._suites) == bound
+
+    def test_the_byte_budget_evicts_the_least_recently_used(
+        self, harness, unswept, monkeypatch
+    ):
+        built, _swept = unswept
+        h = harness()
+        h.client.sweep(table=TABLE, cap=4, seed=0)
+        size = h.server._suite_bytes
+        assert size == sum(
+            array.nbytes for case in built[0].cases for array in case.tensors.values()
+        )
+        monkeypatch.setattr(server_module, "SUITE_MEMO_BYTES", 2 * size)
+        for seed in (1, 2):
+            h.client.sweep(table=TABLE, cap=4, seed=seed)
+        assert len(h.server._suites) == 2
+        assert h.server._suite_bytes == 2 * size
+        h.client.sweep(table=TABLE, cap=4, seed=0)
+        assert len(built) == 4
+
+    def test_a_table_over_the_byte_budget_is_never_kept(self, harness, unswept):
+        built, _swept = unswept
+        h = harness()
+        h.client.sweep(table=TABLE, cap=4, seed=0)
+        kept = dict(h.server._suites)
+        row = {"name": "l0", "m": 64, "k": 64, "n": 64}
+        per_row = sum(
+            array.nbytes
+            for array in build_table_suite([row], cap=64).cases[0].tensors.values()
+        )
+        large = [
+            dict(row, name=f"l{index}")
+            for index in range(server_module.SUITE_MEMO_BYTES // per_row + 1)
+        ]
+        for _ in range(2):
+            h.client.sweep(table=large, cap=64)
+        assert len(built) == 3
+        assert h.server._suites == kept
+        assert h.server._suite_bytes == sum(size for _suite, size in kept.values())
 
     def test_a_bad_table_is_never_memoized(self, harness, builds):
         built, _swept = builds
