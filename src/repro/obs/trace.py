@@ -82,30 +82,27 @@ class Tracer:
     Instrumentation sites hold a reference and check ``enabled`` before
     building payloads, so a disabled tracer adds no events and almost no
     time.  The buffer keeps the *newest* ``capacity`` events; everything
-    older is dropped and counted in ``dropped``.
+    older is dropped and counted in ``dropped``.  A tracer only buffers:
+    readers take its events after the fact (:meth:`events`, the
+    exporters), and live progress travels by explicit callbacks such as
+    the autotuner's ``on_rung``, never through the process-wide tracer.
     """
 
     DEFAULT_CAPACITY = 65536
 
-    __slots__ = ("enabled", "capacity", "dropped", "sink", "_events", "_clock")
+    __slots__ = ("enabled", "capacity", "dropped", "_events", "_clock")
 
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
         enabled: bool = False,
         clock: Callable[[], float] = time.perf_counter,
-        sink: Optional[Callable[[TraceEvent], None]] = None,
     ):
         if capacity < 1:
             raise ValueError(f"tracer capacity must be positive, got {capacity}")
         self.enabled = enabled
         self.capacity = capacity
         self.dropped = 0
-        #: Optional live-forwarding callback, invoked with every emitted
-        #: event *in addition to* buffering it (e.g. the serve daemon
-        #: streaming DSE progress to a connected client).  Exceptions
-        #: propagate to the emitting site, so sinks must not raise.
-        self.sink = sink
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self._clock = clock
 
@@ -129,8 +126,6 @@ class Tracer:
         if len(self._events) == self.capacity:
             self.dropped += 1
         self._events.append(event)
-        if self.sink is not None:
-            self.sink(event)
 
     def instant(
         self,

@@ -57,6 +57,7 @@ class ServeClient:
         self.timeout = timeout
 
     def _connect(self) -> socket.socket:
+        sock = None
         try:
             if self.kind == "unix":
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -68,6 +69,8 @@ class ServeClient:
                 )
             return sock
         except OSError as err:
+            if sock is not None:
+                sock.close()
             raise ServeError(
                 "connect-failed",
                 f"cannot reach evaluation server at {self.address}: {err}",

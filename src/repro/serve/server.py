@@ -20,6 +20,12 @@ Concurrency model -- three layers, one invariant:
   each row to the loop with ``call_soon_threadsafe``, which preserves
   order, so subscribers always see rows ``0..n-1`` then the terminal.
 
+Progress has one channel: the autotuner's ``on_rung`` callback, whose
+rung start/finish events become ``trace`` messages interleaved with
+the rows.  A plain sweep has no rungs and so streams no ``trace``
+message.  No served sweep touches the process-global
+:mod:`repro.obs.trace` tracer.
+
 Deduplication: each admitted request is keyed by
 :func:`~repro.serve.protocol.request_key`.  A second client arriving
 while the same key is in flight becomes another subscriber of the
@@ -116,7 +122,8 @@ class EvalServer:
     ``evaluator`` is an injection point for tests: a callable
     ``(request, emit_row, emit_trace) -> payload`` run on the evaluator
     thread, where ``emit_row(index, row)`` streams one row,
-    ``emit_trace(event)`` streams one ``trace`` message, and the
+    ``emit_trace(event)`` streams one ``trace`` message (the sweep
+    evaluator passes it as the autotuner's ``on_rung``), and the
     returned payload becomes the terminal ``result`` body.  Production
     leaves it ``None`` and gets the suite/DSE evaluators below.
     """
@@ -476,39 +483,6 @@ class EvalServer:
         return suite
 
     def _evaluate_sweep(self, request, emit_row, emit_trace) -> Dict[str, object]:
-        from ..obs.trace import Tracer, set_tracer
-
-        # Forward the DSE layer's obs tracer events (per-point spans,
-        # illegal-point instants) to the client as live ``trace``
-        # messages.  The sink tracer is installed for the duration of
-        # this evaluation only; that is safe because evaluations are
-        # serialized on the single-worker evaluator thread.  Worker
-        # processes fold their buffers back through ``Tracer.merge``,
-        # which also feeds the sink.
-        def forward(event) -> None:
-            if event.component != "dse":
-                return
-            emit_trace(
-                {
-                    "event": event.name,
-                    "component": event.component,
-                    "kind": event.kind,
-                    "domain": event.domain,
-                    "ts": event.ts,
-                    "dur": event.dur,
-                    "payload": event.payload,
-                }
-            )
-
-        previous = set_tracer(Tracer(enabled=True, sink=forward))
-        try:
-            return self._evaluate_sweep_inner(request, emit_row, emit_trace)
-        finally:
-            set_tracer(previous)
-
-    def _evaluate_sweep_inner(
-        self, request, emit_row, emit_trace
-    ) -> Dict[str, object]:
         result = sweep_suite(
             self._build_suite(request),
             autotune=request["autotune"],

@@ -3,23 +3,21 @@
 The workload table is *fuzz-generated* -- drawn from the same seeded
 generator the fuzzing harness uses -- and evaluated twice: once through
 a live :class:`EvalServer` via :class:`ServeClient`, once in-process
-through :func:`evaluate_suite`.  The two must agree byte-for-byte after
+through :func:`sweep_suite`.  The two must agree byte-for-byte after
 JSON canonicalization, both for a lone request and for two identical
-requests coalesced by in-flight deduplication (where the late joiner
-replays the buffered stream).
-
-This file also covers the tracer-forwarding path end to end: the
-production sweep evaluator installs a sink tracer that forwards the DSE
-layer's obs trace events as ``trace`` messages, so a real sweep streams
-per-point spans -- and a dedup joiner sees the *same* trace/row
-interleaving the original subscriber saw.
+``--halving`` requests coalesced by in-flight deduplication, where the
+late joiner replays the buffered stream.  A halving sweep streams its
+rung events as ``trace`` messages, so the joiner must see the same
+trace/row interleaving the original subscriber saw.
 """
 
 import json
 import threading
+import time
 
 from repro.exec.cache import CompileCache
-from repro.exec.suite import build_table_suite, evaluate_suite
+from repro.exec.halving import sweep_suite
+from repro.exec.suite import build_table_suite
 from repro.fuzz.generate import generate_cases
 from repro.serve.protocol import jsonable
 
@@ -53,11 +51,12 @@ def fuzz_table():
 TABLE = fuzz_table()
 
 
-def batch_rows():
-    result = evaluate_suite(
+def batch_rows(**flags):
+    result = sweep_suite(
         build_table_suite(TABLE, cap=CAP, seed=SEED),
         jobs=1,
         cache=CompileCache(),
+        **flags,
     )
     return jsonable(result.rows)
 
@@ -65,18 +64,8 @@ def batch_rows():
 class TestFuzzSweepDifferential:
     def test_server_rows_are_byte_identical_to_batch(self, harness):  # noqa: F811
         h = harness()
-        traces = []
-        result = h.client.sweep(
-            table=TABLE, cap=CAP, seed=SEED, on_trace=traces.append
-        )
+        result = h.client.sweep(table=TABLE, cap=CAP, seed=SEED)
         assert json.dumps(result["rows"]) == json.dumps(batch_rows())
-        # The production evaluator forwarded the DSE layer's obs tracer
-        # events: one per-point span per layer, at least.
-        assert len(traces) >= len(TABLE)
-        assert {t["component"] for t in traces} == {"dse"}
-        span_names = [t["event"] for t in traces]
-        for row in result["rows"]:
-            assert row["name"] in span_names
 
     def test_dedup_replay_is_byte_identical_including_traces(self, harness):  # noqa: F811
         h = harness()
@@ -84,32 +73,41 @@ class TestFuzzSweepDifferential:
         real = h.server._evaluator
 
         def gated(request, emit_row, emit_trace):
-            assert release.wait(30)
-            return real(request, emit_row, emit_trace)
+            # Hold the sweep after its first rung event, so the second
+            # client joins with that trace already buffered.
+            def trace_then_wait(event):
+                emit_trace(event)
+                assert release.wait(30)
+
+            return real(request, emit_row, trace_then_wait)
 
         h.server._evaluator = gated
 
         streams = [None, None]
 
         def client_run(slot):
-            traces, rows = [], []
+            streamed = []
             result = h.client.sweep(
                 table=TABLE,
                 cap=CAP,
                 seed=SEED,
-                on_row=lambda index, row: rows.append((index, row)),
-                on_trace=traces.append,
+                halving=True,
+                on_row=lambda index, row: streamed.append(("row", index, row)),
+                on_trace=lambda event: streamed.append(("trace", event)),
             )
             streams[slot] = {
                 "rows": result["rows"],
-                "streamed": rows,
-                "traces": traces,
+                "streamed": streamed,
                 "dedup": result["dedup"],
             }
 
         first = threading.Thread(target=client_run, args=(0,))
         second = threading.Thread(target=client_run, args=(1,))
         first.start()
+        deadline = time.monotonic() + 30
+        while h.client.metrics()["server"]["traces_streamed"] < 1:
+            assert time.monotonic() < deadline, "no rung event streamed"
+            time.sleep(0.01)
         second.start()
         h.wait_active(2)
         release.set()
@@ -119,18 +117,16 @@ class TestFuzzSweepDifferential:
 
         # One evaluation, two byte-identical result streams.
         assert sorted(s["dedup"] for s in streams) == [False, True]
-        expected = json.dumps(batch_rows())
+        expected = json.dumps(batch_rows(halving=True))
         for stream in streams:
             assert json.dumps(stream["rows"]) == expected
 
         # The dedup joiner replayed the exact trace/row interleaving the
         # original subscriber saw -- same events, same order, same
-        # payloads (timestamps included: they are the *same* messages).
+        # payloads.
         assert json.dumps(streams[0]["streamed"]) == json.dumps(
             streams[1]["streamed"]
         )
-        assert json.dumps(streams[0]["traces"]) == json.dumps(
-            streams[1]["traces"]
-        )
-        assert len(streams[0]["traces"]) >= len(TABLE)
+        kinds = [entry[0] for entry in streams[0]["streamed"]]
+        assert kinds[0] == "trace" and "row" in kinds
         assert h.client.metrics()["server"]["dedup_hits"] == 1

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.exec.cache import CompileCache
-from repro.exec.halving import sweep_suite
+from repro.exec.halving import halving_autotune_suite, sweep_suite
 from repro.exec.store import SCHEMA_VERSION
 from repro.exec.suite import (
     SuiteError,
@@ -23,6 +23,7 @@ from repro.exec.suite import (
     build_table_suite,
     evaluate_suite,
 )
+from repro.obs.trace import get_tracer, tracing
 from repro.serve import EvalServer, ServeClient, ServeError
 from repro.serve import server as server_module
 from repro.serve.protocol import jsonable, validate_request
@@ -477,7 +478,10 @@ class TestStreaming:
 
     def test_real_sweep_rows_match_the_batch_engine(self, harness):
         h = harness()
-        result = h.client.sweep(table=TABLE, cap=8, seed=7)
+        traces = []
+        result = h.client.sweep(
+            table=TABLE, cap=8, seed=7, on_trace=traces.append
+        )
         suite = build_table_suite(TABLE, cap=8, seed=7)
         expected = evaluate_suite(suite, cache=CompileCache())
         assert json.dumps(result["rows"]) == json.dumps(
@@ -485,6 +489,9 @@ class TestStreaming:
         )
         assert result["aggregates"]["cases"] == len(TABLE)
         assert result["dedup"] is False
+        # A plain sweep has no autotuner rungs, so no progress streams.
+        assert traces == []
+        assert h.client.metrics()["server"]["traces_streamed"] == 0
 
     def test_explore_request_streams_design_points(self, harness):
         h = harness()
@@ -582,12 +589,10 @@ class TestTraces:
         result = h.client.sweep(
             table=TABLE, cap=8, seed=7, halving=True, on_trace=traces.append
         )
-        from repro.exec.halving import halving_autotune_suite
-        from repro.exec.suite import build_table_suite
-
+        events = []
         expected = halving_autotune_suite(
             build_table_suite(TABLE, cap=8, seed=7),
-            jobs=1, cache=CompileCache(),
+            jobs=1, cache=CompileCache(), on_rung=events.append,
         )
         assert json.dumps(result["rows"]) == json.dumps(
             jsonable(expected.rows)
@@ -596,9 +601,13 @@ class TestTraces:
         assert [r["fidelity"] for r in result["rungs"]] == [
             s.fidelity for s in expected.rungs
         ]
-        events = [t["event"] for t in traces]
-        assert events.count("rung_start") == len(expected.rungs)
-        assert events.count("rung_finish") == len(expected.rungs)
+        assert traces == jsonable(events)
+        assert len(traces) == 2 * len(expected.rungs)
+        for trace in traces:
+            # The flat shape ``repro sweep --server``'s progress lines read.
+            assert trace["event"] in ("rung_start", "rung_finish")
+            assert {"rung", "fidelity"} <= set(trace)
+        assert h.client.metrics()["server"]["traces_streamed"] == len(traces)
 
     def test_autotune_sweep_applies_the_constraint(self, harness):
         h = harness()
@@ -608,6 +617,56 @@ class TestTraces:
             )
         assert excinfo.value.code == "suite-error"
         assert "--constraint area<=1" in str(excinfo.value)
+
+
+def on_each_row(h, hook):
+    """Wrap ``h``'s production evaluator so ``hook()`` runs on the
+    evaluator thread, mid-sweep, before each row is emitted."""
+    real = h.server._evaluator
+
+    def evaluator(request, emit_row, emit_trace):
+        def row(index, value):
+            hook()
+            emit_row(index, value)
+
+        return real(request, row, emit_trace)
+
+    h.server._evaluator = evaluator
+
+
+class TestProcessTracer:
+    def test_a_served_sweep_never_swaps_the_tracer(self, harness):
+        before = get_tracer()
+        during = []
+        h = harness()
+        on_each_row(h, lambda: during.append(get_tracer()))
+        h.client.sweep(suite="alexnet", cap=4)
+        assert during and all(tracer is before for tracer in during)
+        assert get_tracer() is before and not before.enabled
+
+    def test_a_tracing_block_overlapping_a_sweep_keeps_its_restore(
+        self, harness
+    ):
+        original = get_tracer()
+        mid_sweep, release = threading.Event(), threading.Event()
+
+        def gate():
+            mid_sweep.set()
+            assert release.wait(30)
+
+        h = harness()
+        on_each_row(h, gate)
+        client = threading.Thread(
+            target=h.client.sweep, kwargs={"suite": "alexnet", "cap": 4}
+        )
+        # The block opens before the sweep and closes while it runs.
+        with tracing():
+            client.start()
+            assert mid_sweep.wait(30)
+        release.set()
+        client.join(timeout=60)
+        assert not client.is_alive()
+        assert get_tracer() is original and not original.enabled
 
 
 class TestDedup:
@@ -770,6 +829,24 @@ class TestParseAddress:
         assert parse_address("/tmp/a:b/serve.sock")[0] == "unix"
         # host:notaport falls back to a unix path.
         assert parse_address("host:abc")[0] == "unix"
+
+
+class TestConnect:
+    def test_a_failed_connect_closes_its_socket(self, tmp_path, monkeypatch):
+        made = []
+
+        class Recording(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(socket, "socket", Recording)
+        client = ServeClient(str(tmp_path / "missing.sock"), timeout=5.0)
+        with pytest.raises(ServeError) as excinfo:
+            client.ping()
+        assert excinfo.value.code == "connect-failed"
+        assert len(made) == 1
+        assert made[0].fileno() == -1
 
 
 class TestTcpTransport:
