@@ -176,6 +176,13 @@ def compile_design(
     """
     from ..exec.cache import memo
 
+    # Key on the normalized axes, so a ``None`` axis and its default
+    # object name one design and share one ``compile`` entry.  A passed
+    # object is kept as is, so its identity-memoized fingerprint hits.
+    if sparsity is None:
+        sparsity = SparsityStructure()
+    if balancing is None:
+        balancing = LoadBalancingScheme()
     membufs = dict(membufs or {})
     return memo(
         cache,
@@ -183,9 +190,8 @@ def compile_design(
         (spec, bounds, transform, sparsity, balancing, membufs,
          element_bits, check),
         lambda: _compile(
-            spec, bounds, transform, sparsity or SparsityStructure(),
-            balancing or LoadBalancingScheme(), membufs, element_bits, check,
-            cache,
+            spec, bounds, transform, sparsity, balancing, membufs,
+            element_bits, check, cache,
         ),
     )
 

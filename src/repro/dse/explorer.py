@@ -54,15 +54,26 @@ SPARSITIES: Dict[str, Optional[Callable[[FunctionalSpec], SparsityStructure]]] =
 }
 
 
-class DesignPoint:
-    """One evaluated configuration of the design space.
+def pareto_front(metrics: Sequence[Sequence[float]]) -> List[int]:
+    """Indices, in input order, of the rows of ``metrics`` that no other
+    row dominates: no worse in every column and better in at least one
+    (every column is minimized).
 
-    ``energy_pj`` is optional: sweeps that ask the engine for
-    ``want_energy`` (the suite autotuner does) carry it, and Pareto
-    dominance then extends over (cycles, area, energy); plain explore
-    sweeps leave it ``None`` and keep the classic (cycles, area)
-    frontier.
+    Rows with equal metrics do not dominate each other, so duplicates of
+    a frontier row all stay on it.
     """
+    if len(metrics) == 0:
+        return []
+    table = np.asarray(metrics, dtype=float)
+    # [q, p]: row q is no worse than row p in every column / better in one.
+    no_worse = (table[:, None, :] <= table[None, :, :]).all(axis=2)
+    better = (table[:, None, :] < table[None, :, :]).any(axis=2)
+    dominated = (no_worse & better).any(axis=0)
+    return np.flatnonzero(~dominated).tolist()
+
+
+class DesignPoint:
+    """One evaluated configuration of the design space."""
 
     def __init__(
         self,
@@ -76,7 +87,6 @@ class DesignPoint:
         pe_count: int,
         conn_count: int,
         pruned_variables: Sequence[str],
-        energy_pj: Optional[float] = None,
     ):
         self.name = name
         self.transform_name = transform_name
@@ -88,31 +98,19 @@ class DesignPoint:
         self.pe_count = pe_count
         self.conn_count = conn_count
         self.pruned_variables = list(pruned_variables)
-        self.energy_pj = energy_pj
 
     @property
     def area_delay_product(self) -> float:
         """The classic ADP figure of merit (lower is better)."""
         return self.area_um2 * self.cycles
 
-    @property
-    def edp(self) -> Optional[float]:
-        """Energy-delay product in pJ-cycles (lower is better); ``None``
-        when the sweep measured no energy."""
-        if self.energy_pj is None:
-            return None
-        return self.energy_pj * self.cycles
-
     def dominates(self, other: "DesignPoint") -> bool:
-        """Pareto dominance: no worse on every measured metric, better on
-        at least one.  Metrics are (cycles, area), plus energy when both
-        points carry it."""
+        """Pareto dominance over (cycles, area): no worse on both, better
+        on at least one."""
         pairs = [
             (self.cycles, other.cycles),
             (self.area_um2, other.area_um2),
         ]
-        if self.energy_pj is not None and other.energy_pj is not None:
-            pairs.append((self.energy_pj, other.energy_pj))
         no_worse = all(a <= b for a, b in pairs)
         better = any(a < b for a, b in pairs)
         return no_worse and better
@@ -143,34 +141,21 @@ class ExplorationResult:
         Ties on (cycles, area) break by name, so the frontier -- like
         :meth:`table` -- is byte-identical however the sweep executed.
         """
-        frontier = [
-            p
-            for p in self.points
-            if not any(q.dominates(p) for q in self.points)
-        ]
+        keep = pareto_front([(p.cycles, p.area_um2) for p in self.points])
+        frontier = [self.points[i] for i in keep]
         return sorted(frontier, key=lambda p: (p.cycles, p.area_um2, p.name))
 
     def best_by(self, metric: str) -> DesignPoint:
-        """The single best point by ``cycles``, ``area``, ``utilization``,
-        ``adp``, ``energy``, or ``edp`` (the energy metrics require a
-        sweep that measured energy)."""
+        """The single best point by ``cycles``, ``area``, ``utilization``
+        or ``adp``."""
         keys = {
             "cycles": lambda p: p.cycles,
             "area": lambda p: p.area_um2,
             "utilization": lambda p: -p.utilization,
             "adp": lambda p: p.area_delay_product,
-            "energy": lambda p: p.energy_pj,
-            "edp": lambda p: p.edp,
         }
         if metric not in keys:
             raise ValueError(f"unknown metric {metric!r}; pick from {sorted(keys)}")
-        if metric in ("energy", "edp") and any(
-            p.energy_pj is None for p in self.points
-        ):
-            raise ValueError(
-                f"metric {metric!r} needs energy figures, but this sweep"
-                " did not measure energy"
-            )
         return min(self.points, key=keys[metric])
 
     def table(self) -> str:

@@ -102,7 +102,7 @@ class DesignCombo(NamedTuple):
         ``name`` when one combo appears once per workload layer.
         """
         fields: Dict[str, object] = {
-            "name": self.label,
+            "name": extra["name"] if "name" in extra else self.label,
             "transform_name": self.transform_name,
             "transform": self.transform,
             "sparsity_name": self.sparsity_name,

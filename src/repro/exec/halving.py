@@ -43,14 +43,17 @@ base's plus the combo's membuf/DMA/regfile overlay
 so the uarch variants of one base are evaluated once.  Rung tallies,
 rows and frontiers still count combos.
 
-Per layer, the final rung's points are ranked by the Pareto
-frontier over (cycles, area, energy); the frontier is optionally
-filtered by declarative suite-level constraints (``area<=N,power<=N``
--- TeAAL-style) and the winner is the point minimizing the objective
+Per layer, the final rung's ``(combo, outcome)`` rows are ranked
+directly (:func:`select_winner`): the Pareto frontier over (cycles,
+area, energy) is :func:`~repro.dse.explorer.pareto_front`, the one
+frontier helper the explorer uses too; it is optionally filtered by
+declarative suite-level constraints (``area<=N,power<=N`` --
+TeAAL-style) and the winner is the row minimizing the objective
 (``cycles``, ``energy`` or ``edp``) with deterministic (objective,
 cycles, area, name) tie-breaks, so parallel, serial, cold and warm runs
-pick identical designs.  The result surfaces the full per-layer
-frontier plus per-rung evaluation counts.
+pick identical designs.  Each combo's label is built once per call.
+The result surfaces the full per-layer frontier plus per-rung
+evaluation counts.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from typing import (
 import numpy as np
 
 from ..core.expr import Bounds
-from ..dse.explorer import DesignPoint, ExplorationResult
+from ..dse.explorer import pareto_front
 from ..dse.space import (
     DesignCombo,
     DesignSpace,
@@ -88,22 +91,26 @@ from .suite import Suite, SuiteError, SuiteResult, evaluate_suite, text_table
 #: the full-bounds ranking (a 1x1x1 matmul has no dataflow).
 MIN_RUNG_CAP = 2
 
-#: Supported autotuning objectives, each mapping a point to the scalar
-#: being minimized.
-OBJECTIVES: Dict[str, Callable[[DesignPoint], float]] = {
-    "cycles": lambda p: float(p.cycles),
-    "energy": lambda p: float(p.energy_pj),
-    "edp": lambda p: float(p.edp),
+#: An engine outcome of a full-fidelity ``ok`` point (``cycles``,
+#: ``area_um2``, ``energy_pj``, ...).
+Outcome = Mapping[str, object]
+
+#: Supported autotuning objectives, each mapping an outcome to the
+#: scalar being minimized.
+OBJECTIVES: Dict[str, Callable[[Outcome], float]] = {
+    "cycles": lambda o: float(o["cycles"]),
+    "energy": lambda o: float(o["energy_pj"]),
+    "edp": lambda o: float(o["energy_pj"]) * int(o["cycles"]),
 }
 
-#: Metrics a ``--constraint`` clause may bound, each mapping a fully
-#: evaluated :class:`~repro.dse.explorer.DesignPoint` to the scalar the
-#: bound applies to.  ``power`` is the energy rate (pJ per cycle).
-CONSTRAINT_METRICS: Dict[str, Callable[[DesignPoint], float]] = {
-    "cycles": lambda p: float(p.cycles),
-    "area": lambda p: float(p.area_um2),
-    "energy": lambda p: float(p.energy_pj),
-    "power": lambda p: float(p.energy_pj) / max(1.0, float(p.cycles)),
+#: Metrics a ``--constraint`` clause may bound, each mapping an outcome
+#: to the scalar the bound applies to.  ``power`` is the energy rate
+#: (pJ per cycle).
+CONSTRAINT_METRICS: Dict[str, Callable[[Outcome], float]] = {
+    "cycles": lambda o: float(o["cycles"]),
+    "area": lambda o: float(o["area_um2"]),
+    "energy": lambda o: float(o["energy_pj"]),
+    "power": lambda o: float(o["energy_pj"]) / max(1.0, float(o["cycles"])),
 }
 
 
@@ -114,8 +121,8 @@ class Constraint(NamedTuple):
     op: str
     limit: float
 
-    def satisfied_by(self, point: DesignPoint) -> bool:
-        value = CONSTRAINT_METRICS[self.metric](point)
+    def satisfied_by(self, outcome: Outcome) -> bool:
+        value = CONSTRAINT_METRICS[self.metric](outcome)
         return value <= self.limit if self.op == "<=" else value >= self.limit
 
     def __str__(self) -> str:
@@ -244,31 +251,48 @@ class RungStats:
 
 
 def select_winner(
-    points: Sequence[DesignPoint], objective: str
-) -> Tuple[DesignPoint, List[DesignPoint]]:
-    """``(winner, frontier)`` for one layer's evaluated points.
+    rows: Sequence[Tuple[str, Outcome]],
+    objective: str,
+    constraints: Sequence[Constraint] = (),
+) -> Tuple[Optional[int], List[int]]:
+    """``(winner_index, frontier_indices)`` for one layer's ``ok`` rows,
+    each a ``(label, outcome)`` pair.
 
-    The frontier is the Pareto-nondominated subset over every measured
-    metric (cycles, area, and energy when present); the winner is the
-    frontier point minimizing ``objective`` with deterministic
-    tie-breaks, so identical point sets always yield identical winners
-    regardless of evaluation order.
+    The frontier is the Pareto-nondominated subset over (cycles, area,
+    energy), sorted by (cycles, area, label).  The winner is the
+    frontier row that satisfies every constraint and minimizes
+    ``objective``, with (cycles, area, label) tie-breaks, so identical
+    row sets always yield identical winners regardless of evaluation
+    order; it is ``None`` when no frontier row satisfies the
+    constraints.
     """
     if objective not in OBJECTIVES:
         raise ValueError(
             f"unknown objective {objective!r}; pick from {sorted(OBJECTIVES)}"
         )
-    if not points:
+    if not rows:
         raise ValueError("cannot select a winner from zero points")
-    frontier = ExplorationResult(list(points)).pareto_frontier()
-    return _best(frontier, objective), frontier
+    metrics = [
+        (int(o["cycles"]), float(o["area_um2"]), float(o["energy_pj"]))
+        for _label, o in rows
+    ]
 
+    def rank(index: int) -> Tuple[int, float, str]:
+        return metrics[index][0], metrics[index][1], rows[index][0]
 
-def _best(points: Sequence[DesignPoint], objective: str) -> DesignPoint:
+    frontier = sorted(pareto_front(metrics), key=rank)
+    feasible = [
+        index
+        for index in frontier
+        if all(c.satisfied_by(rows[index][1]) for c in constraints)
+    ]
     measure = OBJECTIVES[objective]
-    return min(
-        points, key=lambda p: (measure(p), p.cycles, p.area_um2, p.name)
+    winner = min(
+        feasible,
+        key=lambda index: (measure(rows[index][1]),) + rank(index),
+        default=None,
     )
+    return winner, frontier
 
 
 class LayerDecision:
@@ -535,61 +559,65 @@ def _combo_outcome(
     return outcome
 
 
-def _layer_points(
-    combos: Sequence[DesignCombo], outcomes: Sequence[Mapping[str, object]]
-) -> List[Tuple[DesignCombo, DesignPoint, Mapping[str, object]]]:
-    points = []
-    for combo, outcome in zip(combos, outcomes):
-        if outcome["status"] != "ok":
-            continue
-        points.append(
-            (
-                combo,
-                DesignPoint(
-                    name=combo.label,
-                    transform_name=combo.transform_name,
-                    sparsity_name=combo.sparsity_name,
-                    balancing_name=combo.balancing_name,
-                    cycles=int(outcome["cycles"]),
-                    utilization=float(outcome["utilization"]),
-                    area_um2=float(outcome["area_um2"]),
-                    pe_count=int(outcome["pe_count"]),
-                    conn_count=int(outcome["conn_count"]),
-                    pruned_variables=outcome["pruned_variables"],
-                    energy_pj=float(outcome["energy_pj"]),
-                ),
-                outcome,
-            )
-        )
-    return points
-
-
-def _frontier_payload(
-    frontier: Sequence[DesignPoint],
-    by_label: Mapping[str, Tuple[DesignCombo, Mapping[str, object]]],
+def _frontier_entry(
+    label: str,
+    combo: DesignCombo,
+    outcome: Outcome,
     constraints: Sequence[Constraint],
-) -> List[Dict[str, object]]:
-    payload = []
-    for point in frontier:
-        combo, _outcome = by_label[point.name]
-        membuf, dma, regfile = combo.uarch_names
-        payload.append(
-            {
-                "name": point.name,
-                "transform": combo.transform_name,
-                "sparsity": combo.sparsity_name,
-                "balancing": combo.balancing_name,
-                "membuf": membuf,
-                "dma": dma,
-                "regfile": regfile,
-                "cycles": int(point.cycles),
-                "area_um2": float(point.area_um2),
-                "energy_pj": round(float(point.energy_pj), 3),
-                "utilization": float(point.utilization),
-                "feasible": all(c.satisfied_by(point) for c in constraints),
-            }
+) -> Dict[str, object]:
+    """One row of a layer's serialized Pareto frontier."""
+    membuf, dma, regfile = combo.uarch_names
+    return {
+        "name": label,
+        "transform": combo.transform_name,
+        "sparsity": combo.sparsity_name,
+        "balancing": combo.balancing_name,
+        "membuf": membuf,
+        "dma": dma,
+        "regfile": regfile,
+        "cycles": int(outcome["cycles"]),
+        "area_um2": float(outcome["area_um2"]),
+        "energy_pj": round(float(outcome["energy_pj"]), 3),
+        "utilization": float(outcome["utilization"]),
+        "feasible": all(c.satisfied_by(outcome) for c in constraints),
+    }
+
+
+def _halve(
+    per_layer: Sequence[Sequence[Tuple[DesignCombo, Outcome]]],
+    survivors: List[List[DesignCombo]],
+    stats: RungStats,
+    eta: int,
+    labels: Mapping[tuple, str],
+    baseline_key: tuple,
+) -> None:
+    """Successive halving after a pruning rung: per layer, keep the top
+    ``1/eta`` of ``survivors`` on the rung objective plus the three
+    unconditional survivor classes, and tally ``stats``."""
+    previous_leader: Optional[DesignCombo] = None
+    for case_index, layer in enumerate(per_layer):
+        ranked = sorted(
+            (pair for pair in layer if pair[1]["status"] == "ok"),
+            key=lambda pair: (
+                int(pair[1]["cycles"]),
+                float(pair[1]["area_um2"]),
+                labels[pair[0].key],
+            ),
         )
-    return payload
+        keep_n = max(1, math.ceil(len(ranked) / eta))
+        keep_keys = {combo.key for combo, _ in ranked[:keep_n]}
+        keep_keys.add(baseline_key)
+        if previous_leader is not None:
+            keep_keys.add(previous_leader.key)
+        carried = [combo for combo, out in layer if out["status"] != "ok"]
+        stats.carried += len(carried)
+        keep_keys.update(combo.key for combo in carried)
+        survivors[case_index] = [
+            combo for combo in survivors[case_index] if combo.key in keep_keys
+        ]
+        stats.survivors += len(survivors[case_index])
+        if ranked:
+            previous_leader = ranked[0][0]
 
 
 def halving_autotune_suite(
@@ -647,13 +675,13 @@ def halving_autotune_suite(
             " aggregates would not be comparable to the fixed sweep"
         )
 
+    labels = {combo.key: combo.label for combo in combos}
     ladder = fidelity_ladder(_suite_full_cap(suite), eta)
     tracer = get_tracer()
     started = time.perf_counter()
 
     survivors: List[List[DesignCombo]] = [list(combos) for _ in suite.cases]
     rung_stats: List[RungStats] = []
-    final_outcomes: List[List[Mapping[str, object]]] = []
     report = None
 
     def emit(event: Dict[str, object]) -> None:
@@ -734,7 +762,7 @@ def halving_autotune_suite(
         )
 
         by_base = dict(zip(bases, outcomes))
-        per_layer: List[List[Tuple[DesignCombo, Mapping[str, object]]]] = [
+        per_layer: List[List[Tuple[DesignCombo, Outcome]]] = [
             [
                 (
                     combo,
@@ -755,59 +783,8 @@ def halving_autotune_suite(
                 else:
                     stats.illegal += 1
 
-        if final:
-            final_outcomes = per_layer
-            rung_stats.append(stats)
-            emit(
-                {
-                    "event": "rung_finish",
-                    "rung": rung_index,
-                    "fidelity": stats.fidelity,
-                    "evaluated": stats.evaluated,
-                    "illegal": stats.illegal,
-                    "survivors": 0,
-                }
-            )
-            break
-
-        # Successive halving: per layer, keep the top 1/eta on the rung
-        # objective plus the three unconditional survivor classes.
-        previous_leader: Optional[DesignCombo] = None
-        for case_index in range(len(suite.cases)):
-            ranked = sorted(
-                (
-                    (combo, outcome)
-                    for combo, outcome in per_layer[case_index]
-                    if outcome["status"] == "ok"
-                ),
-                key=lambda pair: (
-                    int(pair[1]["cycles"]),
-                    float(pair[1]["area_um2"]),
-                    pair[0].label,
-                ),
-            )
-            keep_n = max(1, math.ceil(len(ranked) / eta))
-            keep_keys = {combo.key for combo, _ in ranked[:keep_n]}
-            keep_keys.add(baseline_combo.key)
-            if previous_leader is not None:
-                keep_keys.add(previous_leader.key)
-            carried = [
-                combo
-                for combo, outcome in per_layer[case_index]
-                if outcome["status"] != "ok"
-            ]
-            stats.carried += len(carried)
-            keep_keys.update(combo.key for combo in carried)
-            next_survivors = [
-                combo
-                for combo in survivors[case_index]
-                if combo.key in keep_keys
-            ]
-            survivors[case_index] = next_survivors
-            stats.survivors += len(next_survivors)
-            if ranked:
-                previous_leader = ranked[0][0]
-
+        if not final:
+            _halve(per_layer, survivors, stats, eta, labels, baseline_combo.key)
         rung_stats.append(stats)
         emit(
             {
@@ -822,42 +799,29 @@ def halving_autotune_suite(
 
     elapsed = time.perf_counter() - started
 
+    # ``per_layer`` now holds the exact (final) rung.
     decisions: List[LayerDecision] = []
-    for case_index, case in enumerate(suite.cases):
-        layer = final_outcomes[case_index]
-        evaluated = _layer_points(
-            [combo for combo, _ in layer],
-            [outcome for _, outcome in layer],
-        )
-        if not evaluated:
+    for case, layer in zip(suite.cases, per_layer):
+        ok = [(combo, out) for combo, out in layer if out["status"] == "ok"]
+        if not ok:
             raise SuiteError(
                 f"suite {suite.name!r}: no legal design point for layer"
                 f" {case.name!r}"
             )
-        points = [point for _combo, point, _out in evaluated]
-        winner_point, frontier = select_winner(points, objective)
-        by_label = {
-            point.name: (combo, outcome)
-            for combo, point, outcome in evaluated
-        }
-        feasible = [
-            point
-            for point in frontier
-            if all(c.satisfied_by(point) for c in constraints)
-        ]
-        if constraints:
-            if not feasible:
-                clause = ",".join(str(c) for c in constraints)
-                raise SuiteError(
-                    f"suite {suite.name!r}: no frontier point of layer"
-                    f" {case.name!r} satisfies --constraint {clause}"
-                )
-            winner_point = _best(feasible, objective)
-        winner_combo, winner_outcome = by_label[winner_point.name]
+        winner, frontier = select_winner(
+            [(labels[combo.key], outcome) for combo, outcome in ok],
+            objective,
+            constraints,
+        )
+        if winner is None:
+            clause = ",".join(str(c) for c in constraints)
+            raise SuiteError(
+                f"suite {suite.name!r}: no frontier point of layer"
+                f" {case.name!r} satisfies --constraint {clause}"
+            )
+        winner_combo, winner_outcome = ok[winner]
         fixed_outcome = next(
-            outcome
-            for combo, _point, outcome in evaluated
-            if combo.key == baseline_combo.key
+            outcome for combo, outcome in ok if combo.key == baseline_combo.key
         )
         decisions.append(
             LayerDecision(
@@ -865,11 +829,14 @@ def halving_autotune_suite(
                 winner_combo,
                 winner_outcome,
                 fixed_outcome,
-                frontier_points=_frontier_payload(
-                    frontier, by_label, constraints
-                ),
-                evaluated=len(evaluated),
-                illegal=len(layer) - len(evaluated),
+                frontier_points=[
+                    _frontier_entry(
+                        labels[ok[index][0].key], *ok[index], constraints
+                    )
+                    for index in frontier
+                ],
+                evaluated=len(ok),
+                illegal=len(layer) - len(ok),
             )
         )
 

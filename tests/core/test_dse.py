@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Bounds, SpecError, matmul_spec
 from repro.core.balancing import LoadBalancingScheme, row_shift_scheme
@@ -13,6 +15,7 @@ from repro.core.dataflow import (
 )
 from repro.core.sparsity import SparsityStructure, csr_b_matrix
 from repro.dse import DesignPoint, explore
+from repro.dse.explorer import pareto_front
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +160,33 @@ class TestDominance:
     def test_equal_not_dominating(self):
         a, b = self._point(10, 100), self._point(10, 100)
         assert not a.dominates(b)
+
+
+def _pairwise_front(rows):
+    """The definition: rows that no other row dominates (no worse in
+    every column, better in at least one)."""
+
+    def dominates(q, p):
+        return all(a <= b for a, b in zip(q, p)) and any(
+            a < b for a, b in zip(q, p)
+        )
+
+    return [i for i, p in enumerate(rows) if not any(dominates(q, p) for q in rows)]
+
+
+class TestParetoFront:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda width: st.lists(
+                st.lists(st.integers(0, 3), min_size=width, max_size=width),
+                max_size=12,
+            )
+        )
+    )
+    def test_matches_pairwise_definition(self, rows):
+        """Small value ranges force duplicate rows and per-column ties."""
+        assert pareto_front(rows) == _pairwise_front(rows)
+
+    def test_empty_input(self):
+        assert pareto_front([]) == []

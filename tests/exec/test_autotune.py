@@ -13,6 +13,7 @@ point: re-pin deliberately, never accidentally.
 import pytest
 
 from repro.dse.space import (
+    DesignCombo,
     DesignSpace,
     budgeted_combos,
     standard_transforms,
@@ -23,6 +24,7 @@ from repro.exec.halving import (
     OBJECTIVES,
     HalvingResult,
     halving_autotune_suite,
+    parse_constraints,
     select_winner,
     sweep_suite,
 )
@@ -210,6 +212,10 @@ class TestInvariants:
             )
 
 
+def _row(label, cycles, area, energy):
+    return label, {"cycles": cycles, "area_um2": area, "energy_pj": energy}
+
+
 class TestSelectWinner:
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError, match="zero points"):
@@ -218,6 +224,39 @@ class TestSelectWinner:
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError, match="objective"):
             select_winner([], "area")
+
+    def test_identical_rows_both_on_frontier(self):
+        rows = [
+            _row("b", 10, 100.0, 5.0),
+            _row("a", 10, 100.0, 5.0),
+            _row("c", 12, 100.0, 5.0),
+        ]
+        winner, frontier = select_winner(rows, "cycles")
+        assert frontier == [1, 0]  # sorted by (cycles, area, label)
+        assert winner == 1
+
+    def test_binding_constraint_picks_off_optimum_winner(self):
+        rows = [
+            _row("fast", 10, 900.0, 50.0),
+            _row("small", 14, 300.0, 40.0),
+            _row("slow", 20, 900.0, 60.0),  # dominated by "fast"
+        ]
+        assert select_winner(rows, "cycles") == (0, [0, 1])
+        bound = parse_constraints("area<=500")
+        assert select_winner(rows, "cycles", bound) == (1, [0, 1])
+        assert select_winner(rows, "cycles", parse_constraints("area<=1"))[0] is None
+
+    def test_objective_ties_break_by_cycles_area_then_label(self):
+        # Equal energy everywhere: the energy objective ties, so cycles,
+        # then area, then the label decide.
+        rows = [
+            _row("zeta", 10, 200.0, 7.0),
+            _row("alpha", 12, 100.0, 7.0),
+            _row("beta", 10, 200.0, 7.0),
+        ]
+        winner, frontier = select_winner(rows, "energy")
+        assert frontier == [2, 0, 1]
+        assert rows[winner][0] == "beta"
 
     def test_budgeted_combos_rejects_non_positive(self):
         space = suite_design_space(build_suite("alexnet", cap=4))
@@ -230,3 +269,21 @@ class TestSelectWinner:
         kept = budgeted_combos(space.combos(), 2, require=baseline)
         assert len(kept) == 2
         assert any(combo.names == baseline for combo in kept)
+
+
+class TestLabelsBuiltOnce:
+    def test_one_label_per_combo_per_call(self, monkeypatch):
+        """Every rung tie-break, final row and frontier entry reads the
+        label built once per combo; no candidate rebuilds it."""
+        reads = []
+        label = DesignCombo.label
+
+        def counting(combo):
+            reads.append(combo.key)
+            return label.fget(combo)
+
+        monkeypatch.setattr(DesignCombo, "label", property(counting))
+        result = halving_autotune_suite(
+            build_suite("alexnet", cap=4, seed=7), cache=CompileCache(), jobs=1
+        )
+        assert 0 < len(reads) <= len(result.combos)

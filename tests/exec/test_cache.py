@@ -100,9 +100,8 @@ class TestCompileFacade:
         assert cache.stats.by_stage["compile"] == (1, 1)
 
     def test_build_shares_the_entry_of_its_axes(self, design_axes):
-        """The key is built from the arguments as passed: a build shares
-        its entry with a ``compile_design`` given the accelerator's
-        (defaulted) axes."""
+        """A build shares its entry with a ``compile_design`` given the
+        accelerator's (defaulted) axes."""
         spec, bounds, transform = design_axes
         cache = CompileCache()
         accelerator = Accelerator(spec=spec, bounds=bounds, transform=transform)
@@ -112,6 +111,17 @@ class TestCompileFacade:
             balancing=accelerator.balancing, cache=cache,
         )
         assert same is built
+        assert cache.stats.by_stage["compile"] == (1, 1)
+
+    def test_omitted_axes_share_the_default_entry(self, design_axes):
+        """The key is built from the normalized axes: a ``compile_design``
+        that leaves sparsity and balancing ``None`` names the same design,
+        and shares the entry, as a build with the default objects."""
+        spec, bounds, transform = design_axes
+        cache = CompileCache()
+        plain = compile_design(spec, bounds, transform, cache=cache)
+        built = Accelerator(spec, bounds, transform).build(cache=cache).compiled
+        assert built is plain
         assert cache.stats.by_stage["compile"] == (1, 1)
 
     def test_structurally_equal_keys_hit(self, design_axes):
@@ -279,7 +289,7 @@ class TestDiskTier:
             ("analysis.spec",
              "338650213b13097ed7cdc7af393bf5d1f2eca00e2f07112af0d4ebf887cbb87c"),
             ("compile",
-             "f0c831462b08875ecb4891fe6950abcd23c476cfed7501ced1dd6b1f156b5bdd"),
+             "b53c15cfc3d6db3dda4e0f73bb528afade09f21cd3a7d8f27faf4adafc26fd88"),
             ("lower",
              "089767da5ae232083cb4d5a018893a733bceaa51e1a685872b8227345443ed37"),
             ("lower",
