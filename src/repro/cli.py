@@ -77,21 +77,9 @@ from .core.balancing import (
     flexible_pe_scheme,
     row_shift_scheme,
 )
-from .core.dataflow import (
-    hexagonal,
-    input_stationary,
-    output_stationary,
-    weight_stationary,
-)
 from .core.sparsity import SparsityStructure
 from .dse.explorer import SPARSITIES, SPECS, random_tensors
-
-TRANSFORMS: Dict[str, Callable] = {
-    "output-stationary": output_stationary,
-    "input-stationary": input_stationary,
-    "weight-stationary": weight_stationary,
-    "hexagonal": hexagonal,
-}
+from .dse.space import standard_transforms
 
 BALANCINGS: Dict[str, Optional[Callable]] = {
     "none": None,
@@ -108,7 +96,7 @@ def _build_accelerator(args) -> Accelerator:
     return Accelerator(
         spec=spec,
         bounds=bounds,
-        transform=TRANSFORMS[args.dataflow](),
+        transform=standard_transforms()[args.dataflow],
         sparsity=sparsity_factory(spec) if sparsity_factory else SparsityStructure(),
         balancing=(
             balancing_factory(args.size) if balancing_factory
@@ -681,7 +669,7 @@ def _add_design_arguments(parser: argparse.ArgumentParser) -> None:
         "--dataflow",
         "--transform",
         dest="dataflow",
-        choices=sorted(TRANSFORMS),
+        choices=sorted(standard_transforms()),
         default="output-stationary",
     )
     parser.add_argument("--sparsity", choices=sorted(SPARSITIES), default="dense")

@@ -215,17 +215,13 @@ def explore(
         cache = None
 
     space = DesignSpace(transforms, sparsities, balancings)
-    candidates = [combo.candidate() for combo in space.combos()]
+    candidates = [
+        combo.candidate(bounds=bounds, tensors=tensors, skip_illegal=skip_illegal)
+        for combo in space.combos()
+    ]
 
     outcomes, report = evaluate_sweep(
-        spec,
-        bounds,
-        tensors,
-        candidates,
-        element_bits=element_bits,
-        skip_illegal=skip_illegal,
-        jobs=jobs,
-        cache=cache,
+        spec, candidates, element_bits=element_bits, jobs=jobs, cache=cache
     )
 
     points = [

@@ -97,9 +97,12 @@ class DesignCombo(NamedTuple):
         point: the three architectural axes, which are all the engine
         evaluates.
 
-        ``extra`` adds (or overrides) engine fields -- per-case
-        ``bounds``/``tensors_key``, the ``want_*`` flags, a distinct
-        ``name`` when one combo appears once per workload layer.
+        ``extra`` completes the design point with the workload it runs
+        on -- ``bounds`` and the operand mapping ``tensors`` (required
+        by the engine) -- plus any of ``skip_illegal``, the ``want_*``
+        flags and a distinct ``name`` when one combo appears once per
+        workload layer (the label is built only when ``name`` is not
+        given).
         """
         fields: Dict[str, object] = {
             "name": extra["name"] if "name" in extra else self.label,

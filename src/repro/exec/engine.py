@@ -33,17 +33,19 @@ with its profiler and tracer, and the parent folds each one into its
 own with that type's ``merge``.
 
 With a cache, each design point's finished figures are memoized whole
-under the ``dse.point`` stage (:func:`_evaluate_point`), so a warm or
-duplicate point costs one lookup.
+under the ``dse.point`` stage (:func:`_evaluate_candidate`), so a warm
+or duplicate point costs one lookup.
 
-Suites ride on the same sweep: a candidate may carry its own
-``bounds``, a ``tensors_key`` naming an operand set in the sweep-wide
-``tensor_table``, and ``want_energy`` / ``want_digest`` flags asking
-for an energy estimate and a canonical output fingerprint in the
-outcome.  Each task carries the sweep settings, its candidate and only
-that candidate's operand set, inline -- a suite layer's operands are a
-few hundred bytes, so pickling them per task is cheap and leaves
-nothing open in the worker.
+A candidate is the whole design point: its own ``bounds``, its own
+operand mapping ``tensors``, its own ``skip_illegal`` policy, and
+``want_energy`` / ``want_digest`` flags asking for an energy estimate
+and a canonical output fingerprint in the outcome.  The sweep itself
+fixes only the spec and the element width, so an explore sweep (one
+workload, many transforms), a suite (one design, many layers) and an
+autotuning rung (both crossed) are the same call.  Each task carries
+the sweep settings, its index and its candidate, inline -- a suite
+layer's operands are a few hundred bytes, so pickling them per task is
+cheap and leaves nothing open in the worker.
 """
 
 from __future__ import annotations
@@ -120,50 +122,28 @@ class EngineReport:
 # ---------------------------------------------------------------------------
 
 
-def _operands(
-    candidate: Mapping[str, object],
-    tensors,
-    tensor_table: Optional[Mapping[str, Mapping[str, object]]],
-):
-    """The operand set ``candidate`` runs on: its ``tensors_key`` entry
-    of ``tensor_table`` when it names one, else the sweep's ``tensors``."""
-    tensors_key = candidate.get("tensors_key")
-    if tensors_key is None:
-        return tensors
-    if tensor_table is None or tensors_key not in tensor_table:
-        raise KeyError(
-            f"candidate {candidate['name']!r} names tensors_key"
-            f" {tensors_key!r} but the sweep has no such tensor-table entry"
-        )
-    return tensor_table[tensors_key]
-
-
 class _Illegal(Exception):
     """A compile-step :class:`SpecError` (its ``__cause__``) carried out
     of the point memo, told apart from one the simulator raises."""
 
 
-def _evaluate_point(
+def _evaluate_candidate(
     spec,
-    bounds,
-    tensors,
     element_bits: int,
     candidate: Mapping[str, object],
     cache: Optional[CompileCache],
-    skip_illegal: bool,
 ) -> Dict[str, object]:
-    """Compile + simulate + area for one candidate on its own operand
-    set ``tensors`` (already resolved by :func:`_operands`).
+    """Compile + simulate + area for one candidate on its own
+    ``bounds`` and operand set ``tensors``.
 
     Runs against whatever profiler/tracer are currently installed, so the
     same code serves the inline path (parent observability) and the
     worker path (local observability, merged later).
 
-    Suite candidates may override the sweep-wide ``bounds`` and may opt
-    into extra figures with
-    ``want_energy`` (energy model over the sim counters) and
-    ``want_digest`` (canonical fingerprint of the simulated outputs,
-    for byte-identity checks across runs and transports).
+    A candidate may opt into extra figures with ``want_energy`` (energy
+    model over the sim counters) and ``want_digest`` (canonical
+    fingerprint of the simulated outputs, for byte-identity checks
+    across runs and transports).
 
     With a ``cache``, the measured figures are memoized whole under the
     ``dse.point`` stage, keyed on the point's content: spec, bounds,
@@ -176,16 +156,16 @@ def _evaluate_point(
     :attr:`~repro.core.compiler.CompiledDesign.axes` (a shared
     ``compile`` hit is then keyed from the identity memo alone).
 
-    A candidate may also override the sweep-wide ``skip_illegal``: the
-    autotuner sweeps exploration combos permissively (an illegal
-    transform is a pruned point) while pinning ``skip_illegal: False``
-    on each layer's fixed baseline design, whose failure to compile is
-    a configuration bug and must raise.  Illegal points are never
-    memoized.
+    ``skip_illegal`` (default off) turns a compile-step
+    :class:`SpecError` into an ``illegal`` outcome instead of raising:
+    explore and the autotuner sweep exploration combos permissively (an
+    illegal transform is a pruned point), while a suite layer or a
+    layer's fixed baseline design must compile, and a failure there is
+    a configuration bug.  Illegal points are never memoized.
     """
     name = candidate["name"]
-    skip_illegal = bool(candidate.get("skip_illegal", skip_illegal))
-    bounds = candidate.get("bounds", bounds)
+    bounds = candidate["bounds"]
+    tensors = candidate["tensors"]
     want_energy = bool(candidate.get("want_energy"))
     want_digest = bool(candidate.get("want_digest"))
 
@@ -247,7 +227,7 @@ def _evaluate_point(
                 measure,
             )
         except _Illegal as illegal:
-            if not skip_illegal:
+            if not candidate.get("skip_illegal"):
                 raise illegal.__cause__ from None
             get_tracer().instant("illegal_point", component="dse", point=name)
             return {"status": "illegal", "name": name, "error": str(illegal.__cause__)}
@@ -261,32 +241,6 @@ def _evaluate_point(
     outcome.update(figures)
     outcome["pruned_variables"] = list(figures["pruned_variables"])
     return outcome
-
-
-def evaluate_point(
-    spec,
-    bounds,
-    tensors,
-    candidate: Mapping[str, object],
-    element_bits: int = 32,
-    cache: Optional[CompileCache] = None,
-    skip_illegal: bool = False,
-    tensor_table: Optional[Mapping[str, Mapping[str, object]]] = None,
-) -> Dict[str, object]:
-    """Evaluate one candidate inline -- the single-point sweep.
-
-    The public deterministic entry point for callers (the differential
-    fuzz oracles, notebooks) that want exactly what a one-candidate
-    :func:`evaluate_sweep` would produce without building the sweep
-    scaffolding: same candidate dict contract, same outcome dict, same
-    error discipline.  Defaults to ``skip_illegal=False`` because a
-    single named point that fails to compile is the caller's bug, not a
-    pruned sweep entry.
-    """
-    return _evaluate_point(
-        spec, bounds, _operands(candidate, tensors, tensor_table),
-        element_bits, candidate, cache, skip_illegal,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +271,12 @@ def _init_resident_worker(store_config) -> None:
 def _run_resident_task(task) -> Dict[str, object]:
     """Evaluate one candidate in a worker.
 
-    ``task`` is ``(settings, index, candidate, tensors)``: the sweep's
-    settings (see :func:`evaluate_sweep`), the candidate's position and
-    dict, and the candidate's own operand set.  The outcome carries the
-    task's own profiler, tracer and cache/store tallies for the parent
-    to merge.
+    ``task`` is ``(settings, index, candidate)``: the sweep's settings
+    (see :func:`evaluate_sweep`) and the candidate's position and dict.
+    The outcome carries the task's own profiler, tracer and cache/store
+    tallies for the parent to merge.
     """
-    settings, index, candidate, tensors = task
+    settings, index, candidate = task
     cache = _WORKER_CACHE if settings["use_cache"] else None
     if cache is not None:
         cache.stats = CacheStats()
@@ -334,14 +287,8 @@ def _run_resident_task(task) -> Dict[str, object]:
             observers.enter_context(profiling()) if settings["profile"] else None
         )
         tracer = observers.enter_context(tracing()) if settings["trace"] else None
-        outcome = _evaluate_point(
-            settings["spec"],
-            settings["bounds"],
-            tensors,
-            settings["element_bits"],
-            candidate,
-            cache,
-            settings["skip_illegal"],
+        outcome = _evaluate_candidate(
+            settings["spec"], settings["element_bits"], candidate, cache
         )
     outcome["index"] = index
     outcome["profile"] = profiler
@@ -359,12 +306,12 @@ class ResidentPool:
     Each worker owns one long-lived
     :class:`~repro.exec.cache.CompileCache` (with its own handle on the
     shared disk store when ``store_config`` is given) and nothing else:
-    every task carries its sweep settings, candidate and operand set
-    inline, so no per-sweep state outlives a task.  A sweep without a
-    ``pool`` builds a one-shot ``ResidentPool`` and closes it when the
-    sweep returns; long-running callers (the serve daemon, the fuzz
-    harness) keep one alive across sweeps so fork cost is paid once and
-    the workers' in-memory caches stay warm.
+    every task carries its sweep settings and candidate inline, so no
+    per-sweep state outlives a task.  A sweep without a ``pool`` builds
+    a one-shot ``ResidentPool`` and closes it when the sweep returns;
+    long-running callers (the serve daemon, the fuzz harness) keep one
+    alive across sweeps so fork cost is paid once and the workers'
+    in-memory caches stay warm.
 
     The pool is lazy: workers fork on first use, and :meth:`close`
     (also the context-manager exit) retires them.  If the executor
@@ -430,27 +377,26 @@ def _report(
 
 def evaluate_sweep(
     spec,
-    bounds,
-    tensors,
     candidates: Sequence[Mapping[str, object]],
     element_bits: int = 32,
-    skip_illegal: bool = True,
     jobs: Optional[int] = None,
     cache: Optional[CompileCache] = None,
-    tensor_table: Optional[Mapping[str, Mapping[str, object]]] = None,
     on_outcome: Optional[Callable[[int, Dict[str, object]], None]] = None,
     pool: Optional[ResidentPool] = None,
 ) -> Tuple[List[Dict[str, object]], EngineReport]:
-    """Evaluate every candidate; outcomes come back in candidate order.
+    """Evaluate every candidate of ``spec``; outcomes come back in
+    candidate order.
 
-    Each candidate is a dict with ``name``, ``transform_name`` /
-    ``transform``, ``sparsity_name`` / ``sparsity`` and
-    ``balancing_name`` / ``balancing``; suite candidates may add
-    ``bounds``, ``tensors_key`` (an entry of ``tensor_table``), the
-    ``want_energy`` / ``want_digest`` flags, and a per-candidate
-    ``skip_illegal`` override.  Outcomes are plain dicts with ``status``
-    either ``"ok"`` (plus the measured figures) or ``"illegal"`` (plus
-    the compile error text).
+    Each candidate is one whole design point: a dict with ``name``,
+    ``transform_name`` / ``transform``, ``sparsity_name`` /
+    ``sparsity``, ``balancing_name`` / ``balancing``, the workload's
+    ``bounds`` and its operand mapping ``tensors``; optional
+    ``skip_illegal`` (default off), ``want_energy`` and ``want_digest``
+    flags.  Candidates sharing a workload should share its ``bounds``
+    and ``tensors`` objects, so the cache keys them from its identity
+    memo.  Outcomes are plain dicts with ``status`` either ``"ok"``
+    (plus the measured figures) or ``"illegal"`` (plus the compile
+    error text).  A single design point is a one-candidate sweep.
 
     ``on_outcome(index, outcome)`` -- when given -- is invoked once per
     candidate *in candidate order* as each outcome is finalized (worker
@@ -464,10 +410,10 @@ def evaluate_sweep(
     :class:`ResidentPool` closed before returning.  ``pool`` routes the
     fan-out through a caller's long-lived :class:`ResidentPool` instead
     (the serve daemon's configuration); ``jobs`` is ignored in that
-    case.  Each task carries the sweep settings, its index, its
-    candidate and only its own operand set.  If a pool cannot be
-    created (no process-spawning rights in a sandbox) the sweep silently
-    degrades to serial, with identical results by construction.
+    case.  Each task carries the sweep settings, its index and its
+    candidate.  If a pool cannot be created (no process-spawning rights
+    in a sandbox) the sweep silently degrades to serial, with identical
+    results by construction.
     """
     if pool is not None:
         workers = min(pool.workers, max(1, len(candidates)))
@@ -477,10 +423,7 @@ def evaluate_sweep(
     if workers <= 1:
         outcomes = []
         for index, candidate in enumerate(candidates):
-            outcome = _evaluate_point(
-                spec, bounds, _operands(candidate, tensors, tensor_table),
-                element_bits, candidate, cache, skip_illegal,
-            )
+            outcome = _evaluate_candidate(spec, element_bits, candidate, cache)
             outcomes.append(outcome)
             if on_outcome is not None:
                 on_outcome(index, outcome)
@@ -488,17 +431,11 @@ def evaluate_sweep(
 
     settings = {
         "spec": spec,
-        "bounds": bounds,
         "element_bits": element_bits,
-        "skip_illegal": skip_illegal,
         "use_cache": cache is not None,
         "profile": get_profiler().enabled,
         "trace": get_tracer().enabled,
     }
-    tasks = [
-        (settings, index, candidate, _operands(candidate, tensors, tensor_table))
-        for index, candidate in enumerate(candidates)
-    ]
     owned = pool is None
     if owned:
         store = cache.store if cache is not None else None
@@ -509,17 +446,18 @@ def evaluate_sweep(
         executor = pool.executor()
     except (OSError, PermissionError):  # pragma: no cover - sandboxed envs
         return evaluate_sweep(
-            spec, bounds, tensors, candidates,
-            element_bits=element_bits, skip_illegal=skip_illegal,
-            jobs=1, cache=cache, tensor_table=tensor_table,
-            on_outcome=on_outcome,
+            spec, candidates, element_bits=element_bits, jobs=1,
+            cache=cache, on_outcome=on_outcome,
         )
 
     outcomes: List[Optional[Dict[str, object]]] = [None] * len(candidates)
     profiler = get_profiler()
     tracer = get_tracer()
     try:
-        futures = [executor.submit(_run_resident_task, task) for task in tasks]
+        futures = [
+            executor.submit(_run_resident_task, (settings, index, candidate))
+            for index, candidate in enumerate(candidates)
+        ]
         # Collect in submission order: outcomes are finalized, merged
         # back, and streamed in sweep order no matter how the pool
         # interleaves, and the first failing candidate (by sweep order,

@@ -700,7 +700,6 @@ def halving_autotune_suite(
         # evaluate_sweep call per rung (pool/store/dedup all apply).
         bases: List[Tuple[int, Tuple[str, str, str]]] = []
         candidates: List[Dict[str, object]] = []
-        tensor_table: Dict[str, Mapping[str, np.ndarray]] = {}
         rung_bounds: List[Bounds] = []
         overlays: List[Dict[tuple, Tuple[int, float]]] = []
         tables: Dict[tuple, Dict[tuple, Tuple[int, float]]] = {}
@@ -715,8 +714,6 @@ def halving_autotune_suite(
                     tuple((n, bounds[n]) for n in bounds.names()), {}
                 )
             )
-            tensors_key = f"{case.name}@cap{cap}" if clipped else case.name
-            tensor_table.setdefault(tensors_key, tensors)
             seen = set()
             for combo in survivors[case_index]:
                 if combo.names in seen:
@@ -728,7 +725,7 @@ def halving_autotune_suite(
                         name=f"{case.name} @ {' / '.join(combo.names)}"
                         + ("" if not clipped else f" @ rung{rung_index}"),
                         bounds=bounds,
-                        tensors_key=tensors_key,
+                        tensors=tensors,
                         want_energy=final,
                         want_digest=final,
                         # The baseline must compile; exploration combos
@@ -750,14 +747,10 @@ def halving_autotune_suite(
 
         outcomes, report = evaluate_sweep(
             suite.spec,
-            None,
-            None,
             candidates,
             element_bits=suite.element_bits,
-            skip_illegal=True,
             jobs=jobs,
             cache=cache,
-            tensor_table=tensor_table,
             pool=pool,
         )
 

@@ -5,11 +5,11 @@ points but *suites*: every distinct ResNet-50 conv shape, the pruned
 AlexNet layers, the SuiteSparse-like matrix registry.  This module
 routes a whole suite through :func:`repro.exec.engine.evaluate_sweep`
 as one candidate list -- each layer becomes a candidate carrying its
-own bounds and a ``tensors_key`` into the sweep's shared tensor table
--- so layers share the compile cache (most ResNet shapes collapse onto
-a handful of tile configurations), fan out over the process pool (each
-task carrying its own layer's operands), and warm-start from the
-persistent disk store on repeat invocations.
+case's own bounds and operand objects -- so layers share the compile
+cache (most ResNet shapes collapse onto a handful of tile
+configurations), fan out over the process pool (each task carrying its
+own layer's operands), and warm-start from the persistent disk store on
+repeat invocations.
 
 Layer shapes are evaluated at a *tile* scale: each matmul dimension is
 clipped to ``cap`` (cycle-accurate simulation of a full 12544x64x576
@@ -99,9 +99,6 @@ class Suite:
         self.balancing = LoadBalancingScheme()
         self.balancing_name = "none"
 
-    def tensor_table(self) -> Dict[str, Dict[str, np.ndarray]]:
-        return {case.name: case.tensors for case in self.cases}
-
     def candidates(self) -> List[Dict[str, object]]:
         return [
             {
@@ -113,7 +110,7 @@ class Suite:
                 "balancing_name": self.balancing_name,
                 "balancing": self.balancing,
                 "bounds": case.bounds,
-                "tensors_key": case.name,
+                "tensors": case.tensors,
                 "want_energy": True,
                 "want_digest": True,
             }
@@ -636,8 +633,8 @@ def evaluate_suite(
 ) -> SuiteResult:
     """Run every case of ``suite`` through the sweep engine.
 
-    ``skip_illegal`` is off: a suite layer that fails to compile is a
-    configuration bug, not a design-space point to prune.
+    No candidate sets ``skip_illegal``: a suite layer that fails to
+    compile is a configuration bug, not a design-space point to prune.
 
     ``on_row(index, row)`` streams each finished per-layer row (case
     info and bounds merged in, identical to the row in the returned
@@ -663,14 +660,10 @@ def evaluate_suite(
     started = time.perf_counter()
     _outcomes, report = evaluate_sweep(
         suite.spec,
-        None,
-        None,
         candidates,
         element_bits=suite.element_bits,
-        skip_illegal=False,
         jobs=jobs,
         cache=cache,
-        tensor_table=suite.tensor_table(),
         on_outcome=_finish_row,
         pool=pool,
     )

@@ -51,7 +51,7 @@ from ..core.compiler import compile_design
 from ..core.expr import SpecError
 from ..dse.space import suite_design_space
 from ..exec.cache import CompileCache
-from ..exec.engine import ResidentPool, evaluate_point, evaluate_sweep
+from ..exec.engine import ResidentPool, evaluate_sweep
 from ..exec.halving import sweep_suite
 from ..exec.store import DEFAULT_MAX_BYTES, DiskStore
 from ..exec.suite import build_table_suite
@@ -262,20 +262,19 @@ def _oracle_serial_vs_parallel(case: FuzzCase, ctx: OracleContext):
     spec = case.build_spec()
     bounds = case.build_bounds()
     tensors = case.build_tensors()
-    candidates = [_case_candidate(case)]
+    point = {"bounds": bounds, "tensors": tensors, "skip_illegal": True}
+    candidates = [_case_candidate(case, **point)]
     for index, combo in enumerate(
         design_space_for(case.spec_name).sample(3, seed=case.tensor_seed)
     ):
         candidates.append(
-            combo.candidate(name=f"fuzz-{case.index}-s{index}", want_digest=True)
+            combo.candidate(
+                name=f"fuzz-{case.index}-s{index}", want_digest=True, **point
+            )
         )
-    serial, _ = evaluate_sweep(
-        spec, bounds, tensors, candidates,
-        skip_illegal=True, jobs=1, cache=CompileCache(),
-    )
+    serial, _ = evaluate_sweep(spec, candidates, jobs=1, cache=CompileCache())
     parallel, _ = evaluate_sweep(
-        spec, bounds, tensors, candidates,
-        skip_illegal=True, cache=CompileCache(), pool=ctx.pool,
+        spec, candidates, cache=CompileCache(), pool=ctx.pool
     )
     if serial != parallel:
         for index, (a, b) in enumerate(zip(serial, parallel)):
@@ -296,18 +295,15 @@ def _oracle_serial_vs_parallel(case: FuzzCase, ctx: OracleContext):
 
 def _oracle_cold_vs_warm(case: FuzzCase, _ctx: OracleContext):
     spec = case.build_spec()
-    bounds = case.build_bounds()
-    tensors = case.build_tensors()
+    candidate = _case_candidate(
+        case, bounds=case.build_bounds(), tensors=case.build_tensors()
+    )
     with tempfile.TemporaryDirectory(prefix="stellar-fuzz-store-") as root:
         # An explicit budget keeps the oracle off STELLAR_CACHE_MAX_BYTES.
         cold_cache = CompileCache(store=DiskStore(root, DEFAULT_MAX_BYTES))
-        cold = evaluate_point(
-            spec, bounds, tensors, _case_candidate(case), cache=cold_cache
-        )
+        (cold,), _ = evaluate_sweep(spec, [candidate], cache=cold_cache)
         warm_cache = CompileCache(store=DiskStore(root, DEFAULT_MAX_BYTES))
-        warm = evaluate_point(
-            spec, bounds, tensors, _case_candidate(case), cache=warm_cache
-        )
+        (warm,), _ = evaluate_sweep(spec, [candidate], cache=warm_cache)
         warm_disk_hits = warm_cache.stats.disk_hits
     if cold != warm:
         fields = sorted(
@@ -360,16 +356,15 @@ def brute_force_autotune(suite, space):
     candidates = [
         combo.candidate(
             name=f"{case.name} @ {combo.label}", bounds=case.bounds,
-            tensors_key=case.name, want_energy=True, want_digest=True,
+            tensors=case.tensors, want_energy=True, want_digest=True,
             skip_illegal=True,
         )
         for case in suite.cases
         for combo in combos
     ]
     outcomes, _report = evaluate_sweep(
-        suite.spec, None, None, candidates, element_bits=suite.element_bits,
-        skip_illegal=True, jobs=1, cache=CompileCache(),
-        tensor_table=suite.tensor_table(),
+        suite.spec, candidates, element_bits=suite.element_bits, jobs=1,
+        cache=CompileCache(),
     )
     winners, fixed_total = [], 0
     for index, case in enumerate(suite.cases):

@@ -3,7 +3,7 @@
 Four cooperating pieces (see DESIGN.md's system inventory):
 
 * :mod:`repro.obs.metrics` -- a metrics registry (counters, gauges,
-  fixed-bucket histograms with labels);
+  fixed-bucket histograms);
 * :mod:`repro.obs.trace` -- a ring-buffered structured event tracer
   wired into the cycle-level simulator, the RTL interpreter, the
   compiler pass pipeline, and the DSE explorer; a no-op when disabled;
@@ -21,13 +21,7 @@ The compile cache's tallies are not duplicated here:
 """
 
 from .export import VCDWriter, chrome_trace, dump_rtl_vcd, write_chrome_trace
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    render_name,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import Profiler, get_profiler, profiling, set_profiler, span
 from .trace import TraceEvent, Tracer, get_tracer, set_tracer, tracing
 
@@ -45,7 +39,6 @@ __all__ = [
     "get_profiler",
     "get_tracer",
     "profiling",
-    "render_name",
     "set_profiler",
     "set_tracer",
     "span",

@@ -1,11 +1,10 @@
 """Metrics registry: named counters, gauges, and fixed-bucket histograms.
 
-The registry is the single naming authority for quantitative
-instrumentation: every metric has a dotted name (``sim.cycles``,
-``dse.points``) plus optional labels, and the registry hands out
-*get-or-create* handles so independent components accumulate into the
-same series.  The ``--json`` CLI modes serialize reports through
-:meth:`MetricsRegistry.as_dict`.
+The registry hands out *get-or-create* handles keyed by a dotted name
+(``serve.requests``, ``exec.cache.hits``), so independent components
+accumulate into the same series; :meth:`MetricsRegistry.snapshot` is
+the serialized view (the serve ``metrics`` reply, a fuzz report's
+``fuzz.*`` counters).
 
 Three metric kinds, mirroring the usual monitoring vocabulary:
 
@@ -18,44 +17,26 @@ Three metric kinds, mirroring the usual monitoring vocabulary:
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Union
 
 MetricValue = Union[int, float]
 
-#: Default histogram boundaries: powers of two up to 64Ki -- a good fit
-#: for cycle counts, queue depths, and transfer sizes.
-DEFAULT_BUCKETS: Tuple[float, ...] = tuple(float(2 ** i) for i in range(0, 17, 2))
-
-
-def render_name(name: str, labels: Mapping[str, object]) -> str:
-    """The fully qualified series name: ``name{k=v,...}``."""
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-    return f"{name}{{{inner}}}"
-
 
 class Metric:
-    """Base class: a name plus a frozen label set."""
+    """Base class: a named series."""
 
     kind = "metric"
 
-    __slots__ = ("name", "labels")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, labels: Mapping[str, object]):
+    def __init__(self, name: str):
         if not name:
             raise ValueError("metric name must be non-empty")
         self.name = name
-        self.labels = dict(labels)
-
-    @property
-    def full_name(self) -> str:
-        return render_name(self.name, self.labels)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.full_name!r}, {self.snapshot()!r})"
+        return f"{type(self).__name__}({self.name!r}, {self.snapshot()!r})"
 
     def snapshot(self):  # pragma: no cover - overridden
         raise NotImplementedError
@@ -73,17 +54,14 @@ class Counter(Metric):
 
     __slots__ = ("value",)
 
-    def __init__(self, name: str, labels: Mapping[str, object] = ()):
-        super().__init__(name, dict(labels))
+    def __init__(self, name: str):
+        super().__init__(name)
         self.value: int = 0
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (by {amount})")
         self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
 
     def snapshot(self) -> int:
         return self.value
@@ -96,8 +74,8 @@ class Gauge(Metric):
 
     __slots__ = ("value",)
 
-    def __init__(self, name: str, labels: Mapping[str, object] = ()):
-        super().__init__(name, dict(labels))
+    def __init__(self, name: str):
+        super().__init__(name)
         self.value: MetricValue = 0
 
     def set(self, value: MetricValue) -> None:
@@ -105,9 +83,6 @@ class Gauge(Metric):
 
     def add(self, amount: MetricValue) -> None:
         self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
 
     def snapshot(self) -> MetricValue:
         return self.value
@@ -125,15 +100,8 @@ class Histogram(Metric):
 
     __slots__ = ("boundaries", "bucket_counts", "sum", "count")
 
-    def __init__(
-        self,
-        name: str,
-        boundaries: Optional[Sequence[float]] = None,
-        labels: Mapping[str, object] = (),
-    ):
-        super().__init__(name, dict(labels))
-        if boundaries is None:
-            boundaries = DEFAULT_BUCKETS
+    def __init__(self, name: str, boundaries: Sequence[float]):
+        super().__init__(name)
         bounds = tuple(float(b) for b in boundaries)
         if not bounds:
             raise ValueError(f"histogram {name!r} needs at least one boundary")
@@ -177,11 +145,6 @@ class Histogram(Metric):
             lower = boundary
         return self.boundaries[-1]
 
-    def reset(self) -> None:
-        self.bucket_counts = [0] * (len(self.boundaries) + 1)
-        self.sum = 0.0
-        self.count = 0
-
     def snapshot(self) -> Dict[str, object]:
         buckets: Dict[str, int] = {}
         for boundary, count in zip(self.boundaries, self.bucket_counts):
@@ -191,7 +154,7 @@ class Histogram(Metric):
 
 
 class MetricsRegistry:
-    """Get-or-create store of metrics, keyed by (name, labels).
+    """Get-or-create store of metrics, keyed by name.
 
     Asking for an existing series returns the same object; asking for an
     existing name with a different metric *kind* is an error -- a series
@@ -199,81 +162,49 @@ class MetricsRegistry:
     """
 
     def __init__(self):
-        self._metrics: Dict[Tuple[str, Tuple[Tuple[str, object], ...]], Metric] = {}
+        self._metrics: Dict[str, Metric] = {}
 
     # -- handles --------------------------------------------------------
 
-    def counter(self, name: str, **labels: object) -> Counter:
-        return self._get_or_create(Counter, name, labels)
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(Counter, name)
 
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        return self._get_or_create(Gauge, name, labels)
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(Gauge, name)
 
-    def histogram(
-        self,
-        name: str,
-        boundaries: Optional[Sequence[float]] = None,
-        **labels: object,
-    ) -> Histogram:
-        key = (name, tuple(sorted(labels.items())))
-        existing = self._metrics.get(key)
-        if existing is not None:
-            if not isinstance(existing, Histogram):
-                raise ValueError(
-                    f"metric {render_name(name, labels)!r} already registered"
-                    f" as a {existing.kind}"
-                )
-            return existing
-        metric = Histogram(name, boundaries, labels)
-        self._metrics[key] = metric
-        return metric
+    def histogram(self, name: str, boundaries: Sequence[float]) -> Histogram:
+        return self._get_or_create(Histogram, name, boundaries)
 
-    def _get_or_create(self, cls, name: str, labels: Mapping[str, object]):
-        key = (name, tuple(sorted(labels.items())))
-        existing = self._metrics.get(key)
+    def _get_or_create(self, cls, name: str, *args):
+        existing = self._metrics.get(name)
         if existing is not None:
             if type(existing) is not cls:
                 raise ValueError(
-                    f"metric {render_name(name, labels)!r} already registered"
-                    f" as a {existing.kind}"
+                    f"metric {name!r} already registered as a {existing.kind}"
                 )
             return existing
-        metric = cls(name, labels)
-        self._metrics[key] = metric
+        metric = cls(name, *args)
+        self._metrics[name] = metric
         return metric
-
-    # -- queries --------------------------------------------------------
-
-    def get(self, name: str, **labels: object) -> Optional[Metric]:
-        return self._metrics.get((name, tuple(sorted(labels.items()))))
-
-    def __iter__(self) -> Iterator[Metric]:
-        return iter(self._metrics.values())
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def names(self) -> List[str]:
-        return sorted(m.full_name for m in self)
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry's series into this one.
 
         Counters and histogram buckets add (histograms must share
         boundaries); gauges take the other registry's latest value.
-        Series missing here are created with the same kind and labels.
+        Series missing here are created with the same kind.
         """
-        for key, metric in other._metrics.items():
-            existing = self._metrics.get(key)
+        for name, metric in other._metrics.items():
+            existing = self._metrics.get(name)
             if existing is None:
                 if isinstance(metric, Histogram):
-                    existing = Histogram(metric.name, metric.boundaries, metric.labels)
+                    existing = Histogram(name, metric.boundaries)
                 else:
-                    existing = type(metric)(metric.name, metric.labels)
-                self._metrics[key] = existing
+                    existing = type(metric)(name)
+                self._metrics[name] = existing
             elif type(existing) is not type(metric):
                 raise ValueError(
-                    f"cannot merge {metric.kind} {metric.full_name!r} into"
+                    f"cannot merge {metric.kind} {name!r} into"
                     f" a {existing.kind}"
                 )
             if isinstance(metric, Counter):
@@ -283,7 +214,7 @@ class MetricsRegistry:
             else:
                 if existing.boundaries != metric.boundaries:
                     raise ValueError(
-                        f"histogram {metric.full_name!r} boundary mismatch:"
+                        f"histogram {name!r} boundary mismatch:"
                         f" {existing.boundaries} vs {metric.boundaries}"
                     )
                 existing.bucket_counts = [
@@ -295,33 +226,19 @@ class MetricsRegistry:
 
     # -- serialization --------------------------------------------------
 
-    def as_dict(self) -> Dict[str, object]:
-        """Flat ``full_name -> snapshot`` mapping, sorted by name."""
-        return {
-            metric.full_name: metric.snapshot()
-            for metric in sorted(self, key=lambda m: m.full_name)
-        }
-
     def snapshot(self, prefix: Optional[str] = None) -> Dict[str, object]:
-        """Point-in-time ``full_name -> value`` view, optionally
-        filtered to series whose *name* starts with ``prefix``.
+        """Point-in-time ``name -> value`` view, sorted by name and
+        optionally filtered to names starting with ``prefix``.
 
         This is the live-endpoint API (``repro serve``'s ``metrics``
         request): a plain dict decoupled from the metric objects, safe
         to serialize while other threads keep incrementing.
         """
         return {
-            metric.full_name: metric.snapshot()
-            for metric in sorted(self, key=lambda m: m.full_name)
-            if prefix is None or metric.name.startswith(prefix)
+            name: self._metrics[name].snapshot()
+            for name in sorted(self._metrics)
+            if prefix is None or name.startswith(prefix)
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
-    def reset(self) -> None:
-        for metric in self:
-            metric.reset()
-
     def __repr__(self) -> str:
-        return f"MetricsRegistry({len(self)} series)"
+        return f"MetricsRegistry({len(self._metrics)} series)"

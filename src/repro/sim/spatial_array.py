@@ -102,16 +102,13 @@ class SpatialArraySim:
         fuzz oracle can prove it on the same workload.  Pass
         ``memo=None`` alongside, or the content-keyed reference memo
         will answer for the other path.
-    kernel:
-        When ``True`` (the default), reference outputs -- which are the
-        sparse path's outputs and the closed-form dense path's -- come
-        from the trace-compiled batched kernel (:mod:`repro.sim.kernel`)
-        whenever the spec is traceable, falling back to the scalar
-        interpreter otherwise.  ``kernel=False`` forces the scalar
-        ground-truth path; the differential suite proves the two
-        byte-identical.
-        As with ``vectorize``, pass ``memo=None`` when comparing paths,
-        or the content-keyed reference memo will answer for both.
+
+    Reference outputs -- the sparse path's outputs and the closed-form
+    dense path's -- come from
+    :meth:`~repro.core.functionality.FunctionalSpec.interpret`, which
+    replays the trace-compiled batched kernel (:mod:`repro.sim.kernel`)
+    whenever the spec is traceable; ``interpret(kernel=False)`` is the
+    scalar ground truth the differential suite compares against.
     """
 
     def __init__(
@@ -120,13 +117,11 @@ class SpatialArraySim:
         fill_drain_overhead: int = 0,
         memo=None,
         vectorize: bool = True,
-        kernel: bool = True,
     ):
         self.design = design
         self.fill_drain_overhead = fill_drain_overhead
         self.memo = memo
         self.vectorize = vectorize
-        self.kernel = kernel
 
     # ------------------------------------------------------------------
 
@@ -348,16 +343,13 @@ class SpatialArraySim:
         under the ``sim.reference`` stage.
 
         ``interpret`` replays the spec's trace-compiled kernel when the
-        spec is traceable (unless ``kernel=False``) and walks it point by
-        point otherwise; the two are byte-identical, so the memo is keyed
-        on content only.
+        spec is traceable and walks it point by point otherwise; the two
+        are byte-identical, so the memo is keyed on content only.
         """
         design = self.design
 
         def build():
-            return design.spec.interpret(
-                design.bounds, tensors, kernel=self.kernel
-            )
+            return design.spec.interpret(design.bounds, tensors)
 
         from ..exec.cache import memo
 
@@ -686,19 +678,15 @@ def differential_run(
     design: CompiledDesign,
     tensors: Mapping[str, np.ndarray],
     vectorize: bool = True,
-    kernel: bool = True,
 ) -> SimResult:
     """Run ``design`` with memoization disabled -- the oracle entry point.
 
     Differential comparisons of the simulator's redundant evaluation
-    strategies (scalar vs vectorized skip evaluation, kernel vs scalar
-    reference) are only meaningful when each invocation actually
-    exercises its own path; the content-keyed ``sim.reference`` memo
-    would otherwise answer for both sides.  This helper pins
-    ``memo=None`` so callers (the ``repro.fuzz`` oracles, the
-    differential test suite) cannot get that wrong.
+    strategies (scalar vs vectorized skip evaluation) are only
+    meaningful when each invocation actually exercises its own path;
+    the content-keyed ``sim.reference`` memo would otherwise answer for
+    both sides.  This helper pins ``memo=None`` so callers (the
+    ``repro.fuzz`` oracles, the differential test suite) cannot get that
+    wrong.
     """
-    sim = SpatialArraySim(
-        design, memo=None, vectorize=vectorize, kernel=kernel
-    )
-    return sim.run(tensors)
+    return SpatialArraySim(design, memo=None, vectorize=vectorize).run(tensors)

@@ -11,8 +11,8 @@ The pairings, each exercising a redundancy the engine relies on:
 * the trace-compiled batched reference kernel
   (:mod:`repro.sim.kernel`) against the scalar spec interpreter
   (``interpret(..., kernel=False)``) -- byte-identical output arrays
-  across random shapes, dtypes, and transforms, and identical sim
-  results through the ``kernel=`` knob;
+  across random shapes, dtypes, and transforms, and a sparse sim run's
+  outputs against the scalar interpreter;
 * serial (``jobs=1``) against process-pool (``jobs=2``) suite
   evaluation and ``--autotune`` -- identical row ordering and digests, so
   parallelism is pure speedup, never a result change;
@@ -309,8 +309,9 @@ class TestKernelVsInterpreter:
     @pytest.mark.parametrize("transform_name", sorted(TRANSFORMS))
     @pytest.mark.parametrize("density", [0.0, 0.4, 1.0])
     def test_sim_kernel_knob_parity(self, transform_name, density):
-        """A full sparse sim run must not depend on which reference
-        backend computed the expected outputs."""
+        """A full sparse sim run, whose outputs come from the batched
+        kernel, must match the scalar interpreter byte for byte, and
+        its cycle count must match the per-point skip path's."""
         rng = np.random.default_rng([transform_name == "hexagonal", int(density * 10)])
         i, j, k = (int(d) for d in rng.integers(3, 7, 3))
         spec = matmul_spec()
@@ -324,18 +325,12 @@ class TestKernelVsInterpreter:
             "A": rng.integers(-4, 5, (i, k)),
             "B": _masked(rng, (k, j), density),
         }
-        with_kernel = SpatialArraySim(design, memo=None, kernel=True).run(tensors)
-        without = SpatialArraySim(design, memo=None, kernel=False).run(tensors)
-        assert with_kernel.outputs["C"].tobytes() == without.outputs["C"].tobytes()
-        assert with_kernel.outputs["C"].dtype == without.outputs["C"].dtype
-        assert with_kernel.cycles == without.cycles
-
-    def test_kernel_knob_is_respected(self):
-        design = compile_design(
-            matmul_spec(), Bounds({"i": 3, "j": 3, "k": 3}), output_stationary()
-        )
-        assert SpatialArraySim(design, memo=None, kernel=False).kernel is False
-        assert SpatialArraySim(design, memo=None).kernel is True
+        run = SpatialArraySim(design, memo=None).run(tensors)
+        want = spec.interpret(design.bounds, tensors, kernel=False)
+        assert run.outputs["C"].tobytes() == want["C"].tobytes()
+        assert run.outputs["C"].dtype == want["C"].dtype
+        scalar = SpatialArraySim(design, memo=None, vectorize=False).run(tensors)
+        assert run.cycles == scalar.cycles
 
     def test_partial_fallback_mask_parity(self):
         """One batch-unsupported skip condition (a data-dependent

@@ -299,7 +299,8 @@ class TestTallies:
         )
 
 
-def _candidate(name, transform, **extra):
+def _candidate(name, transform, workload, **extra):
+    bounds, tensors = workload
     fields = {
         "name": name,
         "transform_name": name,
@@ -308,6 +309,9 @@ def _candidate(name, transform, **extra):
         "sparsity": SparsityStructure(),
         "balancing_name": "none",
         "balancing": LoadBalancingScheme(),
+        "bounds": bounds,
+        "tensors": tensors,
+        "skip_illegal": False,
     }
     fields.update(extra)
     return fields
@@ -319,14 +323,13 @@ class TestPointMemo:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_identical_transforms_keep_their_own_names(self, workload, jobs):
-        bounds, tensors = workload
         cache = CompileCache()
         candidates = [
-            _candidate("os-a", output_stationary()),
-            _candidate("os-b", output_stationary()),
+            _candidate("os-a", output_stationary(), workload),
+            _candidate("os-b", output_stationary(), workload),
         ]
         outcomes, _ = evaluate_sweep(
-            matmul_spec(), bounds, tensors, candidates, jobs=jobs, cache=cache
+            matmul_spec(), candidates, jobs=jobs, cache=cache
         )
         assert [o["name"] for o in outcomes] == ["os-a", "os-b"]
         assert [o["transform_name"] for o in outcomes] == ["os-a", "os-b"]
@@ -359,14 +362,15 @@ class TestPointMemo:
         assert store.stage_summary()["dse.point"]["entries"] == len(suite.cases)
 
     def test_fixed_baseline_that_fails_to_compile_still_raises(self, workload):
-        bounds, tensors = workload
+        bounds, _tensors = workload
         bad = SpaceTimeTransform([[1, 0, 0], [0, 1, 0], [1, 1, -1]])
         cache = CompileCache()
         with pytest.raises(SpecError) as direct:
             Accelerator(matmul_spec(), bounds, bad).build(cache=CompileCache())
         pruned, _ = evaluate_sweep(
-            matmul_spec(), bounds, tensors, [_candidate("bad", bad)],
-            skip_illegal=True, cache=cache,
+            matmul_spec(),
+            [_candidate("bad", bad, workload, skip_illegal=True)],
+            cache=cache,
         )
         assert pruned == [
             {"status": "illegal", "name": "bad", "error": str(direct.value)}
@@ -374,9 +378,8 @@ class TestPointMemo:
         for _ in range(2):  # an illegal point is never memoized
             with pytest.raises(type(direct.value)) as raised:
                 evaluate_sweep(
-                    matmul_spec(), bounds, tensors,
-                    [_candidate("bad", bad, skip_illegal=False)],
-                    skip_illegal=True, cache=cache,
+                    matmul_spec(), [_candidate("bad", bad, workload)],
+                    cache=cache,
                 )
             assert str(raised.value) == str(direct.value)
         assert "dse.point" not in cache.stats.by_stage

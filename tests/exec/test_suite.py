@@ -42,12 +42,18 @@ class TestConstruction:
             assert case.tensors["B"].shape == (k, j)
 
     def test_candidates_route_per_case_operands(self):
+        """Each candidate holds its case's own bounds and operand
+        objects, not copies: a resident served suite then keys every
+        repeat of a layer from the fingerprint identity memo."""
         suite = build_suite("alexnet", cap=4)
-        table = suite.tensor_table()
-        for case, candidate in zip(suite.cases, suite.candidates()):
-            assert candidate["tensors_key"] == case.name
+        candidates = suite.candidates()
+        assert len(candidates) == len(suite.cases)
+        for case, candidate in zip(suite.cases, candidates):
+            assert candidate["name"] == case.name
+            assert candidate["tensors"] is case.tensors
+            assert candidate["bounds"] is case.bounds
             assert candidate["want_energy"] and candidate["want_digest"]
-            assert candidate["tensors_key"] in table
+            assert not candidate.get("skip_illegal")
 
     def test_unknown_suite_names_available(self):
         with pytest.raises(KeyError, match="resnet50"):
