@@ -57,12 +57,13 @@ def _best_of(fn, repeats):
 
 def quick(size=6, seed=0):
     times, points = [], []
-    for cache, jobs in ((False, None), (True, None), (CompileCache(), 0)):
+    for cache, jobs in ((None, None), (CompileCache(), None), (CompileCache(), 0)):
         start = time.perf_counter()
         result = run_explore("matmul", size, seed, jobs=jobs, cache=cache)
         times.append(time.perf_counter() - start)
         points.append([
-            (p.name, p.cycles, round(p.utilization, 12), round(p.area_um2, 6))
+            (p["name"], p["cycles"], round(p["utilization"], 12),
+             round(p["area_um2"], 6))
             for p in result.points
         ])
     identical = points[0] == points[1] == points[2]

@@ -15,6 +15,7 @@ from repro.core.balancing import LoadBalancingScheme, row_shift_scheme
 from repro.core.dataflow import hexagonal, input_stationary, output_stationary
 from repro.core.sparsity import SparsityStructure, csr_b_matrix
 from repro.dse import explore
+from repro.exec.cache import CompileCache
 
 N = 6
 
@@ -43,6 +44,7 @@ def _run_sweep():
             "none": LoadBalancingScheme(),
             "row-shift": row_shift_scheme(N // 2),
         },
+        cache=CompileCache(),
     )
 
 
@@ -51,13 +53,13 @@ def test_ablation_design_space_sweep(benchmark):
 
     print("\n" + result.table())
     frontier = result.pareto_frontier()
-    print(f"\n  pareto frontier: {[p.name for p in frontier]}")
+    print(f"\n  pareto frontier: {[p['name'] for p in frontier]}")
 
     assert len(result) == 12
     assert len(frontier) >= 2  # a real trade-off, not a single winner
     # The frontier spans a real cycles/area trade-off.
-    assert frontier[0].cycles < frontier[-1].cycles
-    assert frontier[0].area_um2 > frontier[-1].area_um2
+    assert frontier[0]["cycles"] < frontier[-1]["cycles"]
+    assert frontier[0]["area_um2"] > frontier[-1]["area_um2"]
     # Sparse skipping is on the fast end of the frontier.
-    assert any("B-csr" in p.name for p in frontier)
-    benchmark.extra_info["frontier"] = [p.name for p in frontier]
+    assert any("B-csr" in p["name"] for p in frontier)
+    benchmark.extra_info["frontier"] = [p["name"] for p in frontier]

@@ -48,43 +48,30 @@ def check_spec(
     """Run every spec-legality check; returns all findings.
 
     Composes :func:`check_spec_transform` (the domain-enumeration checks,
-    which depend only on ``(spec, bounds, transform)`` and are memoized
-    per that sub-key by :class:`repro.exec.cache.CompileCache`) with
+    which depend only on ``(spec, bounds, transform)``) with
     :func:`check_spec_annotations` (cheap reference checks of the
-    sparsity/balancing annotations).
+    sparsity/balancing annotations).  A shape error (``STL-SP-001`` /
+    ``STL-SP-002``) stops there: every other check presumes a
+    well-shaped spec/bounds/transform.  This is the one composition
+    rule, for ``repro check`` and the compiler's gate alike.
 
     ``cache`` (a :class:`~repro.exec.cache.CompileCache`) memoizes the
-    transform-legality findings under the same ``analysis.spec`` stage
-    key the compiler's gate uses, so ``repro check`` shares entries with
-    compiles -- including persisted ones when the cache has a disk tier.
+    transform-legality findings under the ``analysis.spec`` stage, keyed
+    on ``(spec, bounds, transform)``, so sweeping sparsity or balancing
+    candidates verifies each transform once and ``repro check`` shares
+    entries with compiles -- including persisted ones when the cache has
+    a disk tier.  The annotation checks are never cached.
     """
     from ..exec.cache import memo
 
-    transform_findings = memo(
-        cache,
-        "analysis.spec",
-        (spec, bounds, transform),
-        lambda: check_spec_transform(spec, bounds, transform),
+    diagnostics = list(
+        memo(
+            cache,
+            "analysis.spec",
+            (spec, bounds, transform),
+            lambda: check_spec_transform(spec, bounds, transform),
+        )
     )
-    return compose_spec_findings(
-        transform_findings, spec, sparsity, balancing, suppress
-    )
-
-
-def compose_spec_findings(
-    transform_findings: List[Diagnostic],
-    spec: FunctionalSpec,
-    sparsity: Optional[SparsityStructure] = None,
-    balancing: Optional[LoadBalancingScheme] = None,
-    suppress: Tuple[str, ...] = (),
-) -> List[Diagnostic]:
-    """Combine memoizable transform findings with the (cheap, never
-    cached) annotation checks -- the composition rule of
-    :func:`check_spec`, shared with callers that memoized the first
-    half themselves."""
-    diagnostics = list(transform_findings)
-    # Shape-consistency failures abort early: every other check (including
-    # the annotation ones) presumes a well-shaped spec/bounds/transform.
     aborted = len(diagnostics) == 1 and diagnostics[0].code in (
         "STL-SP-001",
         "STL-SP-002",

@@ -56,9 +56,10 @@ Wraps the Figure 1 flow for quick use without writing Python:
   same 0/1/2 exit contract as ``check``.
 
 Specs, dataflows, sparsity structures, and balancing schemes are selected
-by name: specs and sparsities from the registries of
-:mod:`repro.dse.explorer` (shared with the served ``explore`` request),
-dataflows and balancings from the registries below.
+by name: specs, sparsities and balancings from the registries of
+:mod:`repro.dse.explorer` (shared with the explore space and the served
+``explore`` request), dataflows from
+:func:`repro.dse.space.standard_transforms`.
 """
 
 from __future__ import annotations
@@ -67,41 +68,24 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import Accelerator, Bounds
-from .core.balancing import (
-    LoadBalancingScheme,
-    flexible_pe_scheme,
-    row_shift_scheme,
-)
-from .core.sparsity import SparsityStructure
-from .dse.explorer import SPARSITIES, SPECS, random_tensors
+from .dse.explorer import BALANCINGS, SPARSITIES, SPECS, random_tensors
 from .dse.space import standard_transforms
-
-BALANCINGS: Dict[str, Optional[Callable]] = {
-    "none": None,
-    "row-shift": lambda size: row_shift_scheme(size // 2),
-    "flexible-pe": lambda size: flexible_pe_scheme(size),
-}
 
 
 def _build_accelerator(args) -> Accelerator:
     spec = SPECS[args.spec]()
     bounds = Bounds({name: args.size for name in spec.index_names})
-    sparsity_factory = SPARSITIES[args.sparsity]
-    balancing_factory = BALANCINGS[args.balancing]
     return Accelerator(
         spec=spec,
         bounds=bounds,
         transform=standard_transforms()[args.dataflow],
-        sparsity=sparsity_factory(spec) if sparsity_factory else SparsityStructure(),
-        balancing=(
-            balancing_factory(args.size) if balancing_factory
-            else LoadBalancingScheme()
-        ),
+        sparsity=SPARSITIES[args.sparsity](spec),
+        balancing=BALANCINGS[args.balancing](args.size),
     )
 
 
@@ -215,6 +199,7 @@ def cmd_trace(args) -> int:
 
 def cmd_explore(args) -> int:
     from .dse.explorer import explorable_spec, run_explore
+    from .exec.cache import CompileCache
     from .obs import profiling
 
     try:
@@ -225,13 +210,13 @@ def cmd_explore(args) -> int:
     with profiling() if args.profile else nullcontext() as profiler:
         result = run_explore(
             args.spec, args.size, args.seed,
-            jobs=args.jobs, cache=not args.no_cache,
+            jobs=args.jobs, cache=None if args.no_cache else CompileCache(),
         )
 
     print(result.table())
     best = result.best_by("adp")
-    print(f"\nbest area-delay product: {best.name}")
-    if result.report is not None and result.report.cache_stats is not None:
+    print(f"\nbest area-delay product: {best['name']}")
+    if result.report.cache_stats is not None:
         stats = result.report.cache_stats
         print(
             f"engine: {result.report.mode} (jobs={result.report.jobs}),"

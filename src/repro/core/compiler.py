@@ -214,21 +214,16 @@ def _compile(
     # multi-finding diagnostics win over the legacy first-failure error.
     if check:
         from ..analysis.diagnostics import AnalysisError, errors_only
-        from ..analysis.spec import check_spec_annotations, check_spec_transform
+        from ..analysis.spec import check_spec
 
         with span(
             "analysis.spec", "check_spec", component="compiler",
             design=spec.name,
         ):
-            transform_findings = memo(
-                cache,
-                "analysis.spec",
-                (spec, bounds, transform),
-                lambda: check_spec_transform(spec, bounds, transform),
-            )
             findings = errors_only(
-                list(transform_findings)
-                + check_spec_annotations(spec, sparsity, balancing)
+                check_spec(
+                    spec, bounds, transform, sparsity, balancing, cache=cache
+                )
             )
         if findings:
             raise AnalysisError(findings)

@@ -1,6 +1,12 @@
-"""Automated design-space exploration (the paper's Section I use case)."""
+"""Automated design-space exploration (the paper's Section I use case).
 
-from .explorer import DesignPoint, ExplorationResult, explore
+:func:`explore` sweeps a cross product of design axes through the
+evaluation engine; its :class:`ExplorationResult` ranks the engine's
+outcome rows (one dict per legal design point) by Pareto frontier and
+figure of merit.
+"""
+
+from .explorer import ExplorationResult, explore
 from .space import (
     DesignCombo,
     DesignSpace,
@@ -11,7 +17,6 @@ from .space import (
 
 __all__ = [
     "DesignCombo",
-    "DesignPoint",
     "DesignSpace",
     "ExplorationResult",
     "budgeted_combos",

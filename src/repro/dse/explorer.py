@@ -5,18 +5,22 @@ space exploration" with a strong separation of concerns: architects should
 be able to "modify these different design considerations in isolation and
 observe the subtle interactions between them to determine the best
 accelerator design choice" (Section I).  This module is that loop: it
-takes per-axis candidate lists, compiles the cross product, evaluates each
-design on a user workload with the cycle-level simulator and the area
-model, and extracts the Pareto frontier over (cycles, area).
+takes per-axis candidate lists and has the evaluation engine
+(:func:`repro.exec.engine.evaluate_sweep`) compile the cross product and
+evaluate each design on a user workload with the cycle-level simulator
+and the area model.  :class:`ExplorationResult` then ranks the engine's
+own outcome rows -- one dict per legal design point -- and extracts the
+Pareto frontier over (cycles, area) with :func:`pareto_front`, the
+frontier the suite autotuner uses too.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.balancing import LoadBalancingScheme, row_shift_scheme
+from ..core.balancing import LoadBalancingScheme, flexible_pe_scheme, row_shift_scheme
 from ..core.dataflow import SpaceTimeTransform
 from ..core.expr import Bounds, IndexExpr, SpecError
 from ..core.functionality import (
@@ -45,12 +49,21 @@ SPECS: Dict[str, Callable[[], FunctionalSpec]] = {
     "bmm": batched_matmul_spec,
 }
 
-#: Sparsity structures for the matmul spec by name (``None`` is dense).
-SPARSITIES: Dict[str, Optional[Callable[[FunctionalSpec], SparsityStructure]]] = {
-    "dense": None,
+#: Sparsity structures for the matmul spec by name, each built from
+#: the spec (``--sparsity``, the explore space).
+SPARSITIES: Dict[str, Callable[[FunctionalSpec], SparsityStructure]] = {
+    "dense": lambda spec: SparsityStructure(),
     "b-csr": csr_b_matrix,
     "outer-product": csr_csc_both,
     "a100-2-4": a100_two_four,
+}
+
+#: Load-balancing schemes by name, each built from the per-index size
+#: (``--balancing``; the explore space sweeps ``none`` and ``row-shift``).
+BALANCINGS: Dict[str, Callable[[int], LoadBalancingScheme]] = {
+    "none": lambda size: LoadBalancingScheme(),
+    "row-shift": lambda size: row_shift_scheme(size // 2),
+    "flexible-pe": flexible_pe_scheme,
 }
 
 
@@ -72,87 +85,46 @@ def pareto_front(metrics: Sequence[Sequence[float]]) -> List[int]:
     return np.flatnonzero(~dominated).tolist()
 
 
-class DesignPoint:
-    """One evaluated configuration of the design space."""
-
-    def __init__(
-        self,
-        name: str,
-        transform_name: str,
-        sparsity_name: str,
-        balancing_name: str,
-        cycles: int,
-        utilization: float,
-        area_um2: float,
-        pe_count: int,
-        conn_count: int,
-        pruned_variables: Sequence[str],
-    ):
-        self.name = name
-        self.transform_name = transform_name
-        self.sparsity_name = sparsity_name
-        self.balancing_name = balancing_name
-        self.cycles = cycles
-        self.utilization = utilization
-        self.area_um2 = area_um2
-        self.pe_count = pe_count
-        self.conn_count = conn_count
-        self.pruned_variables = list(pruned_variables)
-
-    @property
-    def area_delay_product(self) -> float:
-        """The classic ADP figure of merit (lower is better)."""
-        return self.area_um2 * self.cycles
-
-    def dominates(self, other: "DesignPoint") -> bool:
-        """Pareto dominance over (cycles, area): no worse on both, better
-        on at least one."""
-        pairs = [
-            (self.cycles, other.cycles),
-            (self.area_um2, other.area_um2),
-        ]
-        no_worse = all(a <= b for a, b in pairs)
-        better = any(a < b for a, b in pairs)
-        return no_worse and better
-
-    def __repr__(self) -> str:
-        return (
-            f"DesignPoint({self.name!r}, cycles={self.cycles},"
-            f" area={self.area_um2:,.0f})"
-        )
+def adp(point: Mapping[str, object]) -> float:
+    """The classic area-delay product of an outcome row (lower is better)."""
+    return point["area_um2"] * point["cycles"]
 
 
 class ExplorationResult:
-    """All evaluated points plus derived selections.
+    """The ``ok`` outcome rows of an explore sweep, plus how it ran.
 
-    ``report`` (when the sweep ran through the evaluation engine)
-    records how: worker count, skipped-point tally, cache hit rates.
+    ``points`` are the engine's outcome dicts themselves (see
+    :func:`repro.exec.engine.evaluate_sweep`), in candidate order; every
+    selection below reads them by key.  ``report`` is the engine's
+    :class:`~repro.exec.engine.EngineReport`: worker count,
+    skipped-point tally, cache hit rates.
     """
 
-    def __init__(
-        self, points: List[DesignPoint], report: Optional[EngineReport] = None
-    ):
+    def __init__(self, points: List[Dict[str, object]], report: EngineReport):
         self.points = points
         self.report = report
 
-    def pareto_frontier(self) -> List[DesignPoint]:
-        """Points not dominated by any other, sorted by cycles.
+    def pareto_frontier(self) -> List[Dict[str, object]]:
+        """Rows no other row dominates over (cycles, area), sorted by
+        cycles.
 
         Ties on (cycles, area) break by name, so the frontier -- like
         :meth:`table` -- is byte-identical however the sweep executed.
         """
-        keep = pareto_front([(p.cycles, p.area_um2) for p in self.points])
-        frontier = [self.points[i] for i in keep]
-        return sorted(frontier, key=lambda p: (p.cycles, p.area_um2, p.name))
+        keep = pareto_front([(p["cycles"], p["area_um2"]) for p in self.points])
+        return sorted(
+            (self.points[i] for i in keep),
+            key=lambda p: (p["cycles"], p["area_um2"], p["name"]),
+        )
 
-    def best_by(self, metric: str) -> DesignPoint:
-        """The single best point by ``cycles``, ``area``, ``utilization``
+    def best_by(self, metric: str) -> Dict[str, object]:
+        """The single best row by ``cycles``, ``area``, ``utilization``
         or ``adp``."""
         keys = {
-            "cycles": lambda p: p.cycles,
-            "area": lambda p: p.area_um2,
-            "utilization": lambda p: -p.utilization,
-            "adp": lambda p: p.area_delay_product,
+            "cycles": lambda p: p["cycles"],
+            "area": lambda p: p["area_um2"],
+            "utilization": lambda p: -p["utilization"],
+            "adp": adp,
         }
         if metric not in keys:
             raise ValueError(f"unknown metric {metric!r}; pick from {sorted(keys)}")
@@ -164,10 +136,11 @@ class ExplorationResult:
             f" {'conns':>6s} {'pareto':>7s}"
         ]
         frontier = set(id(p) for p in self.pareto_frontier())
-        for point in sorted(self.points, key=lambda p: (p.cycles, p.name)):
+        for point in sorted(self.points, key=lambda p: (p["cycles"], p["name"])):
             lines.append(
-                f"{point.name:44s} {point.cycles:7d} {point.utilization:7.1%}"
-                f" {point.area_um2:12,.0f} {point.conn_count:6d}"
+                f"{point['name']:44s} {point['cycles']:7d}"
+                f" {point['utilization']:7.1%} {point['area_um2']:12,.0f}"
+                f" {point['conn_count']:6d}"
                 f" {'  *' if id(point) in frontier else '':>7s}"
             )
         return "\n".join(lines)
@@ -187,66 +160,41 @@ def explore(
     sparsities: Optional[Mapping[str, SparsityStructure]] = None,
     balancings: Optional[Mapping[str, LoadBalancingScheme]] = None,
     element_bits: int = 32,
-    skip_illegal: bool = True,
     jobs: Optional[int] = None,
-    cache: Union[bool, CompileCache, None] = True,
+    cache: Optional[CompileCache] = None,
 ) -> ExplorationResult:
     """Evaluate the cross product of per-axis candidates on one workload.
 
     Each candidate mapping is ``display name -> axis value``.  Illegal
     combinations -- those whose *compile* raises :class:`SpecError` (e.g.
-    transforms violating causality for the spec) -- are skipped when
-    ``skip_illegal`` is set, mirroring how an architect would sweep
-    broadly and keep what elaborates.  Failures past the compile (a
-    simulator crash, missing workload data) always propagate.
+    transforms violating causality for the spec) -- are skipped,
+    mirroring how an architect would sweep broadly and keep what
+    elaborates.  Failures past the compile (a simulator crash, missing
+    workload data) always propagate.
 
     ``jobs`` selects the evaluation engine's worker count (``None``/1
-    serial, 0 one worker per CPU, N explicit); ``cache`` is ``True`` for
-    a fresh :class:`~repro.exec.cache.CompileCache` per sweep, an
-    existing cache to share across sweeps, or ``False`` to disable
-    memoization.  Results are bit-identical across all combinations.
+    serial, 0 one worker per CPU, N explicit); ``cache`` memoizes the
+    sweep's stages (``None`` disables memoization).  Results are
+    bit-identical across all combinations.
     """
-    from ..exec.cache import CompileCache
     from ..exec.engine import evaluate_sweep
-
-    if cache is True:
-        cache = CompileCache()
-    elif cache is False:
-        cache = None
 
     space = DesignSpace(transforms, sparsities, balancings)
     candidates = [
-        combo.candidate(bounds=bounds, tensors=tensors, skip_illegal=skip_illegal)
+        combo.candidate(bounds=bounds, tensors=tensors, skip_illegal=True)
         for combo in space.combos()
     ]
-
     outcomes, report = evaluate_sweep(
         spec, candidates, element_bits=element_bits, jobs=jobs, cache=cache
     )
-
-    points = [
-        DesignPoint(
-            name=out["name"],
-            transform_name=out["transform_name"],
-            sparsity_name=out["sparsity_name"],
-            balancing_name=out["balancing_name"],
-            cycles=out["cycles"],
-            utilization=out["utilization"],
-            area_um2=out["area_um2"],
-            pe_count=out["pe_count"],
-            conn_count=out["conn_count"],
-            pruned_variables=out["pruned_variables"],
-        )
-        for out in outcomes
-        if out["status"] == "ok"
-    ]
+    points = [out for out in outcomes if out["status"] == "ok"]
     get_tracer().instant(
         "explore_done", component="dse",
         evaluated=len(points), skipped_illegal=report.skipped,
     )
     if not points:
         raise SpecError("no legal design points in the given space")
-    return ExplorationResult(points, report=report)
+    return ExplorationResult(points, report)
 
 
 def random_tensors(spec: FunctionalSpec, size: int, seed: int):
@@ -303,7 +251,7 @@ def run_explore(
     size: int,
     seed: int,
     jobs: Optional[int] = None,
-    cache: Union[bool, CompileCache, None] = True,
+    cache: Optional[CompileCache] = None,
 ) -> ExplorationResult:
     """The design-space sweep behind ``repro explore`` and the served
     ``explore`` request: every dataflow, the matmul sparsities and two
@@ -311,19 +259,15 @@ def run_explore(
     space does not cover raises :class:`ValueError`
     (:func:`explorable_spec`)."""
     spec = explorable_spec(spec_name)
-    sparsities = {"dense": SparsityStructure()}
-    for name, factory in SPARSITIES.items():
-        if factory is not None and spec_name == "matmul":
-            sparsities[name] = factory(spec)
+    sparsity_names = SPARSITIES if spec_name == "matmul" else ["dense"]
     return explore(
         spec,
         Bounds({name: size for name in spec.index_names}),
         random_tensors(spec, size, seed),
         transforms=standard_transforms(),
-        sparsities=sparsities,
+        sparsities={name: SPARSITIES[name](spec) for name in sparsity_names},
         balancings={
-            "none": LoadBalancingScheme(),
-            "row-shift": row_shift_scheme(size // 2),
+            name: BALANCINGS[name](size) for name in ("none", "row-shift")
         },
         jobs=jobs,
         cache=cache,

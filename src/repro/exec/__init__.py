@@ -11,8 +11,9 @@ Three cooperating pieces (see DESIGN.md's "Performance engineering"):
   intermediate stages (elaboration, legality checking, pruning,
   simulator sub-products), so sweeps stop re-paying compilation for
   configurations that share axes;
-* :mod:`repro.exec.engine` -- deterministic point evaluation for
-  :func:`repro.dse.explore`, inline or fanned out over a
+* :mod:`repro.exec.engine` -- deterministic point evaluation for every
+  sweep (:func:`repro.dse.explore` ranks its outcome rows directly),
+  inline or fanned out over a
   :class:`ResidentPool` (one worker model: each worker keeps only its
   long-lived compile cache, each task carries its own operands inline),
   with each task's profiler, tracer and cache/store tallies merged back

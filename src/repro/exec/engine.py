@@ -1,10 +1,11 @@
 """Parallel evaluation of design-space sweeps.
 
-:func:`evaluate_sweep` is the execution core behind
-:func:`repro.dse.explorer.explore`: it takes an ordered candidate list
-(one dict per design point) and evaluates each point -- compile,
-simulate, estimate area -- either inline or fanned out over a process
-pool.  Three properties the explorer relies on:
+:func:`evaluate_sweep` is the one execution core of every sweep -- an
+explore sweep, a suite, an autotuning rung, the fuzz oracles: it takes
+an ordered candidate list (one dict per design point) and evaluates
+each point -- compile, simulate, estimate area -- either inline or
+fanned out over a process pool.  Its outcome dicts are the rows every
+caller ranks and reports.  Three properties the callers rely on:
 
 * **determinism** -- outcomes are returned in candidate order no matter
   how the pool interleaves them, so parallel and serial sweeps produce

@@ -10,7 +10,7 @@ Three metric kinds, mirroring the usual monitoring vocabulary:
 
 * :class:`Counter` -- a monotonically increasing count (``inc``);
 * :class:`Gauge` -- a point-in-time value that may move both ways
-  (``set``/``add``);
+  (``add``);
 * :class:`Histogram` -- observations bucketed against a fixed ascending
   boundary list, with running sum and count.
 """
@@ -45,9 +45,8 @@ class Metric:
 class Counter(Metric):
     """A monotonically increasing integer count.
 
-    ``value`` is writable so owners that compute totals out-of-band (the
-    simulator sets ``cycles`` once per run) can assign directly; ``inc``
-    enforces monotonicity for incremental users.
+    ``inc`` enforces monotonicity; only :meth:`MetricsRegistry.merge`
+    assigns ``value`` directly, adding another registry's total.
     """
 
     kind = "counter"
@@ -77,9 +76,6 @@ class Gauge(Metric):
     def __init__(self, name: str):
         super().__init__(name)
         self.value: MetricValue = 0
-
-    def set(self, value: MetricValue) -> None:
-        self.value = value
 
     def add(self, amount: MetricValue) -> None:
         self.value += amount
@@ -116,10 +112,6 @@ class Histogram(Metric):
         self.bucket_counts[bisect_left(self.boundaries, value)] += 1
         self.sum += value
         self.count += 1
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (``0 <= q <= 1``) from the buckets.

@@ -502,7 +502,7 @@ class EvalServer:
         return payload
 
     def _evaluate_explore(self, request, emit_row) -> Dict[str, object]:
-        from ..dse.explorer import run_explore
+        from ..dse.explorer import adp, run_explore
 
         size = request["size"]
         result = run_explore(
@@ -513,28 +513,25 @@ class EvalServer:
             emit_row(
                 index,
                 {
-                    "name": point.name,
-                    "transform": point.transform_name,
-                    "sparsity": point.sparsity_name,
-                    "balancing": point.balancing_name,
-                    "cycles": point.cycles,
-                    "utilization": point.utilization,
-                    "area_um2": point.area_um2,
-                    "pe_count": point.pe_count,
-                    "adp": point.area_delay_product,
+                    "name": point["name"],
+                    "transform": point["transform_name"],
+                    "sparsity": point["sparsity_name"],
+                    "balancing": point["balancing_name"],
+                    "cycles": point["cycles"],
+                    "utilization": point["utilization"],
+                    "area_um2": point["area_um2"],
+                    "pe_count": point["pe_count"],
+                    "adp": adp(point),
                 },
             )
-        pareto = [point.name for point in result.pareto_frontier()]
-        payload: Dict[str, object] = {
+        return {
             "spec": request["spec"],
             "size": size,
             "points": len(result.points),
-            "pareto": pareto,
-            "best_adp": result.best_by("adp").name,
+            "pareto": [point["name"] for point in result.pareto_frontier()],
+            "best_adp": result.best_by("adp")["name"],
+            "engine": result.report.as_dict(),
         }
-        if result.report is not None:
-            payload["engine"] = result.report.as_dict()
-        return payload
 
     # -- metrics ---------------------------------------------------------
 

@@ -142,6 +142,20 @@ def test_compile_gate_raises_analysis_error(spec, bounds):
     assert any(d.code == "STL-SP-004" for d in excinfo.value.diagnostics)
 
 
+def test_compile_gate_reports_what_check_spec_reports(spec, bounds):
+    # A shape error stops the checks, annotation checks included, in the
+    # gate exactly as in check_spec.
+    transform = SpaceTimeTransform([[1, 0], [0, 1]])
+    scheme = LoadBalancingScheme(
+        [Shift(src={"q": Range(0, 1)}, dst={"i": Range(0, 1)})]
+    )
+    findings = check_spec(spec, bounds, transform, balancing=scheme)
+    assert [d.code for d in findings] == ["STL-SP-001"]
+    with pytest.raises(AnalysisError) as excinfo:
+        compile_design(spec, bounds, transform, balancing=scheme)
+    assert [d.code for d in excinfo.value.diagnostics] == ["STL-SP-001"]
+
+
 def test_compile_gate_opt_out(spec, bounds):
     # With check=False only the legacy validate_schedule runs (which also
     # rejects this transform but with the plain SpecError).

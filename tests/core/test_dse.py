@@ -14,8 +14,31 @@ from repro.core.dataflow import (
     output_stationary,
 )
 from repro.core.sparsity import SparsityStructure, csr_b_matrix
-from repro.dse import DesignPoint, explore
-from repro.dse.explorer import pareto_front
+from repro.dse import explore
+from repro.dse.explorer import adp, pareto_front
+from repro.exec.cache import CompileCache
+
+
+def _dominates_pair(q, p):
+    """The definition: ``q`` is no worse than ``p`` in every column and
+    better in at least one (every column is minimized)."""
+    return all(a <= b for a, b in zip(q, p)) and any(a < b for a, b in zip(q, p))
+
+
+def _dominates(q, p):
+    """Dominance of outcome row ``q`` over ``p`` on (cycles, area)."""
+    return _dominates_pair(
+        (q["cycles"], q["area_um2"]), (p["cycles"], p["area_um2"])
+    )
+
+
+def _pairwise_front(rows):
+    """The definition: rows that no other row dominates."""
+    return [
+        i for i, p in enumerate(rows)
+        if not any(_dominates_pair(q, p) for q in rows)
+    ]
+
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +73,7 @@ def result(workload):
             "none": LoadBalancingScheme(),
             "row-shift": row_shift_scheme(3),
         },
+        cache=CompileCache(),
     )
 
 
@@ -58,27 +82,27 @@ class TestExplore:
         assert len(result) == 3 * 2 * 2
 
     def test_names_encode_axes(self, result):
-        names = {p.name for p in result}
+        names = {p["name"] for p in result}
         assert "output-stationary / B-csr / row-shift" in names
 
     def test_metrics_populated(self, result):
         for point in result:
-            assert point.cycles > 0
-            assert 0 < point.utilization <= 1
-            assert point.area_um2 > 0
-            assert point.pe_count > 0
+            assert point["cycles"] > 0
+            assert 0 < point["utilization"] <= 1
+            assert point["area_um2"] > 0
+            assert point["pe_count"] > 0
 
     def test_sparse_skipping_reduces_cycles(self, result):
-        by_name = {p.name: p for p in result}
+        by_name = {p["name"]: p for p in result}
         dense = by_name["input-stationary / dense / none"]
         sparse = by_name["input-stationary / B-csr / none"]
-        assert sparse.cycles < dense.cycles
+        assert sparse["cycles"] < dense["cycles"]
 
     def test_balancing_helps_on_imbalanced_workload(self, result):
-        by_name = {p.name: p for p in result}
+        by_name = {p["name"]: p for p in result}
         plain = by_name["input-stationary / B-csr / none"]
         balanced = by_name["input-stationary / B-csr / row-shift"]
-        assert balanced.cycles <= plain.cycles
+        assert balanced["cycles"] <= plain["cycles"]
 
     def test_illegal_transforms_skipped(self, workload):
         bounds, tensors = workload
@@ -108,17 +132,17 @@ class TestParetoFrontier:
     def test_frontier_mutually_nondominated(self, result):
         frontier = result.pareto_frontier()
         for p in frontier:
-            assert not any(q.dominates(p) for q in frontier if q is not p)
+            assert not any(_dominates(q, p) for q in frontier if q is not p)
 
     def test_every_point_dominated_or_on_frontier(self, result):
         frontier = result.pareto_frontier()
         frontier_ids = {id(p) for p in frontier}
         for p in result:
             if id(p) not in frontier_ids:
-                assert any(q.dominates(p) for q in result)
+                assert any(_dominates(q, p) for q in result)
 
     def test_frontier_sorted_by_cycles(self, result):
-        cycles = [p.cycles for p in result.pareto_frontier()]
+        cycles = [p["cycles"] for p in result.pareto_frontier()]
         assert cycles == sorted(cycles)
 
 
@@ -126,14 +150,13 @@ class TestSelections:
     def test_best_by_each_metric(self, result):
         fastest = result.best_by("cycles")
         smallest = result.best_by("area")
-        assert fastest.cycles == min(p.cycles for p in result)
-        assert smallest.area_um2 == min(p.area_um2 for p in result)
+        assert fastest["cycles"] == min(p["cycles"] for p in result)
+        assert smallest["area_um2"] == min(p["area_um2"] for p in result)
 
     def test_best_by_adp(self, result):
         best = result.best_by("adp")
-        assert best.area_delay_product == min(
-            p.area_delay_product for p in result
-        )
+        assert adp(best) == min(adp(p) for p in result)
+        assert adp(best) == best["area_um2"] * best["cycles"]
 
     def test_unknown_metric_rejected(self, result):
         with pytest.raises(ValueError):
@@ -146,32 +169,23 @@ class TestSelections:
 
 
 class TestDominance:
-    def _point(self, cycles, area):
-        return DesignPoint("p", "t", "s", "b", cycles, 0.5, area, 4, 2, [])
+    """Dominance over (cycles, area), as :func:`pareto_front` applies it
+    to two rows."""
 
     def test_strict_dominance(self):
-        assert self._point(10, 100).dominates(self._point(20, 200))
+        assert _dominates_pair((10, 100), (20, 200))
+        assert pareto_front([(10, 100), (20, 200)]) == [0]
 
     def test_tradeoff_not_dominated(self):
-        a, b = self._point(10, 200), self._point(20, 100)
-        assert not a.dominates(b)
-        assert not b.dominates(a)
+        a, b = (10, 200), (20, 100)
+        assert not _dominates_pair(a, b)
+        assert not _dominates_pair(b, a)
+        assert pareto_front([a, b]) == [0, 1]
 
     def test_equal_not_dominating(self):
-        a, b = self._point(10, 100), self._point(10, 100)
-        assert not a.dominates(b)
-
-
-def _pairwise_front(rows):
-    """The definition: rows that no other row dominates (no worse in
-    every column, better in at least one)."""
-
-    def dominates(q, p):
-        return all(a <= b for a, b in zip(q, p)) and any(
-            a < b for a, b in zip(q, p)
-        )
-
-    return [i for i, p in enumerate(rows) if not any(dominates(q, p) for q in rows)]
+        a, b = (10, 100), (10, 100)
+        assert not _dominates_pair(a, b)
+        assert pareto_front([a, b]) == [0, 1]
 
 
 class TestParetoFront:

@@ -53,7 +53,8 @@ def _sweep_kwargs():
 
 def _signature(result):
     return [
-        (p.name, p.cycles, p.utilization, p.area_um2, p.pe_count, p.conn_count)
+        (p["name"], p["cycles"], p["utilization"], p["area_um2"],
+         p["pe_count"], p["conn_count"])
         for p in result.points
     ]
 
@@ -83,17 +84,17 @@ class TestParity:
     def test_cached_and_parallel_match_serial(self, workload):
         bounds, tensors = workload
         spec, kwargs = _sweep_kwargs()
-        serial = explore(spec, bounds, tensors, cache=False, **kwargs)
-        cached = explore(spec, bounds, tensors, cache=True, **kwargs)
+        serial = explore(spec, bounds, tensors, **kwargs)
+        cached = explore(spec, bounds, tensors, cache=CompileCache(), **kwargs)
         parallel = explore(
-            spec, bounds, tensors, cache=True, jobs=2, **kwargs
+            spec, bounds, tensors, cache=CompileCache(), jobs=2, **kwargs
         )
         assert _signature(serial) == _signature(cached) == _signature(parallel)
         assert serial.table() == cached.table() == parallel.table()
         assert (
-            [p.name for p in serial.pareto_frontier()]
-            == [p.name for p in cached.pareto_frontier()]
-            == [p.name for p in parallel.pareto_frontier()]
+            [p["name"] for p in serial.pareto_frontier()]
+            == [p["name"] for p in cached.pareto_frontier()]
+            == [p["name"] for p in parallel.pareto_frontier()]
         )
 
     def test_shared_cache_across_sweeps_stays_correct(self, workload):
@@ -115,7 +116,7 @@ class TestParity:
     def test_cache_records_hits(self, workload):
         bounds, tensors = workload
         spec, kwargs = _sweep_kwargs()
-        result = explore(spec, bounds, tensors, cache=True, **kwargs)
+        result = explore(spec, bounds, tensors, cache=CompileCache(), **kwargs)
         stats = result.report.cache_stats
         assert stats is not None
         assert stats.hits > 0
@@ -124,7 +125,7 @@ class TestParity:
     def test_engine_report_shape(self, workload):
         bounds, tensors = workload
         spec, kwargs = _sweep_kwargs()
-        result = explore(spec, bounds, tensors, cache=False, jobs=None, **kwargs)
+        result = explore(spec, bounds, tensors, jobs=None, **kwargs)
         report = result.report
         assert isinstance(report, EngineReport)
         assert report.mode == "serial"
@@ -133,8 +134,8 @@ class TestParity:
 
 
 class TestErrorDiscipline:
-    """Only compile-step SpecErrors mark a point illegal (the
-    skip_illegal bugfix); simulator failures always propagate."""
+    """Only compile-step SpecErrors mark a point illegal; simulator
+    failures always propagate, though explore skips illegal points."""
 
     def test_illegal_transform_skipped_and_tallied(self, workload):
         bounds, tensors = workload
@@ -157,7 +158,6 @@ class TestErrorDiscipline:
             explore(
                 spec, bounds, {"A": np.ones((4, 4), dtype=int)},
                 transforms={"os": output_stationary()},
-                skip_illegal=True,
             )
 
     def test_simulator_error_propagates_in_parallel(self, workload):
@@ -167,7 +167,6 @@ class TestErrorDiscipline:
             explore(
                 spec, bounds, {"A": np.ones((4, 4), dtype=int)},
                 transforms={"os": output_stationary()},
-                skip_illegal=True,
                 jobs=2,
             )
 
@@ -194,7 +193,7 @@ class TestLegalityMemoization:
             return original(spec_, bounds_, transform_)
 
         monkeypatch.setattr(analysis_spec, "check_spec_transform", counting)
-        explore(spec, bounds, tensors, cache=True, **kwargs)
+        explore(spec, bounds, tensors, cache=CompileCache(), **kwargs)
         assert len(calls) == len(kwargs["transforms"])
 
     def test_without_cache_checker_runs_per_point(self, workload, monkeypatch):
@@ -208,27 +207,33 @@ class TestLegalityMemoization:
             return original(spec_, bounds_, transform_)
 
         monkeypatch.setattr(analysis_spec, "check_spec_transform", counting)
-        result = explore(spec, bounds, tensors, cache=False, **kwargs)
+        result = explore(spec, bounds, tensors, **kwargs)
         assert len(calls) == len(result.points)
 
 
 class TestDeterministicOrdering:
     def test_table_breaks_cycle_ties_by_name(self):
-        from repro.dse.explorer import DesignPoint, ExplorationResult
+        from repro.dse.explorer import ExplorationResult
 
         def point(name, cycles=10, area=100.0):
-            return DesignPoint(
-                name=name, transform_name="t", sparsity_name="s",
-                balancing_name="b", cycles=cycles, utilization=0.5,
-                area_um2=area, pe_count=4, conn_count=2, pruned_variables=[],
-            )
+            return {
+                "status": "ok", "name": name, "transform_name": "t",
+                "sparsity_name": "s", "balancing_name": "b",
+                "cycles": cycles, "utilization": 0.5, "area_um2": area,
+                "pe_count": 4, "conn_count": 2, "pruned_variables": [],
+            }
 
-        forward = ExplorationResult([point("aa"), point("bb"), point("cc")])
-        backward = ExplorationResult([point("cc"), point("bb"), point("aa")])
+        report = EngineReport(jobs=1, evaluated=3, skipped=0)
+        forward = ExplorationResult(
+            [point("aa"), point("bb"), point("cc")], report
+        )
+        backward = ExplorationResult(
+            [point("cc"), point("bb"), point("aa")], report
+        )
         assert forward.table() == backward.table()
         assert (
-            [p.name for p in forward.pareto_frontier()]
-            == [p.name for p in backward.pareto_frontier()]
+            [p["name"] for p in forward.pareto_frontier()]
+            == [p["name"] for p in backward.pareto_frontier()]
             == ["aa", "bb", "cc"]
         )
 
@@ -243,7 +248,7 @@ class TestObservabilityMerge:
         previous_t = set_tracer(tracer)
         try:
             result = explore(
-                spec, bounds, tensors, cache=True, jobs=2, **kwargs
+                spec, bounds, tensors, cache=CompileCache(), jobs=2, **kwargs
             )
         finally:
             set_profiler(previous_p)
@@ -261,7 +266,7 @@ class TestObservabilityMerge:
         profiler = Profiler(enabled=True)
         previous = set_profiler(profiler)
         try:
-            result = explore(spec, bounds, tensors, cache=False, **kwargs)
+            result = explore(spec, bounds, tensors, **kwargs)
         finally:
             set_profiler(previous)
         labels = {r.label: r.calls for r in profiler.records()}

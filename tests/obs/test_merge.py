@@ -72,8 +72,8 @@ class TestRegistryMerge:
 
     def test_gauges_take_latest(self):
         a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("depth").set(4)
-        b.gauge("depth").set(9)
+        a.gauge("depth").add(4)
+        b.gauge("depth").add(9)
         a.merge(b)
         assert a.gauge("depth").value == 9
 
@@ -99,7 +99,7 @@ class TestRegistryMerge:
     def test_kind_mismatch_rejected(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("x").inc()
-        b.gauge("x").set(1)
+        b.gauge("x").add(1)
         with pytest.raises(ValueError, match="cannot merge"):
             a.merge(b)
 

@@ -175,7 +175,6 @@ class TestSpan:
                 transforms={"output-stationary": output_stationary()},
                 sparsities={"dense": SparsityStructure()},
                 balancings={"none": LoadBalancingScheme()},
-                cache=False,
             )
         (event,) = [
             e for e in tracer.events() if e.component == "dse" and e.kind == "X"

@@ -494,6 +494,8 @@ class TestStreaming:
         assert h.client.metrics()["server"]["traces_streamed"] == 0
 
     def test_explore_request_streams_design_points(self, harness):
+        from repro.dse.explorer import run_explore
+
         h = harness()
         result = h.client.explore(spec="matmul", size=2, seed=0)
         assert result["points"] == len(result["rows"]) > 0
@@ -501,6 +503,31 @@ class TestStreaming:
         assert set(result["pareto"]) <= {
             row["name"] for row in result["rows"]
         }
+        # Each served row is the in-process sweep's outcome, renamed and
+        # in a pinned key order.
+        expected = run_explore("matmul", 2, 0, jobs=1, cache=CompileCache())
+        assert [list(row) for row in result["rows"]] == [[
+            "name", "transform", "sparsity", "balancing", "cycles",
+            "utilization", "area_um2", "pe_count", "adp",
+        ]] * len(expected.points)
+        assert result["rows"] == [
+            {
+                "name": point["name"],
+                "transform": point["transform_name"],
+                "sparsity": point["sparsity_name"],
+                "balancing": point["balancing_name"],
+                "cycles": point["cycles"],
+                "utilization": point["utilization"],
+                "area_um2": point["area_um2"],
+                "pe_count": point["pe_count"],
+                "adp": point["area_um2"] * point["cycles"],
+            }
+            for point in expected.points
+        ]
+        assert result["pareto"] == [
+            point["name"] for point in expected.pareto_frontier()
+        ]
+        assert result["best_adp"] == expected.best_by("adp")["name"]
 
     def test_explore_of_a_spec_outside_the_space_is_a_structured_error(
         self, harness
